@@ -1,16 +1,17 @@
-"""Service-level benchmark: fused vs sequential dispatch, sync vs async.
+"""Service-level benchmark: one shared scan flight vs one scan per job, sync vs async.
 
-The shared-scan scheduler's win is I/O amortization: a window of K
-compatible jobs costs one job's page requests instead of K. This bench
-measures that on the standard service shape — **32 concurrent jobs on
-one table** — plus wall-clock jobs/sec for both dispatch modes, and it
-gates CI on the structural claim:
+The shared-scan scheduler's win is I/O amortization: a window of K jobs
+on one table flies as one scan and costs one job's page requests
+instead of K. This bench measures that on the standard service shape —
+**32 concurrent jobs on one table** — against the same service claiming
+one job per window (``batching_window=1``: one scan per job), plus
+wall-clock jobs/sec for both, and it gates CI on the structural claim:
 
 * ``python benchmarks/bench_service.py --gate`` **exits 1 unless the
-  fused dispatch makes at least 3x fewer page requests** than the
-  sequential dispatch for the same 32-job workload (the measured ratio
-  is 32x: one shared scan vs 32 scans), and unless every fused job's
-  weights are bitwise-identical to its sequential twin's.
+  shared flight makes at least 3x fewer page requests** than one scan
+  per job for the same 32-job workload (the measured ratio is 32x: one
+  shared scan vs 32 scans), and unless every shared job's weights are
+  bitwise-identical to its one-scan-per-job twin's.
 
 * ``--async`` benchmarks the background dispatch loop: submit latency
   (admission only — never blocks on a scan) vs drain throughput with
@@ -31,14 +32,15 @@ gates CI on the structural claim:
 * ``--cursor`` benchmarks **elevator (shared-cursor) boarding** against
   window-boundary batching on a sustained-arrival workload: late jobs
   with mixed batch sizes arrive while the opener's scan is mid-flight
-  (held there by a gated loss, so the scenario is deterministic). The
+  (held there by a gated loss, so the scenario is deterministic); window
+  batching flies them as one more flight once the opener's lands. The
   gate **exits 1 unless boarding is >= 1.5x cheaper on page requests**,
   unless every late job really boarded (``boarding_offset > 0``), and
   unless every boarded release is bitwise-identical to its solo
   ``run_sgd(start_offset=...)`` reference.
 
 * ``--observability`` benchmarks the telemetry layer's cost: the same
-  fused drain with the live metrics registry + traces vs
+  shared-flight drain with the live metrics registry + traces vs
   ``obs.disabled()`` (the no-op twin), best-of-3 alternating runs. The
   gate **exits 1 unless the instrumented drain is within 5% wall-clock
   of the disabled one** and its weights are bitwise-identical —
@@ -48,9 +50,9 @@ gates CI on the structural claim:
 
 * ``--disk`` re-proves the shared-scan claims on **real storage**: the
   bench table bulk-loaded into a SQLite-WAL heap file, so every pool
-  miss is an actual database read. The gate **exits 1 unless fused
-  dispatch still makes >= 3x fewer page requests than sequential on
-  real I/O**, unless fused == sequential bitwise on the SQLite backend,
+  miss is an actual database read. The gate **exits 1 unless the shared
+  flight still makes >= 3x fewer page requests than one scan per job on
+  real I/O**, unless shared == per-job bitwise on the SQLite backend,
   and unless the SQLite-backed release is bitwise-identical (atol=0) to
   the in-memory release — storage must be invisible to the weights. A
   warm-pool vs cold-pool full-table sweep is printed as a note.
@@ -100,6 +102,7 @@ import sys
 import threading
 import time
 import zlib
+from typing import Optional
 
 # Direct script execution (`python benchmarks/bench_service.py`) puts only
 # benchmarks/ on sys.path; make the package, tests.conftest, and the
@@ -129,10 +132,10 @@ EPS = 0.05
 WORKERS = 4
 
 #: --smoke shrinks to this (the page-ratio and bitwise gates are
-#: structural, so they hold at any shape that still fuses a window).
+#: structural, so they hold at any shape that still shares a window).
 SMOKE_JOBS, SMOKE_M, SMOKE_D = 12, 600, 20
 
-#: --gate fails below this sequential-over-fused page-request ratio.
+#: --gate fails below this per-job-over-shared page-request ratio.
 PAGE_RATIO_FLOOR = 3.0
 
 #: The --parallel shape: 2 workers x 2 tables, each table latency-backed
@@ -159,10 +162,14 @@ def _set_parallel_shape(m: int, latency: float) -> None:
     PAR_M, PAR_PAGE_LATENCY = m, latency
 
 
-def _build_service(fuse: bool, workers: int = 1, metrics=None) -> TrainingService:
+def _build_service(
+    window: Optional[int] = None, workers: int = 1, metrics=None
+) -> TrainingService:
+    """The standard bench service; ``window=1`` gives every job its own
+    scan (the reference arm), the default shares one flight per JOBS."""
     X, y = make_binary_data(M, D, seed=77)
     service = TrainingService(
-        fuse=fuse, scan_seed=11, batching_window=JOBS, workers=workers,
+        scan_seed=11, batching_window=window or JOBS, workers=workers,
         metrics=metrics,
     )
     service.register_table("bench", X, y)
@@ -189,8 +196,8 @@ def _submit_workload(service: TrainingService) -> list:
     return [_submit_workload_one(service, j) for j in range(JOBS)]
 
 
-def _run(fuse: bool) -> dict:
-    service = _build_service(fuse)
+def _run(window: Optional[int] = None) -> dict:
+    service = _build_service(window)
     records = _submit_workload(service)
     pages_before = service.page_reads
     start = time.perf_counter()
@@ -199,7 +206,7 @@ def _run(fuse: bool) -> dict:
     pages = service.page_reads - pages_before
     assert all(record.status is JobStatus.COMPLETED for record in records)
     return {
-        "mode": "fused" if fuse else "sequential",
+        "mode": "per-job" if window == 1 else "shared",
         "jobs": JOBS,
         "seconds": elapsed,
         "jobs_per_second": JOBS / elapsed,
@@ -211,38 +218,38 @@ def _run(fuse: bool) -> dict:
 
 def bench_service(gate: bool, write: bool = True, report=None) -> int:
     print(f"service shape: {JOBS} jobs, m={M}, d={D}, b={BATCH}, k={PASSES}")
-    fused = _run(fuse=True)
-    sequential = _run(fuse=False)
+    shared = _run()
+    per_job = _run(window=1)
 
     bitwise = all(
-        np.array_equal(fused["models"][j], sequential["models"][j])
+        np.array_equal(shared["models"][j], per_job["models"][j])
         for j in range(JOBS)
     )
-    ratio = sequential["pages"] / fused["pages"]
+    ratio = per_job["pages"] / shared["pages"]
     single_job_pages = PASSES * M
 
-    for row in (fused, sequential):
+    for row in (shared, per_job):
         print(
             f"{row['mode']:>10}: {row['seconds'] * 1e3:8.1f} ms"
             f"   {row['jobs_per_second']:7.1f} jobs/s"
             f"   {row['pages']:>7} pages ({row['pages_per_job']:.0f}/job)"
         )
-    print(f"page ratio:   {ratio:6.1f}x fewer requests fused"
+    print(f"page ratio:   {ratio:6.1f}x fewer requests shared"
           f"  (gate: >= {PAGE_RATIO_FLOOR}x)")
     print(f"one job alone: {single_job_pages} pages "
-          f"-> fused window costs {fused['pages'] / single_job_pages:.2f}x that")
-    print(f"bitwise fused == sequential per job: {bitwise}")
+          f"-> shared window costs {shared['pages'] / single_job_pages:.2f}x that")
+    print(f"bitwise shared == per-job: {bitwise}")
 
     if write:
         _write_results(
             service={
                 "jobs": JOBS,
-                "fused_s": fused["seconds"],
-                "sequential_s": sequential["seconds"],
-                "fused_jobs_per_s": fused["jobs_per_second"],
-                "sequential_jobs_per_s": sequential["jobs_per_second"],
-                "fused_pages": fused["pages"],
-                "sequential_pages": sequential["pages"],
+                "fused_s": shared["seconds"],
+                "sequential_s": per_job["seconds"],
+                "fused_jobs_per_s": shared["jobs_per_second"],
+                "sequential_jobs_per_s": per_job["jobs_per_second"],
+                "fused_pages": shared["pages"],
+                "sequential_pages": per_job["pages"],
                 "page_ratio": ratio,
                 "single_job_pages": single_job_pages,
                 "bitwise_equal": bitwise,
@@ -253,8 +260,8 @@ def bench_service(gate: bool, write: bool = True, report=None) -> int:
         write_report(
             report,
             shared_scan_pages={
-                "metric": f"page-request ratio, sequential over fused "
-                f"({JOBS} jobs, one table)",
+                "metric": f"page-request ratio, one scan per job over one "
+                f"shared flight ({JOBS} jobs, one table)",
                 "value": ratio,
                 "floor": PAGE_RATIO_FLOOR,
                 "passed": bool(ratio >= PAGE_RATIO_FLOOR and bitwise),
@@ -265,9 +272,9 @@ def bench_service(gate: bool, write: bool = True, report=None) -> int:
 
     if gate and (ratio < PAGE_RATIO_FLOOR or not bitwise):
         if ratio < PAGE_RATIO_FLOOR:
-            print(f"FAIL: fused dispatch below {PAGE_RATIO_FLOOR}x fewer pages")
+            print(f"FAIL: shared flight below {PAGE_RATIO_FLOOR}x fewer pages")
         if not bitwise:
-            print("FAIL: fused weights diverged from sequential twins")
+            print("FAIL: shared weights diverged from one-scan-per-job twins")
         return 1
     print("PASS")
     return 0
@@ -279,9 +286,9 @@ def bench_async(gate: bool, write: bool = True, report=None) -> int:
     gate: async weights bitwise-equal to the synchronous drain, cache
     replay charges 0 pages."""
     print(f"\nasync service: {JOBS} jobs, {WORKERS} workers")
-    reference = _run(fuse=True)  # the synchronous fused drain
+    reference = _run()  # the synchronous shared drain
 
-    service = _build_service(fuse=True, workers=WORKERS)
+    service = _build_service(workers=WORKERS)
     service.start()
     submit_seconds = []
     start = time.perf_counter()
@@ -360,7 +367,6 @@ def bench_async(gate: bool, write: bool = True, report=None) -> int:
 
 def _build_parallel_service(workers: int, parallel_scans: bool) -> TrainingService:
     service = TrainingService(
-        fuse=True,
         scan_seed=11,
         batching_window=PAR_JOBS_PER_TABLE,
         workers=workers,
@@ -515,16 +521,17 @@ def bench_parallel(gate: bool, write: bool = True, report=None) -> int:
 
 # -- the elevator (shared-cursor) gate -----------------------------------------
 
-#: Late arrivals during the opener's scan, cycling batch sizes with zero
-#: fusion compatibility between them — window batching must pay one fused
-#: scan per distinct batch size, the elevator one shared cursor stream.
+#: Late arrivals during the opener's scan, cycling batch sizes. Window
+#: batching parks them for the next window — one more flight of 2m pages
+#: once the opener's lands — while the elevator boards them all onto the
+#: opener's cursor stream.
 CUR_LATE_JOBS = 6
 CUR_LATE_BATCHES = (10, 50, 100)
 
 #: --gate --cursor fails below this windowed-over-elevator page ratio on
-#: the sustained-arrival workload. The measured ratio is ~4x: windowed
-#: pays (1 + len(CUR_LATE_BATCHES)) scans of 2m pages, the elevator one
-#: cursor stream of 2m + chunk_size.
+#: the sustained-arrival workload. The measured ratio is ~2x: windowed
+#: pays 2 flights of 2m pages, the elevator one cursor stream of
+#: 2m + chunk_size plus the last boarder's ride past the opener's.
 ELEVATOR_PAGE_FLOOR = 1.5
 
 
@@ -551,8 +558,7 @@ def _run_cursor(elevator: bool) -> dict:
     parks them for the next batching window."""
     X, y = make_binary_data(M, D, seed=77)
     service = TrainingService(
-        elevator=elevator, fuse=True, scan_seed=11,
-        batching_window=JOBS, workers=1,
+        elevator=elevator, scan_seed=11, batching_window=JOBS, workers=1,
     )
     service.register_table("bench", X, y)
     service.open_budget("bench-tenant", "bench", (1 + CUR_LATE_JOBS) * EPS + 1e-9)
@@ -722,7 +728,7 @@ def _synthetic_record(j: int, d: int = 8):
     )
     return JobRecord(
         job=job, status=JobStatus.COMPLETED, model=np.zeros(d),
-        sensitivity=1.0, noise_norm=0.1, dispatch="fused",
+        sensitivity=1.0, noise_norm=0.1, dispatch="scan",
         group_size=1, group_pages=10, epochs=1, submitted_at=j,
     )
 
@@ -801,7 +807,7 @@ def bench_queue(write: bool = True) -> int:
     runners).
     """
     X, y = make_binary_data(SMOKE_M, SMOKE_D, seed=77)
-    service = TrainingService(fuse=True, scan_seed=11, workers=1)
+    service = TrainingService(scan_seed=11, workers=1)
     service.register_table("bench", X, y)
     service.open_budget("bench-tenant", "bench", QUEUE_JOBS * EPS + 1e-9)
     lambdas = np.logspace(-4, -1, 8)
@@ -842,9 +848,9 @@ OBS_TRIALS = 3
 
 
 def _run_obs(metrics) -> dict:
-    """One fused synchronous drain of the standard workload under the
-    given metrics registry (live or the disabled twin)."""
-    service = _build_service(fuse=True, metrics=metrics)
+    """One shared-flight synchronous drain of the standard workload under
+    the given metrics registry (live or the disabled twin)."""
+    service = _build_service(metrics=metrics)
     records = _submit_workload(service)
     start = time.perf_counter()
     service.drain()
@@ -944,13 +950,13 @@ def bench_observability(gate: bool, write: bool = True, report=None) -> int:
     return 0
 
 
-def _build_disk_service(fuse: bool, sqlite_path) -> TrainingService:
+def _build_disk_service(window: int, sqlite_path) -> TrainingService:
     """The standard bench service, but with the table on real storage:
     the dataset is bulk-loaded into a SQLite-WAL heap and every pool
     miss pays an actual database read."""
     X, y = make_binary_data(M, D, seed=77)
     service = TrainingService(
-        fuse=fuse, scan_seed=11, batching_window=JOBS, workers=1
+        scan_seed=11, batching_window=window, workers=1
     )
     service.register_table(
         "bench", X, y, backend="sqlite", path=sqlite_path
@@ -959,8 +965,8 @@ def _build_disk_service(fuse: bool, sqlite_path) -> TrainingService:
     return service
 
 
-def _run_disk(fuse: bool, sqlite_path) -> dict:
-    service = _build_disk_service(fuse, sqlite_path)
+def _run_disk(window: int, sqlite_path) -> dict:
+    service = _build_disk_service(window, sqlite_path)
     records = _submit_workload(service)
     pages_before = service.page_reads
     start = time.perf_counter()
@@ -969,7 +975,7 @@ def _run_disk(fuse: bool, sqlite_path) -> dict:
     pages = service.page_reads - pages_before
     assert all(record.status is JobStatus.COMPLETED for record in records)
     return {
-        "mode": "fused" if fuse else "sequential",
+        "mode": "per-job" if window == 1 else "shared",
         "seconds": elapsed,
         "pages": pages,
         "models": np.stack([record.model for record in records]),
@@ -982,9 +988,9 @@ def bench_disk(gate: bool, write: bool = True, report=None) -> int:
     Same workload as the base gate, but the table lives in a SQLite-WAL
     heap file: every buffer-pool miss is an actual database read, not an
     array slice or a simulated sleep. Gates (exit 1) on three claims:
-    fused dispatch still >= PAGE_RATIO_FLOOR x fewer page requests than
-    sequential on real storage; fused == sequential bitwise on the
-    SQLite backend; and the SQLite-backed release is bitwise-identical
+    the shared flight still >= PAGE_RATIO_FLOOR x fewer page requests
+    than one scan per job on real storage; shared == per-job bitwise on
+    the SQLite backend; and the SQLite-backed release is bitwise-identical
     (atol=0) to the in-memory release of the same jobs — storage is
     invisible to the trained weights. Also prints the warm-pool vs
     cold-pool sweep note (informational): the same full-table pool scan
@@ -997,17 +1003,17 @@ def bench_disk(gate: bool, write: bool = True, report=None) -> int:
     print(f"\ndisk backend: {JOBS} jobs on a SQLite-WAL heap, m={M}, d={D}")
     with tempfile.TemporaryDirectory(prefix="repro-bench-disk-") as tmp:
         tmp = pathlib.Path(tmp)
-        fused = _run_disk(fuse=True, sqlite_path=tmp / "fused.db")
-        sequential = _run_disk(fuse=False, sqlite_path=tmp / "sequential.db")
-        reference = _run(fuse=True)  # the in-memory twin
+        shared = _run_disk(JOBS, sqlite_path=tmp / "shared.db")
+        per_job = _run_disk(1, sqlite_path=tmp / "per-job.db")
+        reference = _run()  # the in-memory twin
 
-        ratio = sequential["pages"] / fused["pages"]
+        ratio = per_job["pages"] / shared["pages"]
         bitwise_paths = all(
-            np.array_equal(fused["models"][j], sequential["models"][j])
+            np.array_equal(shared["models"][j], per_job["models"][j])
             for j in range(JOBS)
         )
         bitwise_backend = all(
-            np.array_equal(fused["models"][j], reference["models"][j])
+            np.array_equal(shared["models"][j], reference["models"][j])
             for j in range(JOBS)
         )
 
@@ -1028,14 +1034,14 @@ def bench_disk(gate: bool, write: bool = True, report=None) -> int:
         warm_s = time.perf_counter() - start
         heap.close()
 
-    for row in (fused, sequential):
+    for row in (shared, per_job):
         print(
             f"{row['mode']:>10}: {row['seconds'] * 1e3:8.1f} ms"
             f"   {row['pages']:>7} pages"
         )
-    print(f"page ratio:   {ratio:6.1f}x fewer requests fused on real I/O"
+    print(f"page ratio:   {ratio:6.1f}x fewer requests shared on real I/O"
           f"  (gate: >= {PAGE_RATIO_FLOOR}x)")
-    print(f"bitwise fused == sequential (sqlite):  {bitwise_paths}")
+    print(f"bitwise shared == per-job (sqlite):    {bitwise_paths}")
     print(f"bitwise sqlite == in-memory (atol=0):  {bitwise_backend}")
     print(f"pool sweep:   cold {cold_s * 1e3:.1f} ms ({heap.num_pages} pages "
           f"from SQLite) vs warm {warm_s * 1e3:.1f} ms (all resident) — "
@@ -1045,10 +1051,10 @@ def bench_disk(gate: bool, write: bool = True, report=None) -> int:
         _write_results(
             service_disk={
                 "jobs": JOBS,
-                "fused_s": fused["seconds"],
-                "sequential_s": sequential["seconds"],
-                "fused_pages": fused["pages"],
-                "sequential_pages": sequential["pages"],
+                "fused_s": shared["seconds"],
+                "sequential_s": per_job["seconds"],
+                "fused_pages": shared["pages"],
+                "sequential_pages": per_job["pages"],
                 "page_ratio": ratio,
                 "bitwise_fused_vs_sequential": bitwise_paths,
                 "bitwise_sqlite_vs_memory": bitwise_backend,
@@ -1061,7 +1067,8 @@ def bench_disk(gate: bool, write: bool = True, report=None) -> int:
         write_report(
             report,
             disk_backend={
-                "metric": f"page-request ratio, sequential over fused, "
+                "metric": f"page-request ratio, one scan per job over one "
+                f"shared flight, "
                 f"SQLite-WAL heap ({JOBS} jobs, one table)",
                 "value": ratio,
                 "floor": PAGE_RATIO_FLOOR,
@@ -1080,9 +1087,9 @@ def bench_disk(gate: bool, write: bool = True, report=None) -> int:
 
     if gate and (ratio < PAGE_RATIO_FLOOR or not bitwise_paths or not bitwise_backend):
         if ratio < PAGE_RATIO_FLOOR:
-            print(f"FAIL: fused dispatch below {PAGE_RATIO_FLOOR}x on real I/O")
+            print(f"FAIL: shared flight below {PAGE_RATIO_FLOOR}x on real I/O")
         if not bitwise_paths:
-            print("FAIL: fused weights diverged from sequential on sqlite")
+            print("FAIL: shared weights diverged from per-job on sqlite")
         if not bitwise_backend:
             print("FAIL: sqlite-backed weights diverged from in-memory twins")
         return 1
@@ -1156,7 +1163,7 @@ def bench_http(gate: bool, write: bool = True, report=None) -> int:
           "(ThreadingHTTPServer + urllib client, loopback)")
 
     # -- submit latency: admission through the socket, no workers ------
-    lat_service = _build_service(fuse=True)
+    lat_service = _build_service()
     with ServiceApiServer(lat_service, _http_tokens()) as lat_server:
         lat_server.start()
         client = ServiceClient(lat_server.url, token="bench-token")
@@ -1181,7 +1188,7 @@ def bench_http(gate: bool, write: bool = True, report=None) -> int:
     inproc_s = http_s = np.inf
     bitwise = True
     for _ in range(HTTP_TRIALS):
-        inproc_service = _build_service(fuse=True, workers=WORKERS)
+        inproc_service = _build_service(workers=WORKERS)
         trial_s, inproc_records = _drain_workload(
             inproc_service,
             lambda j: inproc_service.submit(
@@ -1196,7 +1203,7 @@ def bench_http(gate: bool, write: bool = True, report=None) -> int:
         )
         inproc_s = min(inproc_s, trial_s)
 
-        http_service = _build_service(fuse=True, workers=WORKERS)
+        http_service = _build_service(workers=WORKERS)
         with ServiceApiServer(http_service, _http_tokens()) as server:
             client = ServiceClient(server.url, token="bench-token")
             lambdas = np.logspace(-4, -1, 8)
@@ -1235,7 +1242,7 @@ def bench_http(gate: bool, write: bool = True, report=None) -> int:
     queue_note = None
     if write:
         q_X, q_y = make_binary_data(SMOKE_M, SMOKE_D, seed=77)
-        q_service = TrainingService(fuse=True, scan_seed=11, workers=1)
+        q_service = TrainingService(scan_seed=11, workers=1)
         q_service.register_table("bench", q_X, q_y)
         q_service.open_budget("bench-tenant", "bench", QUEUE_JOBS * EPS + 1e-9)
         with ServiceApiServer(q_service, _http_tokens()) as q_server:
@@ -1324,8 +1331,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--gate",
         action="store_true",
-        help="exit 1 unless fused dispatch makes >= "
-        f"{PAGE_RATIO_FLOOR}x fewer page requests (and stays bitwise-equal)",
+        help="exit 1 unless one shared flight makes >= "
+        f"{PAGE_RATIO_FLOOR}x fewer page requests than one scan per job "
+        "(and stays bitwise-equal)",
     )
     parser.add_argument(
         "--async",
@@ -1359,7 +1367,7 @@ def main(argv=None) -> int:
         "--disk",
         action="store_true",
         help="also re-prove the shared-scan claims on real storage: the "
-        "table in a SQLite-WAL heap file, fused still >= "
+        "table in a SQLite-WAL heap file, shared still >= "
         f"{PAGE_RATIO_FLOOR}x fewer pages, releases bitwise-equal to the "
         "in-memory backend (plus a warm-vs-cold pool sweep note)",
     )

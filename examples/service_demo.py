@@ -13,8 +13,10 @@ The walkthrough the ROADMAP's service-layer section narrates:
    strengths, priorities and seeds, plus one *unreleasable* job (a
    non-smooth hinge loss) and a tail of over-budget ones;
 4. the workers train everything while the submitter is still free:
-   compatible jobs fuse into shared scans (pages charged once per
-   group), the unfusable stragglers run sequentially, the hinge job
+   each claimed window flies as one shared scan of its table (pages
+   charged once per flight), and since every rider keeps its own batch
+   phase and pass count, carol's batch-40 jobs and the lone passes=3
+   job share ratings flights with alice's and bob's; the hinge job
    fails with its reservation refunded, and mallory's over-budget jobs
    are rejected having never touched a page;
 5. resubmitting a completed job hits the cross-drain result cache — the
@@ -24,9 +26,9 @@ The walkthrough the ROADMAP's service-layer section narrates:
    receipts, the cache re-armed.
 
 Every completed job's released weights are bitwise-identical to what the
-job would have produced running alone — fusion, worker scheduling, the
-cache, and even a process restart are invisible to tenants everywhere
-except the page counters and the clock.
+job would have produced running alone — shared scans, worker
+scheduling, the cache, and even a process restart are invisible to
+tenants everywhere except the page counters and the clock.
 
 Run:  python examples/service_demo.py
 """
@@ -67,8 +69,8 @@ def build_service(state_dir=None) -> TrainingService:
 def submit_workload(service: TrainingService) -> list:
     records = []
     lambdas = [1e-4, 1e-3, 1e-2]
-    # 1-20: alice & bob on ratings — all fusion-compatible (same
-    # batch/passes), heterogeneous losses and regularization.
+    # 1-20: alice & bob on ratings — one shape (same batch/passes),
+    # heterogeneous losses and regularization.
     for j in range(20):
         principal = "alice" if j % 2 == 0 else "bob"
         loss = (
@@ -79,22 +81,21 @@ def submit_workload(service: TrainingService) -> list:
         records.append(service.submit(principal, "ratings", loss,
                                       epsilon=EPS_PER_JOB, passes=PASSES,
                                       batch_size=BATCH, seed=100 + j))
-    # 21-32: the clicks table — a second fused group, higher priority.
+    # 21-32: the clicks table — its own flight, higher priority.
     for j in range(12):
         principal = "alice" if j % 2 == 0 else "bob"
         records.append(service.submit(
             principal, "clicks", LogisticLoss(regularization=lambdas[j % 3]),
             epsilon=EPS_PER_JOB, passes=PASSES, batch_size=BATCH,
             priority=1, seed=200 + j))
-    # 33-38: carol's ratings jobs with a *different* batch size — not
-    # scan-compatible with the alice/bob group, so they fuse among
-    # themselves (their own group).
+    # 33-38: carol's ratings jobs with a *different* batch size — riders
+    # keep their own mini-batch phase, so they share the ratings flight.
     for j in range(6):
         records.append(service.submit(
             "carol", "ratings", LogisticLoss(regularization=lambdas[j % 3]),
             epsilon=EPS_PER_JOB, passes=PASSES, batch_size=40, seed=300 + j))
-    # 39: a lone odd job — nothing shares its (passes=3) signature, so it
-    # takes the sequential fallback.
+    # 39: a lone odd job (passes=3) — it rides the same flight and stays
+    # aboard for one more loop of the cursor after the others land.
     records.append(service.submit(
         "alice", "ratings", LogisticLoss(regularization=1e-3),
         epsilon=EPS_PER_JOB, passes=3, batch_size=BATCH, seed=400))
@@ -123,13 +124,13 @@ def main() -> None:
     # The server is live BEFORE any work arrives: background workers
     # watch the queue, so submissions below are pure admission.
     service.start()
+    pages_before = service.page_reads
     submit_times = []
     t0 = time.perf_counter()
     submit_workload(service)
     submit_times.append(time.perf_counter() - t0)
     assert len(service.registry) == 50
 
-    pages_before = service.page_reads
     finished = service.drain()  # block until quiescent (workers did the work)
     pages = service.page_reads - pages_before
 
@@ -138,12 +139,11 @@ def main() -> None:
     print(f"submit   : all 50 in {submit_times[0] * 1e3:.1f} ms "
           f"(admission only — workers scan concurrently)")
     print("statuses :", ", ".join(f"{k}={v}" for k, v in sorted(counts.items()) if v))
-    print(f"groups   : {len(service.scheduler.dispatch_log)} scans for "
+    print(f"flights  : {len(service.scheduler.dispatch_log)} scans for "
           f"{counts['completed']} completed jobs")
-    for key, job_ids, group_pages in service.scheduler.dispatch_log:
-        table, batch, passes, _ = key
-        print(f"  scan on {table:>7} (b={batch:>2}, k={passes}): "
-              f"{len(job_ids):>2} jobs, {group_pages} page requests")
+    for (table,), job_ids, flight_pages in service.scheduler.dispatch_log:
+        print(f"  flight on {table:>7}: {len(job_ids):>2} riders, "
+              f"{flight_pages} page requests")
     print(f"pages    : {pages} total — one job alone on ratings costs "
           f"{PASSES * 600}, on clicks {PASSES * 400}")
 

@@ -19,14 +19,15 @@ Six subcommands::
     python -m repro serve --jobs 50 --workers 4 --tables 2 [--state-dir DIR]
         The async scheduling demo: a synthetic mixed-tenant workload
         over ``--tables`` tables submitted to a running dispatch loop
-        (``submit()`` returns immediately; background workers fuse and
-        train the queue, overlapping scans on distinct tables thanks to
-        per-table engine domains), reporting submit latency, the
-        per-table scan overlap achieved, fused-vs-sequential page
-        requests, cache hits for resubmitted jobs, per-status job
-        counts, and every tenant's budget statement. Warns when
-        ``--workers`` exceeds the tables with queued work (same-table
-        scans serialize, so the extra workers cannot overlap I/O). With
+        (``submit()`` returns immediately; background workers run each
+        claimed window as one scan flight, overlapping flights on
+        distinct tables thanks to per-table engine domains), reporting
+        submit latency, the per-table scan overlap achieved, page
+        requests against one job's solo cost, cache hits for
+        resubmitted jobs, per-status job counts, and every tenant's
+        budget statement. Warns when ``--workers`` exceeds the tables
+        with queued work (same-table scans serialize, so the extra
+        workers cannot overlap I/O). With
         ``--state-dir`` the registry + budgets autosave there and a
         restarted serve resumes from the snapshot; ``--metrics-file``
         additionally exports the telemetry registry (Prometheus text,
@@ -175,14 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="autosave registry + budgets here and resume from a prior run",
     )
     serve.add_argument(
-        "--no-fuse", action="store_true",
-        help="force the sequential dispatch path (the reference)",
-    )
-    serve.add_argument(
         "--elevator", action="store_true",
-        help="shared-cursor dispatch: jobs submitted mid-scan board the "
-        "running scan loop at its current position instead of waiting "
-        "for the next batching window",
+        help="keep scan flights open for boarding: jobs submitted "
+        "mid-scan board the running flight at its current position "
+        "instead of waiting for the next batching window",
     )
     serve.add_argument(
         "--metrics-file", default=None,
@@ -490,7 +487,6 @@ def _serve(args: argparse.Namespace) -> int:
         )
 
     service = TrainingService(
-        fuse=not args.no_fuse,
         scan_seed=args.seed,
         workers=args.workers,
         elevator=args.elevator,
@@ -642,12 +638,9 @@ def _serve(args: argparse.Namespace) -> int:
     single_scan_pages = args.passes * table.size
     print(f"workload        : {args.jobs} jobs, {len(tenants)} tenants, "
           f"{args.tables} tables, m={table.size}, d={table.features.shape[1]}")
-    mode = (
-        "elevator (shared cursors)"
-        if args.elevator
-        else ("sequential (forced)" if args.no_fuse else "fused")
-    )
-    print(f"dispatch mode   : {mode}, {args.workers} workers")
+    boarding = "open (elevator)" if args.elevator else "closed"
+    print(f"dispatch mode   : one scan flight per window, boarding "
+          f"{boarding}, {args.workers} workers")
     if api_server is not None:
         print(
             f"http front-end  : {api_server.url} (repro-api/v1, "

@@ -14,7 +14,7 @@ partition, so parallel composition applies there instead).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
 from repro.core.mechanisms import PrivacyParameters
 from repro.utils.validation import check_positive_int
@@ -57,11 +57,33 @@ class PrivacyAccountant:
     total delta the sum of spent deltas. ``parallel`` spends — mechanisms
     run on *disjoint* data partitions — cost only their maximum, which is
     how Algorithm 3's per-candidate training is accounted.
+
+    :meth:`total` is O(1): each recorded spend is folded into running
+    totals — left to right from ``0``, the additions ``sum`` over
+    :attr:`spends` performed before CPython 3.12 made float ``sum``
+    compensated — so a long-lived account's admission checks cost the
+    same at its ten-thousandth charge as at its first. ``spends`` is the
+    record and the totals its cache: change it only through the methods
+    below.
     """
 
     budget: PrivacyParameters
     spends: List[PrivacySpend] = field(default_factory=list)
     _parallel_groups: dict = field(default_factory=dict)
+    _totals: Tuple[float, float] = field(
+        default=(0, 0), init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._refold()
+
+    def _refold(self) -> None:
+        """Recompute the running totals from the whole spend list."""
+        eps = delta = 0
+        for spend in self.spends:
+            eps += spend.parameters.epsilon
+            delta += spend.parameters.delta
+        self._totals = (eps, delta)
 
     def can_spend(self, parameters: PrivacyParameters) -> bool:
         """Would :meth:`spend` of ``parameters`` succeed right now?"""
@@ -81,6 +103,7 @@ class PrivacyAccountant:
                 f"budget {self.budget}; already spent ({eps:g}, {delta:g})"
             )
         self.spends.append(PrivacySpend(label=label, parameters=parameters))
+        self._totals = (new_eps, new_delta)
 
     def spend_parallel(
         self, parameters: PrivacyParameters, group: str, label: str = ""
@@ -108,9 +131,17 @@ class PrivacyAccountant:
                 PrivacySpend(label=f"[parallel:{group}] {label}", parameters=parameters)
             )
             self._parallel_groups[group] = PrivacyParameters(new_eps, new_delta or 0.0)
+            total_eps, total_delta = self._totals
+            self._totals = (
+                total_eps + parameters.epsilon,
+                total_delta + parameters.delta,
+            )
         else:
             self._parallel_groups[group] = PrivacyParameters(new_eps, new_delta or 0.0)
-            # Update the recorded group spend to the new maximum.
+            if (new_eps, new_delta) == (current.epsilon, current.delta):
+                return
+            # Raise the recorded group spend to the new maximum — an entry
+            # changed mid-list, so the totals are refolded in list order.
             for idx in range(len(self.spends) - 1, -1, -1):
                 if self.spends[idx].label.startswith(f"[parallel:{group}]"):
                     self.spends[idx] = PrivacySpend(
@@ -118,6 +149,7 @@ class PrivacyAccountant:
                         parameters=self._parallel_groups[group],
                     )
                     break
+            self._refold()
 
     def replay(self, spends: Iterable[PrivacySpend]) -> None:
         """Re-record a committed spend history, in order, with full checks.
@@ -135,9 +167,7 @@ class PrivacyAccountant:
 
     def total(self) -> tuple[float, float]:
         """Total (epsilon, delta) spent so far under basic composition."""
-        eps = sum(s.parameters.epsilon for s in self.spends)
-        delta = sum(s.parameters.delta for s in self.spends)
-        return eps, delta
+        return self._totals
 
     def remaining(self) -> PrivacyParameters:
         """Remaining budget (epsilon floor at a tiny positive value)."""

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 #: Fixed latency buckets (seconds) used unless a histogram asks for its
-#: own — spanning sub-millisecond fsyncs to multi-second fused scans.
+#: own — spanning sub-millisecond fsyncs to multi-second scan flights.
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,

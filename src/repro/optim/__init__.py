@@ -47,7 +47,6 @@ from repro.optim.psgd import (
     PSGDResult,
     minibatch_slices,
     run_psgd,
-    scan_compatibility_key,
 )
 from repro.optim.variance_reduced import SAG, SVRG, VarianceReducedResult
 from repro.optim.schedules import (
@@ -106,7 +105,6 @@ __all__ = [
     "VarianceReducedResult",
     "run_psgd",
     "minibatch_slices",
-    "scan_compatibility_key",
     "divergence_bound",
     "worst_case_divergence_bound",
     "averaged_divergence_bound",

@@ -385,51 +385,6 @@ class _ModelAverager:
         return coeffs
 
 
-def scan_compatibility_key(
-    batch_size: int,
-    passes: int,
-    fresh_permutation_each_pass: bool = False,
-) -> tuple:
-    """Hashable signature of the scan-lockstep knobs of a fused run.
-
-    Two training requests can ride ONE fused :class:`MultiModelPSGD` /
-    :class:`~repro.rdbms.uda.MultiSGDUDA` scan iff they agree on
-    everything that defines the scan *itself*: the mini-batch boundaries
-    (``batch_size``), the number of passes the scan makes, and whether the
-    permutation refreshes each pass. Everything else — loss,
-    regularization, schedule, projection, averaging, noise streams — is
-    per-model state (:class:`ModelSpec`) and never blocks fusion. The
-    training service's shared-scan scheduler groups queued jobs by this
-    key (plus the target table); anything not sharing a key falls back to
-    a sequential dispatch.
-    """
-    return (
-        check_positive_int(batch_size, "batch_size"),
-        check_positive_int(passes, "passes"),
-        bool(fresh_permutation_each_pass),
-    )
-
-
-def elevator_compatibility_key(batch_size: int, passes: int) -> tuple:
-    """What a shared-*cursor* (elevator) ride requires jobs to agree on:
-    nothing beyond the table.
-
-    The fused-window constraint above exists because lockstep fusion
-    shares one mini-batch phase and one epoch phase across all models.
-    An elevator ride shares only the *page stream*: each rider carries
-    its own :class:`~repro.rdbms.uda.SGDUDA` state — its own batch
-    phase, its own epoch counter anchored at its boarding offset — so
-    heterogeneous batch sizes and pass counts board the same cursor
-    loop. The arguments are validated (they still must be well-formed
-    training requests) but do not appear in the key; the function exists
-    so the relaxation is explicit, documented, and testable at the same
-    layer that defines the fused-window constraint.
-    """
-    check_positive_int(batch_size, "batch_size")
-    check_positive_int(passes, "passes")
-    return ()
-
-
 @dataclass
 class ModelSpec:
     """One model of a fused multi-model run (its *per-model* knobs).

@@ -211,14 +211,14 @@ class BismarckSession:
         The operator is also the anchor of the *shared-cursor* design:
         ``shared_scan(t).cursor(chunk_size)`` is the table's persistent
         :class:`~repro.rdbms.executor.ScanCursor`, a resumable position
-        on the permutation's canonical chunk grid that the elevator
-        dispatcher drives as one continuous loop — late-arriving jobs
-        board at the cursor's current position and ride through the
-        wrap-around, exiting back at their boarding chunk. Because the
-        permutation belongs to the table (never to a job), a boarded
-        ride replays exactly the chunk stream of a solo
-        :meth:`run_sgd` with ``start_offset=`` that boarding position,
-        which is what keeps mid-flight boarding bitwise-safe.
+        on the permutation's canonical chunk grid that the training
+        service's scan flights drive as one continuous loop — every job
+        rides it from its boarding position (0 for a flight's openers)
+        through the wrap-around, exiting back at its boarding chunk.
+        Because the permutation belongs to the table (never to a job), a
+        ride replays exactly the chunk stream of a solo :meth:`run_sgd`
+        with ``start_offset=`` its boarding position, which is what keeps
+        every ride — mid-flight boarders included — bitwise-safe.
 
         Get-or-create is atomic: with per-table engine domains, workers
         reach here concurrently for *different* tables, and two racing

@@ -422,9 +422,9 @@ class ScanCursor:
       offset is a grid position and each of its epochs spans exactly
       ``num_tuples`` tuples, ending back at its boarding chunk.
 
-    ``park()`` rewinds to position 0 when a scan loop drains: an
-    uncontended workload then behaves exactly like window batching
-    (every job boards at 0) and its releases stay cache-eligible.
+    ``park()`` rewinds to position 0 when a scan loop drains, so the
+    next loop's openers board at 0 and their releases stay
+    cache-eligible.
     """
 
     def __init__(self, shuffle: ShuffleOnce, chunk_size: int):

@@ -286,7 +286,7 @@ class FaultyHeapFile(HeapFile):
       given wrap produces the same fault sequence every run);
     * ``fail_times`` — total fault budget (``None`` = unlimited). With
       a buffer pool in front, a faulted page was never cached, so a
-      retried scan re-reads it — ``fail_times=1`` makes exactly the
+      retried chunk re-reads it — ``fail_times=1`` makes exactly the
       first attempt fail and the retry succeed.
     * ``transient`` — raise :class:`TransientPageFault` (retryable)
       instead of the permanent :class:`PageFaultError`.

@@ -274,26 +274,14 @@ class MultiSGDUDA(UDA):
     ``(step_index, dimension) -> vector``). The batch size is shared — it
     defines the lockstep mini-batch boundaries of the scan.
 
-    Per model, the result is identical (to floating-point rounding of the
-    batched contractions, bounded at 1e-12 by the multi-model equivalence
-    suite) to running K separate :class:`SGDUDA` epochs over the same
-    shuffled stream.
-
-    ``gradient_mode`` picks how strong that identity is:
-
-    * ``"grouped"`` (default) — fusable losses collapse into grouped
-      ``batch_gradient_multi`` GEMMs and projections run through the
-      compiled row projector. Fastest; agrees with K separate
-      :class:`SGDUDA` runs to 1e-12 (BLAS summation order).
-    * ``"exact"`` — each model's gradient is its own loss's
-      ``batch_gradient`` call and each row projects through its own
-      :class:`~repro.optim.projection.Projection` object: the *same*
-      sequence of floating-point operations a standalone :class:`SGDUDA`
-      performs, so every model is **bitwise** identical to its solo run
-      while the scan (and its page requests) is still paid once. This is
-      the mode the training service's scheduler uses — a job's released
-      weights must not depend on which other tenants it happened to share
-      a scan with.
+    Fusable losses collapse into grouped ``batch_gradient_multi`` GEMMs
+    and projections run through the compiled row projector, so per model
+    the result agrees with K separate :class:`SGDUDA` epochs over the
+    same shuffled stream to floating-point rounding of the batched
+    contractions (BLAS summation order; bounded at 1e-12 by the
+    multi-model equivalence suite). Where the weights must be *bitwise*
+    a solo run's — the training service's releases — ride one scan with
+    :class:`ElevatorMultiSGDUDA` instead.
     """
 
     def __init__(
@@ -303,7 +291,6 @@ class MultiSGDUDA(UDA):
         batch_size: int = 1,
         projections: Optional[Sequence[Optional[Projection]]] = None,
         noise_samplers: Optional[Sequence[Optional[Callable[[int, int], np.ndarray]]]] = None,
-        gradient_mode: str = "grouped",
     ):
         self.losses = list(losses)
         self.schedules = list(schedules)
@@ -327,21 +314,14 @@ class MultiSGDUDA(UDA):
         if len(noise_samplers) != K:
             raise ValueError(f"noise_samplers must have {K} entries")
         self.noise_samplers = list(noise_samplers)
-        if gradient_mode not in ("grouped", "exact"):
-            raise ValueError(
-                f"gradient_mode must be 'grouped' or 'exact', got {gradient_mode!r}"
-            )
-        self.gradient_mode = gradient_mode
         #: Scan-level mini-batch updates applied (each steps all K models).
         self.updates_applied = 0
         #: Total noise-sampler invocations across models.
         self.noise_draws = 0
         # Execution plan: fusable gradient groups + compiled row projector
-        # + per-model cached rate vectors (grown on demand). Exact mode
-        # bypasses both the groups and the compiled projector — per-model
-        # calls are what make it bitwise-reproducible.
+        # + per-model cached rate vectors (grown on demand).
         self._groups = fusion_groups(self.losses)
-        self._projector = rows_projector(self.projections) if gradient_mode == "grouped" else None
+        self._projector = rows_projector(self.projections)
         self._rates_matrix: Optional[np.ndarray] = None
 
     @property
@@ -367,10 +347,7 @@ class MultiSGDUDA(UDA):
             raise ValueError(
                 f"models must have shape ({K}, d), got {models.shape}"
             )
-        if self.gradient_mode == "exact":
-            for k, projection in enumerate(self.projections):
-                models[k] = projection(models[k])
-        elif self._projector is not None:
+        if self._projector is not None:
             models = self._projector(models)
         return MultiSGDState(
             models=models,
@@ -409,18 +386,11 @@ class MultiSGDUDA(UDA):
             take = min(self.batch_size - state.examples_in_batch, n - start)
             segment_X = features[start : start + take]
             segment_y = labels[start : start + take]
-            if self.gradient_mode == "exact":
-                # Per-model single-model kernels: bitwise-identical floats
-                # to each model's standalone SGDUDA epoch.
-                for k, loss in enumerate(self.losses):
-                    mean_k = loss.batch_gradient(state.models[k], segment_X, segment_y)
-                    state.accumulated_gradient[k] += mean_k * take
-            else:
-                for rep, idx, lams in self._groups:
-                    mean = rep.batch_gradient_multi(
-                        state.models[idx], segment_X, segment_y, regularization=lams
-                    )
-                    state.accumulated_gradient[idx] += mean * take
+            for rep, idx, lams in self._groups:
+                mean = rep.batch_gradient_multi(
+                    state.models[idx], segment_X, segment_y, regularization=lams
+                )
+                state.accumulated_gradient[idx] += mean * take
             state.examples_in_batch += take
             start += take
             if state.examples_in_batch >= self.batch_size:
@@ -449,16 +419,9 @@ class MultiSGDUDA(UDA):
         eta = self._rates(step)
         mean_gradient = state.accumulated_gradient / state.examples_in_batch
         mean_gradient = self._adjust_gradient(state, mean_gradient)
-        if self.gradient_mode == "exact":
-            # Scalar step size + per-model projection object, mirroring
-            # SGDUDA._apply_batch operation for operation.
-            models = state.models
-            for k, projection in enumerate(self.projections):
-                models[k] = projection(models[k] - float(eta[k]) * mean_gradient[k])
-        else:
-            models = state.models - eta[:, None] * mean_gradient
-            if self._projector is not None:
-                models = self._projector(models)
+        models = state.models - eta[:, None] * mean_gradient
+        if self._projector is not None:
+            models = self._projector(models)
         state.models = models
         state.accumulated_gradient[:] = 0.0
         state.examples_in_batch = 0
@@ -559,16 +522,15 @@ class ElevatorMultiSGDUDA:
 
     The shared-cursor ("elevator") counterpart of :class:`MultiSGDUDA`.
     The fused aggregate scans in *lockstep*: one shared batch size, one
-    shared epoch phase, so a window's jobs must agree on the scan-
-    compatibility key and late arrivals wait for the next window. The
-    elevator drops the lockstep: each rider carries its own
-    :class:`SGDUDA` state with its own batch phase, boarding offset, and
-    epoch counter, so **any** job on the table can board the live cursor
-    mid-flight — compatibility shrinks to the table itself (see
-    ``repro.optim.psgd.elevator_compatibility_key``). The price is that
-    per-rider gradients stay per-model calls instead of grouped GEMMs —
-    which is exactly ``gradient_mode="exact"``, the mode the service
-    already requires for its bitwise determinism contract.
+    shared epoch phase. The elevator drops the lockstep: each rider
+    carries its own :class:`SGDUDA` state with its own batch phase,
+    boarding offset, and epoch counter, so **any** jobs on the table —
+    whatever their batch sizes and pass counts — share one cursor, and
+    a late job can board it mid-flight. The price is that per-rider
+    gradients stay single-model calls instead of grouped GEMMs; the
+    payoff is that every rider is bitwise its solo :class:`SGDUDA` run,
+    which is why the training service's scheduler runs every claimed
+    window this way.
 
     Drive it with a :class:`~repro.rdbms.executor.ScanCursor`: admit
     riders between chunks, fold each delivered chunk, collect completed

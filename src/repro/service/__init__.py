@@ -2,12 +2,13 @@
 
 The paper runs private SGD *inside* the data platform; this package is
 the subsystem that makes the platform a long-lived, multi-tenant server:
-jobs arrive from many principals, a shared-scan scheduler fuses
-compatible jobs into single table scans (cross-tenant amortization of
-PR 2's K-models-one-scan engine), and a two-phase privacy-budget ledger
-guarantees that no tenant can exceed their per-dataset (ε, δ) allowance
-— over-budget jobs are rejected before touching data, failed jobs refund
-their reservation, and only released models commit a spend.
+jobs arrive from many principals, a shared-scan scheduler runs each
+batching window of same-table jobs as a single table scan (cross-tenant
+amortization of PR 2's K-models-one-scan idea), and a two-phase
+privacy-budget ledger guarantees that no tenant can exceed their
+per-dataset (ε, δ) allowance — over-budget jobs are rejected before
+touching data, failed jobs refund their reservation, and only released
+models commit a spend.
 
 Since PR 4 the service is a *continuously-running* server: a background
 :class:`~repro.service.worker.DispatchLoop` trains the queue on worker

@@ -13,10 +13,10 @@ Determinism contract
 A job's released weights are a pure function of ``(table contents, the
 table's service-wide scan permutation, candidate, seed)`` — notably *not*
 of the other jobs it shares a scan with, its queue position, or its
-arrival time. The scheduler upholds this by training fused groups in the
-engine's bitwise-``exact`` mode over the session's per-table shared scan
-and by drawing each job's noise from its own seed-spawned stream; the
-scheduler test suite locks the contract in at ``atol=0``.
+arrival time. The scheduler upholds this by training every job as its own
+rider on the table's shared scan cursor — the float operations of a solo
+run — and by drawing each job's noise from its own seed-spawned stream;
+the scheduler test suite locks the contract in at ``atol=0``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import List, Optional
 
 from repro.core.bolton import BoltOnCandidate
 from repro.core.mechanisms import PrivacyParameters
-from repro.optim.psgd import elevator_compatibility_key, scan_compatibility_key
 from repro.utils.rng import spawn_generators
 from repro.utils.validation import check_positive
 
@@ -91,28 +90,6 @@ class TrainingJob:
     def privacy(self) -> PrivacyParameters:
         """The (ε, δ) this job spends from its account."""
         return PrivacyParameters(self.epsilon, self.delta)
-
-    def fusion_key(self) -> tuple:
-        """What the shared-scan scheduler groups by.
-
-        The target table plus the scan-lockstep signature
-        (:func:`repro.optim.psgd.scan_compatibility_key`): jobs sharing
-        this key can train in ONE fused scan; loss/regularization/
-        schedule/ε differences never block fusion.
-        """
-        return (self.table,) + scan_compatibility_key(
-            self.candidate.batch_size, self.candidate.passes
-        )
-
-    def elevator_key(self) -> tuple:
-        """What the shared-cursor (elevator) dispatcher groups by: just
-        the table (:func:`repro.optim.psgd.elevator_compatibility_key`).
-        Riders keep their own batch phase and epoch counters, so the
-        scan-lockstep knobs drop out of the key entirely.
-        """
-        return (self.table,) + elevator_compatibility_key(
-            self.candidate.batch_size, self.candidate.passes
-        )
 
     def spawn_streams(self):
         """The job's two private generators: ``(sgd_rng, noise_rng)``.

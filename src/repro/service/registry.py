@@ -4,7 +4,7 @@ Every job the service has ever seen lives here as a :class:`JobRecord`:
 its status, the released weights (for completed jobs), the budget
 receipt that paid for them, and the execution metadata operators ask
 about (which dispatch ran it, with how many scan-mates, how many page
-requests its group charged). The registry is the *only* interface for
+requests its ride charged). The registry is the *only* interface for
 reading results — the scheduler never hands weights back directly — so
 whatever queries later PRs need (per-tenant dashboards, model GC,
 lineage) have one place to grow.
@@ -79,23 +79,28 @@ class JobRecord:
     sensitivity: Optional[float] = None
     #: Norm of the drawn noise vector (diagnostic).
     noise_norm: Optional[float] = None
-    #: "fused" | "sequential" | "cached" for executed jobs, "" otherwise.
+    #: "scan" for trained jobs, "cached" for cache hits, "" otherwise.
+    #: (Records written before scan flights became the only dispatch path
+    #: may say "fused", "sequential" or "elevator"; they load unchanged.)
     dispatch: str = ""
-    #: How many jobs shared the scan (1 for sequential dispatch, 0 cached).
+    #: Riders admitted onto the job's scan flight by the time it was
+    #: released (0 for cache hits).
     group_size: int = 0
-    #: Page requests the job's scan group made, total (shared, not split:
-    #: a 32-job fused group lists the same ~1-scan figure on every record,
-    #: because that IS what the group cost). Always 0 for cache hits.
+    #: Page requests made during the job's own ride — its solo cost
+    #: (``passes * num_tuples``), not split across scan-mates: a 32-job
+    #: flight lists the same ~1-scan figure on every record, because that
+    #: IS what the shared stream cost. Always 0 for cache hits.
     group_pages: int = 0
     #: Epochs the scan ran (the job's candidate.passes).
     epochs: int = 0
-    #: Boarding provenance (elevator dispatch): the permutation offset —
-    #: a position on the shared cursor's canonical chunk grid — at which
-    #: the job boarded the running scan, and the full cursor loops it
-    #: rode before exiting back at that offset. ``0`` for jobs that
-    #: opened their flight (or any non-elevator dispatch), which is also
-    #: the only boarding offset the result cache will serve or prime —
-    #: an offset release is arrival-timing-specific by construction.
+    #: Boarding provenance: the permutation offset — a position on the
+    #: shared cursor's canonical chunk grid — at which the job boarded
+    #: its flight, and the full cursor loops it rode before exiting back
+    #: at that offset (its passes). ``0`` for jobs that opened their
+    #: flight — every job unless the elevator kept boarding open — which
+    #: is also the only boarding offset the result cache will serve or
+    #: prime: an offset release is arrival-timing-specific by
+    #: construction.
     boarding_offset: int = 0
     epochs_ridden: int = 0
     #: Job id whose committed release this record was served from

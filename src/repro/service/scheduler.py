@@ -1,16 +1,19 @@
 """The shared-scan scheduler: many tenants' jobs, one table scan.
 
-PR 2 taught the engine to train K models in one scan
-(:class:`~repro.rdbms.uda.MultiSGDUDA`); this module turns that
-*intra-request* speedup into *cross-tenant* batching: queued jobs that
-target the same table and agree on the scan-lockstep knobs
-(:meth:`TrainingJob.fusion_key` — batch size and passes) are dispatched
-as ONE fused aggregate query, so a 32-job window costs one job's page
-requests instead of 32. Jobs nothing else matches fall back to the
-classic sequential dispatch; either way a job's weights are bitwise the
-same (the fused UDA runs in ``gradient_mode="exact"`` over the session's
-per-table shared scan, and each job's noise comes from its own
-seed-spawned stream).
+With bolt-on privacy every private job is a plain noiseless Bismarck
+scan plus one noise draw at release, so the only scheduling decision is
+which jobs share a page stream. This module makes it one way: every
+claimed batching window (single-table by construction) runs as ONE
+*scan flight* — a loop of the table's
+:class:`~repro.rdbms.executor.ScanCursor` over its shared permutation,
+with each job aboard as an :class:`~repro.rdbms.uda.ElevatorRider`.
+Riders keep their own batch phase and epoch counters, so jobs with
+different batch sizes or pass counts still share the one stream, and a
+32-job window costs one job's page requests instead of 32. A rider that
+boards at offset 0 executes exactly the floating-point operations of a
+solo ``run_sgd`` over the same permutation, and each job's noise comes
+from its own seed-spawned stream — so a job's weights are bitwise the
+same whichever jobs it flew with.
 
 Admission control is budget-first: a job's (ε, δ) is **reserved** in the
 ledger at submission, *before* it can ever reach a scan. Denied jobs are
@@ -41,11 +44,11 @@ Per-table engine domains
 The engine's unit of isolation is the *table*, not the whole pool: each
 registered table owns an engine domain — its buffer-pool shard and
 counters (:meth:`BufferPool.stats_for`), its shared-scan permutation
-operator, and its **engine lock**. Scans of the *same* table serialize on
-that lock (the before/after page deltas each dispatch records stay
-exact), while scans on *different* tables hold different locks and run
-truly concurrently: N workers drive N fused scans on N distinct tables
-at once. :meth:`claim_window` is table-aware — it claims the next window
+operator, and its **engine lock**. Flights on the *same* table serialize
+on that lock (the before/after page deltas each flight records stay
+exact), while flights on *different* tables hold different locks and run
+truly concurrently: N workers drive N flights on N distinct tables at
+once. :meth:`claim_window` is table-aware — it claims the next window
 for a table whose domain is free instead of parking a worker behind an
 unrelated scan — and windows are therefore single-table by construction.
 ``parallel_scans=False`` restores the PR 4 behaviour (every scan behind
@@ -54,32 +57,27 @@ bench gate measures its speedup against. Neither mode can change any
 released bit — by the determinism contract, scheduling only ever decides
 *when* a job completes.
 
-Elevator scans (shared cursors)
--------------------------------
+Boarding (``elevator=True``)
+----------------------------
 
-Window batching amortizes pages *within* a window, but a compatible job
-arriving one millisecond after a scan started still waits out the whole
-scan and then pays for a fresh one. ``elevator=True`` enables the
-paper's true shared-cursor design: each table's engine domain runs one
-continuous scan loop (a :class:`~repro.rdbms.executor.ScanCursor` over
-the table's shared permutation), and late-arriving jobs **board at the
-cursor's current position** — ``submit()`` and :meth:`claim_window`
-route them onto the open flight, the driving worker admits them at the
-next canonical chunk boundary, and each rider exits after riding
-exactly ``passes`` wrap-arounds back to its boarding chunk. Page cost
-becomes O(concurrent scan loops) instead of O(batching windows), and
-because riders keep their own batch phase, the fusion constraint
-relaxes from the scan-lockstep key to the table itself
-(:meth:`TrainingJob.elevator_key`).
+By default a flight's boarding closes with its openers: a job arriving
+one millisecond after the flight took off waits for the next window and
+pays for a fresh scan. ``elevator=True`` keeps boarding open — the
+paper's true shared-cursor design: ``submit()`` and :meth:`claim_window`
+route queued jobs for the table onto the open flight, the driving worker
+admits them at the next canonical chunk boundary, and each rider exits
+after riding exactly ``passes`` wrap-arounds back to its boarding chunk.
+Page cost becomes O(concurrent scan loops) instead of O(batching
+windows).
 
 Boarding is bitwise-safe — a rider executes the identical operation
 sequence of a solo ``run_sgd(..., start_offset=p)`` — but the *choice*
 of ``p`` depends on when the job arrived relative to the cursor, so
 under the elevator a job's released weights are a pure function of the
-usual tuple **plus its boarding offset**. That is why elevator mode is
+usual tuple **plus its boarding offset**. That is why boarding is
 opt-in, why every record carries ``boarding_offset``/``epochs_ridden``
 provenance, and why only offset-0 releases (flight openers — identical
-to a window-batched run) are primed into the result cache.
+to a closed flight's) are primed into the result cache.
 """
 
 from __future__ import annotations
@@ -89,7 +87,7 @@ import threading
 import time
 import zlib
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -98,8 +96,9 @@ from repro.core.sensitivity import SensitivityBound, sensitivity_for_schedule
 from repro.obs import metrics as obs_metrics
 from repro.rdbms.bismarck import BismarckSession
 from repro.rdbms.catalog import TableInfo
-from repro.rdbms.storage import MaterializedHeapFile, TransientPageFault
-from repro.rdbms.uda import ElevatorMultiSGDUDA, ElevatorRider, MultiSGDUDA, SGDUDA
+from repro.rdbms.executor import ScanCursor
+from repro.rdbms.storage import BufferPoolStats, MaterializedHeapFile, TransientPageFault
+from repro.rdbms.uda import ElevatorMultiSGDUDA, ElevatorRider, SGDUDA
 from repro.service.errors import InvalidCandidate, UnknownTable
 from repro.service.jobs import JobQueue, JobStatus, TrainingJob
 from repro.service.ledger import (
@@ -151,48 +150,66 @@ def table_fingerprint(table: TableInfo) -> Optional[str]:
     return digest.hexdigest()[:16]
 
 
-class _ElevatorFlight:
-    """Book-keeping for one open scan loop (all fields guarded by the
-    scheduler's admission lock).
+class _Flight:
+    """One scan flight: a cursor loop over a table and the riders aboard.
 
+    The boarding fields are guarded by the scheduler's admission lock:
     ``boarders`` holds jobs routed onto the flight but not yet admitted
     by the driving worker; ``occupancy`` counts riders aboard plus
-    pending boarders (capacity control); ``closed`` stops routing the
-    instant the driver begins tearing the flight down, so a job can
-    never be routed into a loop that will not pick it up.
+    pending boarders (capacity control). Jobs are routed only onto
+    flights listed in the scheduler's open-flight map, and teardown
+    unlists a flight and takes its boarders back in one critical
+    section, so no job is routed into a loop that will not pick it up.
+    The rest belongs to the driving worker: ``riders`` maps each rider to
+    ``(job, sensitivity, pages at boarding, retries at boarding)``, so
+    a rider's page and retry counts are the span of its own ride.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(
+        self,
+        capacity: int,
+        cursor: ScanCursor,
+        rides: ElevatorMultiSGDUDA,
+        pool_stats: BufferPoolStats,
+    ):
         self.capacity = capacity
         self.boarders: List[TrainingJob] = []
         self.occupancy = 0
-        self.closed = False
+        self.cursor = cursor
+        self.rides = rides
+        self.pool_stats = pool_stats
+        self.riders: Dict[ElevatorRider, tuple] = {}
+        self.job_ids: List[str] = []
+        #: Chunk re-reads taken after transient page faults.
+        self.retries = 0
+        #: Seconds spent releasing landed riders (kept out of the scan
+        #: duration, which times the cursor loop alone).
+        self.landing_seconds = 0.0
 
     @property
     def room(self) -> int:
-        return 0 if self.closed else self.capacity - self.occupancy
+        return self.capacity - self.occupancy
 
 
 class SharedScanScheduler:
-    """Groups compatible queued jobs and dispatches each group as one scan.
+    """Claims batching windows and runs each one as a single scan flight.
 
     Parameters
     ----------
     session / ledger / registry:
         The service's engine connection, budget ledger, and results store.
     batching_window:
-        How many queued jobs one scheduling round considers (the fusion
-        opportunity window). Dispatch order is by (priority desc, arrival)
-        — deterministic, and by the bitwise-determinism contract it only
-        affects *when* a job completes, never what it computes.
+        How many queued jobs one scheduling round claims — the openers
+        of one flight (and, under ``elevator=True``, the flight's rider
+        capacity). ``1`` gives every job a scan of its own. Dispatch
+        order is by (priority desc, arrival) — deterministic, and by the
+        bitwise-determinism contract it only affects *when* a job
+        completes, never what it computes.
     chunk_size:
-        Executor block size for every dispatched scan (fused and
-        sequential must agree: chunking decides segment boundaries, and
-        bitwise equality needs identical segments).
-    fuse:
-        ``False`` forces the sequential fallback for every job — the
-        reference dispatch the benchmarks and equivalence tests compare
-        against.
+        The cursor's canonical chunk size for every flight: chunking
+        decides mini-batch segment boundaries, so a rider is bitwise its
+        solo ``run_sgd`` only at the same ``chunk_size``, and boarding
+        offsets are multiples of it.
     scan_seed:
         Seed of the per-table shared permutations. Each table's scan
         order is drawn once from ``(scan_seed, table name)`` and replayed
@@ -204,23 +221,21 @@ class SharedScanScheduler:
         scan through one global engine lock — the serialized PR 4
         behaviour the parallel bench gate compares against.
     elevator:
-        ``True`` dispatches via shared cursors: a claimed window opens a
-        continuous scan loop that compatible jobs submitted while it
-        runs board mid-flight (see the module docstring). Off by
-        default — boarding offsets make released weights depend on
-        arrival timing, which the windowed modes never do.
+        ``True`` keeps each flight's boarding open: jobs for the table
+        submitted while it runs board mid-flight (see the module
+        docstring). Off by default — boarding offsets make released
+        weights depend on arrival timing, which a closed flight never
+        does.
     cache_size:
         Entry cap of the cross-drain result cache (LRU on last hit);
         ``None`` leaves it unbounded.
     scan_retries:
-        How many times a *windowed* scan that raises
-        :class:`~repro.rdbms.storage.TransientPageFault` is retried
-        (with linear backoff) before the group fails. Safe under the
-        determinism contract: a retried scan replays the identical
-        permutation from tuple 0, so a success on any attempt releases
-        the same bits. Elevator flights never retry — a mid-flight
-        cursor has already folded chunks into its riders, so the only
-        honest recovery is failing them (reservations refunded).
+        How many times a flight re-reads one chunk whose gather raised
+        :class:`~repro.rdbms.storage.TransientPageFault` (with linear
+        backoff) before the flight fails. Safe under the determinism
+        contract: the pool never caches a faulted page and no rider has
+        folded the chunk yet, so the re-read delivers the identical
+        block (see :meth:`_next_chunk`).
     retry_backoff_seconds:
         Base sleep between retry attempts (attempt ``n`` waits
         ``n * retry_backoff_seconds``).
@@ -234,7 +249,6 @@ class SharedScanScheduler:
         *,
         batching_window: int = 32,
         chunk_size: int = 256,
-        fuse: bool = True,
         scan_seed: int = 0,
         parallel_scans: bool = True,
         elevator: bool = False,
@@ -249,24 +263,24 @@ class SharedScanScheduler:
         # Telemetry handles. The default is the no-op registry, so a
         # scheduler driven directly (tests, benchmarks) pays one
         # swallowed call per instrumentation point; the service passes
-        # its live registry in. All recording here is per scan, window,
-        # or flight — never per tuple or per chunk.
+        # its live registry in. All recording here is per flight or per
+        # rider — never per tuple, and per chunk only on a fault retry.
         self.metrics = metrics if metrics is not None else obs_metrics.disabled()
         self._scan_duration = self.metrics.histogram(
             "repro_scan_duration_seconds",
-            "Wall-clock of one dispatched scan (fused group, sequential "
-            "job, or elevator flight), by table.",
+            "Wall-clock of one scan flight's cursor loop, by table "
+            "(the riders' release epilogues excluded).",
             ("table",),
         )
         self._scan_pages_total = self.metrics.counter(
             "repro_scan_pages_total",
-            "Page requests charged by dispatched scan groups, by table "
+            "Page requests charged by scan flights, by table "
             "(equals the sum of the dispatch log's page deltas).",
             ("table",),
         )
         self._scan_retries_total = self.metrics.counter(
             "repro_scan_retries_total",
-            "Transient-page-fault retries taken by windowed scans.",
+            "Chunk re-reads taken by scan flights after transient page faults.",
         )
         self._queue_wait = self.metrics.histogram(
             "repro_queue_wait_seconds",
@@ -276,22 +290,21 @@ class SharedScanScheduler:
         )
         self._boardings_total = self.metrics.counter(
             "repro_elevator_boardings_total",
-            "Riders admitted onto elevator flights, by table.",
+            "Riders admitted onto scan flights, by table.",
             ("table",),
         )
         self._flight_riders = self.metrics.histogram(
             "repro_elevator_riders",
-            "Riders admitted per elevator flight, by table.",
+            "Riders admitted per scan flight, by table.",
             ("table",),
             buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
         )
         self._epochs_ridden_total = self.metrics.counter(
             "repro_elevator_epochs_ridden_total",
-            "Full cursor loops ridden by released elevator riders.",
+            "Full cursor loops ridden by released riders.",
         )
         self.batching_window = check_positive_int(batching_window, "batching_window")
         self.chunk_size = check_positive_int(chunk_size, "chunk_size")
-        self.fuse = bool(fuse)
         self.scan_seed = int(scan_seed)
         self.parallel_scans = bool(parallel_scans)
         self.elevator = bool(elevator)
@@ -303,7 +316,7 @@ class SharedScanScheduler:
             )
         self.scan_retries = int(scan_retries)
         self.retry_backoff_seconds = float(retry_backoff_seconds)
-        #: Transient-fault retries actually taken (telemetry).
+        #: Chunk re-reads taken after transient faults (telemetry).
         self.scan_retries_used = 0
         self.queue = JobQueue()
         self.cache = ResultCache(max_entries=cache_size)
@@ -311,16 +324,17 @@ class SharedScanScheduler:
         # the heap's identity makes drop-and-recreate self-invalidating;
         # in-place content mutation still needs invalidate_fingerprint.
         self._fingerprints: Dict[str, Tuple[object, Optional[str]]] = {}
-        # Open elevator flights by table (admission lock).
-        self._flights: Dict[str, _ElevatorFlight] = {}
+        # Flights open for boarding, by table (admission lock; elevator
+        # mode only).
+        self._flights: Dict[str, _Flight] = {}
         self._reservations: Dict[str, BudgetReservation] = {}
         self._clock = 0
         # Guards the admission path (clock, queue, reservation map, the
         # busy-table set) so concurrent submitters compose with the
         # ledger's own lock.
         self._admission_lock = threading.Lock()
-        # Per-table engine locks: a scan serializes with other scans of
-        # ITS table only — page accounting is per-table too (the pool's
+        # Per-table engine locks: a flight serializes with other flights
+        # of ITS table only — page accounting is per-table too (the pool's
         # per-heap counters), so the before/after deltas each dispatch
         # records stay exact under cross-table concurrency. Never taken
         # by submit(). With parallel_scans=False every table resolves to
@@ -332,15 +346,16 @@ class SharedScanScheduler:
         # end of dispatch). claim_window skips them so a free worker
         # takes a different table's work instead of parking on a lock.
         self._busy_tables: set = set()
-        # Scan-overlap telemetry (the server reports it): which tables
-        # are inside a scan right now, and the peak distinct-table
-        # concurrency ever reached.
+        # Telemetry that flights on different tables update concurrently
+        # (the server reports it): which tables are inside a scan right
+        # now, the peak distinct-table concurrency ever reached, scans
+        # per table, and scan_retries_used.
         self._overlap_lock = threading.Lock()
         self._scanning: set = set()
         self.peak_overlap = 0
-        #: Scans dispatched per table (fused group = one scan).
+        #: Scans dispatched per table (one flight = one scan).
         self.table_scans: Dict[str, int] = {}
-        #: Dispatch telemetry: (key, job_ids, pages) per executed group.
+        #: Dispatch telemetry: ((table,), job_ids, pages) per flight.
         self.dispatch_log: List[Tuple[tuple, List[str], int]] = []
 
     # -- admission ---------------------------------------------------------------
@@ -365,7 +380,7 @@ class SharedScanScheduler:
             raise UnknownTable(error.args[0]) from None
         if job.candidate.average is not None:
             raise InvalidCandidate(
-                "the service's in-RDBMS dispatch (SGDUDA/MultiSGDUDA) does "
+                "the service's in-RDBMS dispatch (SGDUDA riders) does "
                 "not support iterate averaging; submit with average=None or "
                 "train via repro.core.train_bolt_on directly"
             )
@@ -626,9 +641,9 @@ class SharedScanScheduler:
 
     def _route_boarders_locked(self) -> None:
         """Move queued jobs onto open flights with room (admission lock
-        held by the caller). Compatibility is the elevator key — the
-        table alone (:meth:`TrainingJob.elevator_key`) — so any queued
-        job targeting a table with an open loop boards it."""
+        held by the caller). Riders keep their own batch phase and epoch
+        counters, so nothing but the table has to match: any queued job
+        targeting a table with an open flight boards it."""
         if not self.elevator or not self._flights:
             return
         for table_name, flight in list(self._flights.items()):
@@ -641,33 +656,27 @@ class SharedScanScheduler:
                 flight.occupancy += len(boarding)
 
     def dispatch_window(self, window: List[TrainingJob]) -> List[JobRecord]:
-        """Train one claimed window: group by fusion key, dispatch each
-        group as one scan. Returns the records that reached a terminal
-        state (completed + failed), in dispatch order.
+        """Train one claimed window as one scan flight (a window from
+        :meth:`claim_window` names one table; a hand-built window gets
+        one flight per table). Returns the records that reached a
+        terminal state (completed + failed), in completion order.
 
-        No exception escapes per-group dispatch: an unexpected error
-        (engine failures are already handled deeper down — this catches
+        No exception escapes a flight: an unexpected error (engine
+        failures are already handled deeper down — this catches
         everything else, e.g. a table dropped between admission and
-        dispatch) FAILS the group's remaining jobs, refunding their
+        dispatch) FAILS the window's remaining jobs, refunding their
         reservations. A claimed job must always reach a terminal state —
         a stranded QUEUED/RUNNING record with a leaked budget hold would
         be strictly worse than any error this could surface.
         """
         finished: List[JobRecord] = []
-        groups: Dict[tuple, List[TrainingJob]] = {}
+        by_table: Dict[str, List[TrainingJob]] = {}
         for job in window:
-            key = job.elevator_key() if self.elevator else job.fusion_key()
-            groups.setdefault(key, []).append(job)
+            by_table.setdefault(job.table, []).append(job)
         try:
-            for key, jobs in groups.items():
+            for table_name, jobs in by_table.items():
                 try:
-                    if self.elevator:
-                        self._dispatch_elevator(key, jobs, finished)
-                    elif self.fuse and len(jobs) > 1:
-                        self._dispatch_fused(key, jobs, finished)
-                    else:
-                        for job in jobs:
-                            self._dispatch_sequential(key, job, finished)
+                    self._fly(table_name, jobs, finished)
                 except Exception as error:
                     self.fail_jobs(jobs, error, finished)
         finally:
@@ -676,7 +685,7 @@ class SharedScanScheduler:
             # by claim_window names one table; discard tolerates windows
             # assembled by hand in tests, which were never marked busy.)
             with self._admission_lock:
-                self._busy_tables.difference_update(job.table for job in window)
+                self._busy_tables.difference_update(by_table)
         return finished
 
     def fail_jobs(
@@ -725,246 +734,100 @@ class SharedScanScheduler:
                 return finished
             finished.extend(self.dispatch_window(window))
 
-    # -- the two dispatch paths --------------------------------------------------
+    # -- the scan flight -------------------------------------------------------
 
-    def _dispatch_fused(
-        self, key: tuple, jobs: List[TrainingJob], finished: List[JobRecord]
+    def _fly(
+        self, table_name: str, jobs: List[TrainingJob], finished: List[JobRecord]
     ) -> None:
-        """ONE fused scan for the whole group (pages charged once)."""
-        table = self.session.catalog.get(jobs[0].table)
-        prepared = []
-        for job in jobs:
-            resolved = self._prepare(job, table.num_tuples, finished)
-            if resolved is not None:
-                prepared.append((job,) + resolved)
-        if not prepared:
-            return
-        uda = MultiSGDUDA(
-            losses=[job.candidate.loss for job, *_ in prepared],
-            schedules=[schedule for _, schedule, _, _ in prepared],
-            batch_size=prepared[0][0].candidate.batch_size,
-            projections=[projection for _, _, projection, _ in prepared],
-            gradient_mode="exact",
-        )
-        for job, *_ in prepared:
-            record = self.registry.get(job.job_id)
-            record.status = JobStatus.RUNNING
-            record.trace.enter("scan")
-        pool_stats = self.session.pool.stats_for(table.heap)
-        with self._engine_domain(jobs[0].table):
-            pages_before = pool_stats.page_reads
-            scan_started = time.perf_counter()
-            try:
-                report, retries = self._run_scan(
-                    lambda: self.session.run_sgd_multi(
-                        jobs[0].table,
-                        uda,
-                        epochs=prepared[0][0].candidate.passes,
-                        chunk_size=self.chunk_size,
-                        shuffle=self._shared_scan(jobs[0].table),
-                        algorithm_label="service-fused",
-                    )
-                )
-            except Exception as error:  # engine failure: nobody pays
-                for job, *_ in prepared:
-                    self._fail(job, error, finished)
-                return
-            self._scan_duration.observe(
-                time.perf_counter() - scan_started, table=jobs[0].table
-            )
-            pages = pool_stats.page_reads - pages_before
-            self._scan_pages_total.inc(pages, table=jobs[0].table)
-            self.dispatch_log.append(
-                (key, [job.job_id for job, *_ in prepared], pages)
-            )
-        for position, (job, _, _, sensitivity) in enumerate(prepared):
-            self._release(
-                job,
-                report.models[position],
-                sensitivity,
-                dispatch="fused",
-                group_size=len(prepared),
-                group_pages=pages,
-                finished=finished,
-                scan_retries=retries,
-            )
+        """ONE scan flight over ``table_name``'s cursor for ``jobs``.
 
-    def _dispatch_sequential(
-        self, key: tuple, job: TrainingJob, finished: List[JobRecord]
-    ) -> None:
-        """The classic one-job-one-scan fallback (unfusable or fuse=False)."""
-        table = self.session.catalog.get(job.table)
-        resolved = self._prepare(job, table.num_tuples, finished)
-        if resolved is None:
-            return
-        schedule, projection, sensitivity = resolved
-        uda = SGDUDA(
-            job.candidate.loss, schedule, job.candidate.batch_size, projection
-        )
-        record = self.registry.get(job.job_id)
-        record.status = JobStatus.RUNNING
-        record.trace.enter("scan")
-        pool_stats = self.session.pool.stats_for(table.heap)
-        with self._engine_domain(job.table):
-            pages_before = pool_stats.page_reads
-            scan_started = time.perf_counter()
-            try:
-                report, retries = self._run_scan(
-                    lambda: self.session.run_sgd(
-                        job.table,
-                        uda,
-                        epochs=job.candidate.passes,
-                        chunk_size=self.chunk_size,
-                        shuffle=self._shared_scan(job.table),
-                        algorithm_label="service-sequential",
-                    )
-                )
-            except Exception as error:
-                self._fail(job, error, finished)
-                return
-            self._scan_duration.observe(
-                time.perf_counter() - scan_started, table=job.table
-            )
-            pages = pool_stats.page_reads - pages_before
-            self._scan_pages_total.inc(pages, table=job.table)
-            self.dispatch_log.append((key, [job.job_id], pages))
-        self._release(
-            job,
-            report.model,
-            sensitivity,
-            dispatch="sequential",
-            group_size=1,
-            group_pages=pages,
-            finished=finished,
-            scan_retries=retries,
-        )
+        The jobs open the flight at the cursor's parked position (offset
+        0); under ``elevator=True`` the flight is also open for boarding
+        — ``submit()``/``claim_window`` route newly-arriving same-table
+        jobs onto it, and the driver admits them *between* chunks, at
+        the cursor's current grid position. Each rider exits the moment
+        its last epoch completes, back at its boarding chunk. The page
+        stream is paid once per cursor loop no matter how many riders
+        are aboard; a rider's ``group_pages`` is the page span of its
+        own ride — exactly its solo cost, ``passes * num_tuples``, plus
+        whatever a transient fault's re-read cost during the ride.
 
-    def _dispatch_elevator(
-        self, key: tuple, jobs: List[TrainingJob], finished: List[JobRecord]
-    ) -> None:
-        """ONE continuous scan loop for the table; jobs board mid-flight.
-
-        The claimed jobs open the flight at the cursor's parked position
-        (offset 0). While the loop runs, ``submit()``/``claim_window``
-        route newly-arriving same-table jobs onto the flight; the driver
-        admits them *between* chunks — their boarding offset is the
-        cursor's current grid position — and each rider exits the moment
-        its last epoch completes, back at its boarding chunk. The scan's
-        page stream is paid once per cursor loop no matter how many
-        riders are aboard; a rider's ``group_pages`` is the page span of
-        its own ride — exactly its solo cost, ``passes * num_tuples``.
-
-        Engine failures fail every admitted rider (budget refunded);
-        routed-but-never-admitted boarders go back to the queue — they
-        never started, so they retry on a fresh flight.
+        A transient page fault re-reads the chunk (:meth:`_next_chunk`);
+        any other engine failure fails every admitted rider (budget
+        refunded), and routed-but-never-admitted boarders go back to the
+        queue — they never started, so they retry on a fresh flight.
         """
-        table_name = jobs[0].table
         table = self.session.catalog.get(table_name)
-        pool_stats = self.session.pool.stats_for(table.heap)
-        flight = _ElevatorFlight(capacity=self.batching_window)
-        with self._admission_lock:
-            if table_name in self._flights:  # pragma: no cover - busy-table
-                # protocol serializes same-table dispatch; defend anyway.
-                raise RuntimeError(f"table {table_name!r} already has an open flight")
-            flight.boarders.extend(jobs)
-            flight.occupancy = len(jobs)
-            self._flights[table_name] = flight
-        cursor = None
-        riders: Dict[ElevatorRider, tuple] = {}
-        job_ids: List[str] = []
-        try:
-            with self._engine_domain(table_name):
-                shuffle = self._shared_scan(table_name)
-                cursor = shuffle.cursor(self.chunk_size)
-                elevator = ElevatorMultiSGDUDA(
-                    num_tuples=table.num_tuples, dimension=table.dimension
-                )
-                pages_before = pool_stats.page_reads
-                flight_started = time.perf_counter()
-                try:
-                    while True:
-                        for job in self._take_boarders(flight):
-                            self._admit_rider(
-                                job, elevator, cursor, table,
-                                pool_stats, flight, riders, job_ids, finished,
-                            )
-                        if not elevator.active:
-                            break
-                        features, labels = cursor.next_chunk()
-                        for rider in elevator.fold_chunk(features, labels):
-                            job, sensitivity, pages_at_boarding = riders[rider]
-                            self._release(
-                                job,
-                                rider.model,
-                                sensitivity,
-                                dispatch="elevator",
-                                group_size=elevator.riders_admitted,
-                                group_pages=pool_stats.page_reads - pages_at_boarding,
-                                finished=finished,
-                                boarding_offset=rider.boarding_offset,
-                                epochs_ridden=rider.epochs_completed,
-                                scan_retries=0,
-                            )
-                            del riders[rider]
-                            with self._admission_lock:
-                                flight.occupancy -= 1
-                except Exception as error:  # engine failure mid-flight
-                    for job, _sensitivity, _pages in riders.values():
-                        self._fail(job, error, finished)
-                    riders.clear()
-                self._scan_duration.observe(
-                    time.perf_counter() - flight_started, table=table_name
-                )
-                flight_pages = pool_stats.page_reads - pages_before
-                self._scan_pages_total.inc(flight_pages, table=table_name)
-                if elevator.riders_admitted:
-                    self._flight_riders.observe(
-                        elevator.riders_admitted, table=table_name
-                    )
-                self.dispatch_log.append((key, job_ids, flight_pages))
-        finally:
-            with self._admission_lock:
-                flight.closed = True
-                self._flights.pop(table_name, None)
-                leftover = flight.boarders
-                flight.boarders = []
-                # Routed but never admitted: back to the queue for the
-                # next window/flight (their reservations still stand).
-                for job in leftover:
-                    self.queue.push(job)
-            if cursor is not None:
-                # Park at 0: the next flight's openers board at offset 0,
-                # so an uncontended workload stays window-equivalent and
-                # its releases stay cache-eligible.
-                cursor.park()
-
-    def _take_boarders(self, flight: _ElevatorFlight) -> List[TrainingJob]:
-        with self._admission_lock:
-            boarding = flight.boarders
-            flight.boarders = []
-            return boarding
-
-    def _admit_rider(
-        self,
-        job: TrainingJob,
-        elevator: ElevatorMultiSGDUDA,
-        cursor,
-        table: TableInfo,
-        pool_stats,
-        flight: _ElevatorFlight,
-        riders: Dict[ElevatorRider, tuple],
-        job_ids: List[str],
-        finished: List[JobRecord],
-    ) -> None:
-        """Board one job at the cursor's current grid position (or fail
-        it pre-I/O if its parameters don't resolve, exactly like the
-        windowed paths' ``_prepare`` step)."""
-        resolved = self._prepare(job, table.num_tuples, finished)
-        if resolved is None:
-            with self._admission_lock:
-                flight.occupancy -= 1
+        openers = self._resolve(jobs, table.num_tuples, finished)
+        if not openers:
             return
-        schedule, projection, sensitivity = resolved
+        pool_stats = self.session.pool.stats_for(table.heap)
+        with self._engine_domain(table_name):
+            flight = _Flight(
+                capacity=self.batching_window,
+                cursor=self._shared_scan(table_name).cursor(self.chunk_size),
+                rides=ElevatorMultiSGDUDA(
+                    num_tuples=table.num_tuples, dimension=table.dimension
+                ),
+                pool_stats=pool_stats,
+            )
+            flight.occupancy = len(openers)
+            if self.elevator:
+                with self._admission_lock:
+                    self._flights[table_name] = flight
+            pages_before = pool_stats.page_reads
+            started = time.perf_counter()
+            try:
+                for resolved in openers:
+                    self._board(flight, *resolved)
+                while True:
+                    for resolved in self._take_boarders(flight, table, finished):
+                        self._board(flight, *resolved)
+                    if not flight.rides.active:
+                        break
+                    features, labels = self._next_chunk(flight)
+                    for rider in flight.rides.fold_chunk(features, labels):
+                        self._land(flight, rider, finished)
+            except Exception as error:  # engine failure mid-flight
+                for job, *_ in flight.riders.values():
+                    self._fail(job, error, finished)
+                flight.riders.clear()
+                self.fail_jobs(jobs, error, finished)  # openers not yet aboard
+            finally:
+                self._close(table_name, flight)
+            self._scan_duration.observe(
+                time.perf_counter() - started - flight.landing_seconds,
+                table=table_name,
+            )
+            pages = pool_stats.page_reads - pages_before
+            self._scan_pages_total.inc(pages, table=table_name)
+            self._flight_riders.observe(
+                flight.rides.riders_admitted, table=table_name
+            )
+            self.dispatch_log.append(((table_name,), flight.job_ids, pages))
+
+    def _take_boarders(
+        self, flight: _Flight, table: TableInfo, finished: List[JobRecord]
+    ) -> List[Tuple]:
+        """Hand the driver the jobs routed onto ``flight`` since the last
+        chunk, resolved (one that fails to resolve gives up its seat)."""
+        with self._admission_lock:
+            boarding, flight.boarders = flight.boarders, []
+        resolved = self._resolve(boarding, table.num_tuples, finished)
+        if len(resolved) < len(boarding):
+            with self._admission_lock:
+                flight.occupancy -= len(boarding) - len(resolved)
+        return resolved
+
+    def _board(
+        self,
+        flight: _Flight,
+        job: TrainingJob,
+        schedule,
+        projection,
+        sensitivity: SensitivityBound,
+    ) -> None:
+        """Admit one resolved job at the cursor's current grid position."""
         uda = SGDUDA(
             job.candidate.loss, schedule, job.candidate.batch_size, projection
         )
@@ -975,44 +838,82 @@ class SharedScanScheduler:
         if record.trace.current == "queued":
             self._mark_claimed(job)
         record.trace.enter("scan")
-        rider = elevator.admit(
-            uda, passes=job.candidate.passes, boarding_offset=cursor.position
+        rider = flight.rides.admit(
+            uda, passes=job.candidate.passes, boarding_offset=flight.cursor.position
         )
         self._boardings_total.inc(table=job.table)
-        riders[rider] = (job, sensitivity, pool_stats.page_reads)
-        job_ids.append(job.job_id)
+        flight.riders[rider] = (
+            job, sensitivity, flight.pool_stats.page_reads, flight.retries
+        )
+        flight.job_ids.append(job.job_id)
 
-    # -- shared steps ------------------------------------------------------------
+    def _land(
+        self, flight: _Flight, rider: ElevatorRider, finished: List[JobRecord]
+    ) -> None:
+        """Release a rider that just completed its last epoch."""
+        job, sensitivity, pages_at_boarding, retries_at_boarding = flight.riders[rider]
+        landed = time.perf_counter()
+        self._release(
+            job,
+            rider.model,
+            sensitivity,
+            group_size=flight.rides.riders_admitted,
+            group_pages=flight.pool_stats.page_reads - pages_at_boarding,
+            finished=finished,
+            boarding_offset=rider.boarding_offset,
+            epochs_ridden=rider.epochs_completed,
+            scan_retries=flight.retries - retries_at_boarding,
+        )
+        flight.landing_seconds += time.perf_counter() - landed
+        del flight.riders[rider]
+        with self._admission_lock:
+            flight.occupancy -= 1
 
-    def _run_scan(self, scan: Callable[[], object]):
-        """Run one windowed scan with bounded retry on transient faults.
+    def _next_chunk(self, flight: _Flight):
+        """The cursor's next chunk, with bounded retry on transient faults.
 
         A :class:`~repro.rdbms.storage.TransientPageFault` (a flaky
-        device, an injected fault) retries up to ``scan_retries`` times
-        with linear backoff; every attempt replays the identical shared
-        permutation from tuple 0, so whichever attempt succeeds releases
-        bitwise the weights a clean run would have. Pages the failed
-        attempts did read stay in the dispatch's before/after delta —
-        the group's page accounting reports what the fault actually
-        cost, not what a clean run would have cost. Any other exception
-        (including a permanent :class:`PageFaultError`) propagates to
-        the caller's engine-failure handling at once.
-
-        Returns ``(result, retries_taken)`` so each dispatch can stamp
-        its jobs' traces with what the fault actually cost.
+        device, SQLite busy/locked, an injected fault) re-reads the
+        chunk up to ``scan_retries`` times with linear backoff. A re-read
+        cannot change a released bit: ``BufferPool.get_page`` raises
+        before it caches the faulted page, the cursor advances only once
+        a whole chunk is gathered, and no rider has folded the chunk yet
+        — so the attempt that succeeds delivers the identical block.
+        Pages the failed attempts requested stay in the flight's page
+        delta: accounting reports what the fault actually cost. Any
+        other exception (including a permanent :class:`PageFaultError`)
+        propagates at once to the flight's failure handling.
         """
         attempt = 0
         while True:
             try:
-                return scan(), attempt
+                return flight.cursor.next_chunk()
             except TransientPageFault:
                 attempt += 1
                 if attempt > self.scan_retries:
                     raise
-                self.scan_retries_used += 1
+                flight.retries += 1
+                with self._overlap_lock:
+                    self.scan_retries_used += 1
                 self._scan_retries_total.inc()
                 if self.retry_backoff_seconds > 0.0:
                     time.sleep(self.retry_backoff_seconds * attempt)
+
+    def _close(self, table_name: str, flight: _Flight) -> None:
+        """Tear a flight down: stop routing onto it, send routed but
+        never-admitted boarders back to the queue (their reservations
+        still stand), and park the cursor."""
+        with self._admission_lock:
+            if self._flights.get(table_name) is flight:
+                del self._flights[table_name]
+            for job in flight.boarders:
+                self.queue.push(job)
+            flight.boarders = []
+        # Park at 0: the next flight's openers board at offset 0, so
+        # their releases stay cache-eligible.
+        flight.cursor.park()
+
+    # -- shared steps ------------------------------------------------------------
 
     def _table_lock(self, table_name: str) -> threading.Lock:
         """The table's engine lock (one shared lock if parallel_scans
@@ -1051,25 +952,29 @@ class SharedScanScheduler:
         with self._admission_lock:
             return self._reservations.pop(job_id, None)
 
-    def _prepare(
-        self, job: TrainingJob, m: int, finished: List[JobRecord]
-    ) -> Optional[Tuple]:
-        """Resolve schedule/projection and the sensitivity bound, or fail
-        the job *before* it costs any I/O (non-releasable losses — e.g. a
-        non-smooth hinge — die here with their budget refunded)."""
-        try:
-            schedule, projection, properties = job.candidate.resolve(m)
-            sensitivity = sensitivity_for_schedule(
-                properties,
-                schedule,
-                m,
-                job.candidate.passes,
-                job.candidate.batch_size,
-            )
-        except Exception as error:
-            self._fail(job, error, finished)
-            return None
-        return schedule, projection, sensitivity
+    def _resolve(
+        self, jobs: List[TrainingJob], m: int, finished: List[JobRecord]
+    ) -> List[Tuple]:
+        """``(job, schedule, projection, sensitivity)`` for each job whose
+        parameters resolve; every other job fails *before* it costs any
+        I/O (non-releasable losses — e.g. a non-smooth hinge — die here
+        with their budget refunded)."""
+        resolved = []
+        for job in jobs:
+            try:
+                schedule, projection, properties = job.candidate.resolve(m)
+                sensitivity = sensitivity_for_schedule(
+                    properties,
+                    schedule,
+                    m,
+                    job.candidate.passes,
+                    job.candidate.batch_size,
+                )
+            except Exception as error:
+                self._fail(job, error, finished)
+                continue
+            resolved.append((job, schedule, projection, sensitivity))
+        return resolved
 
     def _release(
         self,
@@ -1077,13 +982,12 @@ class SharedScanScheduler:
         noiseless: np.ndarray,
         sensitivity: SensitivityBound,
         *,
-        dispatch: str,
         group_size: int,
         group_pages: int,
         finished: List[JobRecord],
-        boarding_offset: int = 0,
-        epochs_ridden: int = 0,
-        scan_retries: int = 0,
+        boarding_offset: int,
+        epochs_ridden: int,
+        scan_retries: int,
     ) -> None:
         """The bolt-on epilogue + budget commit for one trained job."""
         record = self.registry.get(job.job_id)
@@ -1099,8 +1003,7 @@ class SharedScanScheduler:
             boarding_offset=boarding_offset,
             epochs_ridden=epochs_ridden,
         )
-        if epochs_ridden:
-            self._epochs_ridden_total.inc(epochs_ridden)
+        self._epochs_ridden_total.inc(epochs_ridden)
         _, noise_rng = job.spawn_streams()
         mechanism = mechanism_for(job.privacy)
         noise = mechanism.sample(
@@ -1120,7 +1023,7 @@ class SharedScanScheduler:
         record.receipt = receipt
         record.sensitivity = float(sensitivity.value)
         record.noise_norm = float(np.linalg.norm(noise))
-        record.dispatch = dispatch
+        record.dispatch = "scan"
         record.group_size = group_size
         record.group_pages = group_pages
         record.epochs = job.candidate.passes

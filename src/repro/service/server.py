@@ -113,7 +113,6 @@ class TrainingService:
         buffer_pool_pages: int = 65536,
         batching_window: int = 32,
         chunk_size: int = 256,
-        fuse: bool = True,
         scan_seed: int = 0,
         workers: int = 1,
         parallel_scans: bool = True,
@@ -152,7 +151,6 @@ class TrainingService:
             self.registry,
             batching_window=batching_window,
             chunk_size=chunk_size,
-            fuse=fuse,
             scan_seed=scan_seed,
             parallel_scans=parallel_scans,
             elevator=elevator,
@@ -228,7 +226,7 @@ class TrainingService:
         database at ``path`` is opened as-is. ``heap=`` registers an
         already-built heap file object (e.g. a synthesized virtual one)
         as-is, instead of arrays or a backend. Either way the table
-        rides the same buffer pool, fused scans, and result cache —
+        rides the same buffer pool, scan flights, and result cache —
         releases are bitwise-identical across backends, and the cache
         key (a content fingerprint) is backend-invariant, so a job
         cached from the in-memory copy is served to a resubmission
@@ -259,16 +257,6 @@ class TrainingService:
             raise ValueError(f"unknown table backend {backend!r}")
         self._arm_cache(name)
         return info
-
-    def register_heap(self, name: str, heap) -> TableInfo:
-        """Deprecated alias for :meth:`register_table` with ``heap=``."""
-        warnings.warn(
-            "TrainingService.register_heap is deprecated; use "
-            "register_table(name, heap=heap)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.register_table(name, heap=heap)
 
     def open_budget(
         self, principal: str, table: str, epsilon: float, delta: float = 0.0
@@ -477,15 +465,14 @@ class TrainingService:
         ).set(self.scheduler.peak_overlap)
         table_scans = reg.counter(
             "repro_table_scans_total",
-            "Scans dispatched per table (one fused group = one scan).",
+            "Scans dispatched per table (one flight = one scan).",
             ("table",),
         )
         for name, count in self.scheduler.table_scans.items():
             table_scans.set_total(count, table=name)
         reg.counter(
             "repro_scan_groups_total",
-            "Dispatched scan groups (fused windows, elevator flights, "
-            "or single sequential jobs).",
+            "Dispatched scan flights (one per claimed window).",
         ).set_total(len(self.scheduler.dispatch_log))
         depth = reg.gauge(
             "repro_queue_depth", "Queued jobs per table right now.", ("table",)
@@ -909,5 +896,5 @@ class TrainingService:
         return self.scheduler.peak_overlap
 
     def table_scan_counts(self) -> dict:
-        """Scans dispatched per table (one fused group = one scan)."""
+        """Scans dispatched per table (one flight = one scan)."""
         return dict(self.scheduler.table_scans)

@@ -10,16 +10,16 @@ and dispatch them (:meth:`SharedScanScheduler.dispatch_window`), so:
 
 * ``submit()`` returns a live :class:`~repro.service.registry.JobRecord`
   immediately — tenants block on ``record.wait()``, never on a scan;
-* compatible jobs that arrive while a scan is running pile up in the
-  queue and fuse into the *next* window (the loop batches exactly like
-  the synchronous drain did, it just does so continuously) — or, with
-  the scheduler in elevator mode, board the *running* scan: submission
-  routes them onto the open flight and the driving worker admits them
-  at the next chunk boundary, so boarders ride instead of polling;
-* scans acquire their *table's* engine domain, not a global lock: two
-  workers run two scans on two distinct tables concurrently (windows
+* jobs that arrive while a flight is running pile up in the queue and
+  share the *next* window's flight (the loop batches exactly like the
+  synchronous drain did, it just does so continuously) — or, with the
+  scheduler in elevator mode, board the *running* flight: submission
+  routes them onto it and the driving worker admits them at the next
+  chunk boundary, so boarders ride instead of polling;
+* flights acquire their *table's* engine domain, not a global lock: two
+  workers fly two scans on two distinct tables concurrently (windows
   are single-table by construction — ``claim_window`` picks a table
-  whose domain is free), while scans of the same table still serialize;
+  whose domain is free), while flights on the same table serialize;
   worker concurrency additionally overlaps admission, parameter
   resolution, the bolt-on noise epilogue, and ledger commits with any
   running scan.

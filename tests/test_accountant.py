@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.accountant import (
     PrivacyAccountant,
     PrivacyBudgetExceeded,
+    PrivacySpend,
     split_evenly,
 )
 from repro.core.mechanisms import PrivacyParameters
@@ -104,3 +109,80 @@ class TestParallelAccounting:
         acct = PrivacyAccountant(budget=PrivacyParameters(0.5))
         with pytest.raises(PrivacyBudgetExceeded):
             acct.spend_parallel(PrivacyParameters(0.6), group="g")
+
+
+# -- running totals ------------------------------------------------------------
+
+
+def _bits(value) -> tuple:
+    """A float's exact identity: its type and every bit of its value."""
+    return type(value), float(value).hex()
+
+
+def _left_fold(spends) -> tuple:
+    eps = delta = 0
+    for spend in spends:
+        eps = eps + spend.parameters.epsilon
+        delta = delta + spend.parameters.delta
+    return eps, delta
+
+
+_epsilons = st.one_of(
+    st.floats(min_value=1e-6, max_value=2.0), st.integers(min_value=1, max_value=2)
+)
+_deltas = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e-3))
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("spend"), _epsilons, _deltas),
+        st.tuples(
+            st.just("parallel"), _epsilons, _deltas, st.sampled_from(["a", "b"])
+        ),
+        st.tuples(st.just("replay"), st.lists(st.tuples(_epsilons, _deltas), max_size=4)),
+    ),
+    max_size=40,
+)
+
+
+class TestRunningTotals:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cap=st.floats(min_value=0.5, max_value=40.0),
+        operations=_operations,
+    )
+    def test_running_totals_equal_the_list_sums_bitwise(self, cap, operations):
+        """After every spend / spend_parallel / replay — refused ones
+        included — ``total()`` is bit-for-bit the left fold of the spend
+        list, which is what ``sum`` over it returns on CPython < 3.12
+        (3.12 made float ``sum`` compensated)."""
+        acct = PrivacyAccountant(budget=PrivacyParameters(cap, 0.5))
+        for operation in operations:
+            try:
+                if operation[0] == "spend":
+                    acct.spend(PrivacyParameters(operation[1], operation[2]))
+                elif operation[0] == "parallel":
+                    acct.spend_parallel(
+                        PrivacyParameters(operation[1], operation[2]),
+                        group=operation[3],
+                    )
+                else:
+                    acct.replay(
+                        PrivacySpend(label="replayed", parameters=PrivacyParameters(e, d))
+                        for e, d in operation[1]
+                    )
+            except PrivacyBudgetExceeded:
+                pass
+            eps, delta = acct.total()
+            fold_eps, fold_delta = _left_fold(acct.spends)
+            assert _bits(eps) == _bits(fold_eps)
+            assert _bits(delta) == _bits(fold_delta)
+            if sys.version_info < (3, 12):
+                assert _bits(eps) == _bits(sum(s.parameters.epsilon for s in acct.spends))
+                assert _bits(delta) == _bits(sum(s.parameters.delta for s in acct.spends))
+
+    def test_constructed_history_is_folded(self):
+        spends = [
+            PrivacySpend("a", PrivacyParameters(0.1)),
+            PrivacySpend("b", PrivacyParameters(0.2, 1e-6)),
+        ]
+        acct = PrivacyAccountant(budget=PrivacyParameters(1.0, 1e-3), spends=spends)
+        assert acct.total() == _left_fold(spends)

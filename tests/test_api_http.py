@@ -52,7 +52,7 @@ ADMIN_TOKEN = "admin-token"
 
 
 def make_service(workers: int = 1, cap: float = 10.0) -> TrainingService:
-    service = TrainingService(fuse=True, scan_seed=5, workers=workers)
+    service = TrainingService(scan_seed=5, workers=workers)
     service.register_table("t", X, Y)
     service.open_budget("alice", "t", cap)
     service.open_budget("bob", "t", cap)

@@ -112,19 +112,9 @@ class TestServiceCommands:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "dispatch mode   : fused" in out
+        assert "dispatch mode   : one scan flight per window" in out
         assert "scan groups     : 1" in out
         assert "tenant-0" in out and "tenant-1" in out
-
-    def test_serve_no_fuse_is_sequential(self, capsys):
-        code = main([
-            "serve", "--jobs", "4", "--tenants", "1", "--rows", "150",
-            "--dim", "5", "--passes", "1", "--no-fuse", "--tables", "1",
-            "--workers", "1",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "sequential (forced)" in out
 
     def test_serve_multi_table_reports_overlap(self, capsys):
         code = main([

@@ -40,12 +40,10 @@ def make_service(
     workers: int = 2,
     cap: float = 10.0,
     state_dir=None,
-    fuse: bool = True,
     window: int = 32,
     **kwargs,
 ) -> TrainingService:
     service = TrainingService(
-        fuse=fuse,
         scan_seed=5,
         batching_window=window,
         workers=workers,

@@ -244,8 +244,8 @@ class TestServiceBoarding:
 
         assert opener.status is JobStatus.COMPLETED
         assert rider.status is JobStatus.COMPLETED
-        assert opener.dispatch == "elevator"
-        assert rider.dispatch == "elevator"
+        assert opener.dispatch == "scan"
+        assert rider.dispatch == "scan"
         # Provenance: the opener boarded the parked cursor; the late job
         # boarded mid-loop, past the chunk that was folding at submit.
         assert opener.boarding_offset == 0
@@ -315,7 +315,7 @@ class TestServiceBoarding:
         ]
         service.drain()
         assert all(r.status is JobStatus.COMPLETED for r in records)
-        assert all(r.dispatch == "elevator" for r in records)
+        assert all(r.dispatch == "scan" for r in records)
         # One scan for the whole set; claimed together, all open at 0.
         assert service.scheduler.table_scans["t"] == 1
         key, job_ids, pages = service.scheduler.dispatch_log[-1]

@@ -9,7 +9,6 @@ pre-taxonomy callers catch — nobody's ``except KeyError`` breaks.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.accountant import PrivacyBudgetExceeded
@@ -132,7 +131,7 @@ class TestVerbsRaiseTheTaxonomy:
 
 
 class TestVerbNormalization:
-    """register_table(heap=) folds register_heap in; health() exists."""
+    """register_table(heap=) registers a prebuilt heap; health() exists."""
 
     def test_register_table_accepts_a_heap(self):
         service = TrainingService(scan_seed=5, workers=1)
@@ -143,21 +142,6 @@ class TestVerbNormalization:
         service.drain()
         assert record.status is JobStatus.COMPLETED
         assert info.name == "h"
-
-    def test_register_heap_is_a_deprecated_alias(self):
-        service = TrainingService(scan_seed=5, workers=1)
-        with pytest.warns(DeprecationWarning, match="register_table"):
-            service.register_heap("h", MaterializedHeapFile(X, Y))
-        # Same registration as the keyword form: bitwise-equal release.
-        direct = TrainingService(scan_seed=5, workers=1)
-        direct.register_table("h", heap=MaterializedHeapFile(X, Y))
-        for s in (service, direct):
-            s.open_budget("alice", "h", 1.0)
-            s.submit("alice", "h", LogisticLoss(1e-2), epsilon=0.05,
-                     batch_size=50)
-            s.drain()
-        assert np.array_equal(service.model("job-00001"),
-                              direct.model("job-00001"))
 
     def test_register_table_rejects_heap_plus_arrays(self):
         service = TrainingService(scan_seed=5, workers=1)

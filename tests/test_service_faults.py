@@ -4,13 +4,15 @@ The service's containment contract: a failure anywhere in a worker's
 iteration — a page fault mid-scan, an exception between the scheduler's
 atomic steps, an unwritable state directory — ends with the affected
 jobs FAILED and refunded, the engine domain released, and the worker
-thread alive and serving the next tenant. Transient page faults retry
-with backoff and, by the determinism contract, a retried scan releases
-weights bitwise-identical to an undisturbed one.
+thread alive and serving the next tenant. A transient page fault
+re-reads the faulted chunk with backoff and, by the determinism
+contract, releases weights bitwise-identical to an undisturbed flight's
+— for every rider aboard, including one that boarded mid-flight.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
 
 import numpy as np
@@ -51,9 +53,10 @@ def submit_one(service, table="f", seed=300):
 
 class TestTransientFaultRetry:
     def test_single_transient_fault_retries_to_the_same_bits(self):
-        """fail_times=1: the first scan attempt faults, the retry reads
-        clean — and releases exactly the weights an undisturbed scan
-        would (the model is rebuilt from scratch per attempt)."""
+        """fail_times=1: the first read of the chunk holding page 0
+        faults and the flight re-reads that chunk — releasing exactly
+        the weights an undisturbed flight would, because the pool never
+        caches a faulted page and no rider has folded the chunk yet."""
         clean = TrainingService(scan_seed=5, workers=1)
         clean.register_table("f", heap=MaterializedHeapFile(X, Y))
         clean.open_budget("alice", "f", 10.0)
@@ -73,8 +76,8 @@ class TestTransientFaultRetry:
         assert statement.reserved == (0.0, 0.0)
 
     def test_retries_exhausted_fails_the_job_with_refund(self):
-        """A page that faults on every attempt burns through the retry
-        budget and fails the window — reservation refunded, worker
+        """A page that faults on every attempt burns through the chunk's
+        retry budget and fails the flight — reservation refunded, worker
         alive."""
         service = faulty_service(dict(fail_pages=(0,)), scan_retries=2)
         record = submit_one(service)
@@ -110,6 +113,129 @@ class TestTransientFaultRetry:
         assert survivor.status is JobStatus.COMPLETED, survivor.error
         assert list(service.loop.dispatch_errors) == []  # engine faults are
         # handled by dispatch_window's own fail path, not the last resort
+
+
+class _GatedLoss(LogisticLoss):
+    """Blocks every gradient until released: holds the opener's flight
+    inside its first chunk, so a second job boards — and a fault is
+    armed — at a deterministic point mid-flight."""
+
+    def __init__(self, regularization):
+        super().__init__(regularization)
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def batch_gradient(self, w, X_batch, y_batch):
+        self.started.set()
+        self.release.wait(timeout=30.0)
+        return super().batch_gradient(w, X_batch, y_batch)
+
+
+def all_pages_faulty(transient: bool = True) -> FaultyHeapFile:
+    """A heap whose every page read faults once armed (``fail_times``
+    raised above ``faults_injected``); disarmed at construction."""
+    inner = MaterializedHeapFile(X, Y)
+    return FaultyHeapFile(inner, fail_pages=range(inner.num_pages),
+                          fail_times=0, transient=transient)
+
+
+def flight_service(heap) -> TrainingService:
+    """An elevator service on ``heap`` behind a one-page buffer pool, so
+    every chunk of a flight reads pages from the heap (where the faults
+    live) instead of the pool."""
+    service = TrainingService(scan_seed=5, workers=1, elevator=True,
+                              chunk_size=64, buffer_pool_pages=1)
+    service.register_table("f", heap=heap)
+    service.open_budget("alice", "f", 10.0)
+    service.open_budget("bob", "f", 10.0)
+    service.scheduler.retry_backoff_seconds = 0.0
+    return service.start()
+
+
+def board_behind_opener(service, arm=lambda: None):
+    """A gated opener takes off and is held inside chunk 0; a second job
+    boards behind it; ``arm()`` runs (the fault-injection point); the
+    flight resumes. Returns (opener, rider) once both are terminal."""
+    gate = _GatedLoss(1e-3)
+    opener = service.submit("alice", "f", gate, epsilon=EPS, passes=2,
+                            batch_size=25, seed=400)
+    assert gate.started.wait(timeout=10.0), "flight never took off"
+    rider = service.submit("bob", "f", LogisticLoss(1e-3), epsilon=EPS,
+                           passes=1, batch_size=10, seed=401)
+    arm()
+    gate.release.set()
+    assert opener.wait(timeout=30.0) and rider.wait(timeout=30.0)
+    return opener, rider
+
+
+class TestFlightFaults:
+    def test_transient_fault_mid_flight_retries_to_the_same_bits(self):
+        """Two faulted reads of one chunk with a boarded rider aboard:
+        the flight re-reads the chunk twice and every rider releases
+        exactly the weights of the same flight on a clean heap."""
+        clean = flight_service(MaterializedHeapFile(X, Y))
+        try:
+            clean_opener, clean_rider = board_behind_opener(clean)
+        finally:
+            clean.stop()
+
+        heap = all_pages_faulty()
+        service = flight_service(heap)
+        try:
+            opener, rider = board_behind_opener(
+                service, arm=lambda: setattr(heap, "fail_times", 2)
+            )
+        finally:
+            service.stop()
+
+        assert opener.status is JobStatus.COMPLETED, opener.error
+        assert rider.status is JobStatus.COMPLETED, rider.error
+        assert rider.boarding_offset == clean_rider.boarding_offset > 0
+        assert np.array_equal(opener.model, clean_opener.model)
+        assert np.array_equal(rider.model, clean_rider.model)
+        # Each re-read counts once, service-wide and on every rider aboard.
+        assert heap.faults_injected == 2
+        assert service.scheduler.scan_retries_used == 2
+        for record in (opener, rider):
+            assert record.trace.span("scan").attrs["retries"] == 2
+        for statement in service.budgets():
+            assert statement.spent[0] == pytest.approx(EPS)
+            assert statement.reserved == (0.0, 0.0)
+
+    def test_permanent_fault_mid_flight_fails_and_refunds_every_rider(self):
+        heap = all_pages_faulty(transient=False)
+        service = flight_service(heap)
+        try:
+            warm = service.submit("alice", "f", LogisticLoss(1e-3),
+                                  epsilon=EPS, passes=1, seed=399)
+            assert warm.wait(timeout=30.0)
+            assert warm.status is JobStatus.COMPLETED, warm.error
+            before = {s.principal: (s.spent, s.reserved)
+                      for s in service.budgets()}
+
+            opener, rider = board_behind_opener(
+                service, arm=lambda: setattr(heap, "fail_times", 1)
+            )
+            for record in (opener, rider):
+                assert record.status is JobStatus.FAILED
+                assert "injected fault" in record.error
+                assert record.receipt is None
+                # Both were aboard: the scan span is where they failed.
+                assert record.trace.spans()[-1].name == "scan"
+                assert record.trace.spans()[-1].attrs.get("error")
+            assert service.scheduler.scan_retries_used == 0
+            after = {s.principal: (s.spent, s.reserved)
+                     for s in service.budgets()}
+            assert after == before
+
+            # Same worker, same table: the next job flies clean.
+            survivor = service.submit("bob", "f", LogisticLoss(1e-3),
+                                      epsilon=EPS, passes=1, seed=402)
+            assert survivor.wait(timeout=30.0)
+            assert survivor.status is JobStatus.COMPLETED, survivor.error
+        finally:
+            service.stop()
+        assert list(service.loop.dispatch_errors) == []
 
 
 class TestWorkerCrashContainment:

@@ -130,6 +130,36 @@ def operation_sequences(draw):
     return ops
 
 
+class _UniterableSpends(list):
+    """A spend history that fails the test if anything walks it."""
+
+    def __iter__(self):
+        raise AssertionError("the spend history was iterated")
+
+
+class TestAdmissionCost:
+    def test_reserve_and_commit_never_iterate_a_long_history(self):
+        """Admission is O(1) in an account's history: with 10^4 charges
+        on record, reserve, commit and the statement read only the
+        running totals — the history itself is never walked."""
+        ledger = make_ledger(epsilon=1e6)
+        charge = PrivacyParameters(0.01)
+        for index in range(10_000):
+            ledger.commit(ledger.reserve("alice", "t", charge, job_id=f"j{index}"))
+        accountant = ledger._require("alice", "t").accountant
+        spent_before = accountant.total()
+        accountant.spends = _UniterableSpends(accountant.spends)
+
+        reservation = ledger.reserve("alice", "t", charge, job_id="next")
+        receipt = ledger.commit(reservation)
+        statement = ledger.statement("alice", "t")
+
+        assert receipt.sequence == 10_001
+        assert len(accountant.spends) == 10_001
+        assert statement.spent == (spent_before[0] + 0.01, spent_before[1] + 0.0)
+        assert statement.reserved == (0.0, 0.0)
+
+
 class TestInterleavingProperty:
     @settings(max_examples=120, deadline=None)
     @given(operation_sequences())

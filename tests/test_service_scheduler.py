@@ -2,12 +2,13 @@
 
 Two contracts carry the subsystem:
 
-* **Determinism / fusion-invisibility** — a job's released weights are a
-  pure function of (table, table scan seed, candidate, job seed). The
+* **Determinism / sharing-invisibility** — a job's released weights are
+  a pure function of (table, table scan seed, candidate, job seed). The
   same submitted job set must produce *bitwise-identical* per-job
-  weights whether jobs run fused, sequentially (``fuse=False``), or in a
-  different arrival order — ``np.array_equal``, atol=0, no tolerance.
-* **Shared-scan accounting** — a window of K compatible jobs charges
+  weights whether jobs share one scan flight, each get their own
+  (``batching_window=1``), or arrive in a different order —
+  ``np.array_equal``, atol=0, no tolerance.
+* **Shared-scan accounting** — a window of K jobs on one table charges
   ~one job's page requests (the acceptance bound: <= 1.1x a single
   job's pages for 32 jobs).
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.obs.summary import metric_value
 from repro.optim.losses import HingeLoss, HuberSVMLoss, LogisticLoss
 from repro.service import JobStatus, TrainingService
 from tests.conftest import make_binary_data
@@ -25,9 +27,9 @@ M, D = 300, 8
 EPS = 0.05
 
 
-def make_service(fuse: bool = True, window: int = 32) -> TrainingService:
+def make_service(window: int = 32) -> TrainingService:
     X, y = make_binary_data(M, D, seed=21)
-    service = TrainingService(fuse=fuse, scan_seed=5, batching_window=window)
+    service = TrainingService(scan_seed=5, batching_window=window)
     service.register_table("t", X, y)
     service.open_budget("alice", "t", 10.0)
     service.open_budget("bob", "t", 10.0)
@@ -35,7 +37,7 @@ def make_service(fuse: bool = True, window: int = 32) -> TrainingService:
 
 
 def mixed_jobs():
-    """8 fusion-compatible jobs: two tenants, three losses, mixed lambdas."""
+    """8 jobs of one shape: two tenants, three losses, mixed lambdas."""
     jobs = []
     for j in range(8):
         loss = (
@@ -72,10 +74,10 @@ def run_workload(service: TrainingService, jobs) -> dict:
 class TestBitwiseDeterminism:
     def test_fused_equals_sequential_equals_reordered(self):
         jobs = mixed_jobs()
-        fused = run_workload(make_service(fuse=True), jobs)
-        sequential = run_workload(make_service(fuse=False), jobs)
+        fused = run_workload(make_service(), jobs)
+        sequential = run_workload(make_service(window=1), jobs)
         reordered = run_workload(
-            make_service(fuse=True), [jobs[i] for i in (5, 2, 7, 0, 3, 6, 1, 4)]
+            make_service(), [jobs[i] for i in (5, 2, 7, 0, 3, 6, 1, 4)]
         )
         for seed, weights in fused.items():
             assert np.array_equal(weights, sequential[seed])
@@ -83,9 +85,9 @@ class TestBitwiseDeterminism:
 
     def test_job_alone_matches_its_fused_self(self):
         jobs = mixed_jobs()
-        fused = run_workload(make_service(fuse=True), jobs)
+        fused = run_workload(make_service(), jobs)
         for job in (jobs[0], jobs[3]):
-            alone = run_workload(make_service(fuse=True), [job])
+            alone = run_workload(make_service(), [job])
             assert np.array_equal(alone[job["seed"]], fused[job["seed"]])
 
     def test_priorities_reorder_dispatch_not_weights(self):
@@ -106,7 +108,7 @@ class TestBitwiseDeterminism:
             assert np.array_equal(record.model, baseline[record.job.seed])
 
     def test_batching_window_splits_are_invisible(self):
-        """window=3 forces three scan groups — same bits, more pages."""
+        """window=3 forces three scan flights — same bits, more pages."""
         jobs = mixed_jobs()
         baseline = run_workload(make_service(), jobs)
         windowed = run_workload(make_service(window=3), jobs)
@@ -135,7 +137,7 @@ class TestSharedScanAccounting:
         service.drain()
         group_pages = service.page_reads
         assert all(record.status is JobStatus.COMPLETED for record in records)
-        assert all(record.dispatch == "fused" for record in records)
+        assert all(record.dispatch == "scan" for record in records)
         assert all(record.group_size == 32 for record in records)
 
         solo = make_service()
@@ -149,32 +151,41 @@ class TestSharedScanAccounting:
         assert group_pages == single_pages == 2 * M
 
     def test_sequential_dispatch_pays_k_scans(self):
-        service = make_service(fuse=False)
+        service = make_service(window=1)
         for j in range(4):
             service.submit("alice", "t", LogisticLoss(1e-3), epsilon=0.01,
                            passes=2, batch_size=25, seed=j)
         service.drain()
         assert service.page_reads == 4 * 2 * M
 
-    def test_incompatible_jobs_form_separate_groups(self):
-        """Different batch sizes / passes cannot share a scan lockstep."""
+    def test_mixed_batch_sizes_and_passes_share_one_flight(self):
+        """Riders keep their own batch phase and epoch count, so jobs with
+        different batch sizes / passes share one page stream — and each
+        still releases exactly the bits of its scan alone."""
+        shapes = [(2, 25), (2, 50), (3, 25), (2, 25)]
+        jobs = [
+            dict(principal="alice" if j % 2 == 0 else "bob",
+                 loss=LogisticLoss([1e-3, 1e-3, 1e-3, 1e-2][j]),
+                 epsilon=EPS, passes=passes, batch_size=batch, seed=1 + j)
+            for j, (passes, batch) in enumerate(shapes)
+        ]
         service = make_service()
-        a = service.submit("alice", "t", LogisticLoss(1e-3), epsilon=EPS,
-                           passes=2, batch_size=25, seed=1)
-        b = service.submit("bob", "t", LogisticLoss(1e-3), epsilon=EPS,
-                           passes=2, batch_size=50, seed=2)
-        c = service.submit("alice", "t", LogisticLoss(1e-3), epsilon=EPS,
-                           passes=3, batch_size=25, seed=3)
-        d = service.submit("bob", "t", LogisticLoss(1e-2), epsilon=EPS,
-                           passes=2, batch_size=25, seed=4)
-        service.drain()
-        # a+d fuse (same key); b and c fall back to sequential dispatch.
-        assert service.result(a.job_id).dispatch == "fused"
-        assert service.result(d.job_id).dispatch == "fused"
-        assert service.result(a.job_id).group_size == 2
-        assert service.result(b.job_id).dispatch == "sequential"
-        assert service.result(c.job_id).dispatch == "sequential"
-        assert len(service.scheduler.dispatch_log) == 3
+        shared = run_workload(service, jobs)
+        assert len(service.scheduler.dispatch_log) == 1
+        assert service.page_reads == 3 * M  # the longest ride, once
+        for record in service.jobs():
+            assert record.dispatch == "scan"
+            assert record.group_size == 4
+            assert record.group_pages == record.job.candidate.passes * M
+            assert record.boarding_offset == 0
+            assert record.epochs_ridden == record.job.candidate.passes
+        # The rider metrics count every trained job, elevator or not.
+        dump = service.metrics(format="json")
+        assert metric_value(dump, "repro_elevator_boardings_total", table="t") == 4
+        assert metric_value(dump, "repro_elevator_epochs_ridden_total") == 9
+        alone = run_workload(make_service(window=1), jobs)
+        for seed, weights in shared.items():
+            assert np.array_equal(weights, alone[seed])
 
     def test_failed_group_member_does_not_poison_the_scan(self):
         service = make_service()
@@ -221,6 +232,23 @@ class TestRegistryQueries:
         with pytest.raises(ValueError, match="no released model"):
             service.model(record.job_id)
 
+    def test_records_from_older_dispatch_paths_still_load(self):
+        """Records written when the scheduler had fused, sequential and
+        elevator dispatch keep their labels through the payload codec."""
+        from repro.service.registry import _record_payload, record_from_payload
+
+        service = make_service()
+        run_workload(service, mixed_jobs()[:1])
+        (record,) = service.jobs()
+        assert record.dispatch == "scan"
+        for label in ("fused", "sequential", "elevator"):
+            payload = _record_payload(record)
+            payload["dispatch"] = label
+            loaded = record_from_payload(payload)
+            assert loaded.dispatch == label
+            assert loaded.status is JobStatus.COMPLETED
+            assert np.array_equal(loaded.model, record.model)
+
     def test_receipts_travel_with_records(self):
         service = make_service()
         run_workload(service, mixed_jobs())
@@ -258,17 +286,6 @@ class TestServiceValidation:
             TrainingJob(principal="", table="t", candidate=candidate, epsilon=0.1)
         with pytest.raises(ValueError, match="epsilon"):
             TrainingJob(principal="a", table="t", candidate=candidate, epsilon=0.0)
-
-    def test_fusion_key_contents(self):
-        from repro.core.bolton import BoltOnCandidate
-        from repro.service import TrainingJob
-
-        job = TrainingJob(
-            principal="alice", table="t",
-            candidate=BoltOnCandidate(LogisticLoss(1e-3), passes=4, batch_size=10),
-            epsilon=0.1,
-        )
-        assert job.fusion_key() == ("t", 10, 4, False)
 
 
 class TestReviewRegressions:
