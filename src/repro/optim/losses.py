@@ -503,12 +503,14 @@ class LogisticLoss(MarginLoss):
         return np.logaddexp(0.0, -np.asarray(z, dtype=np.float64))
 
     def margin_derivative(self, z: np.ndarray) -> np.ndarray:
-        # phi'(z) = -1 / (1 + e^{z}), computed stably with expit-style clip.
+        # phi'(z) = -1 / (1 + e^{z}), computed stably from one exp:
+        # e = e^{-|z|} <= 1, so z >= 0 gives -e / (1 + e) and z < 0 gives
+        # -1 / (1 + e) — the two branches of the textbook stable form,
+        # bit for bit, without masked copies.
         z = np.asarray(z, dtype=np.float64)
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = -np.exp(-z[pos]) / (1.0 + np.exp(-z[pos]))
-        out[~pos] = -1.0 / (1.0 + np.exp(z[~pos]))
+        e = np.exp(-np.abs(z))
+        out = np.where(z >= 0, -e, -1.0)
+        out /= 1.0 + e
         return out
 
     def margin_lipschitz(self) -> float:

@@ -9,6 +9,7 @@ property test asserting exactly that inequality.
 from __future__ import annotations
 
 import abc
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -66,7 +67,10 @@ class L2BallProjection(Projection):
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=np.float64)
-        norm = np.linalg.norm(w)
+        # np.linalg.norm's own computation (ravel, dot, sqrt) without its
+        # per-call dispatch: the same float, bit for bit.
+        flat = w.ravel("K")
+        norm = math.sqrt(flat.dot(flat))
         if norm <= self._radius:
             return w
         return w * (self._radius / norm)
@@ -125,10 +129,13 @@ def rows_projector(
     when every projection is the identity (the common unconstrained case —
     callers skip the call entirely); a vectorized norm-and-rescale when
     every constraint is an L2 ball (or identity, radius = inf); and a
-    plain row loop otherwise. The rescale computes ``w * (radius/norm)``
-    exactly as :class:`L2BallProjection` does, so fused and sequential
-    runs project to identical floats. The projector mutates its argument
-    in place and returns it.
+    plain row loop otherwise. The rescale is ``w * (radius/norm)`` as in
+    :class:`L2BallProjection`, but the row norms come from
+    ``np.linalg.norm(W, axis=1)`` (a pairwise sum of squares) rather than
+    the 1-D norm's BLAS dot, so they can differ in the last bit: fused
+    and sequential runs project to the same floats up to rounding,
+    within the multi-model equivalence suite's 1e-12. The projector
+    mutates its argument in place and returns it.
     """
     projections = list(projections)
     if all(isinstance(p, IdentityProjection) for p in projections):

@@ -38,7 +38,8 @@ Storage-agnostic by construction
 --------------------------------
 
 Operators never touch a heap directly: every page arrives via
-``BufferPool.get_page``, and every heap speaks the same ``HeapFile``
+``BufferPool.get_page`` (per tuple) or ``BufferPool.get_pages`` (per
+chunk), and every heap speaks the same ``HeapFile``
 protocol with the same :func:`tuples_per_page` page grid. That is what
 lets a :class:`~repro.rdbms.storage.SQLiteHeapFile` (real pages on real
 disk, WAL-mode reads) slot under these operators unchanged: the scan
@@ -163,8 +164,9 @@ class Shuffle:
         """Permuted scan emitting ``(X_block, y_block)`` arrays.
 
         Draws a fresh permutation (like ``__iter__``) and gathers each run
-        of ``chunk_size`` permuted tuples into a block; every tuple still
-        costs one page request, matching the per-tuple path's counters.
+        of ``chunk_size`` permuted tuples into a block with one
+        ``get_pages`` call per chunk, one page request per tuple —
+        matching the per-tuple path's counters.
         """
         yield from _gather_permuted_chunks(
             self.table, self.pool, self.stats, self.permutation(), chunk_size
@@ -225,8 +227,9 @@ class ShuffleOnce:
     def scan_chunks(self, chunk_size: int, start_offset: int = 0) -> Iterator[ChunkItem]:
         """Replay the stored permutation as ``(X_block, y_block)`` arrays.
 
-        Same order and same one-page-request-per-tuple accounting as the
-        per-tuple replay, so epochs are path-independent.
+        Same order as the per-tuple replay, and the same accounting: one
+        ``get_pages`` call per chunk, one page request per tuple — so
+        epochs are path-independent.
 
         ``start_offset`` rotates the delivery: the epoch starts at that
         permutation position and wraps around, visiting every tuple
@@ -275,8 +278,9 @@ def _gather_permuted_chunks(
     """Gather permuted tuples into blocks with page-grouped row copies.
 
     Shared by the two shuffle operators. Every tuple still pins its page
-    through the buffer pool in visit order — one ``get_page`` per tuple —
-    so ``OperatorStats``, the pool's hit/miss/eviction counters, and the
+    through the buffer pool in visit order — one ``get_pages`` call per
+    chunk, one page request per tuple — so ``OperatorStats``, the pool's
+    hit/miss/eviction counters, and the
     LRU recency state are *exactly* the per-tuple path's in every regime,
     resident or thrashing (the golden tests in
     ``tests/test_rdbms_engine.py`` and the eviction-regime test in
@@ -293,7 +297,7 @@ def _gather_permuted_chunks(
     grouped form: with ~1 tuple per page there is nothing to batch.
 
     Pool misses materialize through a per-chunk memo
-    (``BufferPool.get_page``'s ``reader`` hook): within one chunk each
+    (``BufferPool.get_pages``'s ``reader`` hook): within one chunk each
     distinct page is read from the heap **at most once**, even when an
     actively evicting pool misses the same page several times. For a
     :class:`~repro.rdbms.storage.VirtualHeapFile` that means each page is
@@ -327,7 +331,6 @@ def _gather_chunk(
     per_page = tuples_per_page(table.dimension)
     d = table.dimension
     heap = table.heap
-    get_page = pool.get_page
     read_page = heap.read_page
     ids = np.asarray(ids, dtype=np.int64)
     n = len(ids)
@@ -354,21 +357,17 @@ def _gather_chunk(
     boundaries = np.r_[boundaries, n]
     distinct = len(boundaries) - 1
 
+    # Every tuple pins its page, in visit order, through one pool call.
+    pages = pool.get_pages(heap, page_ids.tolist(), reader=chunk_reader)
     if n >= _DENSE_GATHER_THRESHOLD * distinct:
-        pages = {}
-        for page_id in page_ids.tolist():
-            pages[page_id] = get_page(heap, page_id, reader=chunk_reader)
         for group in range(distinct):
             members = order[boundaries[group] : boundaries[group + 1]]
-            page = pages[int(sorted_pages[boundaries[group]])]
+            page = pages[members[0]]
             page_rows = rows[members]
             X_block[members] = page.features[page_rows]
             y_block[members] = page.labels[page_rows]
     else:
-        row_list = rows.tolist()
-        for j, page_id in enumerate(page_ids.tolist()):
-            page = get_page(heap, page_id, reader=chunk_reader)
-            row = row_list[j]
+        for j, (page, row) in enumerate(zip(pages, rows.tolist())):
             X_block[j] = page.features[row]
             y_block[j] = page.labels[row]
     stats.pages_requested += n

@@ -50,7 +50,7 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -821,6 +821,55 @@ class BufferPool:
                 domain.cache.popitem(last=False)
                 stats.evictions += 1
             return page
+
+    def get_pages(
+        self,
+        heap: HeapFile,
+        page_ids: Iterable[int],
+        reader: Optional[Callable[[int], Page]] = None,
+    ) -> List[Page]:
+        """Pin a run of pages in visit order under one domain-lock hold.
+
+        Exactly a :meth:`get_page` loop over ``page_ids``: one request
+        each, the same hit/miss classification, LRU updates, evictions
+        and ``reader`` delegation, in the same order — only the per-call
+        overhead (domain lookup, lock round trip, counter writes) is paid
+        once per run instead of once per page. If a read raises, the
+        counters and cache hold what the loop would have left at that
+        point: the faulted request counted as a read and a miss, nothing
+        cached for it. Returns the pages, one per requested id.
+        """
+        domain = self._domain(heap)
+        read = heap.read_page if reader is None else reader
+        capacity = self.capacity
+        pages: List[Page] = []
+        keep = pages.append
+        hits = misses = evictions = 0
+        with domain.lock:
+            cache = domain.cache
+            lookup = cache.get
+            touch = cache.move_to_end
+            try:
+                for page_id in page_ids:
+                    page = lookup(page_id)
+                    if page is not None:
+                        hits += 1
+                        touch(page_id)
+                    else:
+                        misses += 1
+                        page = read(page_id)
+                        cache[page_id] = page
+                        if len(cache) > capacity:
+                            cache.popitem(last=False)
+                            evictions += 1
+                    keep(page)
+            finally:
+                stats = domain.stats
+                stats.page_reads += hits + misses
+                stats.cache_hits += hits
+                stats.cache_misses += misses
+                stats.evictions += evictions
+        return pages
 
     def scan(self, heap: HeapFile, page_order: Optional[List[int]] = None) -> Iterator[Page]:
         """Iterate pages (sequentially by default) through the cache."""

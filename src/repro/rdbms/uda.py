@@ -138,12 +138,12 @@ class SGDUDA(UDA):
         #: Gradient updates applied during the lifetime of this UDA object;
         #: the cost model charges per-update work through this counter.
         self.updates_applied = 0
-        # Cached schedule.rates vector, grown geometrically: the streaming
-        # UDA does not know its total step count up front, but
-        # rates(n)[t-1] == rate(t) exactly (schedule property tests), so
-        # serving steps from the cache instead of a per-step rate(t) call
-        # is a pure speedup.
-        self._rates_cache: Optional[np.ndarray] = None
+        # Cached schedule.rates vector as Python floats, grown
+        # geometrically: the streaming UDA does not know its total step
+        # count up front, but rates(n)[t-1] == rate(t) exactly (schedule
+        # property tests), so serving steps from the cache instead of a
+        # per-step rate(t) call is a pure speedup.
+        self._rates_cache: list = []
 
     def initialize(
         self, model: Optional[np.ndarray] = None, dimension: Optional[int] = None,
@@ -184,17 +184,23 @@ class SGDUDA(UDA):
         which agrees with the scalar accumulation to floating-point
         rounding.
         """
-        n = int(features.shape[0])
+        # This loop runs once per rider per chunk in every scan flight:
+        # lookups are hoisted, the arithmetic is exactly the per-segment
+        # sequence described above.
+        batch_gradient = self.loss.batch_gradient
+        batch_size = self.batch_size
+        n = features.shape[0]
         start = 0
         while start < n:
-            take = min(self.batch_size - state.examples_in_batch, n - start)
-            segment_X = features[start : start + take]
-            segment_y = labels[start : start + take]
-            mean = self.loss.batch_gradient(state.model, segment_X, segment_y)
+            stop = min(start + batch_size - state.examples_in_batch, n)
+            take = stop - start
+            mean = batch_gradient(
+                state.model, features[start:stop], labels[start:stop]
+            )
             state.accumulated_gradient += mean * take
             state.examples_in_batch += take
-            start += take
-            if state.examples_in_batch >= self.batch_size:
+            start = stop
+            if state.examples_in_batch >= batch_size:
                 self._apply_batch(state)
         return state
 
@@ -205,20 +211,24 @@ class SGDUDA(UDA):
 
     # -- internals ------------------------------------------------------------
 
-    def _rate(self, t: int) -> float:
-        """Step size for update ``t``, served from the cached rates vector."""
-        cache = self._rates_cache
-        if cache is None or t > cache.shape[0]:
-            total = max(t, 64 if cache is None else 2 * cache.shape[0])
-            self._rates_cache = cache = self.schedule.rates(total)
-        return float(cache[t - 1])
+    def _rates(self, count: int) -> list:
+        """The cached step sizes, grown to hold at least ``count``:
+        entry ``t - 1`` is ``rate(t)``."""
+        total = max(count, 64, 2 * len(self._rates_cache))
+        self._rates_cache = self.schedule.rates(total).tolist()
+        return self._rates_cache
 
     def _apply_batch(self, state: SGDState) -> None:
-        eta = self._rate(state.next_step_index)
-        mean_gradient = state.accumulated_gradient / state.examples_in_batch
-        mean_gradient = self._adjust_gradient(state, mean_gradient)
-        state.model = self.projection(state.model - eta * mean_gradient)
-        state.accumulated_gradient[:] = 0.0
+        # Update t = next_step_index steps at rates[t - 1].
+        index = state.global_step_offset + state.batches_completed
+        rates = self._rates_cache
+        if index >= len(rates):
+            rates = self._rates(index + 1)
+        mean_gradient = self._adjust_gradient(
+            state, state.accumulated_gradient / state.examples_in_batch
+        )
+        state.model = self.projection(state.model - rates[index] * mean_gradient)
+        state.accumulated_gradient.fill(0.0)
         state.examples_in_batch = 0
         state.batches_completed += 1
         self.updates_applied += 1

@@ -875,7 +875,7 @@ class SharedScanScheduler:
         A :class:`~repro.rdbms.storage.TransientPageFault` (a flaky
         device, SQLite busy/locked, an injected fault) re-reads the
         chunk up to ``scan_retries`` times with linear backoff. A re-read
-        cannot change a released bit: ``BufferPool.get_page`` raises
+        cannot change a released bit: ``BufferPool.get_pages`` raises
         before it caches the faulted page, the cursor advances only once
         a whole chunk is gathered, and no rider has folded the chunk yet
         — so the attempt that succeeds delivers the identical block.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.optim.losses import (
     HingeLoss,
@@ -15,6 +16,44 @@ from repro.optim.losses import (
     Loss,
     MarginLoss,
 )
+
+
+def masked_two_branch_derivative(z):
+    """The logistic ``phi'`` as two masked branches, each with its own
+    ``exp`` — the formula ``LogisticLoss.margin_derivative`` must
+    reproduce bit for bit."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = -np.exp(-z[pos]) / (1.0 + np.exp(-z[pos]))
+    out[~pos] = -1.0 / (1.0 + np.exp(z[~pos]))
+    return out
+
+
+#: exp overflows past ~709.78 and underflows to 0 past ~745.13.
+EXP_OVERFLOW, EXP_UNDERFLOW = 709.782712893384, 745.1332191019411
+EDGE_MARGINS = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+    2.2250738585072014e-308, -2.2250738585072014e-308,
+    EXP_OVERFLOW, -EXP_OVERFLOW, EXP_UNDERFLOW, -EXP_UNDERFLOW,
+    np.finfo(np.float64).max, -np.finfo(np.float64).max,
+]
+
+
+def near(point):
+    """Floats within 1 of ``point`` or of ``-point``."""
+    return st.floats(point - 1.0, point + 1.0) | st.floats(-point - 1.0, -point + 1.0)
+
+
+MARGINS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-40.0, 40.0),
+    st.floats(-1e-300, 1e-300),
+    near(EXP_OVERFLOW),
+    near(EXP_UNDERFLOW),
+    st.sampled_from(EDGE_MARGINS),
+)
+
 
 FINITE_W = st.lists(
     st.floats(-3.0, 3.0, allow_nan=False), min_size=3, max_size=3
@@ -107,6 +146,47 @@ class TestLogisticLoss:
     def test_margin_derivative_bounded_by_one(self, z):
         deriv = float(LogisticLoss().margin_derivative(np.asarray(z)))
         assert -1.0 <= deriv <= 0.0
+
+    @given(z=arrays(np.float64, array_shapes(min_dims=0, max_dims=3, max_side=6),
+                    elements=MARGINS))
+    @settings(max_examples=300, deadline=None)
+    def test_margin_derivative_is_the_two_branch_formula_bitwise(self, z):
+        got = LogisticLoss().margin_derivative(z)
+        want = masked_two_branch_derivative(z)
+        assert isinstance(got, np.ndarray)
+        assert got.shape == want.shape == z.shape
+        assert got.dtype == want.dtype == np.float64
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(
+            got[~nan].view(np.int64), want[~nan].view(np.int64)
+        )
+
+    def test_margin_derivative_bitwise_on_a_dense_sweep(self):
+        # Backs the property with many more margins per run: a seeded
+        # sweep across magnitudes, subnormal to exp-underflow.
+        rng = np.random.default_rng(14)
+        z = np.concatenate(
+            [rng.standard_normal(20_000) * scale
+             for scale in (1e-310, 1e-8, 1.0, 10.0, 40.0, 700.0, 750.0)]
+            + [np.asarray(EDGE_MARGINS)]
+        )
+        got = LogisticLoss().margin_derivative(z)
+        want = masked_two_branch_derivative(z)
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(
+            got[~nan].view(np.int64), want[~nan].view(np.int64)
+        )
+
+    def test_margin_derivative_keeps_scalar_and_integer_inputs(self):
+        loss = LogisticLoss()
+        for z in (0.0, -2.5, np.float64(3.0), 7, np.arange(-3, 4)):
+            got = loss.margin_derivative(z)
+            want = masked_two_branch_derivative(z)
+            assert isinstance(got, np.ndarray)
+            assert got.shape == want.shape and got.dtype == np.float64
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     @given(z=st.floats(-700, 700))
     @settings(max_examples=50, deadline=None)

@@ -65,6 +65,34 @@ class TestL2BallProjection:
         once = proj(w)
         np.testing.assert_allclose(proj(once), once, atol=1e-12)
 
+    @given(
+        data=st.data(),
+        size=st.integers(1, 64),
+        stride=st.sampled_from([1, 2, 3]),
+        magnitude=st.floats(-150.0, 150.0),
+        ratio=st.floats(0.01, 100.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_linalg_norm_rescale_bitwise(
+        self, data, size, stride, magnitude, ratio
+    ):
+        # The projection's dot-based norm must be np.linalg.norm's float,
+        # so the result is ``w * (R / np.linalg.norm(w))`` bit for bit —
+        # for vectors from 1e-150 to 1e150, contiguous or strided views.
+        base = np.asarray(
+            data.draw(
+                st.lists(st.floats(-1.0, 1.0), min_size=size * stride,
+                         max_size=size * stride)
+            )
+        ) * 10.0 ** magnitude
+        w = base[::stride]
+        reference_norm = np.linalg.norm(w)
+        radius = max(float(reference_norm) * ratio, 1e-300)
+        expected = w if reference_norm <= radius else w * (radius / reference_norm)
+        got = L2BallProjection(radius)(w)
+        assert got.dtype == np.float64 and got.shape == w.shape
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
 
 class TestBoxProjection:
     def test_clipping(self):

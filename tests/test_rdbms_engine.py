@@ -414,3 +414,147 @@ class TestVirtualHeapChunkGather:
             pool_b.stats.cache_misses,
             pool_b.stats.evictions,
         )
+
+
+class ReferenceStep:
+    """The SGD step as written before its per-call overhead was trimmed:
+    literal ``transition_batch``/``_rate``/``_apply_batch``, mixed into a
+    UDA class as the bit-for-bit oracle for the lean step."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._rates_cache = None
+
+    def transition_batch(self, state, features, labels):
+        n = int(features.shape[0])
+        start = 0
+        while start < n:
+            take = min(self.batch_size - state.examples_in_batch, n - start)
+            segment_X = features[start : start + take]
+            segment_y = labels[start : start + take]
+            mean = self.loss.batch_gradient(state.model, segment_X, segment_y)
+            state.accumulated_gradient += mean * take
+            state.examples_in_batch += take
+            start += take
+            if state.examples_in_batch >= self.batch_size:
+                self._apply_batch(state)
+        return state
+
+    def _rate(self, t):
+        cache = self._rates_cache
+        if cache is None or t > cache.shape[0]:
+            total = max(t, 64 if cache is None else 2 * cache.shape[0])
+            self._rates_cache = cache = self.schedule.rates(total)
+        return float(cache[t - 1])
+
+    def _apply_batch(self, state):
+        eta = self._rate(state.next_step_index)
+        mean_gradient = state.accumulated_gradient / state.examples_in_batch
+        mean_gradient = self._adjust_gradient(state, mean_gradient)
+        state.model = self.projection(state.model - eta * mean_gradient)
+        state.accumulated_gradient[:] = 0.0
+        state.examples_in_batch = 0
+        state.batches_completed += 1
+        self.updates_applied += 1
+
+
+class TestLeanStepIsTheReferenceStep:
+    """``SGDUDA``'s step releases exactly the reference step's bits.
+
+    ``run_sgd`` drives both UDAs over the same permutation for enough
+    epochs that the rates cache grows past its first block; every
+    release must be ``np.array_equal`` — no tolerance.
+    """
+
+    CHUNK = 32
+
+    def _session(self, m=211, d=7):
+        from repro.rdbms.bismarck import BismarckSession
+        from tests.conftest import make_binary_data
+
+        session = BismarckSession(buffer_pool_pages=4)
+        X, y = make_binary_data(m, d, seed=5)
+        session.load_table("t", X, y)
+        return session
+
+    def _release(self, uda, chunk_size, epochs=4):
+        return self._session().run_sgd(
+            "t", uda, epochs, random_state=9, chunk_size=chunk_size
+        ).model
+
+    @pytest.mark.parametrize("batch_size", [1, 8, 32, 5, 13, 50])
+    @pytest.mark.parametrize("chunk_size", [CHUNK, None])
+    @pytest.mark.parametrize(
+        "loss, schedule, projection",
+        [
+            ("logistic", "constant", None),
+            ("logistic-reg", "inverse-t", "ball"),
+            ("huber", "sqrt-t", "box"),
+            ("least-squares", "capped", "ball"),
+            ("hinge", "constant", None),
+        ],
+    )
+    def test_release_equals_reference(
+        self, loss, schedule, projection, batch_size, chunk_size
+    ):
+        from repro.optim.losses import HingeLoss, HuberSVMLoss, LeastSquaresLoss
+        from repro.optim.projection import BoxProjection, L2BallProjection
+        from repro.optim.schedules import (
+            CappedInverseTSchedule,
+            InverseSqrtTSchedule,
+            InverseTSchedule,
+        )
+
+        losses = {
+            "logistic": LogisticLoss(),
+            "logistic-reg": LogisticLoss(0.05),
+            "huber": HuberSVMLoss(0.1, 0.01),
+            "least-squares": LeastSquaresLoss(0.02),
+            "hinge": HingeLoss(),
+        }
+        schedules = {
+            "constant": ConstantSchedule(0.3),
+            "inverse-t": InverseTSchedule(0.05),
+            "sqrt-t": InverseSqrtTSchedule(0.5),
+            "capped": CappedInverseTSchedule(1.0, 0.02),
+        }
+        projections = {
+            None: None,
+            "ball": L2BallProjection(0.2),
+            "box": BoxProjection(-0.05, 0.05),
+        }
+
+        class ReferenceSGDUDA(ReferenceStep, SGDUDA):
+            pass
+
+        args = (losses[loss], schedules[schedule], batch_size, projections[projection])
+        lean = self._release(SGDUDA(*args), chunk_size)
+        reference = self._release(ReferenceSGDUDA(*args), chunk_size)
+        assert np.array_equal(lean, reference)
+
+    @pytest.mark.parametrize("batch_size", [8, 13])
+    def test_noisy_release_equals_reference(self, batch_size):
+        from repro.optim.projection import L2BallProjection
+        from repro.optim.schedules import InverseTSchedule
+        from repro.rdbms.bismarck import NoisySGDUDA
+
+        class ReferenceNoisySGDUDA(ReferenceStep, NoisySGDUDA):
+            pass
+
+        def build(cls):
+            noise_rng = np.random.default_rng(33)
+
+            def noise_sampler(step, dimension):
+                return noise_rng.normal(0.0, 0.05 / step, size=dimension)
+
+            return cls(
+                LogisticLoss(0.01), InverseTSchedule(0.05), noise_sampler,
+                batch_size, L2BallProjection(0.5),
+            )
+
+        lean, reference = build(NoisySGDUDA), build(ReferenceNoisySGDUDA)
+        lean_model = self._release(lean, self.CHUNK)
+        reference_model = self._release(reference, self.CHUNK)
+        assert np.array_equal(lean_model, reference_model)
+        assert lean.noise_draws == reference.noise_draws > 0
+        assert lean.updates_applied == reference.updates_applied

@@ -10,6 +10,7 @@ scan orders.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -483,3 +484,180 @@ class TestFaultyHeapFile:
         assert faulty.reads == 2
         stats = pool.stats
         assert stats.cache_hits == 0  # the faulted read cached nothing
+
+
+def lru_order(pool, heap):
+    """The heap's resident page ids, least recently used first (white-box:
+    the LRU shard is private to the pool)."""
+    return list(pool._domain(heap).cache.keys())
+
+
+def get_page_loop(pool, heap, page_ids, reader=None):
+    """The reference ``get_pages`` must equal: one ``get_page`` per id."""
+    return [pool.get_page(heap, page_id, reader=reader) for page_id in page_ids]
+
+
+class TestGetPages:
+    """``BufferPool.get_pages`` is a ``get_page`` loop under one lock hold:
+    same pages, counters, LRU order, reader calls and fault behaviour."""
+
+    PAGES = 12
+
+    def make_heap(self, seed=4):
+        rng = np.random.default_rng(seed)
+        m = tuples_per_page(50) * self.PAGES
+        return MaterializedHeapFile(rng.normal(size=(m, 50)), rng.normal(size=m))
+
+    def recording_reader(self, heap, calls):
+        def reader(page_id):
+            calls.append(page_id)
+            return heap.read_page(page_id)
+
+        return reader
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        warm=st.lists(st.integers(0, PAGES - 1), max_size=20),
+        runs=st.lists(
+            st.lists(st.integers(0, PAGES - 1), max_size=40), min_size=1, max_size=4
+        ),
+        capacity=st.integers(1, PAGES + 2),
+        use_reader=st.booleans(),
+    )
+    def test_equals_get_page_loop(self, warm, runs, capacity, use_reader):
+        # capacity < PAGES is the evicting regime, >= PAGES fully resident.
+        heap = self.make_heap()
+        batched, looped = BufferPool(capacity), BufferPool(capacity)
+        batched_reads, looped_reads = [], []
+        get_page_loop(batched, heap, warm)
+        get_page_loop(looped, heap, warm)
+        for page_ids in runs:
+            got = batched.get_pages(
+                heap, page_ids,
+                reader=self.recording_reader(heap, batched_reads) if use_reader else None,
+            )
+            want = get_page_loop(
+                looped, heap, page_ids,
+                reader=self.recording_reader(heap, looped_reads) if use_reader else None,
+            )
+            assert [page.page_id for page in got] == list(page_ids)
+            for page, twin in zip(got, want):
+                assert page.page_id == twin.page_id
+                assert np.array_equal(page.features, twin.features)
+                assert np.array_equal(page.labels, twin.labels)
+            assert scan_counters(batched, heap) == scan_counters(looped, heap)
+            assert lru_order(batched, heap) == lru_order(looped, heap)
+        assert batched_reads == looped_reads
+
+    def test_returns_the_cached_page_objects(self):
+        heap = self.make_heap()
+        pool = BufferPool(self.PAGES)
+        first = pool.get_pages(heap, [3, 5, 3])
+        assert first[0] is first[2]
+        assert pool.get_pages(heap, [5])[0] is first[1]
+
+    def test_empty_run_touches_nothing(self):
+        heap = self.make_heap()
+        pool = BufferPool(4)
+        assert pool.get_pages(heap, []) == []
+        assert scan_counters(pool, heap) == (0, 0, 0, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        warm=st.lists(st.integers(0, PAGES - 2), max_size=12),
+        before=st.lists(st.integers(0, PAGES - 2), max_size=20),
+        after=st.lists(st.integers(0, PAGES - 2), max_size=20),
+        capacity=st.integers(1, PAGES + 1),
+    )
+    def test_transient_fault_at_position_j_matches_the_loop(
+        self, warm, before, after, capacity
+    ):
+        # The last page appears once, at position j = len(before), and is
+        # never resident — so both paths fault exactly there.
+        faulty_page = self.PAGES - 1
+        page_ids = before + [faulty_page] + after
+        inner = self.make_heap()
+        batched_heap = FaultyHeapFile(inner, fail_pages=(faulty_page,), fail_times=1)
+        looped_heap = FaultyHeapFile(inner, fail_pages=(faulty_page,), fail_times=1)
+        batched, looped = BufferPool(capacity), BufferPool(capacity)
+        get_page_loop(batched, batched_heap, warm)
+        get_page_loop(looped, looped_heap, warm)
+
+        with pytest.raises(TransientPageFault):
+            batched.get_pages(batched_heap, page_ids)
+        with pytest.raises(TransientPageFault):
+            get_page_loop(looped, looped_heap, page_ids)
+        assert scan_counters(batched, batched_heap) == scan_counters(looped, looped_heap)
+        assert lru_order(batched, batched_heap) == lru_order(looped, looped_heap)
+        assert faulty_page not in lru_order(batched, batched_heap)
+        assert batched_heap.reads == looped_heap.reads
+
+        # The retry (fault budget spent) reads clean, still in lockstep.
+        batched.get_pages(batched_heap, page_ids)
+        get_page_loop(looped, looped_heap, page_ids)
+        assert scan_counters(batched, batched_heap) == scan_counters(looped, looped_heap)
+        assert lru_order(batched, batched_heap) == lru_order(looped, looped_heap)
+
+    def _race(self, pool, jobs):
+        """Run ``(heap, runs)`` jobs on one thread each, released together
+        under a shortened switch interval so threads interleave often."""
+        barrier = threading.Barrier(len(jobs))
+        errors = []
+
+        def drive(heap, heap_runs):
+            try:
+                barrier.wait(timeout=30)
+                for page_ids in heap_runs:
+                    pool.get_pages(heap, page_ids)
+            except Exception as error:  # pragma: no cover - fail loud
+                errors.append(error)
+
+        threads = [threading.Thread(target=drive, args=job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+
+    def test_two_threads_on_two_heaps_keep_per_heap_counters_exact(self):
+        heaps = [self.make_heap(seed) for seed in (1, 2)]
+        rng = np.random.default_rng(8)
+        runs = [
+            [rng.integers(0, self.PAGES, size=64).tolist() for _ in range(150)]
+            for _ in heaps
+        ]
+        serial = BufferPool(capacity_pages=5)
+        for heap, heap_runs in zip(heaps, runs):
+            for page_ids in heap_runs:
+                get_page_loop(serial, heap, page_ids)
+
+        racing = BufferPool(capacity_pages=5)
+        self._race(racing, list(zip(heaps, runs)))
+        for heap in heaps:
+            assert scan_counters(racing, heap) == scan_counters(serial, heap)
+            assert lru_order(racing, heap) == lru_order(serial, heap)
+        assert racing.stats.page_reads == serial.stats.page_reads == 2 * 150 * 64
+
+    def test_threads_sharing_a_heap_lose_no_counter_update(self):
+        # Four threads, two per heap, on a two-core host: which request
+        # hits depends on the interleaving, but no update may be lost.
+        heaps = [self.make_heap(seed) for seed in (1, 2)]
+        rng = np.random.default_rng(9)
+        jobs = [
+            (heap, [rng.integers(0, self.PAGES, size=32).tolist() for _ in range(100)])
+            for heap in heaps
+            for _ in range(2)
+        ]
+        pool = BufferPool(capacity_pages=5)
+        self._race(pool, jobs)
+        for heap in heaps:
+            reads, hits, misses, evictions = scan_counters(pool, heap)
+            assert reads == 2 * 100 * 32
+            assert hits + misses == reads
+            assert misses - evictions == len(lru_order(pool, heap)) == 5
