@@ -203,7 +203,7 @@ def multi_model(rounds: int = 3, ks=MULTI_MODEL_KS, write: bool = True) -> float
 
     Returns the fused speedup at the gate size K=16. Both paths train the
     same candidates over the same permutation, and their models are
-    checked to agree at 1e-12 first — the fused path must be the same
+    checked to be bitwise equal first — the fused path must be the same
     algorithm, only faster.
     """
     perm = np.random.default_rng(7).permutation(M)
@@ -218,7 +218,7 @@ def multi_model(rounds: int = 3, ks=MULTI_MODEL_KS, write: bool = True) -> float
             float(np.abs(fused.models[i] - sequential[i].model).max())
             for i in range(k)
         )
-        assert max_diff <= 1e-12, f"fused diverged at K={k}: {max_diff:.3e}"
+        assert max_diff == 0.0, f"fused diverged at K={k}: {max_diff:.3e}"
 
         sequential_s = _best_of(lambda: _run_sequential_grid(specs, perm), rounds)
         fused_s = _best_of(lambda: _run_fused_grid(specs, perm), rounds)

@@ -41,11 +41,11 @@ wall-clock jobs/sec for both, and it gates CI on the structural claim:
 
 * ``--observability`` benchmarks the telemetry layer's cost: the same
   shared-flight drain with the live metrics registry + traces vs
-  ``obs.disabled()`` (the no-op twin). Each of 3 trials times 32 fresh
-  drains per arm, alternating arms drain by drain, and the gate compares
-  the best trial of each arm. It **exits 1 unless the instrumented
-  drains are within 5% wall-clock of the disabled ones** and the weights
-  are bitwise-identical —
+  ``obs.disabled()`` (the no-op twin). It times 192 pairs of fresh
+  drains, one per arm, alternating which arm drains first, and gates on
+  the median over pairs of the instrumented-over-disabled ratio. It
+  **exits 1 unless the instrumented drains are within 5% wall-clock of
+  the disabled ones** and the weights are bitwise-identical —
   telemetry reads clocks and counters only, never the training path.
   With ``--report`` it also writes ``metrics-dump.prom`` /
   ``metrics-dump.json`` next to the report (the CI artifact).
@@ -66,9 +66,11 @@ wall-clock jobs/sec for both, and it gates CI on the structural claim:
 * ``--http`` benchmarks the ``repro-api/v1`` front-end against the
   in-process verbs on twin services: per-submit latency through a live
   socket (stdlib ``ThreadingHTTPServer`` + ``urllib`` client) and
-  end-to-end jobs/sec with workers draining behind both transports.
-  The gate **exits 1 unless HTTP submit p99 <= 50 ms**, unless
-  HTTP-side sustained throughput is **>= 0.5x the in-process twin's**,
+  end-to-end jobs/sec with workers draining behind both transports
+  (the median, over 16 alternating fresh-twin pairs, of the per-pair
+  throughput ratio). The gate **exits 1 unless HTTP submit p99 <= 50
+  ms**, unless HTTP-side sustained throughput is **>= 0.5x the
+  in-process twin's**,
   and unless every HTTP-submitted release is bitwise-identical to its
   in-process twin. The full shape adds the 10^4-queued-jobs HTTP
   submit-latency note (informational, mirrors ``--queue``).
@@ -846,13 +848,12 @@ def bench_queue(write: bool = True) -> int:
 #: drain wall-clock overhead. The telemetry design budget: every hot-path
 #: record is O(1) and per scan/window, never per tuple.
 OBS_OVERHEAD_CEILING_PCT = 5.0
-OBS_TRIALS = 3
-#: Fresh drains per arm in each trial. One smoke drain lasts ~15 ms and
-#: its wall-clock swings by a third from run to run on a shared host, so
-#: a single drain per trial let one lucky or unlucky drain decide the
-#: gate. Summing many drains, taken alternately from the two arms so
-#: both see the same host, averages that out.
-OBS_DRAINS = 32
+#: Pairs of fresh drains (one per arm) behind the gate. A smoke drain
+#: lasts ~5 ms and a stall on a shared host can double one; the two
+#: drains of a pair run back to back, so their ratio mostly cancels the
+#: host's drift, and the median over many pairs ignores the stalls that
+#: a sum or a best-of-trials still let decide the gate.
+OBS_PAIRS = 192
 
 
 def _run_obs(metrics) -> dict:
@@ -875,29 +876,30 @@ def bench_observability(gate: bool, write: bool = True, report=None) -> int:
     """Instrumented vs obs.disabled() drain wall-clock.
 
     Same workload, same seeds — the only difference is whether the
-    metrics registry and traces record anything. Each trial times
-    ``OBS_DRAINS`` fresh drains per arm, alternating arms drain by
-    drain, and sums each arm's drains; the gate compares the best of
-    ``OBS_TRIALS`` trials per arm (noise on shared CI runners is
-    one-sided, so best-of is the fair estimator), holds the overhead
-    under ``OBS_OVERHEAD_CEILING_PCT`` and the weights bitwise-equal
+    metrics registry and traces record anything. ``OBS_PAIRS`` pairs of
+    fresh drains, one per arm, alternate which arm drains first (so
+    neither always pays the first-position cost); the overhead is the
+    median over pairs of instrumented / disabled, which must stay under
+    ``OBS_OVERHEAD_CEILING_PCT``, with the weights bitwise-equal
     (telemetry must never touch the training path).
     """
     print(f"\nobservability  : {JOBS} jobs, instrumented vs disabled, "
-          f"best of {OBS_TRIALS} trials x {OBS_DRAINS} drains")
+          f"median of {OBS_PAIRS} alternating drain pairs")
     instrumented_s, disabled_s = [], []
     instrumented = disabled_run = None
-    for _ in range(OBS_TRIALS):
-        disabled_total = instrumented_total = 0.0
-        for _ in range(OBS_DRAINS):
-            disabled_run = _run_obs(obs.disabled())
-            disabled_total += disabled_run["seconds"]
+    for pair in range(OBS_PAIRS):
+        if pair % 2:
             instrumented = _run_obs(None)  # the service default: a live registry
-            instrumented_total += instrumented["seconds"]
-        disabled_s.append(disabled_total / OBS_DRAINS)
-        instrumented_s.append(instrumented_total / OBS_DRAINS)
-    best_inst, best_base = min(instrumented_s), min(disabled_s)
-    overhead_pct = max(0.0, (best_inst / best_base - 1.0) * 100.0)
+            disabled_run = _run_obs(obs.disabled())
+        else:
+            disabled_run = _run_obs(obs.disabled())
+            instrumented = _run_obs(None)
+        disabled_s.append(disabled_run["seconds"])
+        instrumented_s.append(instrumented["seconds"])
+    ratios = np.asarray(instrumented_s) / np.asarray(disabled_s)
+    overhead_pct = max(0.0, (float(np.median(ratios)) - 1.0) * 100.0)
+    median_base = float(np.median(disabled_s))
+    median_inst = float(np.median(instrumented_s))
     bitwise = bool(
         np.array_equal(instrumented["models"], disabled_run["models"])
     )
@@ -907,8 +909,8 @@ def bench_observability(gate: bool, write: bool = True, report=None) -> int:
         for record in service.loop.finished
     )
 
-    print(f"disabled       : {best_base * 1e3:8.1f} ms per drain (best trial)")
-    print(f"instrumented   : {best_inst * 1e3:8.1f} ms per drain (best trial)")
+    print(f"disabled       : {median_base * 1e3:8.1f} ms per drain (median)")
+    print(f"instrumented   : {median_inst * 1e3:8.1f} ms per drain (median)")
     print(f"overhead       : {overhead_pct:6.2f}%  "
           f"(gate: <= {OBS_OVERHEAD_CEILING_PCT}%)")
     print(f"bitwise instrumented == disabled per job: {bitwise}")
@@ -918,10 +920,9 @@ def bench_observability(gate: bool, write: bool = True, report=None) -> int:
         _write_results(
             service_obs={
                 "jobs": JOBS,
-                "trials": OBS_TRIALS,
-                "drains_per_trial": OBS_DRAINS,
-                "disabled_s": best_base,
-                "instrumented_s": best_inst,
+                "pairs": OBS_PAIRS,
+                "disabled_s": median_base,
+                "instrumented_s": median_inst,
                 "overhead_pct": overhead_pct,
                 "bitwise_equal": bitwise,
             }
@@ -1125,8 +1126,11 @@ HTTP_SUBMIT_P99_CEILING_S = 0.050
 #: the drain, so the front-end must stay within 2x end to end.
 HTTP_THROUGHPUT_FLOOR = 0.5
 
-#: Fresh-twin trials per transport; the ratio gates on best-of-N.
-HTTP_TRIALS = 3
+#: Fresh-twin pairs (one drain per transport); the gate reads the median
+#: over pairs of in-process / HTTP drain time. A smoke drain is ~15 ms
+#: in process, so one stalled drain moved the old best-of-3 ratio by a
+#: fifth; the median of back-to-back pairs does not move with it.
+HTTP_PAIRS = 16
 
 #: Passes for the throughput phase's jobs. The ratio compares transports
 #: on a workload where training dominates (the serving regime the
@@ -1197,33 +1201,28 @@ def bench_http(gate: bool, write: bool = True, report=None) -> int:
           f"max {seconds.max() * 1e3:.2f} ms "
           f"(gate: p99 <= {HTTP_SUBMIT_P99_CEILING_S * 1e3:.0f} ms)")
 
-    # -- end-to-end throughput: twin services, workers draining, best
-    # of HTTP_TRIALS fresh-service runs per transport (single ~20 ms
-    # drains are too noisy to gate on; the best case is the stable one).
-    inproc_s = http_s = np.inf
-    bitwise = True
-    for _ in range(HTTP_TRIALS):
-        inproc_service = _build_service(workers=WORKERS)
-        trial_s, inproc_records = _drain_workload(
-            inproc_service,
-            lambda j: inproc_service.submit(
+    # -- end-to-end throughput: twin services, workers draining, the
+    # median over HTTP_PAIRS fresh-twin pairs of the per-pair ratio (one
+    # drain per transport, alternating which goes first).
+    def inproc_drain():
+        service = _build_service(workers=WORKERS)
+        return _drain_workload(
+            service,
+            lambda j: service.submit(
                 "bench-tenant", "bench",
-                LogisticLoss(
-                    regularization=float(np.logspace(-4, -1, 8)[j % 8])
-                ),
+                LogisticLoss(regularization=float(lambdas[j % len(lambdas)])),
                 epsilon=EPS, passes=HTTP_DRAIN_PASSES, batch_size=BATCH,
                 seed=7000 + j,
             ),
             JOBS,
         )
-        inproc_s = min(inproc_s, trial_s)
 
-        http_service = _build_service(workers=WORKERS)
-        with ServiceApiServer(http_service, _http_tokens()) as server:
+    def http_drain():
+        service = _build_service(workers=WORKERS)
+        with ServiceApiServer(service, _http_tokens()) as server:
             client = ServiceClient(server.url, token="bench-token")
-            lambdas = np.logspace(-4, -1, 8)
-            trial_s, http_views = _drain_workload(
-                http_service,
+            seconds, views = _drain_workload(
+                service,
                 lambda j: client.submit(
                     "bench-tenant", "bench",
                     LogisticLoss(
@@ -1235,22 +1234,37 @@ def bench_http(gate: bool, write: bool = True, report=None) -> int:
                 JOBS,
                 submitters=WORKERS,
             )
-            http_s = min(http_s, trial_s)
-            # The conformance claim, re-proven at bench shape: the
-            # socket is invisible to the released bits.
-            bitwise = bitwise and all(
-                np.array_equal(
-                    client.model(view.job_id), inproc_records[j].model
-                )
-                for j, view in enumerate(http_views)
-            )
+            models = [client.model(view.job_id) for view in views]
+        return seconds, models
+
+    inproc_times, http_times = [], []
+    bitwise = True
+    for pair in range(HTTP_PAIRS):
+        if pair % 2:
+            http_s, http_models = http_drain()
+            inproc_s, inproc_records = inproc_drain()
+        else:
+            inproc_s, inproc_records = inproc_drain()
+            http_s, http_models = http_drain()
+        inproc_times.append(inproc_s)
+        http_times.append(http_s)
+        # The conformance claim, re-proven at bench shape: the socket is
+        # invisible to the released bits.
+        bitwise = bitwise and all(
+            np.array_equal(model, record.model)
+            for model, record in zip(http_models, inproc_records)
+        )
+    throughput_ratio = float(
+        np.median(np.asarray(inproc_times) / np.asarray(http_times))
+    )
+    inproc_s = float(np.median(inproc_times))
+    http_s = float(np.median(http_times))
     inproc_jps = JOBS / inproc_s
     http_jps = JOBS / http_s
-    throughput_ratio = http_jps / inproc_jps
-    print(f"   in-process: {inproc_s * 1e3:8.1f} ms   {inproc_jps:7.1f} jobs/s")
-    print(f"         http: {http_s * 1e3:8.1f} ms   {http_jps:7.1f} jobs/s")
-    print(f"throughput:   {throughput_ratio:6.2f}x in-process end to end "
-          f"(gate: >= {HTTP_THROUGHPUT_FLOOR}x)")
+    print(f"   in-process: {inproc_s * 1e3:8.1f} ms   {inproc_jps:7.1f} jobs/s (median)")
+    print(f"         http: {http_s * 1e3:8.1f} ms   {http_jps:7.1f} jobs/s (median)")
+    print(f"throughput:   {throughput_ratio:6.2f}x in-process end to end, median "
+          f"of {HTTP_PAIRS} pairs (gate: >= {HTTP_THROUGHPUT_FLOOR}x)")
     print(f"bitwise http == in-process per job: {bitwise}")
 
     # -- full shape only: the 10^4-queued-jobs note over the socket ----

@@ -11,7 +11,7 @@ multi-model engine by default: the factory below is *structural*
 which lets Algorithm 3 train all partitions' models in stacked fused runs
 and the public grid search train every candidate in ONE scan of the public
 split. Pass ``fused=False`` to either tuner to replay the sequential
-reference path — same models to 1e-12.
+reference path — the same models, bit for bit.
 
 Run:  python examples/private_tuning.py
 """

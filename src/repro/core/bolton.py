@@ -446,7 +446,7 @@ def private_psgd_fleet(
       datasets (disjoint tuning partitions). Permutations are then
       per-candidate, drawn exactly as each candidate's standalone run
       would have drawn them, so the fused results match sequential
-      training to the engines' 1e-12 equivalence bound.
+      training bit for bit (the engines' equivalence contract).
 
     ``epsilon``/``delta`` may be scalars (every candidate gets the full
     budget — parallel composition over disjoint data, or a shared public

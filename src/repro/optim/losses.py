@@ -36,6 +36,13 @@ overrides the batch pair with true NumPy matrix arithmetic. The two paths
 agree to floating-point rounding (a mean of per-row gradients versus one
 ``X.T @ coef`` contraction), which the vectorized-equivalence test suite
 pins down at ``atol=1e-12``.
+
+The multi-model pair (``batch_value_multi`` / ``batch_gradient_multi``)
+evaluates K models in one call. :class:`MarginLoss` stacks the models'
+matrix-vector products into one ``np.matmul`` over a ``(K, d, 1)``
+operand, which issues the single-model product once per row from C — so
+row ``k`` is *bitwise* the single-model batch method of model ``k``, and
+fused training releases the same floats as K separate runs.
 """
 
 from __future__ import annotations
@@ -145,8 +152,8 @@ class Loss(abc.ABC):
 
         Default: a row loop over models through :meth:`batch_value` —
         identical semantics for scalar-only losses, no speedup.
-        :class:`MarginLoss` overrides the pair with single einsum/matmul
-        contractions.
+        :class:`MarginLoss` overrides the pair with stacked ``np.matmul``
+        calls whose row ``k`` is bitwise the single-model method.
         """
         W, X, Y, losses = self._multi_args(W, X, y, regularization)
         return np.array(
@@ -379,10 +386,12 @@ class MarginLoss(Loss):
         y: np.ndarray,
         regularization: np.ndarray | None = None,
     ) -> np.ndarray:
-        W, X, Y, Z, shared = self._multi_margin_terms(W, X, y)
+        """All K mean losses; row ``k`` is bitwise :meth:`batch_value` of
+        model ``k`` (the L2 term's ``w.w`` is a per-row dot, as there)."""
+        W, X, _, Z = self._multi_margin_terms(W, X, y)
         lam = self._lambda_vector(W.shape[0], regularization)
-        reg = 0.5 * lam * np.einsum("kd,kd->k", W, W)
-        return np.mean(self.margin_loss(Z), axis=1) + reg
+        squares = np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0]
+        return np.mean(self.margin_loss(Z), axis=1) + 0.5 * lam * squares
 
     def batch_gradient_multi(
         self,
@@ -391,50 +400,43 @@ class MarginLoss(Loss):
         y: np.ndarray,
         regularization: np.ndarray | None = None,
     ) -> np.ndarray:
-        """All K mean gradients in one contraction.
+        """All K mean gradients in one call.
 
-        With margins ``Z = Y * (W X^T)`` (shape ``(K, n)``) the stacked
-        gradient is ``(phi'(Z) * Y) X / n + lam * W`` — one GEMM for a
-        shared batch, one ``kn,knd->kd`` einsum for per-model batches.
-        Per-model row k equals :meth:`batch_gradient` of the corresponding
-        single model up to BLAS summation order (the multi-model
-        equivalence suite bounds the difference at 1e-12 over whole
-        training runs).
+        With margins ``Z = Y * (X w_k)`` (shape ``(K, n)``) the stacked
+        gradient is ``X^T (phi'(Z) * Y) / n + lam * W``. Both products are
+        one ``np.matmul`` over a ``(K, ., 1)`` operand, which runs the
+        single-model matrix-vector product once per model — for a shared
+        ``(n, d)`` batch and a per-model ``(K, n, d)`` stack alike — so
+        row ``k`` is bitwise :meth:`batch_gradient` of model ``k`` at
+        lambda ``regularization[k]``.
         """
-        W, X, Y, Z, shared = self._multi_margin_terms(W, X, y)
+        W, X, Y, Z = self._multi_margin_terms(W, X, y)
         lam = self._lambda_vector(W.shape[0], regularization)
         coef = self.margin_derivative(Z) * Y
-        n = Z.shape[1]
-        if shared:
-            G = (coef @ X) / n
-        else:
-            G = np.einsum("kn,knd->kd", coef, X) / n
-        return G + lam[:, None] * W
+        sums = np.matmul(np.swapaxes(X, -1, -2), coef[:, :, None])[:, :, 0]
+        return sums / Z.shape[1] + lam[:, None] * W
 
     def _multi_margin_terms(
         self, W: np.ndarray, X: np.ndarray, y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-        """Shared shape handling: returns ``(W, X, Y, Z, shared)``.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Shared shape handling: returns ``(W, X, Y, Z)``.
 
-        ``Z`` is the ``(K, n)`` signed-margin matrix ``y_i <w_k, x_i>``;
-        ``shared`` says whether ``X`` stayed a single ``(n, d)`` batch (one
-        GEMM serves all models) or is a ``(K, n, d)`` per-model stack.
+        ``Z`` is the ``(K, n)`` signed-margin matrix ``y_i <w_k, x_i>``,
+        computed as the single-model ``X @ w_k`` per row (``W`` is made
+        C-contiguous so each row is the unit-stride vector that call
+        sees); ``X`` may be one shared ``(n, d)`` batch or a ``(K, n, d)``
+        per-model stack.
         """
-        W = np.asarray(W, dtype=np.float64)
+        W = np.ascontiguousarray(W, dtype=np.float64)
         if W.ndim != 2:
             raise ValueError(f"W must be a (K, d) matrix, got shape {W.shape}")
         K = W.shape[0]
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 2:
-            Z = W @ X.T
-            shared = True
-        elif X.ndim == 3 and X.shape[0] == K:
-            Z = np.einsum("kd,knd->kn", W, X)
-            shared = False
-        else:
+        if not (X.ndim == 2 or (X.ndim == 3 and X.shape[0] == K)):
             raise ValueError(
                 f"X must be (n, d) or (K, n, d) with K={K}, got shape {X.shape}"
             )
+        Z = np.matmul(X, W[:, :, None])[:, :, 0]
         y = np.asarray(y, dtype=np.float64)
         if y.ndim == 1:
             Y = np.broadcast_to(y, Z.shape)
@@ -444,7 +446,7 @@ class MarginLoss(Loss):
             raise ValueError(
                 f"y must be (n,) or (K, n) matching Z {Z.shape}, got {y.shape}"
             )
-        return W, X, Y, Z * Y, shared
+        return W, X, Y, Y * Z
 
     def _lambda_vector(self, K: int, regularization: np.ndarray | None) -> np.ndarray:
         if regularization is None:

@@ -128,26 +128,28 @@ def rows_projector(
     then project each row onto its own constraint set. Returns ``None``
     when every projection is the identity (the common unconstrained case —
     callers skip the call entirely); a vectorized norm-and-rescale when
-    every constraint is an L2 ball (or identity, radius = inf); and a
-    plain row loop otherwise. The rescale is ``w * (radius/norm)`` as in
-    :class:`L2BallProjection`, but the row norms come from
-    ``np.linalg.norm(W, axis=1)`` (a pairwise sum of squares) rather than
-    the 1-D norm's BLAS dot, so they can differ in the last bit: fused
-    and sequential runs project to the same floats up to rounding,
-    within the multi-model equivalence suite's 1e-12. The projector
-    mutates its argument in place and returns it.
+    every constraint is an L2 ball (or identity); and a plain row loop
+    otherwise. The vectorized path is :class:`L2BallProjection` row by
+    row, bit for bit: each row's norm is the square root of its own dot
+    product (one ``np.matmul`` over ``(K, 1, d) @ (K, d, 1)`` runs the
+    1-D dot per row), a ball row is left alone exactly when
+    ``norm <= radius`` and is otherwise rescaled by ``radius / norm``,
+    and identity rows are never touched. The projector mutates its
+    argument in place and returns it.
     """
     projections = list(projections)
     if all(isinstance(p, IdentityProjection) for p in projections):
         return None
     if all(isinstance(p, (IdentityProjection, L2BallProjection)) for p in projections):
+        balls = np.array([isinstance(p, L2BallProjection) for p in projections])
         radii = np.array([p.radius for p in projections], dtype=np.float64)
 
         def project_l2(W: np.ndarray) -> np.ndarray:
-            norms = np.linalg.norm(W, axis=1)
-            violating = norms > radii
-            if np.any(violating):
-                W[violating] *= (radii[violating] / norms[violating])[:, None]
+            rows = np.ascontiguousarray(W)
+            norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+            outside = balls & ~(norms <= radii)
+            if outside.any():
+                W[outside] *= (radii[outside] / norms[outside])[:, None]
             return W
 
         return project_l2

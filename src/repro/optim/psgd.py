@@ -433,19 +433,19 @@ class MultiModelPSGD:
     grids, per-partition private tuning, one-vs-rest multiclass), yet each
     model classically pays for its own pass over the data. This engine
     carries a ``(K, d)`` weight matrix instead: one scan feeds every
-    model, and each mini-batch becomes a single batched contraction
-    (``Loss.batch_gradient_multi``) rather than K small per-model calls —
-    K scans + K·(m/b) GEMVs turn into 1 scan + (m/b) GEMMs.
+    model, and each mini-batch becomes one batched call
+    (``Loss.batch_gradient_multi``) per fusion group rather than K small
+    per-model calls — K scans turn into 1 scan, and the K per-model
+    matrix-vector products of a step are issued from one stacked
+    ``np.matmul`` instead of K Python-level calls.
 
     Two data layouts are supported:
 
     * **shared** — ``X`` is ``(m, d)`` and every model reads the same rows
       (labels may still differ per model via a ``(K, m)`` matrix — the OvR
-      relabeling). All models follow one shared permutation; the batched
-      gradient is a true GEMM.
+      relabeling). All models follow one shared permutation.
     * **stacked** — ``X`` is ``(K, m, d)``: per-model datasets of equal
-      size (disjoint tuning partitions). Permutations are per-model, and
-      the contraction is the ``kn,knd->kd`` einsum.
+      size (disjoint tuning partitions). Permutations are per-model.
 
     **Determinism contract.** Models whose losses share a
     :meth:`~repro.optim.losses.Loss.fusion_key` are evaluated through one
@@ -453,8 +453,10 @@ class MultiModelPSGD:
     everything else (schedules via exact ``rates`` vectors, projections,
     per-model noise generators consumed once per update in update order)
     reproduces K independent vectorized PSGD runs on the same
-    permutation(s). ``tests/test_multimodel_equivalence.py`` pins fused ==
-    sequential at ``rtol=0, atol=1e-12`` across losses × schedules ×
+    permutation(s) — bit for bit: the stacked kernels run each model's
+    single-model products per row, and the row projector each row's own
+    norm. ``tests/test_multimodel_equivalence.py`` pins fused ==
+    sequential with ``np.array_equal`` across losses × schedules ×
     noisy/noiseless × heterogeneous per-model hyper-parameters.
 
     Unsupported (use per-model :class:`PSGD`, the reference oracle):
@@ -705,7 +707,8 @@ class MultiModelPSGD:
         return groups
 
     def _fused_step(self, W, Xp, Yp, y_shared, stacked, sl, t, etas, groups, noise_rngs):
-        """One mini-batch update of every active model (grouped GEMMs)."""
+        """One mini-batch update of every active model (one stacked
+        gradient call per fusion group)."""
         if stacked:
             Xb = Xp[:, sl]
             Yb = Yp[:, sl]

@@ -24,7 +24,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.optim.losses import Loss, fusion_groups
+from repro.optim.losses import Loss, MarginLoss, fusion_groups
 from repro.optim.projection import IdentityProjection, Projection, rows_projector
 from repro.optim.schedules import StepSizeSchedule
 from repro.utils.validation import check_positive_int
@@ -284,14 +284,14 @@ class MultiSGDUDA(UDA):
     ``(step_index, dimension) -> vector``). The batch size is shared — it
     defines the lockstep mini-batch boundaries of the scan.
 
-    Fusable losses collapse into grouped ``batch_gradient_multi`` GEMMs
-    and projections run through the compiled row projector, so per model
-    the result agrees with K separate :class:`SGDUDA` epochs over the
-    same shuffled stream to floating-point rounding of the batched
-    contractions (BLAS summation order; bounded at 1e-12 by the
-    multi-model equivalence suite). Where the weights must be *bitwise*
-    a solo run's — the training service's releases — ride one scan with
-    :class:`ElevatorMultiSGDUDA` instead.
+    Fusable losses fold through one ``batch_gradient_multi`` call per
+    group, whose row ``k`` is bitwise the single-model
+    ``batch_gradient`` for :class:`~repro.optim.losses.MarginLoss`
+    kernels, and projections run through the compiled row projector,
+    which is bitwise each row's own projection. So every model ends
+    bitwise equal to its own :class:`SGDUDA` epoch over the same shuffled
+    stream — which is what lets the training service fold riders that
+    board together as one of these (:class:`ElevatorMultiSGDUDA`).
     """
 
     def __init__(
@@ -328,10 +328,17 @@ class MultiSGDUDA(UDA):
         self.updates_applied = 0
         #: Total noise-sampler invocations across models.
         self.noise_draws = 0
-        # Execution plan: fusable gradient groups + compiled row projector
-        # + per-model cached rate vectors (grown on demand).
-        self._groups = fusion_groups(self.losses)
+        # Execution plan: fusable gradient groups as (representative,
+        # rows, lambdas) — rows is a full slice when one group holds every
+        # model, so its fold indexes views instead of fancy-index copies —
+        # plus the compiled row projector and the cached (K, T) rate matrix
+        # (grown on demand).
+        groups = fusion_groups(self.losses)
+        if len(groups) == 1:
+            groups = [(groups[0][0], slice(None), groups[0][2])]
+        self._groups = groups
         self._projector = rows_projector(self.projections)
+        self._noisy = any(sampler is not None for sampler in self.noise_samplers)
         self._rates_matrix: Optional[np.ndarray] = None
 
     @property
@@ -387,23 +394,28 @@ class MultiSGDUDA(UDA):
 
         Same segment discipline as :meth:`SGDUDA.transition_batch` — the
         models step at exactly the same tuple positions as the per-tuple
-        path — but each segment's K gradient sums collapse into the
-        grouped ``batch_gradient_multi`` contractions.
+        path — but each segment's K gradient sums come from one
+        ``batch_gradient_multi`` call per fusion group.
         """
-        n = int(features.shape[0])
+        # Runs once per cohort per chunk in a scan flight: lookups are
+        # hoisted, the arithmetic is SGDUDA's per-segment sequence per row.
+        batch_size = self.batch_size
+        groups = self._groups
+        n = features.shape[0]
         start = 0
         while start < n:
-            take = min(self.batch_size - state.examples_in_batch, n - start)
-            segment_X = features[start : start + take]
-            segment_y = labels[start : start + take]
-            for rep, idx, lams in self._groups:
+            stop = min(start + batch_size - state.examples_in_batch, n)
+            take = stop - start
+            segment_X = features[start:stop]
+            segment_y = labels[start:stop]
+            for rep, rows, lams in groups:
                 mean = rep.batch_gradient_multi(
-                    state.models[idx], segment_X, segment_y, regularization=lams
+                    state.models[rows], segment_X, segment_y, regularization=lams
                 )
-                state.accumulated_gradient[idx] += mean * take
+                state.accumulated_gradient[rows] += mean * take
             state.examples_in_batch += take
-            start += take
-            if state.examples_in_batch >= self.batch_size:
+            start = stop
+            if state.examples_in_batch >= batch_size:
                 self._apply_batch(state)
         return state
 
@@ -414,26 +426,30 @@ class MultiSGDUDA(UDA):
 
     # -- internals ------------------------------------------------------------
 
-    def _rates(self, t: int) -> np.ndarray:
-        """The (K,) step-size column for update ``t`` (cached, grown)."""
+    def _rates(self, count: int) -> np.ndarray:
+        """The cached ``(K, T)`` step sizes, grown to hold at least
+        ``count`` columns: column ``t - 1`` is every model's ``rate(t)``."""
         matrix = self._rates_matrix
-        if matrix is None or t > matrix.shape[1]:
-            total = max(t, 64 if matrix is None else 2 * matrix.shape[1])
-            self._rates_matrix = matrix = np.stack(
-                [schedule.rates(total) for schedule in self.schedules]
-            )
-        return matrix[:, t - 1]
+        total = max(count, 64 if matrix is None else 2 * matrix.shape[1])
+        self._rates_matrix = np.stack(
+            [schedule.rates(total) for schedule in self.schedules]
+        )
+        return self._rates_matrix
 
     def _apply_batch(self, state: MultiSGDState) -> None:
-        step = state.next_step_index
-        eta = self._rates(step)
+        # Update t = next_step_index steps every model at column t - 1.
+        index = state.global_step_offset + state.batches_completed
+        rates = self._rates_matrix
+        if rates is None or index >= rates.shape[1]:
+            rates = self._rates(index + 1)
         mean_gradient = state.accumulated_gradient / state.examples_in_batch
-        mean_gradient = self._adjust_gradient(state, mean_gradient)
-        models = state.models - eta[:, None] * mean_gradient
+        if self._noisy:
+            mean_gradient = self._adjust_gradient(state, mean_gradient)
+        models = state.models - rates[:, index, None] * mean_gradient
         if self._projector is not None:
             models = self._projector(models)
         state.models = models
-        state.accumulated_gradient[:] = 0.0
+        state.accumulated_gradient.fill(0.0)
         state.examples_in_batch = 0
         state.batches_completed += 1
         self.updates_applied += 1
@@ -445,7 +461,8 @@ class MultiSGDUDA(UDA):
 
         Each model's sampler fires once per completed mini-batch with the
         same ``(step_index, dimension)`` arguments its standalone
-        :class:`repro.rdbms.bismarck.NoisySGDUDA` would have seen.
+        :class:`repro.rdbms.bismarck.NoisySGDUDA` would have seen. Runs
+        only when some model carries a sampler.
         """
         for k, sampler in enumerate(self.noise_samplers):
             if sampler is not None:
@@ -457,45 +474,68 @@ class MultiSGDUDA(UDA):
 
 
 class ElevatorRider:
-    """One model riding a shared scan cursor from its boarding offset.
+    """One job aboard a shared scan cursor — the handle ``admit`` returns.
 
-    Wraps a private :class:`SGDUDA` (or noisy subclass) and replays the
-    front-end controller's epoch discipline *relative to the rider's own
-    boarding point*: the rider folds every canonical chunk the cursor
-    delivers, and after exactly ``num_tuples`` tuples — which, because
-    boarding happens on the chunk grid, lands precisely back at its
-    boarding chunk — it terminates the epoch (flushing a trailing
-    partial mini-batch) and re-initializes with the epoch's model and an
-    advanced ``global_step_offset``, the literal calls
-    ``BismarckSession.run_sgd`` makes through ``run_aggregate``. The
-    result is bitwise-by-construction: a rider that boarded at offset
-    ``p`` executes the *same sequence of floating-point operations* as a
-    solo ``run_sgd(..., start_offset=p)`` over the same rotated chunks,
-    and its noise/schedule streams consume exactly what that solo run
-    would.
+    The rider boards at ``boarding_offset`` (a canonical chunk boundary)
+    with its own :class:`SGDUDA` (or noisy subclass), rides ``passes``
+    full cursor loops and lands back at its boarding chunk. Its model is
+    folded by a ride (:class:`_Ride`): its own, over its own UDA, or its
+    cohort's, as one row of a :class:`MultiSGDUDA` stack. The ride sets
+    ``epochs_completed`` as epochs close and, once the rider is
+    ``done``, ``model`` — the released weights, bitwise those of a solo
+    ``run_sgd(..., start_offset=boarding_offset)`` either way.
+    """
+
+    def __init__(self, uda: SGDUDA, *, passes: int, boarding_offset: int):
+        self.uda = uda
+        self.passes = check_positive_int(passes, "passes")
+        self.boarding_offset = int(boarding_offset)
+        self.epochs_completed = 0
+        #: Set when the last epoch terminates; the released weights.
+        self.model: Optional[np.ndarray] = None
+
+    @property
+    def done(self) -> bool:
+        return self.epochs_completed >= self.passes
+
+
+class _Ride:
+    """One UDA riding the cursor for the riders that boarded it together.
+
+    The UDA is a lone rider's own :class:`SGDUDA` or a cohort's
+    :class:`MultiSGDUDA` (row ``k`` = ``riders[k]``). Both take the model
+    as ``initialize``'s first positional argument and return it from
+    ``terminate``, so the front-end controller's epoch discipline is
+    written once, *relative to the boarding point*: fold every canonical
+    chunk the cursor delivers, and after exactly ``num_tuples`` tuples —
+    which, because boarding happens on the chunk grid, lands precisely
+    back at the boarding chunk — terminate the epoch (flushing a trailing
+    partial mini-batch), advance the global step offset by ``ceil(m /
+    b)`` and re-initialize from the epoch's model: the literal calls
+    ``BismarckSession.run_sgd`` makes through ``run_aggregate``. A ride
+    that boarded at offset ``p`` therefore executes, per model, the same
+    floating-point operations as a solo ``run_sgd(..., start_offset=p)``
+    over the same rotated chunks, and its noise/schedule streams consume
+    exactly what that solo run would.
     """
 
     def __init__(
         self,
-        uda: SGDUDA,
+        uda: UDA,
+        riders: list[ElevatorRider],
         *,
         num_tuples: int,
         dimension: int,
-        passes: int,
-        boarding_offset: int,
     ):
         self.uda = uda
-        self.num_tuples = check_positive_int(num_tuples, "num_tuples")
-        self.passes = check_positive_int(passes, "passes")
-        self.boarding_offset = int(boarding_offset)
+        self.riders = riders
+        self.stacked = isinstance(uda, MultiSGDUDA)
+        self.num_tuples = num_tuples
+        self.passes = riders[0].passes
         self.epochs_completed = 0
         self.tuples_into_epoch = 0
         self.global_step_offset = 0
-        #: Set when the last epoch terminates; the released weights.
-        self.model: Optional[np.ndarray] = None
-        self.state = uda.initialize(
-            dimension=dimension, global_step_offset=0
-        )
+        self.state = uda.initialize(dimension=dimension, global_step_offset=0)
 
     @property
     def done(self) -> bool:
@@ -503,9 +543,7 @@ class ElevatorRider:
 
     def fold(self, features: np.ndarray, labels: np.ndarray) -> None:
         """Fold one canonical chunk; close the epoch if it completes it."""
-        if self.done:
-            raise RuntimeError("rider has already completed its ride")
-        take = int(labels.shape[0])
+        take = labels.shape[0]
         if self.tuples_into_epoch + take > self.num_tuples:
             raise RuntimeError(
                 "chunk spans the rider's epoch boundary — riders must "
@@ -513,34 +551,71 @@ class ElevatorRider:
             )
         self.state = self.uda.transition_batch(self.state, features, labels)
         self.tuples_into_epoch += take
-        if self.tuples_into_epoch == self.num_tuples:
-            model = self.uda.terminate(self.state)
-            self.epochs_completed += 1
-            self.tuples_into_epoch = 0
-            # ceil(m / b) updates per epoch, exactly run_sgd's advance.
-            self.global_step_offset += -(-self.num_tuples // self.uda.batch_size)
-            if self.done:
-                self.model = model
-            else:
-                self.state = self.uda.initialize(
-                    model=model, global_step_offset=self.global_step_offset
-                )
+        if self.tuples_into_epoch < self.num_tuples:
+            return
+        model = self.uda.terminate(self.state)
+        self.epochs_completed += 1
+        self.tuples_into_epoch = 0
+        # ceil(m / b) updates per epoch, exactly run_sgd's advance.
+        self.global_step_offset += -(-self.num_tuples // self.uda.batch_size)
+        for rider in self.riders:
+            rider.epochs_completed = self.epochs_completed
+        if not self.done:
+            self.state = self.uda.initialize(
+                model, global_step_offset=self.global_step_offset
+            )
+        elif self.stacked:
+            for rider, row in zip(self.riders, model):
+                rider.model = row.copy()
+        else:
+            self.riders[0].model = model
+
+
+def _cohort_key(rider: ElevatorRider) -> Optional[tuple]:
+    """What riders boarding together must share to fold as one
+    :class:`MultiSGDUDA`, or ``None`` for a rider that rides alone.
+
+    A cohort folds through ``MarginLoss.batch_gradient_multi``, whose row
+    ``k`` is bitwise ``MarginLoss.batch_gradient`` — so only a plain
+    :class:`SGDUDA` over a :class:`MarginLoss` that overrides neither
+    kernel, with a fusion key, may stack. A noisy UDA (its per-step hook
+    stays its own) or a custom loss rides alone.
+    """
+    uda = rider.uda
+    loss = uda.loss
+    if type(uda) is not SGDUDA or not isinstance(loss, MarginLoss):
+        return None
+    kind = type(loss)
+    if (
+        kind.batch_gradient is not MarginLoss.batch_gradient
+        or kind.batch_gradient_multi is not MarginLoss.batch_gradient_multi
+    ):
+        return None
+    fusion_key = loss.fusion_key()
+    if fusion_key is None:
+        return None
+    return (uda.batch_size, rider.passes, fusion_key)
 
 
 class ElevatorMultiSGDUDA:
-    """K independent SGD rides over ONE continuous cursor loop.
+    """Independent SGD rides over ONE continuous cursor loop.
 
     The shared-cursor ("elevator") counterpart of :class:`MultiSGDUDA`.
     The fused aggregate scans in *lockstep*: one shared batch size, one
-    shared epoch phase. The elevator drops the lockstep: each rider
-    carries its own :class:`SGDUDA` state with its own batch phase,
-    boarding offset, and epoch counter, so **any** jobs on the table —
-    whatever their batch sizes and pass counts — share one cursor, and
-    a late job can board it mid-flight. The price is that per-rider
-    gradients stay single-model calls instead of grouped GEMMs; the
-    payoff is that every rider is bitwise its solo :class:`SGDUDA` run,
-    which is why the training service's scheduler runs every claimed
-    window this way.
+    shared epoch phase. The elevator drops the lockstep between rides:
+    each ride carries its own batch phase, boarding offset and epoch
+    counter, so **any** jobs on the table — whatever their batch sizes
+    and pass counts — share one cursor, and a late job can board it
+    mid-flight.
+
+    Within a ride the lockstep comes back where it is free. Riders
+    admitted between the same two folds that share a batch size, a pass
+    count and a loss fusion key (see :func:`_cohort_key`) fold as ONE
+    cohort, stepped by one :class:`MultiSGDUDA`; every other rider —
+    one with no partner, a noisy UDA, a custom loss — rides its own
+    :class:`SGDUDA`. Either way every rider is bitwise its solo
+    :class:`SGDUDA` run, which is why the training service's scheduler
+    runs every claimed window this way.
 
     Drive it with a :class:`~repro.rdbms.executor.ScanCursor`: admit
     riders between chunks, fold each delivered chunk, collect completed
@@ -551,9 +626,14 @@ class ElevatorMultiSGDUDA:
     def __init__(self, *, num_tuples: int, dimension: int):
         self.num_tuples = check_positive_int(num_tuples, "num_tuples")
         self.dimension = check_positive_int(dimension, "dimension")
+        #: Riders aboard, in admission order.
         self.riders: list[ElevatorRider] = []
         #: Riders admitted over the aggregate's lifetime.
         self.riders_admitted = 0
+        #: Riders that folded in a cohort of two or more.
+        self.riders_stacked = 0
+        self._rides: list[_Ride] = []
+        self._boarding: list[ElevatorRider] = []
 
     @property
     def active(self) -> bool:
@@ -562,28 +642,52 @@ class ElevatorMultiSGDUDA:
     def admit(
         self, uda: SGDUDA, *, passes: int, boarding_offset: int
     ) -> ElevatorRider:
-        """Board a new model at the cursor's current grid position."""
-        rider = ElevatorRider(
-            uda,
-            num_tuples=self.num_tuples,
-            dimension=self.dimension,
-            passes=passes,
-            boarding_offset=boarding_offset,
-        )
+        """Board a new model at the cursor's current grid position; it is
+        seated — alone or in a cohort — when the next chunk folds."""
+        rider = ElevatorRider(uda, passes=passes, boarding_offset=boarding_offset)
         self.riders.append(rider)
+        self._boarding.append(rider)
         self.riders_admitted += 1
         return rider
 
     def fold_chunk(
         self, features: np.ndarray, labels: np.ndarray
     ) -> list[ElevatorRider]:
-        """Fold one canonical chunk into every rider aboard; return the
-        riders that completed their last epoch on this chunk."""
-        completed: list[ElevatorRider] = []
-        for rider in self.riders:
-            rider.fold(features, labels)
-            if rider.done:
-                completed.append(rider)
-        if completed:
-            self.riders = [rider for rider in self.riders if not rider.done]
+        """Fold one canonical chunk into every ride; return the riders
+        that completed their last epoch on this chunk (admission order)."""
+        if self._boarding:
+            self._seat(self._boarding)
+            self._boarding = []
+        landed = False
+        for ride in self._rides:
+            ride.fold(features, labels)
+            landed = landed or ride.done
+        if not landed:
+            return []
+        completed = [rider for rider in self.riders if rider.done]
+        self.riders = [rider for rider in self.riders if not rider.done]
+        self._rides = [ride for ride in self._rides if not ride.done]
         return completed
+
+    def _seat(self, boarders: list[ElevatorRider]) -> None:
+        """Seat riders that boarded at the same position: cohorts of two
+        or more share one :class:`MultiSGDUDA`, the rest ride alone."""
+        seats: dict = {}
+        for rider in boarders:
+            key = _cohort_key(rider)
+            seats.setdefault(rider if key is None else key, []).append(rider)
+        for members in seats.values():
+            if len(members) == 1:
+                uda: UDA = members[0].uda
+            else:
+                udas = [member.uda for member in members]
+                uda = MultiSGDUDA(
+                    [u.loss for u in udas],
+                    [u.schedule for u in udas],
+                    udas[0].batch_size,
+                    [u.projection for u in udas],
+                )
+                self.riders_stacked += len(members)
+            self._rides.append(
+                _Ride(uda, members, num_tuples=self.num_tuples, dimension=self.dimension)
+            )

@@ -9,11 +9,15 @@ claimed batching window (single-table by construction) runs as ONE
 with each job aboard as an :class:`~repro.rdbms.uda.ElevatorRider`.
 Riders keep their own batch phase and epoch counters, so jobs with
 different batch sizes or pass counts still share the one stream, and a
-32-job window costs one job's page requests instead of 32. A rider that
-boards at offset 0 executes exactly the floating-point operations of a
-solo ``run_sgd`` over the same permutation, and each job's noise comes
-from its own seed-spawned stream — so a job's weights are bitwise the
-same whichever jobs it flew with.
+32-job window costs one job's page requests instead of 32. Riders that
+board together with the same batch size, pass count and loss family
+also share the arithmetic: they fold as one cohort, one stacked
+multi-model step per segment (see
+:class:`~repro.rdbms.uda.ElevatorMultiSGDUDA`). A rider that boards at
+offset 0 executes exactly the floating-point operations of a solo
+``run_sgd`` over the same permutation, alone or in a cohort, and each
+job's noise comes from its own seed-spawned stream — so a job's weights
+are bitwise the same whichever jobs it flew with.
 
 Admission control is budget-first: a job's (ε, δ) is **reserved** in the
 ledger at submission, *before* it can ever reach a scan. Denied jobs are
@@ -291,6 +295,12 @@ class SharedScanScheduler:
         self._boardings_total = self.metrics.counter(
             "repro_elevator_boardings_total",
             "Riders admitted onto scan flights, by table.",
+            ("table",),
+        )
+        self._stacked_riders_total = self.metrics.counter(
+            "repro_elevator_stacked_riders_total",
+            "Riders that folded in a cohort of two or more (one stacked "
+            "multi-model step per chunk), by table.",
             ("table",),
         )
         self._flight_riders = self.metrics.histogram(
@@ -803,6 +813,9 @@ class SharedScanScheduler:
             self._scan_pages_total.inc(pages, table=table_name)
             self._flight_riders.observe(
                 flight.rides.riders_admitted, table=table_name
+            )
+            self._stacked_riders_total.inc(
+                flight.rides.riders_stacked, table=table_name
             )
             self.dispatch_log.append(((table_name,), flight.job_ids, pages))
 

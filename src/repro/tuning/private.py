@@ -173,7 +173,7 @@ def privately_tuned_sgd(
     ``(K, m_i, d)`` tensors (one fused run per distinct partition size —
     ``array_split`` produces at most two) and every candidate keeps its
     own permutation and noise streams, so the fused result matches the
-    sequential path to the engines' 1e-12 equivalence bound. Opaque
+    sequential path bit for bit (the engines' equivalence contract). Opaque
     trainers keep the sequential reference path.
     """
     X, y = check_matrix_labels(X, y)

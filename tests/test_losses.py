@@ -398,3 +398,56 @@ class TestLossHierarchy:
         assert loss.batch_value(w, X, y) == pytest.approx(
             Loss.batch_value(loss, w, X, y), abs=1e-12
         )
+
+
+class TestMultiModelRowsAreSingleModelCalls:
+    """``MarginLoss``'s multi-model kernels are exact per row: row ``k``
+    of ``batch_gradient_multi`` / ``batch_value_multi`` is bitwise the
+    single-model call of model ``k`` at its own lambda. This is what lets
+    a fused scan release the same floats as K separate runs."""
+
+    @given(
+        loss=st.sampled_from(
+            [
+                LogisticLoss(),
+                HuberSVMLoss(smoothing=0.1),
+                LeastSquaresLoss(margin_bound=2.0),
+                HingeLoss(),
+            ]
+        ),
+        shared=st.booleans(),
+        K=st.integers(1, 40),
+        n=st.integers(1, 300),
+        d=st.integers(1, 80),  # odd d puts rows at 8-byte offsets
+        lead=st.integers(0, 5),
+        scale=st.sampled_from([1e-3, 1.0, 30.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_k_is_bitwise_the_single_model_call(
+        self, loss, shared, K, n, d, lead, scale, seed
+    ):
+        rng = np.random.default_rng(seed)
+        # X is a row slice of a larger block, as a chunk's segment is.
+        rows = lead + n + 3
+        if shared:
+            X = rng.standard_normal((rows, d))[lead : lead + n]
+            y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        else:
+            X = rng.standard_normal((K, rows, d))[:, lead : lead + n]
+            y = np.where(rng.random((K, n)) < 0.5, -1.0, 1.0)
+        W = rng.standard_normal((K, d)) * scale
+        lams = rng.choice([0.0, 1e-4, 1e-2, 0.5], size=K)
+
+        gradients = loss.batch_gradient_multi(W, X, y, regularization=lams)
+        values = loss.batch_value_multi(W, X, y, regularization=lams)
+        assert gradients.shape == (K, d) and values.shape == (K,)
+        for k in range(K):
+            solo = loss.with_regularization(float(lams[k]))
+            X_k, y_k = (X, y) if shared else (X[k], y[k])
+            assert np.array_equal(
+                gradients[k], solo.batch_gradient(W[k], X_k, y_k)
+            ), f"gradient row {k} differs"
+            assert np.array_equal(
+                values[k], solo.batch_value(W[k], X_k, y_k)
+            ), f"value row {k} differs"

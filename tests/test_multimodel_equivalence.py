@@ -6,9 +6,16 @@ private_psgd_fleet`) are only admissible because each model's trajectory
 is *the same algorithm* as its standalone run: same permutation, same
 mini-batch boundaries, same per-model step sizes / regularization /
 projection, same per-model noise stream. This suite is the lock on that
-contract, in the same spirit as ``test_vectorized_equivalence.py``:
-every comparison runs at ``rtol=0, atol=1e-12`` — the only admissible
-difference is floating-point rounding of the batched contractions.
+contract, in the same spirit as ``test_vectorized_equivalence.py``,
+but tighter: every comparison is bitwise (``np.array_equal``). No
+rounding slack is left to admit. ``MarginLoss``'s multi-model kernels
+stack the single-model matrix-vector products into one ``np.matmul``,
+which runs that same product once per row; the compiled row projector
+takes each row's norm as that row's own dot product; and schedules,
+noise streams and averaging were already per model. (The vectorized
+suite keeps its 1e-12: a per-example gradient loop and one batched
+contraction genuinely sum in different orders. Nothing here compares
+those two paths.)
 
 It also pins the resource side of the bargain: a fused scan charges ONE
 scan's worth of page requests where K sequential runs charge K.
@@ -46,8 +53,6 @@ from repro.rdbms.executor import ShuffleOnce, run_aggregate, run_aggregates
 from repro.rdbms.storage import BufferPool
 from repro.rdbms.uda import MultiSGDUDA, SGDUDA
 from tests.conftest import make_binary_data
-
-ATOL = 1e-12
 
 #: Every loss family (regularized and not) — as in the vectorized suite.
 LOSSES = [
@@ -96,12 +101,8 @@ def sequential_reference(specs, X, y, perm, passes, batch_size, noise_seeds=None
 
 def assert_fused_equals_sequential(fused, references):
     for k, reference in enumerate(references):
-        np.testing.assert_allclose(
-            fused.models[k], reference.model, rtol=0, atol=ATOL
-        )
-        np.testing.assert_allclose(
-            fused.final_iterates[k], reference.final_iterate, rtol=0, atol=ATOL
-        )
+        np.testing.assert_array_equal(fused.models[k], reference.model)
+        np.testing.assert_array_equal(fused.final_iterates[k], reference.final_iterate)
         assert int(fused.updates_per_model[k]) == reference.updates
 
 
@@ -212,8 +213,7 @@ class TestHeterogeneousModels:
 
     def test_stacked_per_model_datasets(self):
         """Partition-style fusion: each model has its own data and its own
-        permutation, and must match its standalone run bit-for-bit in
-        randomness (1e-12 in floats)."""
+        permutation, and must match its standalone run bit for bit."""
         Xs = np.stack([make_binary_data(48, 5, seed=s)[0] for s in (1, 2, 3)])
         Ys = np.stack([make_binary_data(48, 5, seed=s)[1] for s in (1, 2, 3)])
         perms = np.stack(
@@ -234,9 +234,7 @@ class TestHeterogeneousModels:
             reference = PSGD(spec.loss, config).run(
                 Xs[k], Ys[k], permutation=perms[k]
             )
-            np.testing.assert_allclose(
-                fused.models[k], reference.model, rtol=0, atol=ATOL
-            )
+            np.testing.assert_array_equal(fused.models[k], reference.model)
 
 
 class TestNoisyModels:
@@ -296,13 +294,10 @@ class TestBoltOnFleet:
             reference = train_bolt_on(
                 Xs[k], Ys[k], candidate, 2.0, random_state=seeds[k]
             )
-            np.testing.assert_allclose(
-                fleet[k].model, reference.model, rtol=0, atol=ATOL
-            )
-            np.testing.assert_allclose(
+            np.testing.assert_array_equal(fleet[k].model, reference.model)
+            np.testing.assert_array_equal(
                 fleet[k].unreleased_noiseless_model,
                 reference.unreleased_noiseless_model,
-                rtol=0, atol=ATOL,
             )
             assert fleet[k].sensitivity.value == reference.sensitivity.value
 
@@ -323,9 +318,7 @@ class TestBoltOnFleet:
             reference = train_bolt_on(
                 X, y, candidate, 1.0, random_state=seeds[k], permutation=perm
             )
-            np.testing.assert_allclose(
-                fleet[k].model, reference.model, rtol=0, atol=ATOL
-            )
+            np.testing.assert_array_equal(fleet[k].model, reference.model)
 
     def test_private_tuning_fused_equals_sequential(self):
         from repro.tuning.grid import ParameterGrid
@@ -342,10 +335,9 @@ class TestBoltOnFleet:
             X, y, factory, grid, epsilon=2.0, random_state=9, fused=False
         )
         assert fused.chosen_index == sequential.chosen_index
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             np.asarray(fused.model_result.model),
             np.asarray(sequential.model_result.model),
-            rtol=0, atol=ATOL,
         )
         assert fused.unreleased_error_counts == sequential.unreleased_error_counts
 
@@ -392,7 +384,7 @@ class TestFusedRDBMS:
                          projection=projections[k])
             model = run_aggregate(shuffle_k, uda, chunk_size=chunk_size, dimension=6)
             sequential_pages += shuffle_k.stats.pages_requested
-            np.testing.assert_allclose(fused_models[k], model, rtol=0, atol=ATOL)
+            np.testing.assert_array_equal(fused_models[k], model)
 
         # The scan-sharing claim, exactly: fused charges ONE scan's pages,
         # the sequential runs charge K of them.
@@ -431,7 +423,7 @@ class TestFusedRDBMS:
                 loss, ConstantSchedule(0.1), make_sampler(seed), batch_size=10
             )
             model = run_aggregate(shuffle_k, uda, chunk_size=32, dimension=5)
-            np.testing.assert_allclose(fused_models[k], model, rtol=0, atol=ATOL)
+            np.testing.assert_array_equal(fused_models[k], model)
 
     def test_run_aggregates_shares_one_scan(self):
         info = self.make_table()
@@ -450,7 +442,7 @@ class TestFusedRDBMS:
             shuffle_k = ShuffleOnce(info_k, BufferPool(100), random_state=5)
             solo = SGDUDA(uda.loss, uda.schedule, batch_size=10)
             reference = run_aggregate(shuffle_k, solo, chunk_size=32, dimension=6)
-            np.testing.assert_allclose(models[k], reference, rtol=0, atol=ATOL)
+            np.testing.assert_array_equal(models[k], reference)
 
     def test_session_multi_report_charges_scan_once(self):
         from repro.rdbms.bismarck import BismarckSession
@@ -488,7 +480,7 @@ class TestFusedRDBMS:
             3 * solo.total_runtime.gradient_seconds
         )
         # And the fused models equal the solo run model for the first spec.
-        np.testing.assert_allclose(fused.models[0], solo.model, rtol=0, atol=ATOL)
+        np.testing.assert_array_equal(fused.models[0], solo.model)
 
 
 class TestPageGroupedGather:

@@ -551,6 +551,23 @@ class TestTelemetryConsistency:
         riders = metric_samples(dump, "repro_elevator_riders")
         assert riders and riders[0]["count"] >= 1
 
+    def test_stacked_riders_counter_counts_cohort_members(self):
+        # One window, one flight: three same-shape jobs stack as one
+        # cohort; the odd batch size and the odd pass count ride alone.
+        service = make_service()
+        for seed, kwargs in (
+            (780, {}), (781, {}), (782, {}),
+            (783, {"batch_size": 7}), (784, {"passes": 2}),
+        ):
+            submit_one(service, seed=seed, **kwargs)
+        service.drain()
+        dump = service.metrics(format="json")
+        assert metric_value(dump, "repro_registry_jobs", status="completed") == 5
+        assert metric_value(dump, "repro_elevator_boardings_total", table="t") == 5
+        assert metric_value(
+            dump, "repro_elevator_stacked_riders_total", table="t"
+        ) == 3
+
 
 # -- satellites ------------------------------------------------------------------
 

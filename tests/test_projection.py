@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.optim.projection import BoxProjection, IdentityProjection, L2BallProjection
+from repro.optim.projection import (
+    BoxProjection,
+    IdentityProjection,
+    L2BallProjection,
+    rows_projector,
+)
 
 vec = st.lists(st.floats(-20.0, 20.0), min_size=3, max_size=3).map(np.asarray)
 
@@ -92,6 +97,62 @@ class TestL2BallProjection:
         got = L2BallProjection(radius)(w)
         assert got.dtype == np.float64 and got.shape == w.shape
         np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+class TestRowsProjector:
+    """The compiled ``(K, d)`` projector of the fused engines: each row
+    must come out exactly as that row's own projection would leave it."""
+
+    @staticmethod
+    def project_both(W, projections):
+        expected = np.stack([p(row.copy()) for p, row in zip(projections, W)])
+        projector = rows_projector(projections)
+        got = W.copy() if projector is None else projector(W.copy())
+        return got, expected
+
+    @given(
+        data=st.data(),
+        rows=st.integers(1, 12),
+        size=st.integers(1, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_is_its_own_projection_bitwise(self, data, rows, size):
+        # Row norms from 1e-150 to 1e150, rows holding inf or NaN, radii
+        # on both sides of the norm, and identity rows mixed in.
+        W = np.empty((rows, size))
+        projections = []
+        for k in range(rows):
+            magnitude = data.draw(st.floats(-150.0, 150.0))
+            W[k] = np.asarray(
+                data.draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+            ) * 10.0 ** magnitude
+            special = data.draw(st.sampled_from([None, None, np.inf, -np.inf, np.nan]))
+            if special is not None:
+                W[k, data.draw(st.integers(0, size - 1))] = special
+            if data.draw(st.booleans()):
+                ratio = data.draw(st.floats(0.01, 100.0))
+                projections.append(
+                    L2BallProjection(max(10.0 ** magnitude * ratio, 1e-300))
+                )
+            else:
+                projections.append(IdentityProjection())
+        with np.errstate(invalid="ignore"):
+            got, expected = self.project_both(W, projections)
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_nan_row_in_a_ball_goes_nan_as_alone(self):
+        # A NaN norm fails ``norm <= R``, so L2BallProjection rescales the
+        # row by R / NaN; the fused path must not leave it unchanged.
+        W = np.array([[np.nan, 1.0], [3.0, 4.0], [np.nan, 2.0]])
+        projections = [L2BallProjection(1.0), L2BallProjection(1.0), IdentityProjection()]
+        with np.errstate(invalid="ignore"):
+            got, expected = self.project_both(W, projections)
+        assert np.isnan(got[0]).all()
+        np.testing.assert_array_equal(got[2], W[2])  # identity stays identity
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_all_identity_compiles_to_nothing(self):
+        assert rows_projector([IdentityProjection()] * 3) is None
 
 
 class TestBoxProjection:

@@ -8,6 +8,9 @@ what they compute from there. Around that contract this suite pins:
 
 * the component property, under hypothesis, over
   (boarding offset x passes x losses x batch sizes x noisy/noiseless);
+* cohorts: riders boarding together with one batch size, pass count and
+  loss family fold as one stacked ``MultiSGDUDA`` — each still bitwise
+  its solo run — while everything else rides alone;
 * page accounting: one cursor stream feeds every rider, so a flight's
   pages are loops-of-the-cursor, not sum-of-riders, while each rider's
   own ``group_pages`` is exactly its solo cost;
@@ -33,7 +36,7 @@ from repro.core.accountant import would_overflow
 from repro.core.bolton import BoltOnCandidate
 from repro.core.mechanisms import mechanism_for
 from repro.core.sensitivity import sensitivity_for_schedule
-from repro.optim.losses import LogisticLoss
+from repro.optim.losses import HuberSVMLoss, LeastSquaresLoss, LogisticLoss
 from repro.rdbms.bismarck import BismarckSession, NoisySGDUDA
 from repro.rdbms.uda import SGDUDA, ElevatorMultiSGDUDA
 from repro.service import JobStatus, TrainingService
@@ -153,6 +156,106 @@ class TestBoardingEquivalence:
         assert pool_stats.page_reads == streamed
         assert pool_stats.page_reads < 2 * M + 1 * M  # < sum of solo rides
         assert cursor.loops == 2
+
+
+#: Loss families a cohort may stack (one fusion key per family).
+FAMILIES = {
+    "logistic": LogisticLoss,
+    "huber": lambda lam: HuberSVMLoss(smoothing=0.1, regularization=lam),
+    "least-squares": LeastSquaresLoss,
+}
+
+#: A boarding template: (family, batch size, passes) plus the lambdas of
+#: the riders that share it. lambda = 0 resolves to an identity projection
+#: and lambda > 0 to an L2 ball, so one cohort mixes both.
+TEMPLATES = st.tuples(
+    st.sampled_from(sorted(FAMILIES)),
+    st.sampled_from([7, 8, 16, 25]),  # 8 and 16 divide CHUNK; 7 and 25 do not
+    st.integers(1, 3),
+    st.lists(st.sampled_from([0.0, 1e-3, 1e-2]), min_size=1, max_size=3),
+)
+
+
+class TestCohorts:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        groups=st.dictionaries(
+            st.integers(0, 2 * NUM_CHUNKS - 1),  # boarding chunk index
+            st.lists(TEMPLATES, min_size=1, max_size=2),
+            min_size=1,
+            max_size=3,
+        ),
+        noisy_at=st.integers(0, 2),
+    )
+    def test_mixed_flight_stacks_same_phase_riders_bitwise(self, groups, noisy_at):
+        """Groups board a live flight at several cursor positions. Every
+        rider lands bitwise on its solo ``run_sgd(start_offset=...)``;
+        riders that boarded together with one (family, batch size,
+        passes) fold as one cohort, everyone else — a lone rider, the
+        one noisy UDA — rides alone."""
+        session = BismarckSession()
+        cursor = fresh_scan(session).cursor(CHUNK)
+        elevator = ElevatorMultiSGDUDA(num_tuples=M, dimension=D)
+        board_chunks = sorted(groups)
+        noisy_chunk = board_chunks[noisy_at % len(board_chunks)]
+        riders = []  # (rider, spec, expected seat)
+        seat_of = {}
+        # The last boarders land within 3 loops (passes <= 3).
+        for chunk in range(board_chunks[-1] + 3 * NUM_CHUNKS + 1):
+            if chunk in groups:
+                boarded = []
+                for family, batch_size, passes, lambdas in groups[chunk]:
+                    seat = (chunk, family, batch_size, passes)
+                    for lam in lambdas:
+                        spec = (FAMILIES[family](lam), passes, batch_size, False)
+                        boarded.append((spec, seat))
+                if chunk == noisy_chunk:
+                    # Same template as a stackable rider, but noisy: alone.
+                    family, batch_size, passes, _ = groups[chunk][0]
+                    spec = (FAMILIES[family](1e-3), passes, batch_size, True)
+                    boarded.append((spec, None))
+                for spec, seat in boarded:
+                    rider = elevator.admit(
+                        make_uda(*spec), passes=spec[1],
+                        boarding_offset=cursor.position,
+                    )
+                    riders.append((rider, spec, seat))
+            features, labels = cursor.next_chunk()
+            if elevator.active:
+                elevator.fold_chunk(features, labels)
+                for ride in elevator._rides:
+                    for rider in ride.riders:
+                        seat_of.setdefault(rider, frozenset(ride.riders))
+        assert not elevator.active
+
+        # The grouping: one ride per (boarding chunk, family, batch size,
+        # passes) seat holding two or more riders; the rest ride alone.
+        expected = {}
+        for rider, _, seat in riders:
+            expected.setdefault(rider if seat is None else seat, []).append(rider)
+        want = set()
+        for members in expected.values():
+            if len(members) >= 2:
+                want.add(frozenset(members))
+            else:
+                want.update(frozenset([member]) for member in members)
+        assert set(seat_of.values()) == want
+        assert elevator.riders_stacked == sum(
+            len(members) for members in want if len(members) >= 2
+        )
+
+        for rider, (loss, passes, batch_size, noisy), _ in riders:
+            assert rider.done and rider.epochs_completed == passes
+            solo = BismarckSession()
+            report = solo.run_sgd(
+                "t",
+                make_uda(loss, passes, batch_size, noisy),
+                epochs=passes,
+                chunk_size=CHUNK,
+                shuffle=fresh_scan(solo),
+                start_offset=rider.boarding_offset,
+            )
+            assert np.array_equal(report.model, rider.model)  # atol=0
 
 
 def make_elevator_service(workers: int = 1, cap: float = 10.0, **kwargs):

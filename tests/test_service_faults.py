@@ -18,6 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.obs.summary import metric_value
 from repro.optim.losses import LogisticLoss
 from repro.rdbms.storage import FaultyHeapFile, MaterializedHeapFile
 from repro.service import JobStatus, TrainingService
@@ -168,6 +169,48 @@ def board_behind_opener(service, arm=lambda: None):
     return opener, rider
 
 
+class _ArmingGate(_GatedLoss):
+    """A gated loss that also runs ``arm()`` on its ``arm_on``-th
+    gradient call."""
+
+    def __init__(self, regularization, arm, arm_on):
+        super().__init__(regularization)
+        self.arm, self.arm_on, self.calls = arm, arm_on, 0
+
+    def batch_gradient(self, w, X_batch, y_batch):
+        self.calls += 1
+        if self.calls == self.arm_on:
+            self.arm()
+        return super().batch_gradient(w, X_batch, y_batch)
+
+
+def board_cohort_behind_opener(service, arm=lambda: None):
+    """Three same-shape jobs (one batch size, one pass count, logistic
+    at three lambdas) board behind a gated opener at one chunk boundary
+    — a stacked cohort. The opener steps once per 64-row chunk, so its
+    second gradient call folds chunk 1, the cohort's first: ``arm()``
+    runs there, and a fault it arms strikes the next gather, with the
+    cohort mid-ride. Returns (opener, cohort) once all are terminal."""
+    gate = _ArmingGate(1e-3, arm, arm_on=2)
+    opener = service.submit("alice", "f", gate, epsilon=EPS, passes=2,
+                            batch_size=64, seed=400)
+    assert gate.started.wait(timeout=10.0), "flight never took off"
+    cohort = [
+        service.submit("bob", "f", LogisticLoss(lam), epsilon=EPS,
+                       passes=1, batch_size=10, seed=410 + index)
+        for index, lam in enumerate((1e-3, 1e-2, 0.0))
+    ]
+    gate.release.set()
+    for record in [opener] + cohort:
+        assert record.wait(timeout=30.0)
+    return opener, cohort
+
+
+def stacked_riders(service) -> float:
+    dump = service.metrics(format="json")
+    return metric_value(dump, "repro_elevator_stacked_riders_total", table="f")
+
+
 class TestFlightFaults:
     def test_transient_fault_mid_flight_retries_to_the_same_bits(self):
         """Two faulted reads of one chunk with a boarded rider aboard:
@@ -231,6 +274,64 @@ class TestFlightFaults:
             # Same worker, same table: the next job flies clean.
             survivor = service.submit("bob", "f", LogisticLoss(1e-3),
                                       epsilon=EPS, passes=1, seed=402)
+            assert survivor.wait(timeout=30.0)
+            assert survivor.status is JobStatus.COMPLETED, survivor.error
+        finally:
+            service.stop()
+        assert list(service.loop.dispatch_errors) == []
+
+
+    def test_transient_fault_under_a_cohort_retries_to_the_same_bits(self):
+        """A chunk faults twice while a stacked cohort is mid-ride: the
+        re-read delivers the identical block, so every member (and the
+        opener riding alone) releases the clean flight's bits."""
+        clean = flight_service(MaterializedHeapFile(X, Y))
+        try:
+            clean_opener, clean_cohort = board_cohort_behind_opener(clean)
+        finally:
+            clean.stop()
+        assert stacked_riders(clean) == 3
+
+        heap = all_pages_faulty()
+        service = flight_service(heap)
+        try:
+            opener, cohort = board_cohort_behind_opener(
+                service, arm=lambda: setattr(heap, "fail_times", 2)
+            )
+        finally:
+            service.stop()
+
+        assert stacked_riders(service) == 3
+        assert service.scheduler.scan_retries_used == 2
+        assert np.array_equal(opener.model, clean_opener.model)
+        for record, clean_record in zip(cohort, clean_cohort):
+            assert record.status is JobStatus.COMPLETED, record.error
+            assert record.boarding_offset == clean_record.boarding_offset > 0
+            assert np.array_equal(record.model, clean_record.model)
+            assert record.trace.span("scan").attrs["retries"] == 2
+        for statement in service.budgets():
+            assert statement.reserved == (0.0, 0.0)
+
+    def test_permanent_fault_under_a_cohort_refunds_every_member(self):
+        heap = all_pages_faulty(transient=False)
+        service = flight_service(heap)
+        try:
+            before = {s.principal: (s.spent, s.reserved)
+                      for s in service.budgets()}
+            opener, cohort = board_cohort_behind_opener(
+                service, arm=lambda: setattr(heap, "fail_times", 1)
+            )
+            for record in [opener] + cohort:
+                assert record.status is JobStatus.FAILED
+                assert "injected fault" in record.error
+                assert record.receipt is None
+            assert stacked_riders(service) == 3  # it folded as a cohort
+            after = {s.principal: (s.spent, s.reserved)
+                     for s in service.budgets()}
+            assert after == before
+
+            survivor = service.submit("bob", "f", LogisticLoss(1e-3),
+                                      epsilon=EPS, passes=1, seed=420)
             assert survivor.wait(timeout=30.0)
             assert survivor.status is JobStatus.COMPLETED, survivor.error
         finally:

@@ -9,11 +9,15 @@ calling thread (``scheduler.run_pending``) at three shapes — the
 repository benchmark's ``grid_memory`` table (fits the pool), its
 ``disk_scan`` table (a SQLite heap four times the pool), and a small
 thrashing table whose batch size divides neither the chunk nor the
-table — and prints one line per shape: the pool counters and a SHA-256
-over every released weight vector, every job's ``group_pages`` and
-those counters. Run it from two checkouts on the same host: equal
-digests mean a change moved no released bit, no page count and no pool
-counter. Digests are comparable only on one host, because BLAS
+table — plus a ``mixed_flight``: one elevator flight whose openers mix
+losses, lambdas, batch sizes, passes and radii (so some fold as stacked
+cohorts and some alone), boarded mid-flight by two more mixed groups at
+two cursor positions. It prints one line per shape: the pool counters
+and a SHA-256 over every released weight vector, every job's
+``group_pages`` (and, for the flight, boarding offset and epochs
+ridden) and those counters. Run it from two checkouts on the same host:
+equal digests mean a change moved no released bit, no page count and
+no pool counter. Digests are comparable only on one host, because BLAS
 summation differs across CPUs.
 """
 
@@ -27,7 +31,7 @@ import tempfile
 import numpy as np
 
 from repro.data.preprocessing import normalize_rows
-from repro.optim.losses import HuberSVMLoss, LogisticLoss
+from repro.optim.losses import HuberSVMLoss, LeastSquaresLoss, LogisticLoss
 from repro.service import JobStatus, TrainingService
 
 #: name -> (m, d, jobs, passes, batch, pool pages or None for in-memory).
@@ -79,11 +83,16 @@ def digest(name: str, workdir: pathlib.Path) -> str:
                 raise RuntimeError(f"{record.job_id} ended {record.status.name}")
             sha.update(np.ascontiguousarray(record.model).tobytes())
             sha.update(str(record.group_pages).encode())
-    stats = service.session.pool.stats_for(info.heap)
-    counters = (stats.page_reads, stats.cache_hits, stats.cache_misses, stats.evictions)
-    sha.update(repr(counters).encode())
+    line = summary_line(name, sha, service.session.pool.stats_for(info.heap))
     if pool_pages is not None:
         info.heap.close()
+    return line
+
+
+def summary_line(name: str, sha, stats) -> str:
+    """Fold the pool counters into ``sha`` and format the shape's line."""
+    counters = (stats.page_reads, stats.cache_hits, stats.cache_misses, stats.evictions)
+    sha.update(repr(counters).encode())
     reads, hits, misses, evictions = counters
     return (
         f"{name:<17} reads={reads} hits={hits} misses={misses} "
@@ -91,10 +100,100 @@ def digest(name: str, workdir: pathlib.Path) -> str:
     )
 
 
+#: The mixed flight's table and canonical chunk (6 chunks, the last ragged).
+FLIGHT_ROWS, FLIGHT_DIM, FLIGHT_CHUNK = 1500, 24, 256
+
+
+def mixed_group(rng: np.random.Generator, size: int) -> list:
+    """``size`` jobs as ``(loss, passes, batch_size, radius)``, drawn from a
+    small grid so same-shape jobs (cohorts) and odd ones both occur."""
+    group = []
+    for _ in range(size):
+        family = int(rng.integers(3))
+        lam = float(rng.choice([0.0, 1e-4, 1e-3, 1e-2]))
+        radius = rng.choice([None, 0.5, 5.0])
+        if family == 0:
+            loss = LogisticLoss(lam)
+        elif family == 1:
+            loss = HuberSVMLoss(0.1, lam)
+        else:
+            loss = LeastSquaresLoss(lam)
+            radius = 2.0 if radius is None else radius  # needs a bound
+        group.append(
+            (loss, int(rng.choice([1, 2, 3])), int(rng.choice([10, 37, 50])),
+             None if radius is None else float(radius))
+        )
+    return group
+
+
+class BoardingTrigger(LogisticLoss):
+    """An opener stepping once per chunk (batch size = chunk size) that
+    runs ``actions[n]`` on its n-th gradient call — so jobs it submits
+    board the running flight at fixed cursor positions."""
+
+    def __init__(self, regularization: float, actions: dict):
+        super().__init__(regularization)
+        self.actions = actions
+        self.calls = 0
+
+    def batch_gradient(self, w, X, y):
+        self.calls += 1
+        action = self.actions.pop(self.calls, None)
+        if action is not None:
+            action()
+        return super().batch_gradient(w, X, y)
+
+
+def digest_mixed_flight() -> str:
+    name = "mixed_flight"
+    features, labels = make_table(FLIGHT_ROWS, FLIGHT_DIM)
+    service = TrainingService(elevator=True, chunk_size=FLIGHT_CHUNK)
+    info = service.register_table(name, features, labels)
+    service.open_budget("tuner", name, 1e9)
+    rng = np.random.default_rng(11)
+    records = []
+
+    def submit(group) -> None:
+        for loss, passes, batch_size, radius in group:
+            records.append(
+                service.submit(
+                    "tuner", name, loss, epsilon=0.1, passes=passes,
+                    batch_size=batch_size, radius=radius,
+                    seed=int(rng.integers(1, 1 << 40)),
+                )
+            )
+
+    boarders = [mixed_group(rng, 8), mixed_group(rng, 8)]
+    trigger = BoardingTrigger(
+        1e-3, {2: lambda: submit(boarders[0]), 4: lambda: submit(boarders[1])}
+    )
+    records.append(
+        service.submit(
+            "tuner", name, trigger, epsilon=0.1, passes=2,
+            batch_size=FLIGHT_CHUNK, seed=int(rng.integers(1, 1 << 40)),
+        )
+    )
+    submit(mixed_group(rng, 14))  # 1 + 14 + 8 + 8 riders fit one flight
+    service.scheduler.run_pending()
+    sha = hashlib.sha256()
+    offsets = set()
+    for record in records:
+        if record.status is not JobStatus.COMPLETED:
+            raise RuntimeError(f"{record.job_id} ended {record.status.name}")
+        sha.update(np.ascontiguousarray(record.model).tobytes())
+        fields = (record.group_pages, record.boarding_offset, record.epochs_ridden)
+        sha.update(str(fields).encode())
+        offsets.add(record.boarding_offset)
+    if len(offsets) != 3:
+        raise RuntimeError(f"expected boarders at two offsets past 0, got {offsets}")
+    return summary_line(name, sha, service.session.pool.stats_for(info.heap))
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         for name in SHAPES:
             print(digest(name, pathlib.Path(scratch)))
+    print(digest_mixed_flight())
     return 0
 
 
