@@ -56,8 +56,13 @@ wall-clock jobs/sec for both, and it gates CI on the structural claim:
   flight still makes >= 3x fewer page requests than one scan per job on
   real I/O**, unless shared == per-job bitwise on the SQLite backend,
   and unless the SQLite-backed release is bitwise-identical (atol=0) to
-  the in-memory release — storage must be invisible to the weights. A
-  warm-pool vs cold-pool full-table sweep is printed as a note.
+  the in-memory release — storage must be invisible to the weights. Its
+  **thrash arm** flies the same jobs with the SQLite table behind a pool
+  a quarter of its size, so the flight scans the table's shuffled copy:
+  the gate also **exits 1 unless that flight's pool misses are exactly
+  pages x loops** (each page read once per loop) and unless its releases
+  are bitwise the in-memory ones. A warm-pool vs cold-pool full-table
+  sweep is printed as a note.
 
 * ``--queue`` prints the submit-latency note at 10^4 queued jobs (p50 /
   p99 / max) — informational, recording the insert-sorted queue's
@@ -966,13 +971,16 @@ def bench_observability(gate: bool, write: bool = True, report=None) -> int:
     return 0
 
 
-def _build_disk_service(window: int, sqlite_path) -> TrainingService:
+def _build_disk_service(
+    window: int, sqlite_path, buffer_pool_pages: int = 65536
+) -> TrainingService:
     """The standard bench service, but with the table on real storage:
     the dataset is bulk-loaded into a SQLite-WAL heap and every pool
     miss pays an actual database read."""
     X, y = make_binary_data(M, D, seed=77)
     service = TrainingService(
-        scan_seed=11, batching_window=window, workers=1
+        scan_seed=11, batching_window=window, workers=1,
+        buffer_pool_pages=buffer_pool_pages,
     )
     service.register_table(
         "bench", X, y, backend="sqlite", path=sqlite_path
@@ -981,10 +989,12 @@ def _build_disk_service(window: int, sqlite_path) -> TrainingService:
     return service
 
 
-def _run_disk(window: int, sqlite_path) -> dict:
-    service = _build_disk_service(window, sqlite_path)
+def _run_disk(window: int, sqlite_path, buffer_pool_pages: int = 65536) -> dict:
+    service = _build_disk_service(window, sqlite_path, buffer_pool_pages)
+    heap = service.session.catalog.get("bench").heap
+    stats = service.session.pool.stats_for(heap)
     records = _submit_workload(service)
-    pages_before = service.page_reads
+    pages_before, misses_before = service.page_reads, stats.cache_misses
     start = time.perf_counter()
     service.drain()
     elapsed = time.perf_counter() - start
@@ -994,6 +1004,8 @@ def _run_disk(window: int, sqlite_path) -> dict:
         "mode": "per-job" if window == 1 else "shared",
         "seconds": elapsed,
         "pages": pages,
+        "misses": stats.cache_misses - misses_before,
+        "table_pages": heap.num_pages,
         "models": np.stack([record.model for record in records]),
     }
 
@@ -1008,19 +1020,26 @@ def bench_disk(gate: bool, write: bool = True, report=None) -> int:
     than one scan per job on real storage; shared == per-job bitwise on
     the SQLite backend; and the SQLite-backed release is bitwise-identical
     (atol=0) to the in-memory release of the same jobs — storage is
-    invisible to the trained weights. Also prints the warm-pool vs
-    cold-pool sweep note (informational): the same full-table pool scan
-    with every page faulting in from SQLite vs every page resident.
+    invisible to the trained weights. The thrash arm repeats the shared
+    flight behind a pool a quarter of the table, which scans the table's
+    shuffled copy, and gates on two more claims: the flight's pool
+    misses are exactly pages x loops (its page requests are loops x m),
+    and its releases are bitwise the in-memory ones. Also prints the
+    warm-pool vs cold-pool sweep note (informational): the same
+    full-table pool scan with every page faulting in from SQLite vs every
+    page resident.
     """
     import tempfile
 
-    from repro.rdbms.storage import BufferPool, SQLiteHeapFile
+    from repro.rdbms.storage import BufferPool, SQLiteHeapFile, tuples_per_page
 
     print(f"\ndisk backend: {JOBS} jobs on a SQLite-WAL heap, m={M}, d={D}")
     with tempfile.TemporaryDirectory(prefix="repro-bench-disk-") as tmp:
         tmp = pathlib.Path(tmp)
         shared = _run_disk(JOBS, sqlite_path=tmp / "shared.db")
         per_job = _run_disk(1, sqlite_path=tmp / "per-job.db")
+        thrash_pool = max(1, -(-M // tuples_per_page(D)) // 4)
+        thrash = _run_disk(JOBS, tmp / "thrash.db", buffer_pool_pages=thrash_pool)
         reference = _run()  # the in-memory twin
 
         ratio = per_job["pages"] / shared["pages"]
@@ -1032,6 +1051,10 @@ def bench_disk(gate: bool, write: bool = True, report=None) -> int:
             np.array_equal(shared["models"][j], reference["models"][j])
             for j in range(JOBS)
         )
+        loops, ragged = divmod(thrash["pages"], M)
+        thrash_expected = thrash["table_pages"] * loops
+        thrash_exact = ragged == 0 and thrash["misses"] == thrash_expected
+        bitwise_thrash = np.array_equal(thrash["models"], reference["models"])
 
         # Warm vs cold pool, off to the side (a private heap + pool so the
         # sweep never perturbs the gated runs' counters): one full-table
@@ -1059,6 +1082,10 @@ def bench_disk(gate: bool, write: bool = True, report=None) -> int:
           f"  (gate: >= {PAGE_RATIO_FLOOR}x)")
     print(f"bitwise shared == per-job (sqlite):    {bitwise_paths}")
     print(f"bitwise sqlite == in-memory (atol=0):  {bitwise_backend}")
+    print(f"thrash arm:   {thrash_pool}-page pool, {thrash['table_pages']}-page "
+          f"table: {thrash['misses']} misses over {loops} loops "
+          f"(gate: == {thrash_expected}, pages x loops)")
+    print(f"bitwise thrash sqlite == in-memory:    {bitwise_thrash}")
     print(f"pool sweep:   cold {cold_s * 1e3:.1f} ms ({heap.num_pages} pages "
           f"from SQLite) vs warm {warm_s * 1e3:.1f} ms (all resident) — "
           f"{cold_s / max(warm_s, 1e-9):.1f}x (informational)")
@@ -1074,6 +1101,9 @@ def bench_disk(gate: bool, write: bool = True, report=None) -> int:
                 "page_ratio": ratio,
                 "bitwise_fused_vs_sequential": bitwise_paths,
                 "bitwise_sqlite_vs_memory": bitwise_backend,
+                "thrash_misses": thrash["misses"],
+                "thrash_expected_misses": thrash_expected,
+                "bitwise_thrash_vs_memory": bitwise_thrash,
                 "cold_sweep_s": cold_s,
                 "warm_sweep_s": warm_s,
             }
@@ -1099,15 +1129,39 @@ def bench_disk(gate: bool, write: bool = True, report=None) -> int:
                 "warm_sweep_s": warm_s,
                 "shape": {"m": M, "d": D, "jobs": JOBS},
             },
+            disk_thrash={
+                "metric": "pool misses of one shared flight over a SQLite-WAL "
+                "heap behind a pool a quarter its size; must equal pages x loops",
+                "value": thrash["misses"],
+                "floor": thrash_expected,
+                "passed": bool(thrash_exact and bitwise_thrash),
+                "loops": loops,
+                "bitwise_thrash_vs_memory": bitwise_thrash,
+                "shape": {
+                    "m": M, "d": D, "jobs": JOBS,
+                    "pages": thrash["table_pages"], "pool_pages": thrash_pool,
+                },
+            },
         )
 
-    if gate and (ratio < PAGE_RATIO_FLOOR or not bitwise_paths or not bitwise_backend):
+    failed = (
+        ratio < PAGE_RATIO_FLOOR
+        or not bitwise_paths
+        or not bitwise_backend
+        or not thrash_exact
+        or not bitwise_thrash
+    )
+    if gate and failed:
         if ratio < PAGE_RATIO_FLOOR:
             print(f"FAIL: shared flight below {PAGE_RATIO_FLOOR}x on real I/O")
         if not bitwise_paths:
             print("FAIL: shared weights diverged from per-job on sqlite")
         if not bitwise_backend:
             print("FAIL: sqlite-backed weights diverged from in-memory twins")
+        if not thrash_exact:
+            print("FAIL: thrash-arm misses are not one per page per loop")
+        if not bitwise_thrash:
+            print("FAIL: thrash-arm weights diverged from in-memory twins")
         return 1
     print("PASS")
     return 0
@@ -1398,7 +1452,8 @@ def main(argv=None) -> int:
         help="also re-prove the shared-scan claims on real storage: the "
         "table in a SQLite-WAL heap file, shared still >= "
         f"{PAGE_RATIO_FLOOR}x fewer pages, releases bitwise-equal to the "
-        "in-memory backend (plus a warm-vs-cold pool sweep note)",
+        "in-memory backend, and behind a pool smaller than the table one "
+        "miss per page per loop (plus a warm-vs-cold pool sweep note)",
     )
     parser.add_argument(
         "--http",

@@ -14,6 +14,13 @@ absolute times are meaningless. What the figures actually demonstrate is
 * on larger-than-memory data, per-page I/O dominates and the algorithms
   converge to the same I/O-bound runtime (Figure 2(b)).
 
+Every page miss is charged at the *sequential* rate (``io_miss_per_page``).
+The engine earns that rate the way Bismarck does: ``ShuffleOnce`` scans a
+table with more pages than the buffer pool holds from a copy stored in
+permutation order, so each page misses once per epoch, in storage order —
+exactly the ``analytic_counters`` model. A table that fits the pool is
+read in place and, warm, misses nothing.
+
 The constants below are calibrated to the paper's hardware narrative:
 gradient work a few hundred ns/tuple/50-dims, a noise draw from a
 sophisticated distribution several microseconds (the paper attributes the

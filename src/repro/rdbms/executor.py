@@ -11,6 +11,10 @@ This module provides the corresponding physical operators:
   permutation of tuple ids and re-reads tuples in that order (every page
   touched once per resident window; with a too-small pool this produces
   the random-I/O penalty real shuffles pay);
+* :class:`ShuffleOnce` — Bismarck's shuffle-once: one permutation,
+  replayed every epoch. A table with more pages than the pool holds is
+  scanned from a copy stored in permutation order, so each page misses
+  once per epoch; a table that fits is read in place;
 * :func:`run_aggregate` — feed an operator's tuple stream through a UDA.
 
 Operators expose the counters the cost model charges: tuples produced,
@@ -37,10 +41,12 @@ resulting model are path-independent; the golden tests in
 Storage-agnostic by construction
 --------------------------------
 
-Operators never touch a heap directly: every page arrives via
+Scans never read a page directly: every page arrives via
 ``BufferPool.get_page`` (per tuple) or ``BufferPool.get_pages`` (per
 chunk), and every heap speaks the same ``HeapFile``
-protocol with the same :func:`tuples_per_page` page grid. That is what
+protocol with the same :func:`tuples_per_page` page grid. The one direct
+read is :class:`ShuffleOnce`'s one-off build of a shuffled copy
+(``HeapFile.clustered``), which moves no pool counter. That is what
 lets a :class:`~repro.rdbms.storage.SQLiteHeapFile` (real pages on real
 disk, WAL-mode reads) slot under these operators unchanged: the scan
 order, the chunk grid, the page-request counters, and therefore the
@@ -52,13 +58,14 @@ write through a page, so the distinction is invisible here.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.rdbms.catalog import TableInfo
-from repro.rdbms.storage import BufferPool, tuples_per_page
+from repro.rdbms.storage import BufferPool, HeapFile, tuples_per_page
 from repro.rdbms.uda import UDA
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_positive_int
@@ -169,19 +176,40 @@ class Shuffle:
         matching the per-tuple path's counters.
         """
         yield from _gather_permuted_chunks(
-            self.table, self.pool, self.stats, self.permutation(), chunk_size
+            self.table.heap, self.pool, self.stats, self.permutation(), chunk_size
         )
 
 
 class ShuffleOnce:
-    """Bismarck's strategy: permute tuple ids once, then replay that order
-    every epoch with page-clustered access.
+    """Bismarck's strategy: shuffle the table once, then replay that order
+    every epoch.
 
-    Tuple ids are permuted, then visited grouped by page so each page is
-    fetched once per epoch (the behaviour of Bismarck's shuffled-copy of
-    the table). This preserves permutation semantics for SGD while keeping
-    sequential-like I/O, which is what lets the paper's disk-based runs
-    stay I/O-bound rather than seek-bound.
+    Scan position ``i`` is always tuple ``permutation[i]``. Where that
+    tuple is read from is decided once per permutation, at the first
+    scan, by comparing the table's pages with the pool's per-table
+    capacity:
+
+    * **the shuffled copy** — a table with more pages than the pool
+      holds gets Bismarck's copy of itself stored in permutation order
+      (:meth:`~repro.rdbms.storage.HeapFile.clustered`), and position
+      ``i`` reads copy tuple ``i``. Each chunk then asks for contiguous
+      tuples and each page misses once per loop: the one sequential miss
+      per page per epoch that ``analytic_counters`` and ``CostModel``
+      charge, which is what keeps the paper's disk-based runs I/O-bound
+      rather than seek-bound. The copy's requests count as the table's
+      (:meth:`~repro.rdbms.storage.BufferPool.count_as`).
+    * **the id gather** — everything else reads ``permutation[i]`` from
+      the table's own heap: a table that fits the pool (it costs no
+      misses in any order), a heap that keeps no copy (virtual heaps,
+      the latency and fault wrappers), a copy that could not be written,
+      and every permutation drawn by :meth:`reshuffle`.
+
+    Either way each chunk is the same block of bytes from the same
+    number of page requests, so releases and ``pages_requested`` never
+    depend on the choice; only the hit/miss/eviction counters do. The
+    copy is built lazily inside the first scan, under the operator's
+    lock: a page fault while reading the table for it propagates like a
+    fault in any chunk, and the next scan tries again.
     """
 
     def __init__(
@@ -195,6 +223,10 @@ class ShuffleOnce:
         self.rng = as_generator(random_state)
         self.stats = OperatorStats()
         self._permutation: Optional[np.ndarray] = None
+        #: (heap, tuple ids) the scans read — decided once per permutation.
+        self._source: Optional[Tuple[HeapFile, np.ndarray]] = None
+        self._may_copy = True
+        self._lock = threading.Lock()
         self._cursors: dict = {}
 
     @property
@@ -204,21 +236,50 @@ class ShuffleOnce:
             self.stats.shuffle_sorted_tuples += self.table.num_tuples
         return self._permutation
 
+    @property
+    def shuffled_copy(self) -> Optional[HeapFile]:
+        """The copy the scans read, or ``None`` (no scan yet, or the id
+        gather)."""
+        source = self._source
+        if source is None or source[0] is self.table.heap:
+            return None
+        return source[0]
+
     def reshuffle(self) -> None:
-        """Draw a fresh permutation (the fresh-permutation-per-pass mode)."""
+        """Draw a fresh permutation (the fresh-permutation-per-pass mode).
+
+        A copy per pass would rewrite the table every pass, so this drops
+        the copy, and the operator reads through the id gather from here on.
+        """
         self._permutation = None
+        self._source = None
+        self._may_copy = False
+
+    def _scan_source(self) -> Tuple[HeapFile, np.ndarray]:
+        """The heap the scans read and, per permutation position, the id
+        of the tuple to read there (see the class docstring)."""
+        source = self._source
+        if source is None:
+            with self._lock:
+                source = self._source
+                if source is None:
+                    heap, perm = self.table.heap, self.permutation
+                    copy = None
+                    if self._may_copy and heap.num_pages > self.pool.capacity:
+                        copy = heap.clustered(perm)
+                    if copy is None:
+                        source = (heap, perm)
+                    else:
+                        self.pool.count_as(copy, heap)
+                        source = (copy, np.arange(len(perm)))
+                    self._source = source
+        return source
 
     def __iter__(self) -> Iterator[TupleItem]:
-        # Group the permuted tuple ids by their page in permutation order:
-        # within a page-visit we respect the permutation's relative order.
-        per_page = tuples_per_page(self.table.dimension)
-        perm = self.permutation
-        page_ids, rows = np.divmod(perm, per_page)
-        # Stable grouping: iterate the permutation, batching consecutive
-        # runs that share a page (good locality for nearly-sorted perms)
-        # while preserving the exact permutation order for correctness.
-        for tuple_index in range(len(perm)):
-            page = self.pool.get_page(self.table.heap, int(page_ids[tuple_index]))
+        heap, ids = self._scan_source()
+        page_ids, rows = np.divmod(ids, tuples_per_page(heap.dimension))
+        for tuple_index in range(len(ids)):
+            page = self.pool.get_page(heap, int(page_ids[tuple_index]))
             self.stats.pages_requested += 1
             self.stats.tuples_produced += 1
             row = int(rows[tuple_index])
@@ -239,13 +300,10 @@ class ShuffleOnce:
         the property that makes a mid-scan boarder's ride bitwise equal
         to its solo run (see :class:`ScanCursor`).
         """
-        perm = self.permutation
-        for start in _chunk_starts(len(perm), chunk_size, start_offset):
+        heap, ids = self._scan_source()
+        for start in _chunk_starts(len(ids), chunk_size, start_offset):
             yield _gather_chunk(
-                self.table,
-                self.pool,
-                self.stats,
-                perm[start : start + chunk_size],
+                heap, self.pool, self.stats, ids[start : start + chunk_size]
             )
 
     def cursor(self, chunk_size: int) -> "ScanCursor":
@@ -269,7 +327,7 @@ _DENSE_GATHER_THRESHOLD = 4
 
 
 def _gather_permuted_chunks(
-    table: TableInfo,
+    heap: HeapFile,
     pool: BufferPool,
     stats: OperatorStats,
     permutation: np.ndarray,
@@ -311,26 +369,26 @@ def _gather_permuted_chunks(
     m = len(permutation)
     for start in range(0, m, chunk_size):
         yield _gather_chunk(
-            table, pool, stats, permutation[start : start + chunk_size]
+            heap, pool, stats, permutation[start : start + chunk_size]
         )
 
 
 def _gather_chunk(
-    table: TableInfo,
+    heap: HeapFile,
     pool: BufferPool,
     stats: OperatorStats,
     ids: np.ndarray,
 ) -> ChunkItem:
-    """Gather one run of permuted tuple ids into an ``(X, y)`` block.
+    """Gather one run of ``heap``'s tuple ids into an ``(X, y)`` block.
 
     The single-chunk core of :func:`_gather_permuted_chunks` — also the
     unit a :class:`ScanCursor` delivers, so a boarded ride and a rotated
     solo replay materialize byte-identical blocks from identical page
-    requests.
+    requests. ``heap`` is a table's own heap (permuted ids) or its
+    shuffled copy (contiguous ids).
     """
-    per_page = tuples_per_page(table.dimension)
-    d = table.dimension
-    heap = table.heap
+    d = heap.dimension
+    per_page = tuples_per_page(d)
     read_page = heap.read_page
     ids = np.asarray(ids, dtype=np.int64)
     n = len(ids)
@@ -441,16 +499,15 @@ class ScanCursor:
 
     def next_chunk(self) -> ChunkItem:
         """Deliver the canonical chunk at :attr:`position` and advance
-        (wrapping). Page accounting matches ``scan_chunks`` exactly."""
-        perm = self.shuffle.permutation
-        m = len(perm)
+        (wrapping). Page accounting matches ``scan_chunks`` exactly. The
+        first chunk of a permutation may build the shuffled copy (see
+        :class:`ShuffleOnce`); a fault while building it raises here."""
+        heap, ids = self.shuffle._scan_source()
+        m = len(ids)
         start = self.position
         end = min(start + self.chunk_size, m)
         chunk = _gather_chunk(
-            self.shuffle.table,
-            self.shuffle.pool,
-            self.shuffle.stats,
-            perm[start:end],
+            heap, self.shuffle.pool, self.shuffle.stats, ids[start:end]
         )
         if end >= m:
             self.position = 0

@@ -35,18 +35,24 @@ execution would produce, under any interleaving — the invariant that
 lets the training service run one scan per table concurrently while
 still recording exact per-dispatch page deltas. ``pool.stats`` remains
 the whole-pool view (the sum over domains); ``pool.stats_for(heap)`` is
-the per-table truth a concurrent dispatcher must read.
+the per-table truth a concurrent dispatcher must read. A table's
+scan-order copy (:meth:`HeapFile.clustered`) gets an LRU region of its
+own but counts as the table: its requests land in the table heap's
+counters, under the table heap's lock (:meth:`BufferPool.count_as`).
 """
 
 from __future__ import annotations
 
 import abc
+import contextlib
 import hashlib
+import itertools
 import os
 import pathlib
 import sqlite3
 import threading
 import time
+import warnings
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -116,6 +122,18 @@ class HeapFile(abc.ABC):
     def read_page(self, page_id: int) -> Page:
         """Materialize page ``page_id`` (0-based)."""
 
+    def clustered(self, order: np.ndarray) -> Optional["HeapFile"]:
+        """A copy of this heap stored in ``order`` — copy tuple ``i`` is
+        tuple ``order[i]`` here — or ``None`` if this heap keeps no copy.
+
+        This is Bismarck's shuffled copy: scanning it in storage order
+        replays the permutation ``order`` while reading each page once.
+        Building it reads this heap directly, never through a buffer
+        pool, so it moves no pool counter. The default keeps no copy
+        (virtual heaps and the latency/fault wrappers).
+        """
+        return None
+
     @property
     def size_bytes(self) -> int:
         """On-disk footprint (pages x page size)."""
@@ -160,6 +178,9 @@ class MaterializedHeapFile(HeapFile):
             features=self._features[start:stop],
             labels=self._labels[start:stop],
         )
+
+    def clustered(self, order: np.ndarray) -> "MaterializedHeapFile":
+        return MaterializedHeapFile(self._features[order], self._labels[order])
 
 
 class VirtualHeapFile(HeapFile):
@@ -359,6 +380,55 @@ SQLITE_HEAP_FORMAT = "repro-heap/v1"
 _TRANSIENT_SQLITE_MARKERS = ("locked", "busy")
 
 
+def _database_files(path: pathlib.Path) -> tuple:
+    """A SQLite database file and its WAL-mode ``-wal``/``-shm`` siblings."""
+    return (
+        path,
+        path.with_name(path.name + "-wal"),
+        path.with_name(path.name + "-shm"),
+    )
+
+
+#: Serial numbers of the scan-order copies this process has named.
+_SCAN_COPY_SERIAL = itertools.count()
+
+
+def _scan_copy_path(path: pathlib.Path) -> pathlib.Path:
+    """A fresh sibling name for a scan-order copy of the heap at ``path``:
+    ``<heap>.scan-<pid>-<n>``, unique within this process."""
+    return path.with_name(f"{path.name}.scan-{os.getpid()}-{next(_SCAN_COPY_SERIAL)}")
+
+
+def _drop_database(path: pathlib.Path, readers: Iterable["_Reader"]) -> None:
+    """Close ``readers``, then delete the database at ``path`` and its
+    siblings, ignoring errors: a scan-order copy's finalizer, and the
+    cleanup after a copy failed to write."""
+    for reader in list(readers):
+        reader.close()
+    for file in _database_files(path):
+        with contextlib.suppress(OSError):
+            os.remove(file)
+
+
+class _Reader:
+    """One thread's reader connection, closed when the holder is freed:
+    when its thread ends (the thread-local slot holding it goes) or its
+    heap is dropped. A ``sqlite3.Connection`` sits in a reference cycle,
+    so without this holder a finished thread's connection — and its
+    SQLite page cache — would stay open until the cyclic garbage
+    collector ran."""
+
+    __slots__ = ("connection", "__weakref__")
+
+    def __init__(self, connection: sqlite3.Connection) -> None:
+        self.connection = connection
+
+    def close(self) -> None:
+        self.connection.close()
+
+    __del__ = close
+
+
 def _map_sqlite_error(error: sqlite3.Error, path: "pathlib.Path") -> PageFaultError:
     """Translate a ``sqlite3`` exception into the engine's fault taxonomy.
 
@@ -413,12 +483,20 @@ class SQLiteHeapFile(HeapFile):
     inside :meth:`bulk_load`; every reader gets a **connection per
     thread** (lazily opened, ``PRAGMA query_only=ON`` so it cannot
     write), which under WAL means concurrent scans from worker threads
-    never block each other. ``sqlite3`` errors surface through the
+    never block each other. A reader connection lives as long as its
+    thread: it closes when the thread ends, when :meth:`close` is called
+    from that thread, or when the heap is dropped — so the service's
+    short-lived drain workers never pile up open connections and their
+    page caches. ``sqlite3`` errors surface through the
     engine's fault taxonomy (:func:`_map_sqlite_error`): lock/busy
     contention as retryable :class:`TransientPageFault`, a missing or
     corrupted database as fail-fast :class:`PageFaultError` — so a
     flaky disk is contained by the scheduler's bounded retry exactly as
     an injected :class:`FaultyHeapFile` fault is.
+
+    :meth:`clustered` writes Bismarck's shuffled copy as a sibling
+    database, ``<heap>.scan-<pid>-<n>``, which the scan operator that
+    asked for it reads instead of this heap.
     """
 
     def __init__(self, path: Union[str, "pathlib.Path"]):
@@ -426,6 +504,7 @@ class SQLiteHeapFile(HeapFile):
         if not self.path.exists():
             raise PageFaultError(f"sqlite heap {self.path}: no such database file")
         self._local = threading.local()
+        self._readers: "weakref.WeakSet[_Reader]" = weakref.WeakSet()
         self._fingerprint: Optional[str] = None
         self._fingerprint_lock = threading.Lock()
         try:
@@ -479,8 +558,7 @@ class SQLiteHeapFile(HeapFile):
             raise ValueError("heap file must contain at least one tuple")
         path = pathlib.Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        for stale in (path, path.with_name(path.name + "-wal"),
-                      path.with_name(path.name + "-shm")):
+        for stale in _database_files(path):
             if stale.exists():
                 os.remove(stale)
         m, d = features.shape
@@ -541,18 +619,24 @@ class SQLiteHeapFile(HeapFile):
         by default, and sharing one would serialize scans that WAL mode
         exists to let overlap); ``query_only`` enforces the read-only
         discipline at the engine level — a bug that tried to write
-        through a reader raises instead of mutating tenant data.
+        through a reader raises instead of mutating tenant data. The
+        connection is held by a :class:`_Reader` in the thread-local
+        slot, so it closes when the thread ends; ``check_same_thread``
+        is off so that the heap's finalizer (or a thread's teardown) may
+        close it from whichever thread frees it.
         """
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
+        reader = getattr(self._local, "reader", None)
+        if reader is None:
             try:
-                connection = sqlite3.connect(self.path)
+                connection = sqlite3.connect(self.path, check_same_thread=False)
                 connection.execute("PRAGMA query_only=ON")
                 connection.execute("PRAGMA foreign_keys=ON")
             except sqlite3.Error as error:  # pragma: no cover - open races
                 raise _map_sqlite_error(error, self.path) from error
-            self._local.connection = connection
-        return connection
+            reader = _Reader(connection)
+            self._local.reader = reader
+            self._readers.add(reader)
+        return reader.connection
 
     def _fetch_page_row(self, page_id: int):
         """One ``pages`` row as ``(features_blob, labels_blob)`` — the
@@ -623,13 +707,49 @@ class SQLiteHeapFile(HeapFile):
                 self._fingerprint = digest.hexdigest()[:16]
             return self._fingerprint
 
+    def clustered(self, order: np.ndarray) -> Optional["SQLiteHeapFile"]:
+        """Bulk-load a sibling database holding this heap's tuples in
+        ``order``, and open it.
+
+        Every page of this heap is read here, directly: a lock or a
+        damaged page raises the usual :class:`PageFaultError`, which the
+        caller handles as it would a fault in any chunk. The copy goes to
+        a fresh sibling, ``<heap>.scan-<pid>-<n>``: it belongs to the
+        caller alone, is never reopened, and is deleted with its
+        ``-wal``/``-shm`` files when the returned heap is dropped or the
+        process exits normally. If the copy cannot be written (an
+        ``OSError`` or sqlite error on the new file), this warns and
+        returns ``None``, and the caller reads this heap in place.
+        """
+        features = np.empty((self._num_tuples, self._dimension), dtype=np.float64)
+        labels = np.empty(self._num_tuples, dtype=np.float64)
+        for page_id in range(self.num_pages):
+            page = self.read_page(page_id)
+            start = page_id * self._per_page
+            features[start : start + page.tuple_count] = page.features
+            labels[start : start + page.tuple_count] = page.labels
+        path = _scan_copy_path(self.path)
+        try:
+            copy = SQLiteHeapFile.bulk_load(path, features[order], labels[order])
+        except (OSError, sqlite3.Error) as error:
+            _drop_database(path, ())
+            warnings.warn(
+                f"sqlite heap {self.path}: cannot write a scan-order copy at "
+                f"{path} ({error}); scanning the heap in place",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return None
+        weakref.finalize(copy, _drop_database, path, copy._readers)
+        return copy
+
     def close(self) -> None:
-        """Close this thread's reader connection (other threads' close
-        when they are garbage collected; sqlite tolerates that)."""
-        connection = getattr(self._local, "connection", None)
-        if connection is not None:
-            connection.close()
-            self._local.connection = None
+        """Close this thread's reader connection (every other thread's
+        closes when that thread ends or this heap is dropped)."""
+        reader = getattr(self._local, "reader", None)
+        if reader is not None:
+            reader.close()
+            self._local.reader = None
 
 
 @dataclass
@@ -663,14 +783,19 @@ class _HeapDomain:
     different locks, so cross-table scans proceed concurrently — and the
     miss path (the actual page read, which for a :class:`LatencyHeapFile`
     sleeps) is held under this domain lock only, never a pool-wide one.
+
+    A heap counted as another (:meth:`BufferPool.count_as`) gets a domain
+    of its own LRU shard but its ``owner``'s counters and lock; the
+    domain keeps the owner alive, so those counters are retired once.
     """
 
-    __slots__ = ("cache", "stats", "lock")
+    __slots__ = ("cache", "stats", "lock", "owner")
 
-    def __init__(self) -> None:
+    def __init__(self, owner: Optional[HeapFile] = None, shared=None) -> None:
         self.cache: "OrderedDict[int, Page]" = OrderedDict()
-        self.stats = BufferPoolStats()
-        self.lock = threading.Lock()
+        self.stats = BufferPoolStats() if shared is None else shared.stats
+        self.lock = threading.Lock() if shared is None else shared.lock
+        self.owner = owner
 
 
 class _PoolStatsView:
@@ -690,7 +815,11 @@ class _PoolStatsView:
     def _totals(self) -> BufferPoolStats:
         totals = BufferPoolStats()
         retired = self._pool._retired
-        sources = [domain.stats for domain in self._pool._domain_snapshot()]
+        sources = [
+            domain.stats
+            for domain in self._pool._domain_snapshot()
+            if domain.owner is None  # a counted-as shard shares its owner's
+        ]
         sources.append(retired)
         for stats in sources:
             totals.page_reads += stats.page_reads
@@ -782,6 +911,20 @@ class BufferPool:
     def _domain_snapshot(self) -> List[_HeapDomain]:
         with self._domains_lock:
             return list(self._domains.values())
+
+    def count_as(self, heap: HeapFile, owner: HeapFile) -> None:
+        """Count ``heap``'s page requests as ``owner``'s.
+
+        ``heap`` gets its own LRU shard, since its page ids name its own
+        pages, but it shares ``owner``'s counters and lock. So
+        ``stats_for(owner)`` stays the owner's whole truth, and the
+        whole-pool view counts each request once. Call it before any
+        request for ``heap``; a table's scan-order copy
+        (:meth:`HeapFile.clustered`) is counted as the table's heap.
+        """
+        shared = self._domain(owner)
+        with self._domains_lock:
+            self._domains[heap] = _HeapDomain(owner, shared)
 
     def stats_for(self, heap: HeapFile) -> BufferPoolStats:
         """The heap's own counters — the per-table truth a concurrent

@@ -14,6 +14,7 @@ from repro.rdbms.synthesizer import (
     dataset_size_gb,
     synthesize_heap,
 )
+from repro.rdbms.uda import SGDUDA
 from tests.conftest import make_binary_data
 
 
@@ -240,6 +241,32 @@ class TestAnalyticCounters:
         assert executed_draws == analytic.noise_draws
         assert analytic.batch_updates == epochs * -(-m // batch)
         assert analytic.tuples_processed == m * epochs
+
+    def test_matches_an_executed_run_in_the_thrash_regime(self):
+        """A table four times the pool: the shared scan reads its
+        shuffled copy, so every epoch misses each of the 250 pages exactly
+        once, and hits and misses are the analytic model's, epoch by
+        epoch and in total."""
+        m, d, epochs, batch, pool_pages = 5000, 50, 2, 50, 60
+        session, X, y = make_session(m=m, d=d, pool_pages=pool_pages)
+        heap = session.catalog.get("t").heap
+        assert heap.num_pages == 250
+        stats = session.pool.stats_for(heap)
+        report = session.run_sgd(
+            "t", SGDUDA(LogisticLoss(), ConstantSchedule(0.1), batch), epochs,
+            chunk_size=256, shuffle=session.shared_scan("t", random_state=0),
+        )
+        analytic = analytic_counters(
+            m, d, epochs, batch, "noiseless", buffer_pool_pages=pool_pages
+        )
+        assert (stats.cache_hits, stats.cache_misses) == (
+            analytic.page_hits, analytic.page_misses
+        ) == (9500, 500)
+        per_epoch = CostModel().charge(analytic_counters(
+            m, d, 1, batch, "noiseless", buffer_pool_pages=pool_pages
+        ))
+        for epoch in report.epochs:
+            assert epoch.runtime.io_seconds == per_epoch.io_seconds
 
     def test_memory_vs_disk_miss_pattern(self):
         cold = analytic_counters(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -106,6 +109,87 @@ class TestShuffle:
         pool = BufferPool(100)
         shuffle = ShuffleOnce(info, pool, random_state=1)
         assert sorted(shuffle.permutation.tolist()) == list(range(120))
+
+
+class TestShuffledCopy:
+    """A table with more pages than the pool holds is scanned from its
+    shuffled copy: the same tuples in the same order as the id gather,
+    with each page missed once per pass."""
+
+    @staticmethod
+    def thrash_table():
+        catalog = Catalog()
+        info, X, y = make_table(catalog, m=600, d=40)  # 25 pages of 24 rows
+        return info
+
+    def test_both_paths_replay_the_permutation_missing_each_page_once(self):
+        info = self.thrash_table()
+        reference = ShuffleOnce(info, BufferPool(10_000), random_state=3)
+        expected = [(tuple(f), label) for f, label in reference]
+        assert reference.shuffled_copy is None
+
+        tuple_pool, chunk_pool = BufferPool(2), BufferPool(2)
+        per_tuple = ShuffleOnce(info, tuple_pool, random_state=3)
+        chunked = ShuffleOnce(info, chunk_pool, random_state=3)
+        assert [(tuple(f), label) for f, label in per_tuple] == expected
+        blocks = list(chunked.scan_chunks(64))
+        assert np.array_equal(
+            np.concatenate([X for X, _ in blocks]),
+            np.array([f for f, _ in expected]),
+        )
+        assert np.array_equal(
+            np.concatenate([y for _, y in blocks]),
+            np.array([label for _, label in expected]),
+        )
+        assert per_tuple.shuffled_copy is not None
+        for pool, op in ((tuple_pool, per_tuple), (chunk_pool, chunked)):
+            stats = pool.stats_for(info.heap)
+            assert stats.page_reads == op.stats.pages_requested == 600
+            assert stats.cache_misses == info.heap.num_pages == 25
+
+    def test_reshuffle_drops_the_copy(self):
+        info = self.thrash_table()
+        shuffle = ShuffleOnce(info, BufferPool(2), random_state=3)
+        first = [tuple(f) for f, _ in shuffle]
+        assert shuffle.shuffled_copy is not None
+        shuffle.reshuffle()
+        second = [tuple(f) for f, _ in shuffle]
+        assert shuffle.shuffled_copy is None
+        assert first != second and sorted(first) == sorted(second)
+
+    def test_racing_first_scans_build_one_copy(self):
+        info = self.thrash_table()
+        builds = []
+        build = info.heap.clustered
+
+        def counted(order):
+            builds.append(order)
+            return build(order)
+
+        info.heap.clustered = counted
+        pool = BufferPool(2)
+        shuffle = ShuffleOnce(info, pool, random_state=3)
+        blocks = [None] * 8
+
+        def first_chunk(k):
+            blocks[k] = next(shuffle.scan_chunks(64))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_chunk, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(builds) == 1
+        for X_block, y_block in blocks:
+            assert np.array_equal(X_block, blocks[0][0])
+            assert np.array_equal(y_block, blocks[0][1])
+        assert pool.stats_for(info.heap).page_reads == 8 * 64
 
 
 class TestAvgUDA:

@@ -322,6 +322,32 @@ class TestPerTableDomains:
         assert pool.stats.cache_misses == 2 * pages
         assert pool.stats.cache_hits == 0
 
+    def test_a_copy_counts_once_as_its_table(self):
+        """A scan-order copy has its own cache (its page ids name its own
+        pages) but its owner's counters: the whole-pool view, before and
+        after either heap dies, counts each request once."""
+        import gc
+
+        pool = BufferPool(capacity_pages=100)
+        heap = self.make_heap(seed=0)
+        pages = heap.num_pages
+        copy = heap.clustered(np.arange(heap.num_tuples)[::-1])
+        pool.count_as(copy, heap)
+        list(pool.scan(heap))
+        list(pool.scan(copy))  # cold: none of the table's pages serve it
+        assert scan_counters(pool, heap) == (2 * pages, 0, 2 * pages, 0)
+        assert scan_counters(pool, copy) == scan_counters(pool, heap)
+        assert pool.stats.page_reads == 2 * pages
+        assert pool.resident_pages == 2 * pages
+        del copy
+        gc.collect()
+        assert pool.resident_pages == pages
+        assert pool.stats.page_reads == 2 * pages
+        del heap
+        gc.collect()
+        assert pool.resident_pages == 0
+        assert (pool.stats.page_reads, pool.stats.cache_misses) == (2 * pages, 2 * pages)
+
     def test_capacity_is_per_domain(self):
         # Two tables that each fit: neither evicts the other (the domain
         # is the unit of memory accounting, like the unit of locking).

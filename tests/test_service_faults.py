@@ -12,6 +12,7 @@ contract, releases weights bitwise-identical to an undisturbed flight's
 
 from __future__ import annotations
 
+import sqlite3
 import threading
 import warnings
 
@@ -20,7 +21,8 @@ import pytest
 
 from repro.obs.summary import metric_value
 from repro.optim.losses import LogisticLoss
-from repro.rdbms.storage import FaultyHeapFile, MaterializedHeapFile
+from repro.rdbms import storage
+from repro.rdbms.storage import FaultyHeapFile, MaterializedHeapFile, SQLiteHeapFile
 from repro.service import JobStatus, TrainingService
 from tests.conftest import make_binary_data
 
@@ -140,12 +142,12 @@ def all_pages_faulty(transient: bool = True) -> FaultyHeapFile:
                           fail_times=0, transient=transient)
 
 
-def flight_service(heap) -> TrainingService:
+def flight_service(heap, buffer_pool_pages: int = 1) -> TrainingService:
     """An elevator service on ``heap`` behind a one-page buffer pool, so
     every chunk of a flight reads pages from the heap (where the faults
     live) instead of the pool."""
     service = TrainingService(scan_seed=5, workers=1, elevator=True,
-                              chunk_size=64, buffer_pool_pages=1)
+                              chunk_size=64, buffer_pool_pages=buffer_pool_pages)
     service.register_table("f", heap=heap)
     service.open_budget("alice", "f", 10.0)
     service.open_budget("bob", "f", 10.0)
@@ -337,6 +339,159 @@ class TestFlightFaults:
         finally:
             service.stop()
         assert list(service.loop.dispatch_errors) == []
+
+
+class TestScanOrderCopyFaults:
+    """Faults around the shuffled copy a table larger than the pool is
+    scanned from. The copy is built inside the flight's first chunk, so
+    a fault while reading the table for it is a fault in that chunk, and
+    a copy page is a page like any other. A copy that cannot be written
+    is not a fault: the flight scans the table in place, after one
+    warning."""
+
+    @staticmethod
+    def reference(seed: int = 300):
+        clean = TrainingService(scan_seed=5, workers=1)
+        clean.register_table("f", X, Y)
+        clean.open_budget("alice", "f", 10.0)
+        record = submit_one(clean, seed=seed)
+        clean.drain()
+        assert record.status is JobStatus.COMPLETED
+        return record
+
+    @staticmethod
+    def thrash_service(tmp_path):
+        """A service whose table "f" is a SQLite heap of three pages
+        behind a one-page pool: its first flight builds the copy."""
+        heap = SQLiteHeapFile.bulk_load(tmp_path / "f.db", X, Y)
+        service = TrainingService(scan_seed=5, workers=1, buffer_pool_pages=1)
+        service.register_table("f", heap=heap)
+        service.open_budget("alice", "f", 10.0)
+        service.scheduler.retry_backoff_seconds = 0.0
+        assert heap.num_pages > service.session.pool.capacity
+        return service, heap
+
+    def test_transient_lock_while_building_the_copy_retries_to_the_same_bits(
+        self, tmp_path
+    ):
+        reference = self.reference()
+        service, heap = self.thrash_service(tmp_path)
+        real_fetch = heap._fetch_page_row
+        faults = []
+
+        def contended(page_id):
+            if not faults:
+                faults.append(page_id)
+                raise sqlite3.OperationalError("database is locked")
+            return real_fetch(page_id)
+
+        heap._fetch_page_row = contended
+        record = submit_one(service)
+        service.drain()
+        assert record.status is JobStatus.COMPLETED, record.error
+        assert service.scheduler.scan_retries_used == 1
+        assert np.array_equal(record.model, reference.model)
+        assert service.session.shared_scan("f").shuffled_copy is not None
+        # One pass over the copy: each page misses once.
+        assert service.session.pool.stats_for(heap).cache_misses == heap.num_pages
+
+    def test_permanent_fault_while_building_the_copy_fails_and_refunds_all(
+        self, tmp_path
+    ):
+        service, heap = self.thrash_service(tmp_path)
+
+        def damaged(page_id):
+            raise sqlite3.DatabaseError("database disk image is malformed")
+
+        heap._fetch_page_row = damaged
+        before = [(s.spent, s.reserved) for s in service.budgets()]
+        records = [submit_one(service, seed=330 + k) for k in range(3)]
+        service.drain()
+        for record in records:
+            assert record.status is JobStatus.FAILED
+            assert "malformed" in record.error
+            assert record.receipt is None
+        assert [(s.spent, s.reserved) for s in service.budgets()] == before
+        assert service.scheduler.scan_retries_used == 0
+        # The flight failed while building the copy, before any chunk
+        # asked the pool for a page.
+        assert service.session.pool.stats_for(heap).page_reads == 0
+        assert service.session.shared_scan("f").shuffled_copy is None
+        assert list(service.loop.dispatch_errors) == []
+
+    def test_transient_fault_on_a_copy_page_mid_flight_gives_the_same_bits(
+        self, tmp_path
+    ):
+        """The opener is held inside chunk 0, with the copy built; a rider
+        boards; then the copy's next two page reads fault. The flight
+        re-reads that chunk twice, and both riders release the bits of
+        the same flight on a clean in-memory heap with the default pool."""
+        clean = flight_service(MaterializedHeapFile(X, Y), buffer_pool_pages=65536)
+        try:
+            clean_opener, clean_rider = board_behind_opener(clean)
+        finally:
+            clean.stop()
+
+        service = flight_service(SQLiteHeapFile.bulk_load(tmp_path / "f.db", X, Y))
+        faults = []
+
+        def arm():
+            copy = service.session.shared_scan("f").shuffled_copy
+            if copy is None:  # no copy to fault: the asserts below fail
+                return
+            real_fetch = copy._fetch_page_row
+
+            def flaky(page_id):
+                if len(faults) < 2:
+                    faults.append(page_id)
+                    raise sqlite3.OperationalError("database is locked")
+                return real_fetch(page_id)
+
+            copy._fetch_page_row = flaky
+
+        try:
+            opener, rider = board_behind_opener(service, arm=arm)
+        finally:
+            service.stop()
+        assert len(faults) == 2
+        assert service.scheduler.scan_retries_used == 2
+        for record, clean_record in ((opener, clean_opener), (rider, clean_rider)):
+            assert record.status is JobStatus.COMPLETED, record.error
+            assert record.boarding_offset == clean_record.boarding_offset
+            assert np.array_equal(record.model, clean_record.model)
+
+    def test_unwritable_copy_location_warns_once_and_scans_in_place(
+        self, tmp_path, monkeypatch
+    ):
+        """The copy's location is nested under a regular file, so it
+        cannot be written: one RuntimeWarning, then the flight reads the
+        table in place — the same bits — and later flights neither warn
+        nor try the disk again."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where a directory must go")
+        monkeypatch.setattr(storage, "_scan_copy_path", lambda path: blocker / "copy.db")
+        service, heap = self.thrash_service(tmp_path)
+        record = submit_one(service)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            service.drain()
+        assert record.status is JobStatus.COMPLETED, record.error
+        assert np.array_equal(record.model, self.reference().model)
+        copy_warnings = [w for w in caught
+                         if issubclass(w.category, RuntimeWarning)
+                         and "scan-order copy" in str(w.message)]
+        assert len(copy_warnings) == 1
+        assert service.session.shared_scan("f").shuffled_copy is None
+        # The id gather: the one-page pool misses far more than once a page.
+        assert service.session.pool.stats_for(heap).cache_misses > heap.num_pages
+
+        later = submit_one(service, seed=301)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            service.drain()
+        assert later.status is JobStatus.COMPLETED, later.error
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (blocker / "copy.db").exists()
 
 
 class TestWorkerCrashContainment:

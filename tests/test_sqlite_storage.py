@@ -1,6 +1,6 @@
 """The SQLite-WAL storage backend: real pages, same bits.
 
-Three contracts, each locked in here:
+Four contracts, each locked in here:
 
 * **Round trip** — ``bulk_load`` writes the same page grid every other
   heap uses (:func:`tuples_per_page` rows per page, short tail page),
@@ -15,17 +15,29 @@ Three contracts, each locked in here:
   bits); a missing, corrupted, or truncated database is a permanent
   :class:`PageFaultError` that fails the job fast with the reservation
   refunded.
+* **Shuffled copy** — a table larger than the buffer pool is scanned
+  from a sibling database stored in permutation order: every release and
+  page count equals the in-place scan's, every loop misses each page
+  once, and the copy's files live only as long as its scan operator.
 """
 
 from __future__ import annotations
 
+import gc
+import itertools
+import os
+import pathlib
 import sqlite3
 import threading
 
 import numpy as np
 import pytest
 
-from repro.optim.losses import LogisticLoss
+from repro.core.bolton import BoltOnCandidate
+from repro.obs.summary import metric_value
+from repro.optim.losses import HuberSVMLoss, LogisticLoss
+from repro.rdbms import storage
+from repro.rdbms.bismarck import BismarckSession
 from repro.rdbms.storage import (
     MaterializedHeapFile,
     PageFaultError,
@@ -34,6 +46,7 @@ from repro.rdbms.storage import (
     _map_sqlite_error,
     tuples_per_page,
 )
+from repro.rdbms.uda import SGDUDA
 from repro.service import JobStatus, TrainingService
 from tests.conftest import make_binary_data
 
@@ -138,6 +151,39 @@ class TestRoundTrip:
         for t in threads:
             t.join()
         assert failures == []
+
+    def test_a_finished_threads_connection_closes_without_the_collector(
+        self, heap_path, sqlite_heap
+    ):
+        """The service's drain starts fresh workers every round. Each
+        worker's reader connection must close when its thread ends, not
+        when the cyclic garbage collector next runs: every open WAL-mode
+        connection holds its own descriptor on the ``-wal`` file, so with
+        the collector off, eight finished readers must leave only the
+        calling thread's connection open."""
+        fd_dir = pathlib.Path("/proc/self/fd")
+        if not fd_dir.is_dir():
+            pytest.skip("counting open descriptors needs /proc/self/fd")
+        wal = str(heap_path.with_name(heap_path.name + "-wal").resolve())
+
+        def open_connections() -> int:
+            count = 0
+            for fd in fd_dir.iterdir():
+                try:
+                    count += os.readlink(fd) == wal
+                except OSError:  # closed between listing and reading
+                    pass
+            return count
+
+        gc.disable()
+        try:
+            for _ in range(8):
+                reader = threading.Thread(target=sqlite_heap.read_page, args=(0,))
+                reader.start()
+                reader.join()
+            assert open_connections() <= 1
+        finally:
+            gc.enable()
 
     def test_fingerprint_matches_the_materialized_hash(self, sqlite_heap):
         from repro.rdbms.catalog import TableInfo
@@ -358,3 +404,197 @@ class TestFaultMapping:
         assert statement.spent == (0, 0)
         assert statement.reserved == (0.0, 0.0)
         assert list(service.loop.dispatch_errors) == []
+
+
+# -- the scan-order copy -------------------------------------------------------
+
+#: A table of 38 pages (40 rows each) behind an 8-page pool, so its scans
+#: read a shuffled copy; a 256-row chunk gives a 6-chunk grid, the last
+#: chunk ragged.
+CM, CD, CHUNK, POOL = 1500, 24, 256, 8
+CX, CY = make_binary_data(CM, CD, seed=23)
+
+
+class BoardingTrigger(LogisticLoss):
+    """An opener stepping once per chunk (batch size = chunk size) that
+    runs ``actions[n]`` on its n-th gradient call, so the jobs it submits
+    board the flight at fixed cursor positions. Overriding the kernel
+    makes it a custom loss, which rides alone."""
+
+    def __init__(self, regularization, actions):
+        super().__init__(regularization)
+        self.actions = actions
+        self.calls = 0
+
+    def batch_gradient(self, w, X, y):
+        self.calls += 1
+        action = self.actions.pop(self.calls, None)
+        if action is not None:
+            action()
+        return super().batch_gradient(w, X, y)
+
+
+class CustomLogistic(LogisticLoss):
+    """A custom loss: the same arithmetic, but it rides alone."""
+
+    def batch_gradient(self, w, X, y):
+        return super().batch_gradient(w, X, y)
+
+
+def copy_service(backend: str, path=None, **kwargs) -> TrainingService:
+    """An elevator service on table "t" (the copy tests' data): on SQLite
+    behind the small pool, or in memory behind the default pool."""
+    if backend == "sqlite":
+        kwargs.setdefault("buffer_pool_pages", POOL)
+    service = TrainingService(scan_seed=5, elevator=True, chunk_size=CHUNK, **kwargs)
+    if backend == "sqlite":
+        service.register_table("t", CX, CY, backend="sqlite", path=path)
+    else:
+        service.register_table("t", CX, CY)
+    service.open_budget("alice", "t", 1e9)
+    return service
+
+
+def fly_mixed(service: TrainingService) -> list:
+    """One flight: a trigger opener and a cohort of three at offset 0;
+    at two later cursor positions, a cohort of two plus a lone rider (a
+    custom loss, then a Huber rider). Returns the records, trained
+    synchronously."""
+    records = []
+    seeds = iter(range(500, 600))
+
+    def submit(loss, passes, batch_size):
+        records.append(service.submit(
+            "alice", "t", loss, epsilon=0.1, passes=passes,
+            batch_size=batch_size, seed=next(seeds),
+        ))
+
+    def boarders(lone):
+        for lam in (1e-3, 1e-2):
+            submit(LogisticLoss(lam), 1, 37)
+        submit(lone, 2, 10)
+
+    trigger = BoardingTrigger(1e-3, {
+        2: lambda: boarders(CustomLogistic(1e-3)),
+        4: lambda: boarders(HuberSVMLoss(0.1, 1e-3)),
+    })
+    submit(trigger, 2, CHUNK)
+    for lam in (0.0, 1e-4, 1e-3):
+        submit(LogisticLoss(lam), 2, 50)
+    service.scheduler.run_pending()
+    return records
+
+
+class TestScanOrderCopy:
+    def test_a_flight_over_the_copy_releases_the_in_place_bits(self, heap_path):
+        """Boarders at two offsets, stacked cohorts and lone custom-loss
+        riders: every release and page count over the SQLite table's
+        copy equals the same job's on an in-memory table that fits the
+        default pool, which reads in place."""
+        disk = copy_service("sqlite", heap_path)
+        memory = copy_service("memory")
+        ours, theirs = fly_mixed(disk), fly_mixed(memory)
+        assert disk.session.shared_scan("t").shuffled_copy is not None
+        assert memory.session.shared_scan("t").shuffled_copy is None
+        assert {record.boarding_offset for record in ours} == {0, 2 * CHUNK, 4 * CHUNK}
+        for record, twin in zip(ours, theirs):
+            assert record.status is JobStatus.COMPLETED, record.error
+            assert np.array_equal(record.model, twin.model)
+            assert record.group_pages == twin.group_pages
+            assert record.boarding_offset == twin.boarding_offset
+
+    def test_every_loop_misses_each_page_once(self, heap_path):
+        """``table_stats()`` deltas equal ``repro_scan_pages_total``, and
+        a flight of two loops misses each page of the table twice."""
+        service = copy_service("sqlite", heap_path)
+        heap = service.session.catalog.get("t").heap
+        before = vars(service.session.table_stats()["t"]).copy()
+        records = [
+            service.submit("alice", "t", LogisticLoss(lam), epsilon=0.1,
+                           passes=2, batch_size=50, seed=700 + k)
+            for k, lam in enumerate((1e-4, 1e-3, 1e-2))
+        ]
+        service.scheduler.run_pending()
+        assert all(record.status is JobStatus.COMPLETED for record in records)
+        after = vars(service.session.table_stats()["t"])
+        dump = service.metrics(format="json")
+        assert after["page_reads"] - before["page_reads"] == metric_value(
+            dump, "repro_scan_pages_total", table="t"
+        ) == 2 * CM
+        assert after["cache_misses"] - before["cache_misses"] == 2 * heap.num_pages
+
+    def test_a_recreated_table_gets_a_new_copy(self, heap_path):
+        service = copy_service("sqlite", heap_path)
+        first = fly_mixed(service)[1]
+        old_copy = service.session.shared_scan("t").shuffled_copy
+
+        other_X, other_Y = make_binary_data(CM, CD, seed=29)
+        service.session.catalog.drop_table("t")
+        service.register_table("t", other_X, other_Y, backend="sqlite", path=heap_path)
+        replay = service.submit("alice", "t", first.job.candidate.loss, epsilon=0.1,
+                                passes=2, batch_size=50, seed=first.job.seed)
+        service.scheduler.run_pending()
+        new_copy = service.session.shared_scan("t").shuffled_copy
+        assert new_copy is not old_copy and new_copy.path != old_copy.path
+
+        twin = TrainingService(scan_seed=5, elevator=True, chunk_size=CHUNK)
+        twin.register_table("t", other_X, other_Y)
+        twin.open_budget("alice", "t", 1e9)
+        expected = twin.submit("alice", "t", first.job.candidate.loss, epsilon=0.1,
+                               passes=2, batch_size=50, seed=first.job.seed)
+        twin.scheduler.run_pending()
+        assert replay.status is JobStatus.COMPLETED, replay.error
+        assert not replay.cache_source
+        assert np.array_equal(replay.model, expected.model)
+
+    def test_a_dropped_operator_leaves_no_sibling_file(self, heap_path):
+        """A private ``run_sgd`` scan builds its copy for the run and
+        deletes it when the run drops the operator; a service's copies go
+        with the service."""
+        def siblings():
+            return sorted(heap_path.parent.glob(heap_path.name + ".scan-*"))
+
+        seen = []
+
+        class Probe(LogisticLoss):
+            def batch_gradient(self, w, X, y):
+                if not seen:
+                    seen.append(siblings())
+                return super().batch_gradient(w, X, y)
+
+        heap = SQLiteHeapFile.bulk_load(heap_path, CX, CY)
+        session = BismarckSession(buffer_pool_pages=POOL)
+        session.register_table("t", heap)
+        schedule, projection, _ = BoltOnCandidate(loss=Probe()).resolve(CM)
+        session.run_sgd("t", SGDUDA(Probe(), schedule, 10, projection), 1,
+                        chunk_size=CHUNK, random_state=0)
+        gc.collect()
+        assert len(seen[0]) >= 1, "the run never built its copy"
+        assert siblings() == []
+
+        service = copy_service("sqlite", heap_path.with_name("served.db"))
+        fly_mixed(service)
+        served = sorted(heap_path.parent.glob("served.db.scan-*"))
+        assert served
+        del service
+        gc.collect()
+        assert not any(path.exists() for path in served)
+
+    def test_a_fresh_service_never_opens_an_old_copy(self, heap_path, monkeypatch):
+        """A restarted process (same pid, serial numbers from 0) finds a
+        stale copy holding other data at its copy's name: it rewrites the
+        copy from the table instead of scanning the stale one."""
+        monkeypatch.setattr(storage, "_SCAN_COPY_SERIAL", itertools.count())
+        stale = heap_path.with_name(f"{heap_path.name}.scan-{os.getpid()}-0")
+        other_X, other_Y = make_binary_data(CM, CD, seed=29)
+        SQLiteHeapFile.bulk_load(stale, other_X, other_Y).close()
+        SQLiteHeapFile.bulk_load(heap_path, CX, CY).close()
+
+        service = TrainingService(scan_seed=5, elevator=True, chunk_size=CHUNK,
+                                  buffer_pool_pages=POOL)
+        service.register_table("t", backend="sqlite", path=heap_path)
+        service.open_budget("alice", "t", 1e9)
+        ours, theirs = fly_mixed(service), fly_mixed(copy_service("memory"))
+        assert service.session.shared_scan("t").shuffled_copy.path == stale
+        for record, twin in zip(ours, theirs):
+            assert np.array_equal(record.model, twin.model)

@@ -12,13 +12,15 @@ thrashing table whose batch size divides neither the chunk nor the
 table — plus a ``mixed_flight``: one elevator flight whose openers mix
 losses, lambdas, batch sizes, passes and radii (so some fold as stacked
 cohorts and some alone), boarded mid-flight by two more mixed groups at
-two cursor positions. It prints one line per shape: the pool counters
-and a SHA-256 over every released weight vector, every job's
+two cursor positions. It prints one line per shape: a ``release_sha``
+— a SHA-256 over every released weight vector and every job's
 ``group_pages`` (and, for the flight, boarding offset and epochs
-ridden) and those counters. Run it from two checkouts on the same host:
-equal digests mean a change moved no released bit, no page count and
-no pool counter. Digests are comparable only on one host, because BLAS
-summation differs across CPUs.
+ridden) — then the table's pool counters in plain text. Run it from two
+checkouts on the same host: equal ``release_sha`` values mean a change
+moved no released bit and no page count, even when it moves the pool
+counters by design (a change that should not move them must also leave
+the counter fields equal). Digests are comparable only on one host,
+because BLAS summation differs across CPUs.
 """
 
 from __future__ import annotations
@@ -90,13 +92,11 @@ def digest(name: str, workdir: pathlib.Path) -> str:
 
 
 def summary_line(name: str, sha, stats) -> str:
-    """Fold the pool counters into ``sha`` and format the shape's line."""
-    counters = (stats.page_reads, stats.cache_hits, stats.cache_misses, stats.evictions)
-    sha.update(repr(counters).encode())
-    reads, hits, misses, evictions = counters
+    """The shape's line: the release digest, then the pool counters."""
     return (
-        f"{name:<17} reads={reads} hits={hits} misses={misses} "
-        f"evictions={evictions} sha256={sha.hexdigest()}"
+        f"{name:<17} release_sha={sha.hexdigest()} reads={stats.page_reads} "
+        f"hits={stats.cache_hits} misses={stats.cache_misses} "
+        f"evictions={stats.evictions}"
     )
 
 
