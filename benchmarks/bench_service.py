@@ -68,7 +68,7 @@ wall-clock jobs/sec for both, and it gates CI on the structural claim:
   p99 / max) — informational, recording the insert-sorted queue's
   admission-lock cost; it never gates.
 
-* ``--http`` benchmarks the ``repro-api/v1`` front-end against the
+* ``--http`` benchmarks the ``repro-api/v2`` front-end against the
   in-process verbs on twin services: per-submit latency through a live
   socket (stdlib ``ThreadingHTTPServer`` + ``urllib`` client) and
   end-to-end jobs/sec with workers draining behind both transports
@@ -721,7 +721,8 @@ WAL_WINDOW_EVENTS = 16
 def _synthetic_record(j: int, d: int = 8):
     """A terminal record with a realistic payload shape — cheap to mint
     by the thousand, so the note can scale history without training
-    thousands of real jobs."""
+    thousands of real jobs. It is marked done, as a released record is,
+    so its payload carries the weights."""
     from repro.core.bolton import BoltOnCandidate
     from repro.service import JobRecord, TrainingJob
 
@@ -735,11 +736,13 @@ def _synthetic_record(j: int, d: int = 8):
         job_id=f"wal-{j:06d}",
         arrival=j,
     )
-    return JobRecord(
+    record = JobRecord(
         job=job, status=JobStatus.COMPLETED, model=np.zeros(d),
         sensitivity=1.0, noise_norm=0.1, dispatch="scan",
         group_size=1, group_pages=10, epochs=1, submitted_at=j,
     )
+    record.mark_done()
+    return record
 
 
 def bench_durability(write: bool = True) -> int:
@@ -754,8 +757,6 @@ def bench_durability(write: bool = True) -> int:
     """
     import tempfile
 
-    from repro.service.registry import _record_payload
-
     print(f"\ndurability     : {WAL_WINDOW_EVENTS}-event window autosave, "
           f"log append+fsync vs full snapshot")
     rows = []
@@ -768,7 +769,7 @@ def bench_durability(write: bool = True) -> int:
             service.save_state()
             snapshot_s = time.perf_counter() - t0
             events = [
-                {"event": "record", "record": _record_payload(_synthetic_record(j))}
+                {"event": "record", "record": _synthetic_record(j).payload()}
                 for j in range(size, size + WAL_WINDOW_EVENTS)
             ]
             t0 = time.perf_counter()
@@ -1232,7 +1233,7 @@ def _drain_workload(service, submit_one, jobs: int, submitters: int = 1):
 def bench_http(gate: bool, write: bool = True, report=None) -> int:
     from repro.api import ServiceApiServer, ServiceClient
 
-    print(f"\nhttp api shape: {JOBS} jobs over repro-api/v1 "
+    print(f"\nhttp api shape: {JOBS} jobs over repro-api/v2 "
           "(ThreadingHTTPServer + urllib client, loopback)")
 
     # -- submit latency: admission through the socket, no workers ------
@@ -1458,7 +1459,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--http",
         action="store_true",
-        help="also benchmark the repro-api/v1 HTTP front-end vs the "
+        help="also benchmark the repro-api/v2 HTTP front-end vs the "
         f"in-process verbs and fail (exit 1) above a "
         f"{HTTP_SUBMIT_P99_CEILING_S * 1e3:.0f} ms submit p99, below "
         f"{HTTP_THROUGHPUT_FLOOR}x end-to-end throughput, or on any "

@@ -1,10 +1,12 @@
-"""The network API: ``repro-api/v1`` over HTTP, plus the Python client.
+"""The network API: ``repro-api/v2`` over HTTP, plus the Python client.
 
 The service subsystem (:mod:`repro.service`) is deliberately an
 in-process server; this package is the process boundary. Three modules:
 
-* :mod:`repro.api.wire` — the versioned JSON wire schema: typed payload
-  dataclasses with exact (``float.hex``-disciplined) round-trips.
+* :mod:`repro.api.wire` — the versioned JSON wire schema: the envelope,
+  and the request, budget and health payloads. A job travels as
+  ``JobRecord.payload()``, the same JSON the snapshot and the
+  write-ahead log carry.
 * :mod:`repro.api.server` — :class:`ServiceApiServer`, a stdlib
   ``ThreadingHTTPServer`` front-end over the service verbs with
   bearer-token auth mapped to principals at the edge.

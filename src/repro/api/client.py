@@ -1,15 +1,16 @@
 """The Python client: ``TrainingService``'s verb surface over a socket.
 
-:class:`ServiceClient` speaks ``repro-api/v1`` to a
+:class:`ServiceClient` speaks ``repro-api/v2`` to a
 :class:`~repro.api.server.ServiceApiServer` using nothing but
 ``urllib`` — the same zero-dependency discipline as the server. Verbs
-mirror the in-process service:
+mirror the in-process service and return the same
+:class:`~repro.service.registry.JobRecord` type, decoded from the wire:
 
 >>> client = ServiceClient("http://127.0.0.1:8321", token="alice-token")
->>> view = client.submit("alice", "ratings", LogisticLoss(1e-3),
-...                      epsilon=0.1, passes=5, batch_size=50, seed=7)
->>> view = client.wait(view.job_id)       # poll until terminal
->>> client.model(view.job_id)             # bitwise-equal to in-process
+>>> record = client.submit("alice", "ratings", LogisticLoss(1e-3),
+...                        epsilon=0.1, passes=5, batch_size=50, seed=7)
+>>> record = client.wait(record.job_id)   # poll until terminal
+>>> client.model(record.job_id)           # bitwise-equal to in-process
 
 Faults come back as the **same exception classes** the in-process verbs
 raise: the server serializes each :class:`~repro.service.errors
@@ -37,6 +38,7 @@ from repro.optim.losses import Loss
 from repro.service.errors import NotCancellable, ServiceError, error_for_code
 from repro.service.jobs import JobStatus
 from repro.service.ledger import AccountStatement
+from repro.service.registry import JobRecord
 
 
 class ApiUnreachable(ServiceError):
@@ -47,14 +49,18 @@ class ApiUnreachable(ServiceError):
 
 
 class ServiceClient:
-    """A thin, synchronous ``repro-api/v1`` client.
+    """A thin, synchronous ``repro-api/v2`` client.
 
     ``timeout`` is per-request (seconds); ``retries`` counts *additional*
     attempts after a transport failure, spaced ``backoff * 2**attempt``
-    seconds apart. Retries are safe here: every endpoint is a read or an
-    idempotent-at-the-ledger admission — a submit retried after a
-    connection error that actually admitted lands as a second job, which
-    the result cache serves for free once the first completes.
+    seconds apart. Retrying a read is safe. Retrying a submit is not
+    always: if the first attempt was admitted before the connection
+    failed, the retry is admitted as a second job with its own
+    reservation. The result cache serves that twin for free only if the
+    first job has already completed; while the first is still queued or
+    running, both reserve, and an ε=0.3 job submitted twice that way
+    leaves the account 0.6 spent for one release. (ROADMAP open item 4
+    plans to attach such a twin to the job already in flight.)
     """
 
     def __init__(
@@ -90,9 +96,9 @@ class ServiceClient:
         radius: Optional[float] = None,
         priority: int = 0,
         seed: int = 0,
-    ) -> wire.JobView:
+    ) -> JobRecord:
         """``TrainingService.submit`` over the wire; returns the admitted
-        job's view immediately (QUEUED, COMPLETED-from-cache, or
+        job's record immediately (QUEUED, COMPLETED-from-cache, or
         REJECTED — never blocks on a scan)."""
         request = wire.SubmitRequest(
             principal=principal,
@@ -108,21 +114,28 @@ class ServiceClient:
             seed=seed,
         )
         payload = self._call("POST", "/v1/jobs", body=request.to_payload())
-        return wire.JobView.from_payload(payload["job"])
+        return JobRecord.from_payload(payload["job"])
 
-    def result(self, job_id: str) -> wire.JobView:
-        """One job's full record view (live status — a queued job says so)."""
+    def result(self, job_id: str) -> JobRecord:
+        """One job's full record, as the server saw it (live status — a
+        queued job says so).
+
+        The record is a copy, decoded from the wire: it is done only if
+        its status is terminal, and it never changes afterwards. On a
+        copy that is not done, ``record.wait()`` can only time out — poll
+        with :meth:`wait` instead.
+        """
         payload = self._call("GET", f"/v1/jobs/{job_id}")
-        return wire.JobView.from_payload(payload["job"])
+        return JobRecord.from_payload(payload["job"])
 
     def status(self, job_id: str) -> JobStatus:
         return self.result(job_id).status
 
     def model(self, job_id: str) -> np.ndarray:
-        """The released weights, hex-decoded — bitwise-equal to the
-        array ``TrainingService.model`` returns in process."""
+        """The released weights — bitwise-equal to the array
+        ``TrainingService.model`` returns in process."""
         payload = self._call("GET", f"/v1/jobs/{job_id}/model")
-        return wire.decode_weights(payload["model"])
+        return np.asarray(payload["model"], dtype=np.float64)
 
     def trace(self, job_id: str) -> JobTrace:
         payload = self._call("GET", f"/v1/jobs/{job_id}/trace")
@@ -176,18 +189,18 @@ class ServiceClient:
         job_id: str,
         timeout: Optional[float] = None,
         poll_seconds: float = 0.02,
-    ) -> wire.JobView:
+    ) -> JobRecord:
         """Poll until the job is terminal; the remote stand-in for
-        ``record.wait()``. Returns the final view; raises
+        ``record.wait()``. Returns the final record; raises
         :class:`TimeoutError` if ``timeout`` expires first."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            view = self.result(job_id)
-            if view.done:
-                return view
+            record = self.result(job_id)
+            if record.done:
+                return record
             if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError(
-                    f"job {job_id!r} still {view.status} after {timeout}s"
+                    f"job {job_id!r} still {record.status} after {timeout}s"
                 )
             time.sleep(poll_seconds)
 

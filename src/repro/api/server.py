@@ -1,4 +1,4 @@
-"""The HTTP front-end: ``repro-api/v1`` over a stdlib threading server.
+"""The HTTP front-end: ``repro-api/v2`` over a stdlib threading server.
 
 :class:`ServiceApiServer` wraps one :class:`~repro.service.TrainingService`
 behind ``http.server.ThreadingHTTPServer`` (no dependencies beyond the
@@ -10,8 +10,8 @@ Method Path                         Verb
 POST   ``/v1/jobs``                 ``submit()`` — returns the job
                                     record envelope immediately (rides
                                     the sub-ms async admission path)
-GET    ``/v1/jobs/{id}``            ``result()`` — status + result view
-GET    ``/v1/jobs/{id}/model``      ``model()`` — hex-exact weights
+GET    ``/v1/jobs/{id}``            ``result()`` — the record payload
+GET    ``/v1/jobs/{id}/model``      ``model()`` — exact float64 weights
 GET    ``/v1/jobs/{id}/trace``      ``trace()`` — lifecycle spans
 POST   ``/v1/jobs/{id}/cancel``     ``cancel()``
 GET    ``/v1/budgets``              ``budgets()``
@@ -297,7 +297,7 @@ class _ApiHandler(BaseHTTPRequestHandler):
             if leaf == "/model":
                 payload = {
                     "job_id": job_id,
-                    "model": wire.encode_weights(service.model(job_id)),
+                    "model": service.model(job_id).tolist(),
                 }
                 return (route, *self._json(200, payload))
             if leaf == "/trace":
@@ -306,8 +306,7 @@ class _ApiHandler(BaseHTTPRequestHandler):
                     "trace": service.trace(job_id).payload(),
                 }
                 return (route, *self._json(200, payload))
-            view = wire.JobView.from_record(service.result(job_id))
-            return (route, *self._json(200, {"job": view.to_payload()}))
+            return (route, *self._json(200, {"job": service.result(job_id).payload()}))
 
         raise ServiceApiError(404, "unknown_route", f"no such endpoint: {path}")
 
@@ -345,8 +344,7 @@ class _ApiHandler(BaseHTTPRequestHandler):
             priority=request.priority,
             seed=request.seed,
         )
-        view = wire.JobView.from_record(record)
-        return self._json(200, {"job": view.to_payload()})
+        return self._json(200, {"job": record.payload()})
 
     def _cancel(self, job_id: str) -> Tuple[int, bytes, str]:
         self._principal()
@@ -356,8 +354,9 @@ class _ApiHandler(BaseHTTPRequestHandler):
                 f"job {job_id!r} is not cancellable: it was already claimed "
                 "into a scan window or reached a terminal state"
             )
-        view = wire.JobView.from_record(service.result(job_id))
-        return self._json(200, {"cancelled": True, "job": view.to_payload()})
+        return self._json(
+            200, {"cancelled": True, "job": service.result(job_id).payload()}
+        )
 
     def _metrics(self, query: Dict[str, list]) -> Tuple[int, bytes, str]:
         self._principal()

@@ -1,50 +1,38 @@
-"""The ``repro-api/v1`` wire schema — typed payloads, exact round-trips.
+"""The ``repro-api/v2`` wire schema — typed payloads, exact round-trips.
 
-Every request and response body the HTTP front-end speaks is one of the
-dataclasses here, each with ``to_payload()`` / ``from_payload()`` that
-round-trip **exactly**: scalars ride JSON's shortest-repr floats (which
-reconstruct every float64 bit-for-bit), and released weights are
-hex-encoded (``float.hex()`` — the same discipline as the WAL/snapshot
-layer, minus any dependence on the JSON writer), so a model fetched over
-the wire is ``np.array_equal`` to the in-process release it came from.
+Every request and response body the HTTP front-end speaks is either a
+job record or one of the dataclasses here. A job travels as
+:meth:`JobRecord.payload() <repro.service.registry.JobRecord.payload>` —
+the same JSON the snapshot and the write-ahead log carry — and the
+client rebuilds it with ``JobRecord.from_payload``. Floats ride JSON
+numbers: Python's ``json`` writes each float64 as its shortest
+round-tripping repr, so a model fetched over the wire is
+``np.array_equal`` to the in-process release it came from.
 
 Top-level bodies are wrapped in an **envelope** carrying the protocol
 tag::
 
-    {"api": "repro-api/v1", "job": {...}}            # success
-    {"api": "repro-api/v1", "error": {"code": "unknown_job",
+    {"api": "repro-api/v2", "job": {...}}            # success
+    {"api": "repro-api/v2", "error": {"code": "unknown_job",
                                       "message": "..."}}  # fault
 
 A reader that sees a foreign ``api`` tag refuses the payload early
-(:func:`check_envelope`) instead of misparsing it — the versioning
-contract every later process-sharding PR builds on.
-
-:class:`JobView` is the documented payload form of a job record: the
-same object whether it came from ``TrainingService.result()`` in
-process (:meth:`JobView.from_record`) or off the wire
-(:meth:`JobView.from_payload`). Unlike the durability layer's
-``record_from_payload`` — which forces in-flight records to
-FAILED/interrupted, the honest *restart* semantics — the wire view
-reports live statuses honestly: an HTTP poll of a QUEUED job says
-``queued``.
+(:func:`check_envelope`) instead of misparsing it: ``v2`` changed the
+job body, so a ``v1`` peer is refused at the tag.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.core.mechanisms import PrivacyParameters
-from repro.obs.trace import JobTrace
 from repro.optim.losses import Loss
-from repro.service.jobs import JobStatus
-from repro.service.ledger import AccountStatement, BudgetReceipt
-from repro.service.registry import JobRecord, _loss_from_payload, _loss_payload
+from repro.service.ledger import AccountStatement
+from repro.service.registry import _loss_from_payload, _loss_payload
 
 #: The protocol tag every envelope carries (reject foreign bodies early).
-WIRE_FORMAT = "repro-api/v1"
+WIRE_FORMAT = "repro-api/v2"
 
 
 # -- envelopes --------------------------------------------------------------------
@@ -69,23 +57,6 @@ def check_envelope(payload: dict) -> dict:
             "client and server speak different protocol versions"
         )
     return payload
-
-
-# -- exact float transport --------------------------------------------------------
-
-
-def encode_weights(model: Optional[np.ndarray]) -> Optional[List[str]]:
-    """Weights as ``float.hex()`` strings — bit-exact by construction,
-    independent of any JSON writer's float formatting."""
-    if model is None:
-        return None
-    return [float(value).hex() for value in np.asarray(model, dtype=np.float64)]
-
-
-def decode_weights(payload: Optional[List[str]]) -> Optional[np.ndarray]:
-    if payload is None:
-        return None
-    return np.array([float.fromhex(value) for value in payload], dtype=np.float64)
 
 
 # -- requests ---------------------------------------------------------------------
@@ -140,217 +111,6 @@ class SubmitRequest:
 
 
 # -- responses --------------------------------------------------------------------
-
-
-def _receipt_payload(receipt: Optional[BudgetReceipt]) -> Optional[dict]:
-    if receipt is None:
-        return None
-    return {
-        "principal": receipt.principal,
-        "table": receipt.table,
-        "job_id": receipt.job_id,
-        "epsilon": receipt.parameters.epsilon,
-        "delta": receipt.parameters.delta,
-        "sequence": receipt.sequence,
-    }
-
-
-def _receipt_from_payload(payload: Optional[dict]) -> Optional[BudgetReceipt]:
-    if payload is None:
-        return None
-    return BudgetReceipt(
-        principal=payload["principal"],
-        table=payload["table"],
-        job_id=payload["job_id"],
-        parameters=PrivacyParameters(payload["epsilon"], payload["delta"]),
-        sequence=payload["sequence"],
-    )
-
-
-@dataclass(eq=False)
-class JobView:
-    """One job record as the wire sees it — attribute-compatible with
-    :class:`~repro.service.registry.JobRecord` for every field the verb
-    surface documents, so code written against ``service.result()``
-    reads a client's answer unchanged."""
-
-    job_id: str
-    principal: str
-    table: str
-    status: JobStatus
-    epsilon: float
-    delta: float = 0.0
-    priority: int = 0
-    seed: int = 0
-    arrival: int = -1
-    loss: Optional[Loss] = None
-    passes: int = 1
-    batch_size: int = 50
-    eta: Optional[float] = None
-    radius: Optional[float] = None
-    model: Optional[np.ndarray] = None
-    receipt: Optional[BudgetReceipt] = None
-    sensitivity: Optional[float] = None
-    noise_norm: Optional[float] = None
-    dispatch: str = ""
-    group_size: int = 0
-    group_pages: int = 0
-    epochs: int = 0
-    boarding_offset: int = 0
-    epochs_ridden: int = 0
-    cache_source: str = ""
-    table_fingerprint: str = ""
-    scan_seed: Optional[int] = None
-    error: str = ""
-    submitted_at: int = -1
-    finished_at: int = -1
-    weights_evicted: bool = False
-    trace: JobTrace = field(default_factory=JobTrace, repr=False)
-
-    #: The terminal statuses (mirrors the registry's — a view is "done"
-    #: when polling would never change it again).
-    _TERMINAL = frozenset(
-        (
-            JobStatus.COMPLETED,
-            JobStatus.FAILED,
-            JobStatus.REJECTED,
-            JobStatus.CANCELLED,
-        )
-    )
-
-    @property
-    def done(self) -> bool:
-        return self.status in self._TERMINAL
-
-    @property
-    def job(self) -> "JobView":
-        # JobRecord nests identity under record.job; the view is flat.
-        # Returning self lets record-shaped readers (e.g. the trace
-        # pretty-printer's record.job.principal) work on either.
-        return self
-
-    @classmethod
-    def from_record(cls, record: JobRecord) -> "JobView":
-        job = record.job
-        candidate = job.candidate
-        # A racing worker writes result fields before flipping status
-        # COMPLETED and only then marks done; capture doneness FIRST so
-        # a mid-release view reports in-flight without a half-written
-        # model/receipt (same discipline as the snapshot layer).
-        done = record.done
-        status = record.status if done else (
-            record.status
-            if record.status in (JobStatus.QUEUED, JobStatus.RUNNING)
-            else JobStatus.RUNNING
-        )
-        return cls(
-            job_id=job.job_id,
-            principal=job.principal,
-            table=job.table,
-            status=status,
-            epsilon=job.epsilon,
-            delta=job.delta,
-            priority=job.priority,
-            seed=job.seed,
-            arrival=job.arrival,
-            loss=candidate.loss,
-            passes=candidate.passes,
-            batch_size=candidate.batch_size,
-            eta=candidate.eta,
-            radius=candidate.radius,
-            model=None if not done or record.model is None else record.model.copy(),
-            receipt=record.receipt if done else None,
-            sensitivity=record.sensitivity if done else None,
-            noise_norm=record.noise_norm if done else None,
-            dispatch=record.dispatch,
-            group_size=record.group_size,
-            group_pages=record.group_pages,
-            epochs=record.epochs,
-            boarding_offset=record.boarding_offset,
-            epochs_ridden=record.epochs_ridden,
-            cache_source=record.cache_source,
-            table_fingerprint=record.table_fingerprint,
-            scan_seed=record.scan_seed,
-            error=record.error,
-            submitted_at=record.submitted_at,
-            finished_at=record.finished_at,
-            weights_evicted=record.weights_evicted,
-            trace=JobTrace.from_payload(record.trace.payload()),
-        )
-
-    def to_payload(self) -> dict:
-        return {
-            "job_id": self.job_id,
-            "principal": self.principal,
-            "table": self.table,
-            "status": self.status.value,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "priority": self.priority,
-            "seed": self.seed,
-            "arrival": self.arrival,
-            "loss": None if self.loss is None else _loss_payload(self.loss),
-            "passes": self.passes,
-            "batch_size": self.batch_size,
-            "eta": self.eta,
-            "radius": self.radius,
-            "model": encode_weights(self.model),
-            "receipt": _receipt_payload(self.receipt),
-            "sensitivity": self.sensitivity,
-            "noise_norm": self.noise_norm,
-            "dispatch": self.dispatch,
-            "group_size": self.group_size,
-            "group_pages": self.group_pages,
-            "epochs": self.epochs,
-            "boarding_offset": self.boarding_offset,
-            "epochs_ridden": self.epochs_ridden,
-            "cache_source": self.cache_source,
-            "table_fingerprint": self.table_fingerprint,
-            "scan_seed": self.scan_seed,
-            "error": self.error,
-            "submitted_at": self.submitted_at,
-            "finished_at": self.finished_at,
-            "weights_evicted": self.weights_evicted,
-            "trace": self.trace.payload(),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "JobView":
-        loss = payload.get("loss")
-        return cls(
-            job_id=payload["job_id"],
-            principal=payload["principal"],
-            table=payload["table"],
-            status=JobStatus(payload["status"]),
-            epsilon=payload["epsilon"],
-            delta=payload["delta"],
-            priority=payload["priority"],
-            seed=payload["seed"],
-            arrival=payload["arrival"],
-            loss=None if loss is None else _loss_from_payload(loss),
-            passes=payload["passes"],
-            batch_size=payload["batch_size"],
-            eta=payload["eta"],
-            radius=payload["radius"],
-            model=decode_weights(payload["model"]),
-            receipt=_receipt_from_payload(payload["receipt"]),
-            sensitivity=payload["sensitivity"],
-            noise_norm=payload["noise_norm"],
-            dispatch=payload["dispatch"],
-            group_size=payload["group_size"],
-            group_pages=payload["group_pages"],
-            epochs=payload["epochs"],
-            boarding_offset=payload["boarding_offset"],
-            epochs_ridden=payload["epochs_ridden"],
-            cache_source=payload["cache_source"],
-            table_fingerprint=payload["table_fingerprint"],
-            scan_seed=payload["scan_seed"],
-            error=payload["error"],
-            submitted_at=payload["submitted_at"],
-            finished_at=payload["finished_at"],
-            weights_evicted=payload["weights_evicted"],
-            trace=JobTrace.from_payload(payload.get("trace", {})),
-        )
 
 
 @dataclass(frozen=True)

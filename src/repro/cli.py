@@ -46,7 +46,7 @@ Six subcommands::
         HTTP API. ``--json`` emits the raw span payload instead of the
         pretty table.
 
-``serve --http PORT`` additionally starts the ``repro-api/v1`` HTTP
+``serve --http PORT`` additionally starts the ``repro-api/v2`` HTTP
 front-end (``repro.api``) and drives the demo workload through
 ``ServiceClient`` over a real socket; ``--token-file`` maps bearer
 tokens to principals (generated and written when the file is missing),
@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--http", type=int, default=None, metavar="PORT",
-        help="start the repro-api/v1 HTTP front-end on PORT (0 = pick an "
+        help="start the repro-api/v2 HTTP front-end on PORT (0 = pick an "
         "ephemeral port) and drive the demo workload through ServiceClient "
         "over a real socket",
     )
@@ -316,7 +316,7 @@ def _submit_remote(args: argparse.Namespace) -> int:
         return 2
     client = ServiceClient(args.url, token=args.token)
     try:
-        view = client.submit(
+        record = client.submit(
             args.principal,
             args.table,
             _Logistic(regularization=args.regularization),
@@ -326,8 +326,8 @@ def _submit_remote(args: argparse.Namespace) -> int:
             batch_size=args.batch_size,
             seed=args.seed,
         )
-        if not view.done:
-            view = client.wait(view.job_id, timeout=args.wait_seconds)
+        if not record.done:
+            record = client.wait(record.job_id, timeout=args.wait_seconds)
         statements = [
             statement
             for statement in client.budgets()
@@ -338,18 +338,18 @@ def _submit_remote(args: argparse.Namespace) -> int:
         code = getattr(error, "code", "error")
         print(f"error: {code}: {error}", file=sys.stderr)
         return 2
-    print(f"job             : {view.job_id} ({args.principal} on {args.table})")
-    print(f"status          : {view.status}")
-    if view.status is JobStatus.COMPLETED:
-        print(f"dispatch        : {view.dispatch} (group of {view.group_size})")
-        print(f"pages charged   : {view.group_pages}")
-        print(f"sensitivity     : {view.sensitivity:.6g}")
-        print(f"noise norm      : {view.noise_norm:.6g}")
-        if view.receipt is not None:
-            print(f"receipt         : #{view.receipt.sequence} for "
-                  f"{view.receipt.parameters}")
-    elif view.error:
-        print(f"reason          : {view.error}")
+    print(f"job             : {record.job_id} ({args.principal} on {args.table})")
+    print(f"status          : {record.status}")
+    if record.status is JobStatus.COMPLETED:
+        print(f"dispatch        : {record.dispatch} (group of {record.group_size})")
+        print(f"pages charged   : {record.group_pages}")
+        print(f"sensitivity     : {record.sensitivity:.6g}")
+        print(f"noise norm      : {record.noise_norm:.6g}")
+        if record.receipt is not None:
+            print(f"receipt         : #{record.receipt.sequence} for "
+                  f"{record.receipt.parameters}")
+    elif record.error:
+        print(f"reason          : {record.error}")
     if statements:
         statement = statements[0]
         print(
@@ -357,7 +357,7 @@ def _submit_remote(args: argparse.Namespace) -> int:
             f"({statement.spent[0]:g}, {statement.spent[1]:g}), "
             f"available eps {statement.available_epsilon:g}"
         )
-    return 0 if view.status is JobStatus.COMPLETED else 1
+    return 0 if record.status is JobStatus.COMPLETED else 1
 
 
 def _submit(args: argparse.Namespace) -> int:
@@ -643,7 +643,7 @@ def _serve(args: argparse.Namespace) -> int:
           f"{boarding}, {args.workers} workers")
     if api_server is not None:
         print(
-            f"http front-end  : {api_server.url} (repro-api/v1, "
+            f"http front-end  : {api_server.url} (repro-api/v2, "
             f"{len(clients)} tenant tokens; submits rode the socket)"
         )
     if args.backend == "sqlite":
@@ -675,10 +675,10 @@ def _record_source(args: argparse.Namespace):
     """Resolve ``--url`` / ``--state-dir`` into a record fetcher.
 
     Returns ``(fetch, where, code)``: ``fetch(job_id)`` yields a
-    record-shaped object (a live :class:`JobRecord` or a wire
-    :class:`JobView` — attribute-compatible), ``where`` names the source
-    for error messages. On a usage/load error, ``fetch`` is None and
-    ``code`` is the exit status to return.
+    :class:`JobRecord` (restored from the state directory, or decoded
+    from the server's reply), ``where`` names the source for error
+    messages. On a usage/load error, ``fetch`` is None and ``code`` is
+    the exit status to return.
     """
     from repro.service import TrainingService, WalCorruption
 

@@ -85,13 +85,6 @@ class PrivacyAccountant:
             delta += spend.parameters.delta
         self._totals = (eps, delta)
 
-    def can_spend(self, parameters: PrivacyParameters) -> bool:
-        """Would :meth:`spend` of ``parameters`` succeed right now?"""
-        eps, delta = self.total()
-        return not would_overflow(
-            self.budget, eps + parameters.epsilon, delta + parameters.delta
-        )
-
     def spend(self, parameters: PrivacyParameters, label: str = "") -> None:
         """Record a sequential spend, raising if the budget would overflow."""
         eps, delta = self.total()

@@ -100,10 +100,6 @@ class AccountStatement:
     def available_epsilon(self) -> float:
         return max(self.cap.epsilon - self.spent[0] - self.reserved[0], 0.0)
 
-    @property
-    def available_delta(self) -> float:
-        return max(self.cap.delta - self.spent[1] - self.reserved[1], 0.0)
-
 
 class PrivacyBudgetLedger:
     """Thread-safe two-phase budget accounting over many accounts."""

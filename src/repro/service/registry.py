@@ -17,13 +17,15 @@ Two serving-layer concerns live here too:
   :meth:`JobRecord.wait` / :attr:`JobRecord.done`.
 * **Durability** — :meth:`ModelRegistry.snapshot` /
   :meth:`ModelRegistry.load` round-trip the whole store through JSON.
-  Weights survive *bitwise*: Python's ``json`` emits the shortest
+  :meth:`JobRecord.payload` is the one codec for a job: the snapshot,
+  the write-ahead log's events and every HTTP job body carry the same
+  JSON. Weights survive *bitwise*: Python's ``json`` emits the shortest
   round-tripping ``repr`` for every float64, so a reloaded model is
   ``np.array_equal`` to the one that was saved. Jobs that were still
-  QUEUED/RUNNING at snapshot time are not durable work — a loaded
-  registry marks them FAILED (interrupted) so their tenants see an
-  honest terminal state and, because such records carry no receipt,
-  budget reconciliation never charges for them.
+  QUEUED/RUNNING at snapshot time are not durable work —
+  :func:`restore_record` marks them FAILED (interrupted) so their
+  tenants see an honest terminal state and, because such records carry
+  no receipt, budget reconciliation never charges for them.
 """
 
 from __future__ import annotations
@@ -166,6 +168,150 @@ class JobRecord:
         journal = self._journal
         if journal is not None:
             journal(self)
+
+    # -- the one codec -----------------------------------------------------------
+
+    def payload(self) -> dict:
+        """The record as JSON-native data: what the snapshot, the
+        write-ahead log and every HTTP job body carry.
+
+        Floats stay JSON numbers: Python's ``json`` writes each float64
+        as its shortest round-tripping repr (NaN and ±inf as ``NaN`` /
+        ``Infinity``), so :meth:`from_payload` rebuilds every weight
+        bitwise. ``done`` is read first. A worker writes a release's
+        fields, then its status, and marks the record done last, so a
+        record that is not done yet is encoded in flight — ``queued`` if
+        it is queued, else ``running`` — with no model, receipt,
+        sensitivity or noise norm, whatever has landed. Safe to call
+        while a worker releases the record.
+        """
+        done = self.done
+        job = self.job
+        candidate = job.candidate
+        status = self.status
+        if not done and status is not JobStatus.QUEUED:
+            status = JobStatus.RUNNING
+        model = self.model if done else None
+        receipt = self.receipt if done else None
+        return {
+            "job": {
+                "principal": job.principal,
+                "table": job.table,
+                "epsilon": job.epsilon,
+                "delta": job.delta,
+                "priority": job.priority,
+                "seed": job.seed,
+                "job_id": job.job_id,
+                "arrival": job.arrival,
+                "candidate": {
+                    "loss": _loss_payload(candidate.loss),
+                    "passes": candidate.passes,
+                    "batch_size": candidate.batch_size,
+                    "eta": candidate.eta,
+                    "radius": candidate.radius,
+                    "average": candidate.average,
+                },
+            },
+            "status": status.value,
+            "model": None
+            if model is None
+            else np.asarray(model, dtype=np.float64).tolist(),
+            "receipt": None
+            if receipt is None
+            else {
+                "principal": receipt.principal,
+                "table": receipt.table,
+                "job_id": receipt.job_id,
+                "epsilon": receipt.parameters.epsilon,
+                "delta": receipt.parameters.delta,
+                "sequence": receipt.sequence,
+            },
+            "sensitivity": self.sensitivity if done else None,
+            "noise_norm": self.noise_norm if done else None,
+            "dispatch": self.dispatch,
+            "group_size": self.group_size,
+            "group_pages": self.group_pages,
+            "epochs": self.epochs,
+            "boarding_offset": self.boarding_offset,
+            "epochs_ridden": self.epochs_ridden,
+            "cache_source": self.cache_source,
+            "table_fingerprint": self.table_fingerprint,
+            "scan_seed": self.scan_seed,
+            "error": self.error,
+            "submitted_at": self.submitted_at,
+            "finished_at": self.finished_at,
+            "weights_evicted": self.weights_evicted,
+            # Closed spans only (an open span has no end yet); floats emit
+            # their shortest repr, so the trace round-trips bitwise.
+            "trace": self.trace.payload(),
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "JobRecord":
+        """Rebuild a record from :meth:`payload`, faithfully: the status
+        is the one written, and the record is done only if that status
+        is terminal. A restarting service loads through
+        :func:`restore_record` instead, which fails in-flight work."""
+        job_data = payload["job"]
+        candidate_data = job_data["candidate"]
+        receipt_data = payload["receipt"]
+        model = payload["model"]
+        record = cls(
+            job=TrainingJob(
+                principal=job_data["principal"],
+                table=job_data["table"],
+                candidate=BoltOnCandidate(
+                    loss=_loss_from_payload(candidate_data["loss"]),
+                    passes=candidate_data["passes"],
+                    batch_size=candidate_data["batch_size"],
+                    eta=candidate_data["eta"],
+                    radius=candidate_data["radius"],
+                    average=candidate_data["average"],
+                ),
+                epsilon=job_data["epsilon"],
+                delta=job_data["delta"],
+                priority=job_data["priority"],
+                seed=job_data["seed"],
+                job_id=job_data["job_id"],
+                arrival=job_data["arrival"],
+            ),
+            status=JobStatus(payload["status"]),
+            model=None if model is None else np.asarray(model, dtype=np.float64),
+            receipt=None
+            if receipt_data is None
+            else BudgetReceipt(
+                principal=receipt_data["principal"],
+                table=receipt_data["table"],
+                job_id=receipt_data["job_id"],
+                parameters=PrivacyParameters(
+                    receipt_data["epsilon"], receipt_data["delta"]
+                ),
+                sequence=receipt_data["sequence"],
+            ),
+            sensitivity=payload["sensitivity"],
+            noise_norm=payload["noise_norm"],
+            dispatch=payload["dispatch"],
+            group_size=payload["group_size"],
+            group_pages=payload["group_pages"],
+            epochs=payload["epochs"],
+            # Lenient: snapshots written before the elevator carried no
+            # boarding provenance — those records all boarded at offset 0.
+            boarding_offset=payload.get("boarding_offset", 0),
+            epochs_ridden=payload.get("epochs_ridden", 0),
+            cache_source=payload["cache_source"],
+            table_fingerprint=payload["table_fingerprint"],
+            scan_seed=payload["scan_seed"],
+            error=payload["error"],
+            submitted_at=payload["submitted_at"],
+            finished_at=payload["finished_at"],
+            # Lenient: payloads written before the telemetry layer carry no
+            # trace (loads as empty) and no retention flag.
+            weights_evicted=payload.get("weights_evicted", False),
+            trace=JobTrace.from_payload(payload.get("trace", {})),
+        )
+        if record.status in _TERMINAL:
+            record.mark_done()
+        return record
 
 
 @dataclass(frozen=True)
@@ -314,7 +460,7 @@ class ModelRegistry:
                 self._note_terminal(record)
             sink = self.journal
             if sink is not None and record.status is JobStatus.QUEUED:
-                sink({"event": "admit", "record": _record_payload(record)})
+                sink({"event": "admit", "record": record.payload()})
             return record
 
     def _journal_terminal(self, record: JobRecord) -> None:
@@ -322,7 +468,7 @@ class ModelRegistry:
         enroll the record in weight retention."""
         sink = self.journal
         if sink is not None:
-            sink({"event": "record", "record": _record_payload(record)})
+            sink({"event": "record", "record": record.payload()})
         self._note_terminal(record)
 
     def _note_terminal(self, record: JobRecord) -> None:
@@ -416,8 +562,8 @@ class ModelRegistry:
 
         Safe to call from the dispatch loop's autosave hook while workers
         are releasing jobs: records are serialized under the registry
-        lock, and a record that is not yet terminal is snapshotted as
-        in-flight (its loader will mark it FAILED/interrupted).
+        lock, and a record that is not done yet is snapshotted in flight
+        (:func:`restore_record` will load it FAILED/interrupted).
         """
         path = pathlib.Path(path)
         with self._lock:
@@ -433,7 +579,7 @@ class ModelRegistry:
                     # forever. done is set only after every field landed,
                     # so frozen-before-build means the payload is final.
                     frozen = record.done and record.status in _TERMINAL
-                    entry = _record_payload(record)
+                    entry = record.payload()
                     if frozen:
                         self._payload_memo[job_id] = entry
                 entries.append(entry)
@@ -448,7 +594,7 @@ class ModelRegistry:
         """Rebuild a registry from a :meth:`snapshot` file."""
         registry = cls()
         for entry in snapshot_payloads(path):
-            registry.add(record_from_payload(entry))
+            registry.add(restore_record(entry))
         return registry
 
 
@@ -468,9 +614,30 @@ def snapshot_payloads(path: Union[str, pathlib.Path]) -> List[dict]:
     return payload["records"]
 
 
+def restore_record(payload: dict) -> JobRecord:
+    """Load one record the way a restarted service must see it.
+
+    A terminal payload loads as written. In-flight work is not durable:
+    its reservation died with the old process (never committed — no
+    receipt), so a queued or running payload — a WAL ``admit`` event, or
+    a job the snapshot caught mid-flight — loads FAILED/interrupted with
+    no release, and the honest answer is "resubmit if you still want it".
+    """
+    record = JobRecord.from_payload(payload)
+    if not record.done:
+        record.status = JobStatus.FAILED
+        record.error = (
+            record.error or "interrupted: job was in flight when the snapshot was taken"
+        )
+        record.model = record.receipt = record.sensitivity = record.noise_norm = None
+        record.mark_done()
+    return record
+
+
 def _loss_payload(loss: Loss) -> dict:
-    """A loss as (class name, constructor-free state). Every built-in loss
-    is a plain bag of floats/bools, so ``vars()`` round-trips exactly."""
+    """A loss as (class name, state). Each built-in loss's constructor
+    takes exactly the attributes ``vars()`` lists, so
+    :func:`_loss_from_payload` rebuilds it through its own checks."""
     state = {}
     for name, value in vars(loss).items():
         if isinstance(value, (bool, int, float, str)) or value is None:
@@ -485,168 +652,16 @@ def _loss_payload(loss: Loss) -> dict:
 
 
 def _loss_from_payload(payload: dict) -> Loss:
+    """Rebuild a loss through its constructor, so tenant input, snapshots
+    and log events all pass its checks: a missing optional key takes its
+    default, and an unknown key or a bad value raises ``ValueError``."""
     from repro.optim import losses as losses_module
 
-    cls = getattr(losses_module, payload["type"], None)
+    name = payload["type"]
+    cls = getattr(losses_module, str(name), None)
     if cls is None or not isinstance(cls, type) or not issubclass(cls, Loss):
-        raise ValueError(f"snapshot names unknown loss {payload['type']!r}")
-    loss = cls.__new__(cls)
-    loss.__dict__.update(payload["state"])
-    return loss
-
-
-def _model_payload(model: Optional[np.ndarray]) -> Optional[list]:
-    if model is None:
-        return None
-    return [float(value) for value in np.asarray(model, dtype=np.float64)]
-
-
-def _record_payload(record: JobRecord) -> dict:
-    job = record.job
-    candidate = job.candidate
-    terminal = record.status in _TERMINAL
-    status = record.status if terminal else JobStatus.RUNNING
-    # In-flight records serialize WITHOUT model/receipt even if a racing
-    # worker has already written those fields (release order sets status
-    # last): a snapshot must never pair "interrupted -> FAILED on load"
-    # with a receipt that reconciliation would then charge the tenant
-    # for. The commit becomes durable with the next (post-release)
-    # autosave, which sees status COMPLETED.
-    receipt = record.receipt if terminal else None
-    return {
-        "job": {
-            "principal": job.principal,
-            "table": job.table,
-            "epsilon": job.epsilon,
-            "delta": job.delta,
-            "priority": job.priority,
-            "seed": job.seed,
-            "job_id": job.job_id,
-            "arrival": job.arrival,
-            "candidate": {
-                "loss": _loss_payload(candidate.loss),
-                "passes": candidate.passes,
-                "batch_size": candidate.batch_size,
-                "eta": candidate.eta,
-                "radius": candidate.radius,
-                "average": candidate.average,
-            },
-        },
-        "status": status.value,
-        "model": _model_payload(record.model) if terminal else None,
-        "receipt": None
-        if receipt is None
-        else {
-            "principal": receipt.principal,
-            "table": receipt.table,
-            "job_id": receipt.job_id,
-            "epsilon": receipt.parameters.epsilon,
-            "delta": receipt.parameters.delta,
-            "sequence": receipt.sequence,
-        },
-        "sensitivity": record.sensitivity,
-        "noise_norm": record.noise_norm,
-        "dispatch": record.dispatch,
-        "group_size": record.group_size,
-        "group_pages": record.group_pages,
-        "epochs": record.epochs,
-        "boarding_offset": record.boarding_offset,
-        "epochs_ridden": record.epochs_ridden,
-        "cache_source": record.cache_source,
-        "table_fingerprint": record.table_fingerprint,
-        "scan_seed": record.scan_seed,
-        "error": record.error,
-        "submitted_at": record.submitted_at,
-        "finished_at": record.finished_at,
-        "weights_evicted": record.weights_evicted,
-        # Closed spans only (an open span has no end yet); floats emit
-        # their shortest repr, so the trace round-trips bitwise.
-        "trace": record.trace.payload(),
-    }
-
-
-def record_from_payload(payload: dict) -> JobRecord:
-    """Rebuild one :class:`JobRecord` from its serialized payload.
-
-    Public because the WAL replay path deserializes payloads carried by
-    log events, not just snapshot entries. The returned record is always
-    terminal (an in-flight payload — a WAL ``admit`` event, or a record
-    the snapshot saw mid-scan — loads as FAILED/interrupted) and already
-    marked done.
-    """
-    return _record_from_payload(payload)
-
-
-def _record_from_payload(payload: dict) -> JobRecord:
-    job_data = payload["job"]
-    candidate_data = job_data["candidate"]
-    candidate = BoltOnCandidate(
-        loss=_loss_from_payload(candidate_data["loss"]),
-        passes=candidate_data["passes"],
-        batch_size=candidate_data["batch_size"],
-        eta=candidate_data["eta"],
-        radius=candidate_data["radius"],
-        average=candidate_data["average"],
-    )
-    job = TrainingJob(
-        principal=job_data["principal"],
-        table=job_data["table"],
-        candidate=candidate,
-        epsilon=job_data["epsilon"],
-        delta=job_data["delta"],
-        priority=job_data["priority"],
-        seed=job_data["seed"],
-        job_id=job_data["job_id"],
-        arrival=job_data["arrival"],
-    )
-    status = JobStatus(payload["status"])
-    error = payload["error"]
-    if status not in _TERMINAL:
-        # In-flight work is not durable: its reservation died with the
-        # old process (never committed — no receipt), so the honest
-        # restart semantics are "failed, resubmit if you still want it".
-        status = JobStatus.FAILED
-        error = error or "interrupted: job was in flight when the snapshot was taken"
-    receipt_data = payload["receipt"]
-    receipt = (
-        None
-        if receipt_data is None
-        else BudgetReceipt(
-            principal=receipt_data["principal"],
-            table=receipt_data["table"],
-            job_id=receipt_data["job_id"],
-            parameters=PrivacyParameters(
-                receipt_data["epsilon"], receipt_data["delta"]
-            ),
-            sequence=receipt_data["sequence"],
-        )
-    )
-    model = payload["model"]
-    record = JobRecord(
-        job=job,
-        status=status,
-        model=None if model is None else np.asarray(model, dtype=np.float64),
-        receipt=receipt,
-        sensitivity=payload["sensitivity"],
-        noise_norm=payload["noise_norm"],
-        dispatch=payload["dispatch"],
-        group_size=payload["group_size"],
-        group_pages=payload["group_pages"],
-        epochs=payload["epochs"],
-        # Lenient: snapshots written before the elevator carried no
-        # boarding provenance — those records all boarded at offset 0.
-        boarding_offset=payload.get("boarding_offset", 0),
-        epochs_ridden=payload.get("epochs_ridden", 0),
-        cache_source=payload["cache_source"],
-        table_fingerprint=payload["table_fingerprint"],
-        scan_seed=payload["scan_seed"],
-        error=error,
-        submitted_at=payload["submitted_at"],
-        finished_at=payload["finished_at"],
-        # Lenient: payloads written before the telemetry layer carry no
-        # trace (loads as empty) and no retention flag.
-        weights_evicted=payload.get("weights_evicted", False),
-        trace=JobTrace.from_payload(payload.get("trace", {})),
-    )
-    record.mark_done()
-    return record
+        raise ValueError(f"unknown loss {name!r}")
+    try:
+        return cls(**payload["state"])
+    except TypeError as error:
+        raise ValueError(f"bad {name} state: {error}") from None

@@ -91,7 +91,7 @@ from repro.service.registry import (
     TERMINAL_STATUS_VALUES,
     JobRecord,
     ModelRegistry,
-    record_from_payload,
+    restore_record,
     snapshot_payloads,
 )
 from repro.service.scheduler import SharedScanScheduler
@@ -816,7 +816,7 @@ class TrainingService:
                 )
         if not payloads and not caps and not grant_caps:
             return 0
-        records = [record_from_payload(payloads[job_id]) for job_id in order]
+        records = [restore_record(payloads[job_id]) for job_id in order]
         # Validate before mutating anything: loading a snapshot over a
         # registry that already holds any of its jobs must fail whole,
         # not halfway through with the ledger already replayed.
@@ -894,7 +894,3 @@ class TrainingService:
         """The most scans on *distinct* tables ever in flight at once
         (1 = fully serialized; capped by min(workers, tables))."""
         return self.scheduler.peak_overlap
-
-    def table_scan_counts(self) -> dict:
-        """Scans dispatched per table (one flight = one scan)."""
-        return dict(self.scheduler.table_scans)

@@ -16,7 +16,7 @@ neighbouring datasets, which these helpers make explicit.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -94,8 +94,3 @@ def fixed_permutations(permutation: Sequence[int], passes: int) -> Iterator[np.n
         raise ValueError("permutation must be a rearrangement of range(n)")
     for _ in range(passes):
         yield arr
-
-
-def optional_seed(rng: Optional[np.random.Generator]) -> np.random.Generator:
-    """Return ``rng`` or a fresh OS-seeded generator if ``None``."""
-    return rng if rng is not None else np.random.default_rng()

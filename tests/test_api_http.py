@@ -2,7 +2,7 @@
 
 One parametrized body runs against two transports — the in-process
 ``TrainingService`` verbs and a :class:`ServiceClient` speaking
-``repro-api/v1`` to a :class:`ServiceApiServer` over a real socket —
+``repro-api/v2`` to a :class:`ServiceApiServer` over a real socket —
 and asserts they are indistinguishable:
 
 * **Bitwise releases** — a job submitted over HTTP releases weights
@@ -22,6 +22,8 @@ concurrent submitters sharing one socket server.
 from __future__ import annotations
 
 import json
+import pathlib
+import re
 import threading
 import urllib.error
 import urllib.request
@@ -30,7 +32,7 @@ import numpy as np
 import pytest
 
 from repro.api import ServiceApiServer, ServiceClient, WIRE_FORMAT
-from repro.api.wire import JobView, check_envelope
+from repro.api.wire import check_envelope
 from repro.optim.losses import LogisticLoss
 from repro.service import (
     JobStatus,
@@ -41,6 +43,7 @@ from repro.service import (
     UnknownTable,
 )
 from repro.service.errors import PrincipalMismatch, Unauthorized
+from repro.service.registry import JobRecord
 from tests.conftest import make_binary_data
 
 M, D = 300, 8
@@ -288,8 +291,8 @@ class TestConcurrentSubmitters:
             for client, job_id, principal, seed in views:
                 final = client.wait(job_id, timeout=60.0)
                 assert final.status is JobStatus.COMPLETED
-                assert final.principal == principal
-                assert final.seed == seed
+                assert final.job.principal == principal
+                assert final.job.seed == seed
             # Budgets add up exactly: 4 jobs per principal.
             for s in service.budgets():
                 assert s.spent == (4 * EPS, 0.0)
@@ -352,16 +355,16 @@ class TestHttpEdges:
         with pytest.raises(ValueError, match="protocol versions"):
             check_envelope({"api": "repro-api/v999"})
 
-    def test_job_view_round_trips_exactly(self, server):
+    def test_job_record_round_trips_exactly(self, server):
         client = ServiceClient(server.url, token="alice-token")
-        view = client.wait(
+        record = client.wait(
             client.submit("alice", "t", **SUBMIT).job_id
         )
-        payload = view.to_payload()
-        rebuilt = JobView.from_payload(payload)
-        assert rebuilt.to_payload() == payload
-        assert np.array_equal(rebuilt.model, view.model)
-        assert rebuilt.receipt.parameters == view.receipt.parameters
+        payload = record.payload()
+        rebuilt = JobRecord.from_payload(json.loads(json.dumps(payload)))
+        assert rebuilt.payload() == payload
+        assert np.array_equal(rebuilt.model, record.model)
+        assert rebuilt.receipt.parameters == record.receipt.parameters
 
     def test_error_envelope_shape_on_the_wire(self, server):
         request = urllib.request.Request(
@@ -439,3 +442,124 @@ class TestHttpEdges:
             client.health()
         assert excinfo.value.code == "unreachable"
         assert "2 attempt(s)" in str(excinfo.value)
+
+
+def post_job(url: str, token: str, body: dict):
+    """POST a raw submit body; returns (HTTP status, decoded envelope)."""
+    request = urllib.request.Request(
+        url + "/v1/jobs",
+        data=json.dumps(body).encode("utf-8"),
+        headers={
+            "Authorization": f"Bearer {token}",
+            "Content-Type": "application/json",
+        },
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
+#: A loss state whose extra key would shadow a method of the loss.
+SHADOWING_LOSS = {
+    "type": "LogisticLoss",
+    "state": {"regularization": 0.01, "tight_smoothness": False,
+              "margin_derivative": 1},
+}
+
+BAD_LOSSES = {
+    "negative_lambda": {"type": "LogisticLoss", "state": {"regularization": -0.01}},
+    "nan_lambda": {"type": "LogisticLoss", "state": {"regularization": float("nan")}},
+    "inf_lambda": {"type": "LogisticLoss", "state": {"regularization": float("inf")}},
+    "zero_smoothing": {"type": "HuberSVMLoss", "state": {"smoothing": 0.0}},
+    "negative_smoothing": {"type": "HuberSVMLoss", "state": {"smoothing": -0.1}},
+    "zero_margin_bound": {"type": "LeastSquaresLoss", "state": {"margin_bound": 0.0}},
+    "negative_margin_bound": {"type": "LeastSquaresLoss",
+                              "state": {"margin_bound": -1.0}},
+    "unknown_key": {"type": "LogisticLoss", "state": {"lambda": 0.01}},
+    "shadowed_method": SHADOWING_LOSS,
+}
+
+
+class TestLossStateAtTheDoor:
+    """A submitted loss is rebuilt through its constructor: a bad state is
+    refused with 400 before anything is reserved, registered or logged,
+    instead of being admitted to fail later at dispatch — where it can
+    take every rider of its scan flight down with it."""
+
+    def test_a_shadowing_state_cannot_fail_another_tenants_flight(self):
+        seeds = range(11, 15)
+        twins = make_service(workers=1)
+        for seed in seeds:
+            twins.submit("alice", "t", **{**SUBMIT, "seed": seed})
+        reference = {record.job.seed: record.model for record in twins.drain()}
+
+        service = make_service(workers=1)  # not started: all fly at drain()
+        with ServiceApiServer(service, TOKENS) as server:
+            client = ServiceClient(server.url, token="alice-token")
+            records = [
+                client.submit("alice", "t", **{**SUBMIT, "seed": seed})
+                for seed in seeds[:2]
+            ]
+            status, fault = post_job(server.url, "bob-token", {
+                "principal": "bob", "table": "t", "epsilon": EPS,
+                "loss": SHADOWING_LOSS, "passes": 2, "batch_size": 50, "seed": 99,
+            })
+            records += [
+                client.submit("alice", "t", **{**SUBMIT, "seed": seed})
+                for seed in seeds[2:]
+            ]
+            assert status == 400
+            assert fault["error"]["code"] == "invalid_request"
+            service.drain()
+            assert service.scheduler.table_scans["t"] == 1  # one window
+            for record in records:
+                final = client.result(record.job_id)
+                assert final.status is JobStatus.COMPLETED
+                assert np.array_equal(
+                    client.model(record.job_id), reference[final.job.seed]
+                )
+        for statement in service.budgets():
+            assert statement.reserved == (0.0, 0.0)
+        assert len(service.registry) == 4
+
+    def test_the_documented_submit_body_completes(self):
+        docs = pathlib.Path(__file__).parents[1] / "docs" / "api.md"
+        match = re.search(r"-d '(\{.*?\})'", docs.read_text(), re.DOTALL)
+        body = json.loads(match.group(1))
+        service = TrainingService(scan_seed=5, workers=1)
+        service.register_table(body["table"], X, Y)
+        service.open_budget(body["principal"], body["table"], 1.0)
+        service.start()
+        try:
+            with ServiceApiServer(service, {"doc-token": body["principal"]}) as server:
+                status, payload = post_job(server.url, "doc-token", body)
+                assert status == 200
+                job_id = payload["job"]["job"]["job_id"]
+                client = ServiceClient(server.url, token="doc-token")
+                final = client.wait(job_id, timeout=30.0)
+        finally:
+            service.stop()
+        assert final.status is JobStatus.COMPLETED, final.error
+        assert final.model is not None
+
+    @pytest.mark.parametrize("name", sorted(BAD_LOSSES))
+    def test_a_bad_loss_state_is_refused_before_admission(self, name, tmp_path):
+        service = TrainingService(scan_seed=5, workers=1, state_dir=tmp_path)
+        service.register_table("t", X, Y)
+        service.open_budget("alice", "t", 10.0)
+        appends = service.wal.appends
+        with ServiceApiServer(service, TOKENS) as server:
+            status, fault = post_job(server.url, "alice-token", {
+                "principal": "alice", "table": "t", "epsilon": EPS,
+                "loss": BAD_LOSSES[name], "passes": 2, "batch_size": 50,
+            })
+        assert status == 400
+        assert fault["error"]["code"] == "invalid_request"
+        assert len(service.registry) == 0
+        assert service.wal.appends == appends
+        (statement,) = service.budgets()
+        assert statement.spent == (0.0, 0.0)
+        assert statement.reserved == (0.0, 0.0)

@@ -235,16 +235,16 @@ class TestRegistryQueries:
     def test_records_from_older_dispatch_paths_still_load(self):
         """Records written when the scheduler had fused, sequential and
         elevator dispatch keep their labels through the payload codec."""
-        from repro.service.registry import _record_payload, record_from_payload
+        from repro.service.registry import restore_record
 
         service = make_service()
         run_workload(service, mixed_jobs()[:1])
         (record,) = service.jobs()
         assert record.dispatch == "scan"
         for label in ("fused", "sequential", "elevator"):
-            payload = _record_payload(record)
+            payload = record.payload()
             payload["dispatch"] = label
-            loaded = record_from_payload(payload)
+            loaded = restore_record(payload)
             assert loaded.dispatch == label
             assert loaded.status is JobStatus.COMPLETED
             assert np.array_equal(loaded.model, record.model)
