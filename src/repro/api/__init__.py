@@ -9,10 +9,12 @@ in-process server; this package is the process boundary. Three modules:
   write-ahead log carry.
 * :mod:`repro.api.server` — :class:`ServiceApiServer`, a stdlib
   ``ThreadingHTTPServer`` front-end over the service verbs with
-  bearer-token auth mapped to principals at the edge.
+  bearer-token auth mapped to principals at the edge. It speaks
+  HTTP/1.1 with keep-alive, one handler thread per open connection.
 * :mod:`repro.api.client` — :class:`ServiceClient`, the same verb
-  surface over ``urllib``, raising the same
-  :mod:`repro.service.errors` taxonomy the in-process verbs raise.
+  surface over ``http.client``, one persistent connection per calling
+  thread, raising the same :mod:`repro.service.errors` taxonomy the
+  in-process verbs raise.
 
 The contract the tests enforce: a job submitted through
 ``ServiceClient`` over a real socket releases weights bitwise-equal to

@@ -1,9 +1,9 @@
 """The Python client: ``TrainingService``'s verb surface over a socket.
 
 :class:`ServiceClient` speaks ``repro-api/v2`` to a
-:class:`~repro.api.server.ServiceApiServer` using nothing but
-``urllib`` — the same zero-dependency discipline as the server. Verbs
-mirror the in-process service and return the same
+:class:`~repro.api.server.ServiceApiServer` over the standard library's
+``http.client`` — the same zero-dependency discipline as the server.
+Verbs mirror the in-process service and return the same
 :class:`~repro.service.registry.JobRecord` type, decoded from the wire:
 
 >>> client = ServiceClient("http://127.0.0.1:8321", token="alice-token")
@@ -12,23 +12,32 @@ mirror the in-process service and return the same
 >>> record = client.wait(record.job_id)   # poll until terminal
 >>> client.model(record.job_id)           # bitwise-equal to in-process
 
+Each calling thread keeps one persistent HTTP/1.1 connection per client,
+opened on its first call and closed when the thread ends (or at
+:meth:`ServiceClient.close`), so a tenant pays for the TCP connect once
+per connection, not once per request.
+
 Faults come back as the **same exception classes** the in-process verbs
 raise: the server serializes each :class:`~repro.service.errors
 .ServiceError` to its stable ``code``, and the client rebuilds the
 class from the code (``except UnknownJob`` works on either side of the
-socket). Transport-level failures — connection refused, timeouts —
-retry ``retries`` times with exponential backoff before surfacing as
-:class:`ApiUnreachable`; HTTP-level faults are definitive and never
-retried (the server *answered*; asking again won't change its mind).
+socket). HTTP-level faults are definitive and never retried (the server
+*answered*; asking again won't change its mind). A kept-alive
+connection the server already closed is reopened and the request resent
+once, at once; any other transport failure — connection refused, a
+timeout, a torn response — retries ``retries`` times with exponential
+backoff before surfacing as :class:`ApiUnreachable`.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Dict, List, Optional, Union
+import weakref
+from typing import Dict, List, Optional, Tuple, Union
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -48,19 +57,46 @@ class ApiUnreachable(ServiceError):
     http_status = 503
 
 
+#: A kept-alive connection that fails this way before any response byte
+#: arrives was most likely closed by the server while idle, so the
+#: request is resent at once on a fresh one. (Had a handler admitted a
+#: submit and then lost its answer, the resend is a twin: see
+#: :class:`ServiceClient`.) ``RemoteDisconnected`` is a
+#: ``ConnectionResetError``; it is named for the reader.
+_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+
+class _ThreadConnection(http.client.HTTPConnection):
+    """One thread's kept-alive connection. Only the thread's local
+    storage holds it, so it closes when that thread ends."""
+
+    def __del__(self) -> None:
+        self.close()
+
+
 class ServiceClient:
     """A thin, synchronous ``repro-api/v2`` client.
 
     ``timeout`` is per-request (seconds); ``retries`` counts *additional*
     attempts after a transport failure, spaced ``backoff * 2**attempt``
-    seconds apart. Retrying a read is safe. Retrying a submit is not
-    always: if the first attempt was admitted before the connection
-    failed, the retry is admitted as a second job with its own
-    reservation. The result cache serves that twin for free only if the
-    first job has already completed; while the first is still queued or
-    running, both reserve, and an ε=0.3 job submitted twice that way
-    leaves the account 0.6 spent for one release. (ROADMAP open item 4
-    plans to attach such a twin to the job already in flight.)
+    seconds apart. The one immediate resend on a kept-alive connection
+    the server already closed does not count against ``retries``.
+
+    Retrying a read is safe, and so is retrying a submit: if the first
+    attempt was admitted before its response was lost, the resend is an
+    identical job — a *twin* — which the service serves from the first
+    job's release without a second reservation (from the result cache
+    once the first has completed, by attaching to it while it is queued
+    or running). The exception is a job with no cache key — a loss
+    without a hashable identity, or a table without a content
+    fingerprint: its resend is admitted as a second job with its own
+    reservation.
+
+    Connections are per thread: each calling thread gets its own,
+    opened on first use and closed when the thread ends. :meth:`close`
+    (or leaving a ``with ServiceClient(...)`` block) closes every
+    connection the client opened, on any thread; the client stays
+    usable and reconnects on its next call.
     """
 
     def __init__(
@@ -75,10 +111,35 @@ class ServiceClient:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.base_url = base_url.rstrip("/")
+        split = urlsplit(self.base_url)
+        if split.scheme != "http" or not split.hostname:
+            raise ValueError(
+                f"base_url must be an http://host[:port] URL, got {base_url!r}"
+            )
+        self._host, self._port, self._prefix = split.hostname, split.port, split.path
         self.token = token
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
+        self._local = threading.local()
+        # Every connection this client opened, held weakly: a finished
+        # thread's connection must close with the thread, not live on
+        # here until close().
+        self._connections: "weakref.WeakSet[_ThreadConnection]" = weakref.WeakSet()
+        self._connections_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every connection this client opened, on any thread."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- the verb surface --------------------------------------------------------
 
@@ -231,37 +292,75 @@ class ServiceClient:
         *,
         auth: bool = True,
     ) -> bytes:
-        url = self.base_url + path
         data = None if body is None else json.dumps(body).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if auth and self.token is not None:
             headers["Authorization"] = f"Bearer {self.token}"
         last_error: Optional[Exception] = None
         for attempt in range(self.retries + 1):
-            request = urllib.request.Request(
-                url, data=data, headers=headers, method=method
-            )
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    return response.read()
-            except urllib.error.HTTPError as error:
-                # The server answered: decode its fault envelope into the
-                # taxonomy exception it names. Definitive — never retried.
-                raise self._decode_fault(error) from None
-            except (urllib.error.URLError, ConnectionError, TimeoutError) as error:
+                status, reason, raw = self._exchange(
+                    method, self._prefix + path, data, headers
+                )
+            except (OSError, http.client.HTTPException) as error:
                 last_error = error
                 if attempt < self.retries:
                     time.sleep(self.backoff * (2.0**attempt))
+                continue
+            if status >= 400:
+                # The server answered: decode its fault envelope into the
+                # taxonomy exception it names. Definitive — never retried.
+                raise self._decode_fault(status, reason, raw)
+            return raw
         raise ApiUnreachable(
-            f"{method} {url} failed after {self.retries + 1} attempt(s): "
-            f"{last_error}"
+            f"{method} {self.base_url + path} failed after "
+            f"{self.retries + 1} attempt(s): {last_error}"
         ) from last_error
 
-    @staticmethod
-    def _decode_fault(error: urllib.error.HTTPError) -> Exception:
+    def _exchange(
+        self, method: str, target: str, data: Optional[bytes], headers: dict
+    ) -> Tuple[int, str, bytes]:
+        """One request and its whole response on this thread's connection.
+
+        A reused connection that fails before any response byte arrives
+        (:data:`_STALE`) is reopened and the request resent once, at
+        once. Any other failure closes the connection, since its state is
+        unknown, and propagates.
+        """
+        connection = self._connection()
+        reused = connection.sock is not None
         try:
-            payload = json.loads(error.read().decode("utf-8"))
-            fault = payload["error"]
+            try:
+                connection.request(method, target, body=data, headers=headers)
+                response = connection.getresponse()
+            except _STALE:
+                if not reused:
+                    raise
+                connection.close()
+                connection.request(method, target, body=data, headers=headers)
+                response = connection.getresponse()
+            return response.status, response.reason, response.read()
+        except BaseException:
+            connection.close()
+            raise
+
+    def _connection(self) -> _ThreadConnection:
+        """This thread's connection (opened lazily: ``http.client``
+        connects on the first request and after every close)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = _ThreadConnection(
+                self._host, self._port, timeout=self.timeout
+            )
+            self._local.connection = connection
+            with self._connections_lock:
+                self._connections.add(connection)
+        return connection
+
+    @staticmethod
+    def _decode_fault(status: int, reason: str, raw: bytes) -> Exception:
+        try:
+            fault = json.loads(raw.decode("utf-8"))["error"]
             return error_for_code(fault["code"], fault["message"])
         except Exception:
-            return ServiceError(f"HTTP {error.code}: {error.reason}")
+            return ServiceError(f"HTTP {status}: {reason}")

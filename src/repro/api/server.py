@@ -34,20 +34,33 @@ raises maps 1:1 onto the fault envelope ``{"error": {"code",
 ``invalid_request``. The client rebuilds the same exception classes
 from the codes, so both transports fail identically.
 
+**Connections.** The server speaks HTTP/1.1 with keep-alive: a client
+sends request after request on one TCP connection, and the server holds
+one handler thread per open connection. A connection idle for
+``IDLE_TIMEOUT_SECONDS`` is closed. Every response leaves the
+connection at a request boundary: the declared body is read before any
+route answers, and a body whose framing cannot be trusted gets a 400
+with ``Connection: close``. :meth:`ServiceApiServer.close` owns the
+connections: a request in progress gets its response, then every
+connection is shut down and its thread returns.
+
 **Telemetry.** Requests tick ``repro_http_requests_total{method,route,
 status}`` and observe ``repro_http_request_seconds{route}`` in the
 service's own metrics registry — route labels are the *patterns*
 (``/v1/jobs/{id}``), never raw paths, so cardinality stays bounded.
+Connections tick ``repro_http_connections_total`` when accepted and
+``repro_http_open_connections`` while open.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api import wire
@@ -62,6 +75,14 @@ from repro.service.server import TrainingService
 #: Max accepted request-body size (a submit payload is a few KB; nothing
 #: on this API legitimately streams megabytes at the server).
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: Seconds a kept-alive connection may sit idle between requests before
+#: the server closes it and its handler thread returns.
+IDLE_TIMEOUT_SECONDS = 30.0
+
+#: Seconds :meth:`ServiceApiServer.close` lets requests in progress
+#: finish before it cuts their connections too.
+_CLOSE_GRACE_SECONDS = 5.0
 
 _JOB_PATH = re.compile(r"^/v1/jobs/([A-Za-z0-9._:-]+)(/model|/trace|/cancel)?$")
 
@@ -102,6 +123,22 @@ class ServiceApiServer:
             "HTTP request handling latency, by route pattern.",
             ("route",),
         )
+        self._connections_total = reg.counter(
+            "repro_http_connections_total",
+            "HTTP connections accepted (each holds one handler thread).",
+        )
+        self._open_connections = reg.gauge(
+            "repro_http_open_connections", "HTTP connections open right now."
+        )
+        # Open connections -> whether a request is being handled on it.
+        # Set to closing once serve_forever has stopped: from then on no
+        # connection takes a new request. The stdlib joins no daemon
+        # handler thread, so close() joins the ones still returning from
+        # a closed connection.
+        self._connections: Dict[_ApiHandler, bool] = {}
+        self._connections_changed = threading.Condition()
+        self._closing = False
+        self._exiting: List[threading.Thread] = []
         api = self
 
         class _Handler(_ApiHandler):
@@ -136,21 +173,84 @@ class ServiceApiServer:
         return self
 
     def request_shutdown(self) -> None:
-        """Flag a graceful stop and unwind ``serve_forever`` without
-        blocking the calling (request) thread."""
+        """Flag a graceful stop and stop serving without blocking the
+        calling (request) thread; :meth:`close` finishes the job."""
         if self.shutdown_requested.is_set():
             return
         self.shutdown_requested.set()
-        threading.Thread(target=self._httpd.shutdown, daemon=True).start()
+        threading.Thread(target=self._stop_serving, daemon=True).start()
 
     def close(self) -> None:
-        """Stop serving and release the socket (idempotent)."""
+        """Stop serving, close every connection and release the socket
+        (idempotent).
+
+        A request already being handled gets its response first, sent
+        with ``Connection: close``; an idle kept-alive connection is shut
+        down at once, and a request still running after a few seconds
+        has its connection cut too. ``close`` returns once every handler
+        thread has returned, so no connection outlives the server.
+        """
         self.shutdown_requested.set()
-        self._httpd.shutdown()
+        self._stop_serving()
+        with self._connections_changed:
+            wait = self._connections_changed.wait_for
+            if not wait(self._all_closed, _CLOSE_GRACE_SECONDS):
+                for handler in self._connections:
+                    _shut(handler.connection)
+                wait(self._all_closed, _CLOSE_GRACE_SECONDS)
+            exiting, self._exiting = self._exiting, []
+        for thread in exiting:
+            thread.join(timeout=_CLOSE_GRACE_SECONDS)
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+
+    def _stop_serving(self) -> None:
+        """Stop accepting, take no new request on any open connection,
+        and shut down the idle ones so their threads return."""
+        if self._thread is not None:
+            self._httpd.shutdown()
+        with self._connections_changed:
+            self._closing = True
+            for handler, busy in self._connections.items():
+                if not busy:
+                    _shut(handler.connection)
+
+    # -- connections (called from the handler threads) ---------------------------
+
+    def _all_closed(self) -> bool:
+        return not self._connections
+
+    def _opened(self, handler: "_ApiHandler") -> None:
+        with self._connections_changed:
+            self._connections[handler] = False
+            self._connections_total.inc()
+            self._open_connections.inc()
+            if self._closing:
+                _shut(handler.connection)
+
+    def _begin_request(self, handler: "_ApiHandler") -> bool:
+        """Mark a connection busy; ``False`` once the server is closing."""
+        with self._connections_changed:
+            if self._closing:
+                return False
+            self._connections[handler] = True
+            return True
+
+    def _end_request(self, handler: "_ApiHandler") -> bool:
+        """Mark a connection idle; ``False`` when it must close instead."""
+        with self._connections_changed:
+            self._connections[handler] = False
+            return not self._closing
+
+    def _closed(self, handler: "_ApiHandler") -> None:
+        with self._connections_changed:
+            del self._connections[handler]
+            self._open_connections.inc(-1)
+            self._exiting = [t for t in self._exiting if t.is_alive()]
+            self._exiting.append(threading.current_thread())
+            self._connections_changed.notify_all()
 
     def __enter__(self) -> "ServiceApiServer":
         return self.start()
@@ -159,13 +259,29 @@ class ServiceApiServer:
         self.close()
 
 
+def _shut(connection: socket.socket) -> None:
+    """Shut a connection down both ways: a handler blocked reading it
+    sees end-of-file and returns."""
+    try:
+        connection.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already gone
+
+
 class _ApiHandler(BaseHTTPRequestHandler):
-    """Route, authenticate, dispatch, envelope — one request at a time."""
+    """One connection's thread: route, authenticate, dispatch and
+    envelope each request on it, one at a time, until the client closes
+    the connection, it idles past ``IDLE_TIMEOUT_SECONDS``, or the
+    server closes."""
 
     server_api: ServiceApiServer  # installed by ServiceApiServer
 
-    # HTTP/1.0 (the default): one request per connection, closed by the
-    # server — no keep-alive reader threads to leak.
+    protocol_version = "HTTP/1.1"
+    # Headers and body leave in two sends. With Nagle on, the second
+    # waits for the client's delayed ACK: ~40 ms on every kept-alive
+    # request.
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_SECONDS
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # request logging is the metrics registry's job
@@ -176,12 +292,43 @@ class _ApiHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:
         self._dispatch("POST")
 
+    # -- the connection ----------------------------------------------------------
+
+    def setup(self) -> None:
+        super().setup()
+        self.server_api._opened(self)
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            self.server_api._closed(self)
+
+    def handle_one_request(self) -> None:
+        try:
+            super().handle_one_request()
+        except ConnectionError:
+            self.close_connection = True  # the client went away
+        finally:
+            if not self.server_api._end_request(self):
+                self.close_connection = True
+
+    def parse_request(self) -> bool:
+        # A request line has arrived: the connection is busy until the
+        # response is out. Once the server is closing, the request is
+        # dropped unread and the connection closes.
+        if not self.server_api._begin_request(self):
+            self.close_connection = True
+            return False
+        return super().parse_request()
+
     # -- plumbing ----------------------------------------------------------------
 
     def _dispatch(self, method: str) -> None:
         started = time.perf_counter()
         route = "(unmatched)"
         try:
+            self._body = self._take_body(method)
             route, status, body, content_type = self._route(method)
         except ServiceError as error:
             status, body, content_type = self._fault(error.http_status, error.code, error)
@@ -192,15 +339,17 @@ class _ApiHandler(BaseHTTPRequestHandler):
             status, body, content_type = self._fault(400, "invalid_request", error)
         except Exception as error:  # pragma: no cover - defensive
             status, body, content_type = self._fault(500, "internal", error)
+        api = self.server_api
         try:
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection or api._closing:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass  # client went away mid-response; nothing to answer
-        api = self.server_api
+            self.close_connection = True  # client went away mid-response
         api._requests_total.inc(
             method=method, route=route, status=str(status)
         )
@@ -219,11 +368,31 @@ class _ApiHandler(BaseHTTPRequestHandler):
         ).encode("utf-8")
         return status, body, "application/json"
 
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise ValueError(f"request body over {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length) if length else b""
+    def _take_body(self, method: str) -> bytes:
+        """Read the declared body off the socket before any route
+        answers, so every response leaves the connection at a request
+        boundary (an unread body would parse as the next request line).
+
+        A body whose framing cannot be trusted — chunked, or a POST whose
+        ``Content-Length`` is missing, negative, unparseable or over
+        ``MAX_BODY_BYTES`` — is not read at all: the answer is a 400 and
+        the connection closes.
+        """
+        declared = self.headers.get("Content-Length")
+        if declared is None:
+            length = -1 if method == "POST" else 0
+        else:
+            length = int(declared) if declared.strip().isdecimal() else -1
+        if "Transfer-Encoding" in self.headers or not 0 <= length <= MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ValueError(
+                "a request body needs a Content-Length of at most "
+                f"{MAX_BODY_BYTES} bytes (got {declared!r})"
+            )
+        return self.rfile.read(length) if length else b""
+
+    def _json_body(self) -> dict:
+        raw = self._body
         if not raw:
             return {}
         try:
@@ -322,7 +491,7 @@ class _ApiHandler(BaseHTTPRequestHandler):
     def _submit(self) -> Tuple[int, bytes, str]:
         principal = self._principal()
         try:
-            request = wire.SubmitRequest.from_payload(self._read_body())
+            request = wire.SubmitRequest.from_payload(self._json_body())
         except (KeyError, TypeError) as error:
             raise ValueError(f"malformed submit payload: {error}") from None
         if request.principal != principal:

@@ -36,6 +36,13 @@ Two serving-layer mechanisms ride the bitwise-determinism invariant:
   nothing new — no reservation is taken, no spend committed), dispatch
   mode ``"cached"``. Hits are gated on the submitter holding a ledger
   account for the table: a free re-release, not an access grant.
+  The same rule covers a job whose identical *primary* is still queued
+  or running (a resent submit, typically): the *twin* attaches to the
+  primary instead of reserving, and completes from the primary's
+  release as a hit does — if that release is the canonical offset-0
+  answer. If the primary fails, is cancelled, or rides from an
+  elevator offset, each twin is admitted on its own and pays only if it
+  trains.
 * **Worker-thread dispatch** (:mod:`repro.service.worker`). Dispatch is
   split into :meth:`claim_window` (pop the next batching window — quick,
   under the admission lock) and :meth:`dispatch_window` (train it), so
@@ -338,6 +345,11 @@ class SharedScanScheduler:
         # mode only).
         self._flights: Dict[str, _Flight] = {}
         self._reservations: Dict[str, BudgetReservation] = {}
+        # The twin rule (admission lock): the queued or running job that
+        # holds each cache key (its primary), and per primary its key and
+        # the twins attached to it, by job id.
+        self._primaries: Dict[tuple, str] = {}
+        self._twins: Dict[str, Tuple[tuple, Dict[str, JobRecord]]] = {}
         self._clock = 0
         # Guards the admission path (clock, queue, reservation map, the
         # busy-table set) so concurrent submitters compose with the
@@ -377,7 +389,9 @@ class SharedScanScheduler:
         submission, so an over-budget job never appears in any scan group
         and never causes a page request. The result cache answers here
         too — an account-holder's job identical to a committed release
-        completes at admission with 0 pages and 0 ε reserved or spent.
+        completes at admission with 0 pages and 0 ε reserved or spent —
+        and an account-holder's job identical to one still queued or
+        running attaches to it as a twin, reserving nothing.
         """
         if not job.job_id or job.arrival < 0:
             raise ValueError("submit needs a stamped job (job_id + arrival)")
@@ -412,36 +426,42 @@ class SharedScanScheduler:
                 else None
             )
             if hit is not None:
-                record.status = JobStatus.COMPLETED
-                # Copy: the cache entry is shared across hits, and the
-                # registry hands records' arrays back by reference — one
-                # tenant mutating their result must never corrupt the
-                # cache or another tenant's record.
-                record.model = hit.weights.copy()
-                record.sensitivity = hit.sensitivity
-                record.noise_norm = hit.noise_norm
-                record.epochs = hit.epochs
-                record.dispatch = "cached"
-                record.cache_source = hit.source_job_id
-                record.table_fingerprint = cache_key[1]
-                record.scan_seed = self.scan_seed
-                record.finished_at = self._clock
-                record.trace.close()
+                self._serve_locked(record, hit, cache_key)
                 self.registry.add(record)
                 record.mark_done()
                 return record
-            try:
-                reservation = self.ledger.reserve(
-                    job.principal, job.table, job.privacy, job_id=job.job_id
-                )
-            except BudgetDenied as denial:
-                record.status = JobStatus.REJECTED
-                record.error = str(denial)
-                record.finished_at = self._clock
-                record.trace.close()
+            self._admit_locked(record, cache_key, registered=False)
+            return record
+
+    def _admit_locked(
+        self, record: JobRecord, key: Optional[tuple], *, registered: bool
+    ) -> None:
+        """Attach ``record`` to its key's primary, or reserve its budget
+        and queue it, or reject it (admission lock held). ``registered``
+        records are twins being admitted again after their primary did
+        not release."""
+        job = record.job
+        primary = self._primaries.get(key)
+        if primary is not None and self.ledger.has_account(job.principal, job.table):
+            if not registered:
                 self.registry.add(record)
-                record.mark_done()
-                return record
+                record.trace.enter("queued")
+            self._twins[primary][1][job.job_id] = record
+            return
+        try:
+            reservation = self.ledger.reserve(
+                job.principal, job.table, job.privacy, job_id=job.job_id
+            )
+        except BudgetDenied as denial:
+            record.error = str(denial)
+            record.finished_at = self._clock
+            record.trace.close()
+            record.status = JobStatus.REJECTED
+            if not registered:
+                self.registry.add(record)
+            record.mark_done()
+            return
+        if not registered:
             try:
                 self.registry.add(record)
             except Exception:
@@ -449,15 +469,68 @@ class SharedScanScheduler:
                 # (e.g. a duplicate job id), the reservation comes back.
                 self.ledger.refund(reservation)
                 raise
-            self._reservations[job.job_id] = reservation
-            self.queue.push(job)
             record.trace.enter("queued")
-            # Elevator mode: if the job's table has an open scan loop
-            # with room, route it straight onto the flight — this is the
-            # board-the-running-scan path; the driving worker admits it
-            # at the next chunk boundary.
-            self._route_boarders_locked()
-            return record
+        self._reservations[job.job_id] = reservation
+        if key is not None:
+            self._primaries[key] = job.job_id
+            self._twins[job.job_id] = (key, {})
+        self.queue.push(job)
+        # Elevator mode: if the job's table has an open scan loop with
+        # room, route it straight onto the flight — this is the
+        # board-the-running-scan path; the driving worker admits it at
+        # the next chunk boundary.
+        self._route_boarders_locked()
+
+    def _serve_locked(
+        self, record: JobRecord, hit: CachedResult, key: tuple
+    ) -> None:
+        """Complete ``record`` from a committed release: 0 pages, 0 ε
+        (admission lock held; the caller publishes it with
+        ``mark_done``)."""
+        # Copy: the cache entry is shared across hits, and the registry
+        # hands records' arrays back by reference — one tenant mutating
+        # their result must never corrupt the cache or another tenant's
+        # record.
+        record.model = hit.weights.copy()
+        record.sensitivity = hit.sensitivity
+        record.noise_norm = hit.noise_norm
+        record.epochs = hit.epochs
+        record.dispatch = "cached"
+        record.cache_source = hit.source_job_id
+        record.table_fingerprint = key[1]
+        record.scan_seed = self.scan_seed
+        record.finished_at = self._clock
+        record.trace.close()
+        record.status = JobStatus.COMPLETED
+
+    def _settle_twins(
+        self, primary: JobRecord, release: Optional[CachedResult]
+    ) -> List[JobRecord]:
+        """Detach the twins of ``primary``, which just went terminal;
+        returns the ones it completed.
+
+        ``release`` is the primary's entry in the result cache: set only
+        when it completed at offset 0, the canonical answer the twins'
+        key names, and then each twin completes from it as a hit does.
+        Otherwise — the primary failed, was cancelled, or rode from an
+        elevator offset — each twin is admitted on its own, so it never
+        receives an offset ride's release and pays only if it trains.
+        """
+        with self._admission_lock:
+            entry = self._twins.pop(primary.job_id, None)
+            if entry is None:
+                return []
+            key, twins = entry
+            del self._primaries[key]
+            if release is None:
+                for twin in twins.values():
+                    self._admit_locked(twin, key, registered=True)
+                return []
+            self._clock += 1
+            for twin in twins.values():
+                self._serve_locked(twin, release, key)
+                twin.mark_done()
+            return list(twins.values())
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a job that is still QUEUED: refund its reservation and
@@ -470,7 +543,9 @@ class SharedScanScheduler:
         Unknown job ids raise ``KeyError``. In elevator mode a job routed
         onto an open flight but not yet admitted by the driver is still
         cancellable — it is pulled off the boarder list before the
-        cursor ever sees it.
+        cursor ever sees it. A twin is detached from its primary, with
+        nothing to refund; a cancelled primary's twins are admitted on
+        their own.
         """
         record = self.registry.get(job_id)
         with self._admission_lock:
@@ -488,6 +563,12 @@ class SharedScanScheduler:
                     if removed:
                         break
             if not removed:
+                # A twin: detached from its primary, with nothing to refund.
+                for _, twins in self._twins.values():
+                    if twins.pop(job_id, None) is not None:
+                        removed = True
+                        break
+            if not removed:
                 # Claimed into a window (or already aboard a cursor):
                 # the dispatch path owns it now.
                 return False
@@ -500,6 +581,7 @@ class SharedScanScheduler:
             record.trace.close()
             record.status = JobStatus.CANCELLED
         record.mark_done()
+        self._settle_twins(record, None)
         return True
 
     # -- the result cache --------------------------------------------------------
@@ -557,7 +639,7 @@ class SharedScanScheduler:
         self._fingerprints.pop(table_name, None)
 
 
-    def prime_cache(self, record: JobRecord) -> bool:
+    def prime_cache(self, record: JobRecord) -> Optional[CachedResult]:
         """Arm the cache with an already-committed release (restore path).
 
         A registry loaded from a snapshot holds completed records whose
@@ -567,38 +649,37 @@ class SharedScanScheduler:
         provenance (the fingerprint of the data it was trained on, its
         scan seed) — never the table's current state — so a release of
         since-changed data or another scan order is simply unreachable,
-        not wrong. Returns whether the record was cacheable.
+        not wrong. Returns the cached entry, or ``None`` when the record
+        is not cacheable.
         """
         if record.status is not JobStatus.COMPLETED or record.model is None:
-            return False
+            return None
         if record.boarding_offset:
             # An offset release is specific to where the cursor happened
             # to be when the job boarded; only offset-0 releases — what a
             # window-batched dispatch would also have produced — are
             # reproducible from the cache key alone.
-            return False
+            return None
         if not record.table_fingerprint or record.scan_seed is None:
-            return False
+            return None
         identity = record.job.cache_identity()
         if identity is None:
-            return False
+            return None
         key = (
             record.job.table,
             record.table_fingerprint,
             record.scan_seed,
             identity,
         )
-        self.cache.put(
-            key,
-            CachedResult(
-                weights=np.array(record.model, dtype=np.float64),
-                sensitivity=record.sensitivity,
-                noise_norm=record.noise_norm,
-                epochs=record.epochs,
-                source_job_id=record.cache_source or record.job_id,
-            ),
+        entry = CachedResult(
+            weights=np.array(record.model, dtype=np.float64),
+            sensitivity=record.sensitivity,
+            noise_norm=record.noise_norm,
+            epochs=record.epochs,
+            source_job_id=record.cache_source or record.job_id,
         )
-        return True
+        self.cache.put(key, entry)
+        return entry
 
     # -- dispatch ----------------------------------------------------------------
 
@@ -1047,9 +1128,10 @@ class SharedScanScheduler:
         record.finished_at = self._tick()
         record.trace.close()
         record.status = JobStatus.COMPLETED
-        self.prime_cache(record)
+        release = self.prime_cache(record)
         finished.append(record)
         record.mark_done()
+        finished.extend(self._settle_twins(record, release))
 
     def _fail(
         self, job: TrainingJob, error: Exception, finished: List[JobRecord]
@@ -1065,6 +1147,7 @@ class SharedScanScheduler:
         record.status = JobStatus.FAILED
         finished.append(record)
         record.mark_done()
+        self._settle_twins(record, None)
 
     def _shared_scan(self, table_name: str):
         """The table's service-wide permutation (seeded by table, not job)."""

@@ -304,8 +304,10 @@ class TrainingService:
         with the budget reserved, COMPLETED instantly when the result
         cache recognizes the job (dispatch ``"cached"``, 0 pages, 0 ε),
         or REJECTED (over budget / no account) with nothing charged and
-        no data touched. Never blocks on a scan — await training with
-        ``record.wait()`` or :meth:`drain`. (Iterate averaging is not
+        no data touched. A job identical to one still queued or running
+        attaches to it as a twin: QUEUED with nothing reserved, it
+        completes from that job's release. Never blocks on a scan — await
+        training with ``record.wait()`` or :meth:`drain`. (Iterate averaging is not
         offered: the in-RDBMS dispatch releases the final iterate, and
         the scheduler refuses candidates that ask otherwise.)
         """
@@ -397,8 +399,13 @@ class TrainingService:
         scan is not cancellable mid-epoch (the page reads and the budget
         commit happen atomically at window end; killing it halfway would
         forfeit determinism for no refund). Raises ``KeyError`` for an
-        unknown job id."""
-        return self.scheduler.cancel(job_id)
+        unknown job id. Cancelling a twin (an identical submit attached to
+        a queued or running job) detaches it and leaves that job alone;
+        cancelling a job with twins admits each twin on its own."""
+        cancelled = self.scheduler.cancel(job_id)
+        if cancelled and self.loop.running:
+            self.loop.wake()  # a detached twin may have been queued
+        return cancelled
 
     # -- observability -----------------------------------------------------------
 

@@ -15,16 +15,23 @@ and asserts they are indistinguishable:
   round-trips, budget statements, health.
 
 Plus HTTP-only edges: bearer-token auth, principal pinning, the
-envelope version tag, the metrics endpoint, admin shutdown, and
-concurrent submitters sharing one socket server.
+envelope version tag, the metrics endpoint, admin shutdown, concurrent
+submitters sharing one socket server, and the keep-alive transport:
+connection reuse, request framing, the stale-socket resend, a resent
+submit that must not reserve twice, and shutdown with idle connections.
 """
 
 from __future__ import annotations
 
+import gc
+import http.client
 import json
 import pathlib
 import re
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -32,6 +39,7 @@ import numpy as np
 import pytest
 
 from repro.api import ServiceApiServer, ServiceClient, WIRE_FORMAT
+from repro.api import server as server_module
 from repro.api.wire import check_envelope
 from repro.optim.losses import LogisticLoss
 from repro.service import (
@@ -301,17 +309,18 @@ class TestConcurrentSubmitters:
             service.stop()
 
 
+@pytest.fixture()
+def server():
+    service = make_service(workers=1).start()
+    api = ServiceApiServer(service, TOKENS, admin_token=ADMIN_TOKEN)
+    api.start()
+    yield api
+    api.close()
+    service.stop()
+
+
 class TestHttpEdges:
     """Contracts only the socket transport has."""
-
-    @pytest.fixture()
-    def server(self):
-        service = make_service(workers=1).start()
-        api = ServiceApiServer(service, TOKENS, admin_token=ADMIN_TOKEN)
-        api.start()
-        yield api
-        api.close()
-        service.stop()
 
     def test_missing_token_is_unauthorized(self, server):
         client = ServiceClient(server.url)  # no token
@@ -442,6 +451,241 @@ class TestHttpEdges:
             client.health()
         assert excinfo.value.code == "unreachable"
         assert "2 attempt(s)" in str(excinfo.value)
+
+
+def metric_value(service: TrainingService, name: str) -> float:
+    return service.metrics_registry.get(name).value()
+
+
+def open_connections(service: TrainingService) -> float:
+    return metric_value(service, "repro_http_open_connections")
+
+
+def handler_threads() -> set:
+    """The live per-connection threads of every ``ThreadingHTTPServer``."""
+    return {
+        thread for thread in threading.enumerate()
+        if "process_request_thread" in thread.name
+    }
+
+
+def eventually(predicate, timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+class TestKeepAlive:
+    """One persistent HTTP/1.1 connection per client thread."""
+
+    def test_one_thread_reuses_one_connection(self, server):
+        client = ServiceClient(server.url, token="alice-token")
+        before = metric_value(server.service, "repro_http_connections_total")
+        for _ in range(10):
+            client.health()
+            client.budgets()
+        assert metric_value(server.service, "repro_http_connections_total") == before + 1
+
+    def test_kept_alive_calls_are_not_held_back_by_nagle(self, server):
+        # Headers and body leave the server in two sends; with Nagle on,
+        # the second waits for the client's delayed ACK (~40 ms a call).
+        client = ServiceClient(server.url, token="alice-token")
+        client.health()
+        seconds = []
+        for _ in range(20):
+            started = time.perf_counter()
+            client.health()
+            seconds.append(time.perf_counter() - started)
+        assert statistics.median(seconds) < 0.020
+
+    def test_a_call_after_the_idle_timeout_resends_once(self, monkeypatch):
+        monkeypatch.setattr(server_module._ApiHandler, "timeout", 0.2)
+        service = make_service(workers=1)  # not started: submits stay queued
+        with ServiceApiServer(service, TOKENS) as api:
+            # retries=0: the resend on a stale connection is not a retry.
+            client = ServiceClient(api.url, token="alice-token", retries=0)
+            client.health()
+            assert eventually(lambda: open_connections(service) == 0)
+            assert client.health()["status"] == "ok"
+            assert eventually(lambda: open_connections(service) == 0)
+            record = client.submit("alice", "t", **SUBMIT)
+            assert metric_value(service, "repro_http_connections_total") == 3
+        assert [r.job_id for r in service.registry.jobs()] == [record.job_id]
+        alice = [s for s in service.budgets() if s.principal == "alice"][0]
+        assert alice.reserved == (EPS, 0.0)
+
+    def test_close_closes_the_connections_of_every_thread(self, server):
+        done = threading.Event()
+        with ServiceClient(server.url, token="alice-token") as client:
+
+            def call_then_wait():
+                client.health()
+                done.wait(10.0)
+
+            threads = [threading.Thread(target=call_then_wait) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            assert eventually(lambda: open_connections(server.service) == 3)
+            client.close()
+            assert eventually(lambda: open_connections(server.service) == 0)
+            done.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+            client.health()  # still usable: reconnects
+            assert open_connections(server.service) == 1
+        assert eventually(lambda: open_connections(server.service) == 0)
+
+    def test_a_finished_threads_connection_closes_with_it(self, server):
+        client = ServiceClient(server.url, token="alice-token")
+        before = metric_value(server.service, "repro_http_connections_total")
+        gc.disable()  # no collector: the thread's end alone must close it
+        try:
+            threads = [threading.Thread(target=client.health) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+            assert eventually(lambda: open_connections(server.service) == 0)
+        finally:
+            gc.enable()
+        assert metric_value(server.service, "repro_http_connections_total") == before + 8
+
+    @pytest.mark.parametrize("stop", ["close", "drain", "admin"])
+    def test_shutdown_with_idle_connections(self, stop):
+        from repro.api.client import ApiUnreachable
+
+        service = make_service(workers=1).start()
+        api = ServiceApiServer(service, TOKENS, admin_token=ADMIN_TOKEN).start()
+        before = handler_threads()
+        clients = [ServiceClient(api.url, token="alice-token") for _ in range(4)]
+        try:
+            for client in clients:
+                client.health()
+            assert open_connections(service) == 4
+            started = time.monotonic()
+            if stop == "admin":  # the CLI's hold loop, then its cleanup
+                ServiceClient(api.url, token=ADMIN_TOKEN).shutdown()
+                assert api.shutdown_requested.wait(5.0)
+            if stop in ("drain", "admin"):
+                service.drain(timeout=10.0)
+                service.stop()
+            api.close()
+            assert time.monotonic() - started < 5.0
+        finally:
+            api.close()
+            service.stop()
+        assert not handler_threads() - before
+        assert open_connections(service) == 0
+        for client in clients:
+            started = time.monotonic()
+            with pytest.raises(ApiUnreachable):
+                client.health()
+            assert time.monotonic() - started < 5.0
+
+
+class TestRequestFraming:
+    """Every response leaves a kept-alive connection at a request
+    boundary, whether or not the route read the body."""
+
+    def test_an_early_answer_leaves_the_connection_in_step(self, server):
+        body = json.dumps({"principal": "alice", "table": "t"}).encode("utf-8")
+        token = {"Authorization": "Bearer alice-token"}
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=5)
+        try:
+            for path, headers, status in [
+                ("/v1/jobs", {}, 401),  # the token is checked before the body
+                ("/v1/budgets", token, 405),
+                ("/v1/nope", token, 404),
+            ]:
+                connection.request("POST", path, body=body, headers=headers)
+                response = connection.getresponse()
+                assert response.status == status
+                response.read()
+                connection.request("GET", "/v1/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["api"] == WIRE_FORMAT
+        finally:
+            connection.close()
+
+    def test_an_oversize_body_is_refused_and_the_next_connection_works(self, server):
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=5)
+        try:
+            connection.putrequest("POST", "/v1/jobs")
+            connection.putheader("Authorization", "Bearer alice-token")
+            connection.putheader(
+                "Content-Length", str(server_module.MAX_BODY_BYTES + 1)
+            )
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 400
+            assert json.loads(response.read())["error"]["code"] == "invalid_request"
+        finally:
+            connection.close()
+        assert ServiceClient(server.url).health()["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "length_header",
+        ["", "Content-Length: -1\r\n", "Content-Length: 12abc\r\n",
+         f"Content-Length: {server_module.MAX_BODY_BYTES + 1}\r\n",
+         "Transfer-Encoding: chunked\r\n"],
+    )
+    def test_an_untrusted_body_length_closes_the_connection(
+        self, server, length_header
+    ):
+        request = (
+            "POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+            f"Authorization: Bearer alice-token\r\n{length_header}\r\n"
+        ).encode("ascii")
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(request)
+            answer = b""
+            while chunk := sock.recv(65536):  # until the server closes
+                answer += chunk
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body)["error"]["code"] == "invalid_request"
+
+
+class TestResentSubmit:
+    def test_a_dropped_response_resend_reserves_once(self, monkeypatch):
+        admit = server_module._ApiHandler._submit
+        dropped = []
+
+        def admit_then_drop(handler):
+            answer = admit(handler)
+            if not dropped:  # this one request: admitted, answer lost
+                dropped.append(handler)
+                handler.connection.shutdown(socket.SHUT_RDWR)
+            return answer
+
+        monkeypatch.setattr(server_module._ApiHandler, "_submit", admit_then_drop)
+        service = make_service(workers=1)  # not started: the job stays queued
+        with ServiceApiServer(service, TOKENS) as api:
+            client = ServiceClient(api.url, token="alice-token")
+            record = client.submit("alice", "t", **SUBMIT)
+            assert dropped
+            primary, resent = service.registry.jobs()
+            assert resent.job_id == record.job_id
+            service.drain()
+            final = client.wait(record.job_id, timeout=30.0)
+            assert final.status is JobStatus.COMPLETED
+            assert final.dispatch == "cached"
+            assert final.cache_source == primary.job_id
+            assert np.array_equal(client.model(record.job_id), REFERENCE)
+        assert primary.dispatch == "scan"
+        assert [jobs for _, jobs, _ in service.scheduler.dispatch_log] == [
+            [primary.job_id]
+        ]
+        alice = [s for s in service.budgets() if s.principal == "alice"][0]
+        assert alice.spent == (EPS, 0.0)
+        assert alice.reserved == (0.0, 0.0)
 
 
 def post_job(url: str, token: str, body: dict):

@@ -18,6 +18,7 @@ Three contracts carry this PR:
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -460,6 +461,164 @@ class TestResultCache:
         assert again.status is JobStatus.QUEUED  # trains again, no hit
         service.drain()
         assert again.status is JobStatus.COMPLETED
+
+
+TWIN = dict(epsilon=0.3, passes=2, batch_size=25, seed=5)
+
+
+def spent(service: TrainingService) -> dict:
+    return {s.principal: (s.spent[0], s.reserved[0]) for s in service.budgets()}
+
+
+class TestTwins:
+    """An identical submit made while the first is still queued or running
+    (a resent submit, typically) attaches to it instead of reserving: one
+    release, one charge."""
+
+    def test_a_repeated_submit_while_queued_reserves_once(self):
+        service = make_service(workers=1)  # not started: both stay queued
+        primary = service.submit("alice", "t", LogisticLoss(1e-3), **TWIN)
+        twin = service.submit("alice", "t", LogisticLoss(1e-3), **TWIN)
+        assert twin.status is JobStatus.QUEUED
+        assert spent(service)["alice"] == (0.0, 0.3)
+        service.drain()
+        assert primary.status is JobStatus.COMPLETED
+        assert twin.status is JobStatus.COMPLETED
+        assert primary.dispatch == "scan"
+        assert twin.dispatch == "cached"
+        assert twin.cache_source == primary.job_id
+        assert twin.group_pages == 0
+        assert twin.receipt is None
+        assert np.array_equal(twin.model, primary.model)  # atol=0
+        assert twin.model is not primary.model
+        assert spent(service)["alice"] == (0.3, 0.0)
+        assert service.scheduler.dispatch_log[0][1] == [primary.job_id]
+
+    def test_a_twin_from_another_principal_spends_nothing(self):
+        service = make_service(workers=1)
+        primary = service.submit("alice", "t", LogisticLoss(1e-3), **TWIN)
+        twin = service.submit("bob", "t", LogisticLoss(1e-3), **TWIN)
+        service.drain()
+        assert twin.dispatch == "cached"
+        assert np.array_equal(twin.model, primary.model)
+        assert spent(service) == {"alice": (0.3, 0.0), "bob": (0.0, 0.0)}
+
+    def test_cancelling_a_twin_leaves_its_primary_alone(self):
+        service = make_service(workers=1)
+        primary = service.submit("alice", "t", LogisticLoss(1e-3), **TWIN)
+        twin = service.submit("bob", "t", LogisticLoss(1e-3), **TWIN)
+        assert spent(service) == {"alice": (0.0, 0.3), "bob": (0.0, 0.0)}
+        assert service.cancel(twin.job_id) is True
+        assert twin.status is JobStatus.CANCELLED
+        assert twin.trace.names() == ["admit", "queued"]
+        assert spent(service) == {"alice": (0.0, 0.3), "bob": (0.0, 0.0)}
+        service.drain()
+        assert primary.status is JobStatus.COMPLETED
+        assert twin.status is JobStatus.CANCELLED
+        assert spent(service) == {"alice": (0.3, 0.0), "bob": (0.0, 0.0)}
+
+    def test_a_cancelled_primarys_twin_trains_on_its_own(self):
+        service = make_service(workers=1)
+        primary = service.submit("alice", "t", LogisticLoss(1e-3), **TWIN)
+        twin = service.submit("bob", "t", LogisticLoss(1e-3), **TWIN)
+        assert service.cancel(primary.job_id) is True
+        assert twin.status is JobStatus.QUEUED
+        assert spent(service) == {"alice": (0.0, 0.0), "bob": (0.0, 0.3)}
+        service.drain()
+        assert twin.status is JobStatus.COMPLETED
+        assert twin.dispatch == "scan"
+        assert spent(service) == {"alice": (0.0, 0.0), "bob": (0.3, 0.0)}
+
+    def test_a_failed_primarys_twins_are_admitted_on_their_own(self):
+        service = make_service(workers=1)
+        service.open_budget("carol", "t", 0.2)  # an account, not 0.3 of it
+        primary = service.submit("alice", "t", LogisticLoss(1e-3), **TWIN)
+        carol = service.submit("carol", "t", LogisticLoss(1e-3), **TWIN)
+        bob = service.submit("bob", "t", LogisticLoss(1e-3), **TWIN)
+        last = service.submit("alice", "t", LogisticLoss(1e-3), **TWIN)
+        assert carol.status is JobStatus.QUEUED  # attached: nothing reserved
+        window = service.scheduler.claim_window()
+        assert [job.job_id for job in window] == [primary.job_id]
+        service.scheduler.fail_jobs(window, RuntimeError("scan lost"))
+        service.scheduler.release_window(window)
+        assert primary.status is JobStatus.FAILED
+        # In attach order: carol cannot pay and is rejected, bob reserves
+        # and queues, and the last twin attaches to bob's job.
+        assert carol.status is JobStatus.REJECTED
+        assert bob.status is JobStatus.QUEUED
+        assert spent(service) == {
+            "alice": (0.0, 0.0), "bob": (0.0, 0.3), "carol": (0.0, 0.0)
+        }
+        service.drain()
+        assert bob.dispatch == "scan"
+        assert last.dispatch == "cached"
+        assert last.cache_source == bob.job_id
+        assert spent(service) == {
+            "alice": (0.0, 0.0), "bob": (0.3, 0.0), "carol": (0.0, 0.0)
+        }
+
+    @pytest.mark.parametrize("elevator", [False, True])
+    def test_racing_identical_submits_pay_once_per_training(self, elevator):
+        """Submitters racing the workers (more threads than cores, a short
+        switch interval). A twin lost between attach and detach would
+        never finish; a second reservation for a key in flight, or a twin
+        served an elevator ride's offset release, would show below."""
+        service = make_service(workers=2, elevator=elevator).start()
+        records, lock = [], threading.Lock()
+
+        def submitter(principal):
+            for _ in range(10):
+                for seed in range(6):
+                    record = service.submit(
+                        principal, "t", LogisticLoss(1e-3), epsilon=EPS,
+                        passes=1, batch_size=50, seed=seed,
+                    )
+                    with lock:
+                        records.append(record)
+                    time.sleep(0.0002)  # keep submitting while jobs land
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=submitter, args=(principal,))
+                for principal in ("alice", "bob", "alice", "bob")
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            assert all(record.wait(timeout=60.0) for record in records)
+        finally:
+            sys.setswitchinterval(interval)
+            service.stop()
+        assert len(records) == 240
+        assert all(record.status is JobStatus.COMPLETED for record in records)
+        trained = [record for record in records if record.dispatch == "scan"]
+        by_id = {record.job_id: record for record in trained}
+        for record in records:
+            if record.dispatch == "cached":
+                source = by_id[record.cache_source]
+                assert source.boarding_offset == 0
+                assert np.array_equal(record.model, source.model)
+        if not elevator:
+            assert sorted(record.job.seed for record in trained) == list(range(6))
+        statements = service.budgets()
+        assert sum(s.spent[0] for s in statements) == pytest.approx(
+            len(trained) * EPS
+        )
+        assert all(s.reserved == (0.0, 0.0) for s in statements)
+
+    def test_a_job_without_a_cache_key_still_reserves_twice(self):
+        service = make_service(workers=1)
+        loss = LogisticLoss(1e-3)
+        loss.opaque_state = [1.0, 2.0]  # no cache identity
+        first = service.submit("alice", "t", loss, **TWIN)
+        again = service.submit("alice", "t", loss, **TWIN)
+        service.drain()
+        assert first.dispatch == again.dispatch == "scan"
+        assert spent(service)["alice"] == (pytest.approx(0.6), 0.0)
 
 
 class TestDurableRegistry:

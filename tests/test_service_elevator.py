@@ -403,6 +403,32 @@ class TestServiceBoarding:
         assert third.dispatch == "cached"
         assert np.array_equal(third.model, again.model)
 
+    def test_a_twin_of_an_offset_rider_trains_on_its_own(self):
+        service = make_elevator_service(workers=1)
+        gate = GatedLoss(1e-3)
+        service.submit("alice", "t", gate, epsilon=EPS, passes=2,
+                       batch_size=25, seed=1)
+        service.start()
+        try:
+            assert gate.started.wait(timeout=10.0)
+            job = dict(epsilon=EPS, passes=1, batch_size=10, seed=2)
+            rider = service.submit("bob", "t", LogisticLoss(1e-3), **job)
+            twin = service.submit("alice", "t", LogisticLoss(1e-3), **job)
+            assert twin.status is JobStatus.QUEUED
+            gate.release.set()
+            assert rider.wait(timeout=30.0)
+            assert twin.wait(timeout=30.0)
+        finally:
+            service.stop()
+        assert rider.boarding_offset > 0
+        # An offset ride's release is not the answer the twin's key
+        # names: the twin was admitted on its own, trained and paid.
+        assert twin.dispatch == "scan"
+        assert twin.cache_source == ""
+        assert np.array_equal(twin.model, solo_release(twin, XS, YS))
+        spent = {s.principal: s.spent[0] for s in service.budgets()}
+        assert spent == {"alice": pytest.approx(2 * EPS), "bob": pytest.approx(EPS)}
+
     def test_heterogeneous_jobs_share_one_cursor_stream(self):
         """Jobs with four different (batch_size, passes) signatures — zero
         fusion compatibility — still ride ONE flight: the elevator key is
