@@ -24,6 +24,11 @@ Two CLI modes gate the perf story in CI:
 Both modes write every timing to ``BENCH_hotloops.json`` next to the repo
 root (scalar / vectorized / fused), so future PRs inherit a
 machine-readable perf trajectory.
+
+Each gate comes back as a :class:`Gate`, and :func:`finish` records it:
+the perf trajectory (full shape only), the ``--report`` entry and the
+exit status. ``bench_service.py`` records its gates through the same
+two names.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ import json
 import pathlib
 import sys
 import time
+from dataclasses import dataclass, field
+from typing import Optional
 
 # Direct script execution (`python benchmarks/bench_hotloops.py`) puts only
 # benchmarks/ on sys.path; make the package and tests.conftest importable
@@ -146,8 +153,8 @@ def _best_of(fn, rounds: int = 3, warmup: int = 1) -> float:
     return best
 
 
-def compare_paths(rounds: int = 3, write: bool = True) -> float:
-    """Time one PSGD epoch per execution path and report the speedup.
+def compare_paths(rounds: int = 3) -> Gate:
+    """Time one PSGD epoch per execution path; the gate is the speedup.
 
     Also asserts the two paths agree on the model they produce — a timing
     comparison of divergent computations would be meaningless.
@@ -165,13 +172,22 @@ def compare_paths(rounds: int = 3, write: bool = True) -> float:
     print(f"vectorized epoch: {vectorized_s * 1e3:8.2f} ms")
     print(f"speedup:          {speedup:8.2f}x  (gate: >= {SPEEDUP_FLOOR}x)")
     print(f"path agreement:   max |dw| = {max_diff:.3e} (<= 1e-12)")
-    if write:
-        _write_results(
-            scalar_epoch_s=scalar_s,
-            vectorized_epoch_s=vectorized_s,
-            vectorized_speedup=speedup,
-        )
-    return speedup
+    return Gate(
+        "vectorized_vs_scalar",
+        "wall-clock speedup, vectorized over scalar epoch",
+        speedup,
+        SPEEDUP_FLOOR,
+        {"m": M, "d": D, "batch_size": BATCH},
+        checks=[(
+            not speedup >= SPEEDUP_FLOOR,
+            f"FAIL: vectorized path regressed below {SPEEDUP_FLOOR}x",
+        )],
+        results={
+            "scalar_epoch_s": scalar_s,
+            "vectorized_epoch_s": vectorized_s,
+            "vectorized_speedup": speedup,
+        },
+    )
 
 
 # -- the fused-vs-sequential multi-model gate ---------------------------------
@@ -198,10 +214,10 @@ def _run_fused_grid(specs, perm):
     return MultiModelPSGD(specs, passes=1, batch_size=BATCH).run(X, Y, permutation=perm)
 
 
-def multi_model(rounds: int = 3, ks=MULTI_MODEL_KS, write: bool = True) -> float:
+def multi_model(rounds: int = 3, ks=MULTI_MODEL_KS) -> Gate:
     """Time fused K-model grid training against K sequential runs.
 
-    Returns the fused speedup at the gate size K=16. Both paths train the
+    The gate is the fused speedup at K=16. Both paths train the
     same candidates over the same permutation, and their models are
     checked to be bitwise equal first — the fused path must be the same
     algorithm, only faster.
@@ -237,9 +253,19 @@ def multi_model(rounds: int = 3, ks=MULTI_MODEL_KS, write: bool = True) -> float
         )
         if k == FUSED_GATE_K:
             gate_speedup = speedup
-    if write:
-        _write_results(multi_model=table)
-    return gate_speedup
+    return Gate(
+        "fused_multi_model",
+        f"fused over sequential speedup at K={FUSED_GATE_K}",
+        gate_speedup,
+        FUSED_SPEEDUP_FLOOR,
+        {"m": M, "d": D, "batch_size": BATCH},
+        checks=[(
+            not gate_speedup >= FUSED_SPEEDUP_FLOOR,
+            f"FAIL: fused multi-model path below {FUSED_SPEEDUP_FLOOR}x "
+            f"at K={FUSED_GATE_K}",
+        )],
+        results={"multi_model": table},
+    )
 
 
 def _write_results(**updates) -> None:
@@ -286,6 +312,70 @@ def write_report(path, **gates) -> None:
     print(f"wrote report {path}")
 
 
+@dataclass
+class Gate:
+    """One gate's outcome, as :func:`finish` records it.
+
+    ``name`` keys the gate's ``--report`` entry: ``metric``, ``value``,
+    ``floor``, ``shape``, ``passed`` and the ``extra`` fields. A note
+    (informational, it never gates) has no name. ``results`` are the
+    gate's ``BENCH_hotloops.json`` updates, ``checks`` its
+    ``(failed, FAIL line)`` pairs, and ``artifacts`` the files (name ->
+    text) written beside the report.
+    """
+
+    name: Optional[str] = None
+    metric: str = ""
+    value: object = None
+    floor: object = None
+    shape: dict = field(default_factory=dict)
+    checks: list = field(default_factory=list)
+    extra: dict = field(default_factory=dict)
+    results: dict = field(default_factory=dict)
+    artifacts: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return not any(failed for failed, _ in self.checks)
+
+
+def finish(gates, *, report=None, write: bool = True, gate: bool = True) -> int:
+    """Record ``gates`` and return the exit status they earn.
+
+    Merges their results into ``BENCH_hotloops.json`` when ``write`` (the
+    full shape), and their entries and artifacts into the ``report`` file
+    at any shape; prints the FAIL line of every failed check, or PASS.
+    Returns 1 if a check failed and ``gate`` is set, else 0.
+    """
+    results = {key: value for g in gates for key, value in g.results.items()}
+    if write and results:
+        _write_results(**results)
+    if report is not None:
+        entries = {
+            g.name: {
+                "metric": g.metric,
+                "value": g.value,
+                "floor": g.floor,
+                "passed": g.passed,
+                "shape": g.shape,
+                **g.extra,
+            }
+            for g in gates
+            if g.name is not None
+        }
+        if entries:
+            write_report(report, **entries)
+        for g in gates:
+            for name, text in g.artifacts.items():
+                (pathlib.Path(report).resolve().parent / name).write_text(text)
+    failed = [line for g in gates for bad, line in g.checks if bad]
+    for line in failed:
+        print(line)
+    if not failed and any(g.checks for g in gates):
+        print("PASS")
+    return int(gate and bool(failed))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -328,48 +418,13 @@ def main(argv=None) -> int:
     if args.smoke:
         _set_shape(SMOKE_M, SMOKE_D)
         print(f"SMOKE mode: m={M}, d={D} (gates unchanged)")
-    failed = False
+    gates = []
     if args.compare_paths:
-        speedup = compare_paths(args.rounds, write=not args.smoke)
-        if speedup < SPEEDUP_FLOOR:
-            print(f"FAIL: vectorized path regressed below {SPEEDUP_FLOOR}x")
-            failed = True
-        if args.report:
-            write_report(
-                args.report,
-                vectorized_vs_scalar={
-                    "metric": "wall-clock speedup, vectorized over scalar epoch",
-                    "value": speedup,
-                    "floor": SPEEDUP_FLOOR,
-                    "passed": speedup >= SPEEDUP_FLOOR,
-                    "shape": {"m": M, "d": D, "batch_size": BATCH},
-                },
-            )
+        gates.append(compare_paths(args.rounds))
     if args.multi_model:
         ks = tuple(k for k in MULTI_MODEL_KS if k <= 16) if args.smoke else MULTI_MODEL_KS
-        fused_speedup = multi_model(args.rounds, ks=ks, write=not args.smoke)
-        if fused_speedup < FUSED_SPEEDUP_FLOOR:
-            print(
-                f"FAIL: fused multi-model path below {FUSED_SPEEDUP_FLOOR}x "
-                f"at K={FUSED_GATE_K}"
-            )
-            failed = True
-        if args.report:
-            write_report(
-                args.report,
-                fused_multi_model={
-                    "metric": f"fused over sequential speedup at K={FUSED_GATE_K}",
-                    "value": fused_speedup,
-                    "floor": FUSED_SPEEDUP_FLOOR,
-                    "passed": fused_speedup >= FUSED_SPEEDUP_FLOOR,
-                    "shape": {"m": M, "d": D, "batch_size": BATCH},
-                },
-            )
-    if failed:
-        return 1
-    print("PASS")
-    return 0
-
+        gates.append(multi_model(args.rounds, ks=ks))
+    return finish(gates, report=args.report, write=not args.smoke)
 
 if __name__ == "__main__":
     sys.exit(main())

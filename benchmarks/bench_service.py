@@ -94,9 +94,15 @@ wall-clock jobs/sec for both, and it gates CI on the structural claim:
   a JSON file at any shape — what CI uploads as an artifact and renders
   into the step summary.
 
+Every selected mode runs, in the order above, even after an earlier
+gate failed: each prints the FAIL line of every check it failed (or
+PASS), and with ``--gate`` any failed gate makes the script exit 1 once
+all of them have run.
+
 Timings and page counts append to ``BENCH_hotloops.json`` under the
 ``"service"``, ``"service_async"``, ``"service_parallel"``,
-``"service_wal"``, ``"service_disk"``, and ``"service_http"`` keys
+``"service_elevator"``, ``"service_wal"``, ``"service_queue"``,
+``"service_obs"``, ``"service_disk"``, and ``"service_http"`` keys
 (full shape only),
 extending the machine-readable
 perf trajectory (scalar → vectorized → fused → shared-scan service →
@@ -106,12 +112,13 @@ async service → cross-table parallel service → crash-safe WAL service).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
+import tempfile
 import threading
 import time
-import zlib
 from typing import Optional
 
 # Direct script execution (`python benchmarks/bench_service.py`) puts only
@@ -124,16 +131,20 @@ for _path in (str(_here.parent / "src"), str(_here.parent), str(_here)):
 
 import numpy as np
 
-from bench_hotloops import _write_results, write_report
+from bench_hotloops import Gate, finish
 from repro import obs
-from repro.core.mechanisms import mechanism_for
-from repro.core.sensitivity import sensitivity_for_schedule
+from repro.api import ServiceApiServer, ServiceClient
+from repro.core.bolton import BoltOnCandidate
 from repro.optim.losses import LogisticLoss
-from repro.rdbms.bismarck import BismarckSession
-from repro.rdbms.storage import LatencyHeapFile, MaterializedHeapFile
-from repro.rdbms.uda import SGDUDA
-from repro.service import JobStatus, TrainingService
-from tests.conftest import make_binary_data
+from repro.rdbms.storage import (
+    BufferPool,
+    LatencyHeapFile,
+    MaterializedHeapFile,
+    SQLiteHeapFile,
+    tuples_per_page,
+)
+from repro.service import JobRecord, JobStatus, TrainingJob, TrainingService
+from tests.conftest import GatedLoss, make_binary_data, solo_release
 
 #: The standard service shape: 32 concurrent jobs on one m x d table.
 JOBS, M, D = 32, 5000, 50
@@ -162,87 +173,106 @@ SMOKE_PAR_M, SMOKE_PAR_LATENCY = 600, 0.001
 PARALLEL_SPEEDUP_FLOOR = 1.5
 
 
-def _set_shape(jobs: int, m: int, d: int) -> None:
-    global JOBS, M, D
-    JOBS, M, D = jobs, m, d
+def _set_smoke_shape() -> None:
+    global JOBS, M, D, PAR_M, PAR_PAGE_LATENCY
+    JOBS, M, D = SMOKE_JOBS, SMOKE_M, SMOKE_D
+    PAR_M, PAR_PAGE_LATENCY = SMOKE_PAR_M, SMOKE_PAR_LATENCY
 
 
-def _set_parallel_shape(m: int, latency: float) -> None:
-    global PAR_M, PAR_PAGE_LATENCY
-    PAR_M, PAR_PAGE_LATENCY = m, latency
+def _bench_data(m: Optional[int] = None, d: Optional[int] = None) -> dict:
+    """The bench table's arrays, as ``register_table`` arguments: an
+    m x d dataset (M x D unless given)."""
+    X, y = make_binary_data(m or M, d or D, seed=77)
+    return {"features": X, "labels": y}
 
 
-def _build_service(
-    window: Optional[int] = None, workers: int = 1, metrics=None
-) -> TrainingService:
-    """The standard bench service; ``window=1`` gives every job its own
-    scan (the reference arm), the default shares one flight per JOBS."""
-    X, y = make_binary_data(M, D, seed=77)
-    service = TrainingService(
-        scan_seed=11, batching_window=window or JOBS, workers=workers,
-        metrics=metrics,
-    )
-    service.register_table("bench", X, y)
-    # Room for the workload twice over: the async bench resubmits it to
-    # measure cache hits (which must spend nothing — the slack proves it).
-    service.open_budget("bench-tenant", "bench", 2 * JOBS * EPS + 1e-9)
+def _build_service(tables=None, budget_jobs=None, **options) -> TrainingService:
+    """A bench service. ``tables`` maps each table name to its
+    ``register_table`` arguments (by default the standard table, as
+    ``"bench"``); the bench tenant gets ``budget_jobs`` jobs' worth of ε
+    on each. The default budget is the standard workload twice over: the
+    async bench resubmits it to measure cache hits (which must spend
+    nothing — the slack proves it). ``options`` go to ``TrainingService``;
+    the scan seed is 11 and a window holds JOBS jobs unless they say
+    otherwise."""
+    service = TrainingService(**{"scan_seed": 11, "batching_window": JOBS, **options})
+    for name, table in (tables or {"bench": _bench_data()}).items():
+        service.register_table(name, **table)
+        service.open_budget(
+            "bench-tenant", name, (budget_jobs or 2 * JOBS) * EPS + 1e-9
+        )
     return service
 
 
-def _submit_workload_one(service: TrainingService, j: int):
-    lambdas = np.logspace(-4, -1, 8)
-    return service.submit(
+#: The workload's regularization grid: job ``j`` trains at
+#: ``LAMBDAS[j % 8]`` (built once, outside every timed submit).
+LAMBDAS = np.logspace(-4, -1, 8)
+
+
+def _submit_one(submitter, j: int, table: str = "bench", **options):
+    """Submit the workload's job ``j`` through ``submitter`` — a service,
+    or an HTTP client of one (the same verb); ``options`` override the
+    submit's keyword arguments."""
+    return submitter.submit(
         "bench-tenant",
-        "bench",
-        LogisticLoss(regularization=float(lambdas[j % len(lambdas)])),
-        epsilon=EPS,
-        passes=PASSES,
-        batch_size=BATCH,
-        seed=7000 + j,
+        table,
+        LogisticLoss(regularization=float(LAMBDAS[j % len(LAMBDAS)])),
+        **{"epsilon": EPS, "passes": PASSES, "batch_size": BATCH,
+           "seed": 7000 + j, **options},
     )
 
 
-def _submit_workload(service: TrainingService) -> list:
-    return [_submit_workload_one(service, j) for j in range(JOBS)]
+def _timed_submits(submit_one, jobs: int):
+    """Call ``submit_one(j)`` for each of ``jobs`` jobs; returns each
+    call's wall seconds (an array) and the records, in submission order."""
+    seconds, records = np.empty(jobs), []
+    for j in range(jobs):
+        t0 = time.perf_counter()
+        records.append(submit_one(j))
+        seconds[j] = time.perf_counter() - t0
+    return seconds, records
 
 
-def _run(window: Optional[int] = None) -> dict:
-    service = _build_service(window)
-    records = _submit_workload(service)
-    pages_before = service.page_reads
+def _run(tables=None, **options) -> dict:
+    """Submit the standard workload to a fresh ``_build_service(tables,
+    **options)`` and drain it synchronously. Returns the drain's wall
+    seconds and page requests, the bench table's pool misses during it
+    and its page count, the released weights (stacked in submission
+    order) and the service."""
+    service = _build_service(tables, **options)
+    heap = service.session.catalog.get("bench").heap
+    stats = service.session.pool.stats_for(heap)
+    records = [_submit_one(service, j) for j in range(JOBS)]
+    pages_before, misses_before = service.page_reads, stats.cache_misses
     start = time.perf_counter()
     service.drain()
-    elapsed = time.perf_counter() - start
-    pages = service.page_reads - pages_before
+    seconds = time.perf_counter() - start
     assert all(record.status is JobStatus.COMPLETED for record in records)
     return {
-        "mode": "per-job" if window == 1 else "shared",
-        "jobs": JOBS,
-        "seconds": elapsed,
-        "jobs_per_second": JOBS / elapsed,
-        "pages": pages,
-        "pages_per_job": pages / JOBS,
+        "seconds": seconds,
+        "pages": service.page_reads - pages_before,
+        "misses": stats.cache_misses - misses_before,
+        "table_pages": heap.num_pages,
         "models": np.stack([record.model for record in records]),
+        "service": service,
     }
 
 
-def bench_service(gate: bool, write: bool = True, report=None) -> int:
+def bench_service(smoke: bool) -> list:
+    """One shared flight vs one scan per job (``batching_window=1``) on
+    the same workload: page requests, wall-clock and bits."""
     print(f"service shape: {JOBS} jobs, m={M}, d={D}, b={BATCH}, k={PASSES}")
     shared = _run()
-    per_job = _run(window=1)
-
-    bitwise = all(
-        np.array_equal(shared["models"][j], per_job["models"][j])
-        for j in range(JOBS)
-    )
+    per_job = _run(batching_window=1)
+    bitwise = np.array_equal(shared["models"], per_job["models"])
     ratio = per_job["pages"] / shared["pages"]
     single_job_pages = PASSES * M
 
-    for row in (shared, per_job):
+    for mode, row in (("shared", shared), ("per-job", per_job)):
         print(
-            f"{row['mode']:>10}: {row['seconds'] * 1e3:8.1f} ms"
-            f"   {row['jobs_per_second']:7.1f} jobs/s"
-            f"   {row['pages']:>7} pages ({row['pages_per_job']:.0f}/job)"
+            f"{mode:>10}: {row['seconds'] * 1e3:8.1f} ms"
+            f"   {JOBS / row['seconds']:7.1f} jobs/s"
+            f"   {row['pages']:>7} pages ({row['pages'] / JOBS:.0f}/job)"
         )
     print(f"page ratio:   {ratio:6.1f}x fewer requests shared"
           f"  (gate: >= {PAGE_RATIO_FLOOR}x)")
@@ -250,47 +280,35 @@ def bench_service(gate: bool, write: bool = True, report=None) -> int:
           f"-> shared window costs {shared['pages'] / single_job_pages:.2f}x that")
     print(f"bitwise shared == per-job: {bitwise}")
 
-    if write:
-        _write_results(
-            service={
-                "jobs": JOBS,
-                "fused_s": shared["seconds"],
-                "sequential_s": per_job["seconds"],
-                "fused_jobs_per_s": shared["jobs_per_second"],
-                "sequential_jobs_per_s": per_job["jobs_per_second"],
-                "fused_pages": shared["pages"],
-                "sequential_pages": per_job["pages"],
-                "page_ratio": ratio,
-                "single_job_pages": single_job_pages,
-                "bitwise_equal": bitwise,
-            }
-        )
-
-    if report is not None:
-        write_report(
-            report,
-            shared_scan_pages={
-                "metric": f"page-request ratio, one scan per job over one "
-                f"shared flight ({JOBS} jobs, one table)",
-                "value": ratio,
-                "floor": PAGE_RATIO_FLOOR,
-                "passed": bool(ratio >= PAGE_RATIO_FLOOR and bitwise),
-                "bitwise_equal": bitwise,
-                "shape": {"m": M, "d": D, "jobs": JOBS},
-            },
-        )
-
-    if gate and (ratio < PAGE_RATIO_FLOOR or not bitwise):
-        if ratio < PAGE_RATIO_FLOOR:
-            print(f"FAIL: shared flight below {PAGE_RATIO_FLOOR}x fewer pages")
-        if not bitwise:
-            print("FAIL: shared weights diverged from one-scan-per-job twins")
-        return 1
-    print("PASS")
-    return 0
+    return [Gate(
+        "shared_scan_pages",
+        f"page-request ratio, one scan per job over one shared flight "
+        f"({JOBS} jobs, one table)",
+        ratio,
+        PAGE_RATIO_FLOOR,
+        {"m": M, "d": D, "jobs": JOBS},
+        checks=[
+            (ratio < PAGE_RATIO_FLOOR,
+             f"FAIL: shared flight below {PAGE_RATIO_FLOOR}x fewer pages"),
+            (not bitwise, "FAIL: shared weights diverged from one-scan-per-job twins"),
+        ],
+        extra={"bitwise_equal": bitwise},
+        results={"service": {
+            "jobs": JOBS,
+            "fused_s": shared["seconds"],
+            "sequential_s": per_job["seconds"],
+            "fused_jobs_per_s": JOBS / shared["seconds"],
+            "sequential_jobs_per_s": JOBS / per_job["seconds"],
+            "fused_pages": shared["pages"],
+            "sequential_pages": per_job["pages"],
+            "page_ratio": ratio,
+            "single_job_pages": single_job_pages,
+            "bitwise_equal": bitwise,
+        }},
+    )]
 
 
-def bench_async(gate: bool, write: bool = True, report=None) -> int:
+def bench_async(smoke: bool) -> list:
     """Submit-latency vs drain-throughput with the background loop, plus
     the zero-cost cache-hit replay. Asserted invariants double as the
     gate: async weights bitwise-equal to the synchronous drain, cache
@@ -300,148 +318,110 @@ def bench_async(gate: bool, write: bool = True, report=None) -> int:
 
     service = _build_service(workers=WORKERS)
     service.start()
-    submit_seconds = []
     start = time.perf_counter()
-    records = []
-    for j in range(JOBS):
-        t0 = time.perf_counter()
-        records.append(_submit_workload_one(service, j))
-        submit_seconds.append(time.perf_counter() - t0)
+    submit_seconds, records = _timed_submits(lambda j: _submit_one(service, j), JOBS)
     service.drain()
     drain_elapsed = time.perf_counter() - start
-    bitwise = all(
-        np.array_equal(records[j].model, reference["models"][j])
-        for j in range(JOBS)
+    bitwise = np.array_equal(
+        np.stack([record.model for record in records]), reference["models"]
     )
 
     # The cross-drain cache: the same workload again is free.
     pages_before = service.page_reads
     t0 = time.perf_counter()
-    replays = _submit_workload(service)
+    replays = [_submit_one(service, j) for j in range(JOBS)]
     cache_elapsed = time.perf_counter() - t0
     cache_pages = service.page_reads - pages_before
     cached = all(record.dispatch == "cached" for record in replays)
     service.stop()
+    sync_jobs_per_s = JOBS / reference["seconds"]
 
-    print(f"submit latency : max {max(submit_seconds) * 1e3:8.3f} ms, "
-          f"mean {np.mean(submit_seconds) * 1e3:.3f} ms (admission only)")
+    print(f"submit latency : max {submit_seconds.max() * 1e3:8.3f} ms, "
+          f"mean {submit_seconds.mean() * 1e3:.3f} ms (admission only)")
     print(f"drain          : {drain_elapsed * 1e3:8.1f} ms submit->quiescent "
           f"({JOBS / drain_elapsed:.1f} jobs/s, "
-          f"sync was {reference['jobs_per_second']:.1f})")
+          f"sync was {sync_jobs_per_s:.1f})")
     print(f"cache replay   : {JOBS} jobs in {cache_elapsed * 1e3:8.2f} ms, "
           f"{cache_pages} pages ({'all cached' if cached else 'MISSES'})")
     print(f"bitwise async == sync per job: {bitwise}")
 
-    if write:
-        _write_results(
-            service_async={
-                "jobs": JOBS,
-                "workers": WORKERS,
-                "submit_latency_max_s": max(submit_seconds),
-                "submit_latency_mean_s": float(np.mean(submit_seconds)),
-                "drain_s": drain_elapsed,
-                "jobs_per_s": JOBS / drain_elapsed,
-                "sync_jobs_per_s": reference["jobs_per_second"],
-                "cache_replay_s": cache_elapsed,
-                "cache_replay_pages": cache_pages,
-                "bitwise_equal_to_sync": bitwise,
-            }
-        )
-
-    if report is not None:
-        write_report(
-            report,
-            async_and_cache={
-                "metric": "async bitwise == sync AND cache replay pages == 0",
-                "value": float(cache_pages),
-                "floor": 0.0,
-                "passed": bool(bitwise and cached and cache_pages == 0),
-                "bitwise_equal": bitwise,
-                "all_cached": cached,
-                "shape": {"m": M, "d": D, "jobs": JOBS, "workers": WORKERS},
-            },
-        )
-
-    if gate and not (bitwise and cached and cache_pages == 0):
-        if not bitwise:
-            print("FAIL: async weights diverged from the synchronous drain")
-        if not cached or cache_pages != 0:
-            print("FAIL: cache replay was not free (pages or misses)")
-        return 1
-    print("PASS")
-    return 0
+    return [Gate(
+        "async_and_cache",
+        "async bitwise == sync AND cache replay pages == 0",
+        float(cache_pages),
+        0.0,
+        {"m": M, "d": D, "jobs": JOBS, "workers": WORKERS},
+        checks=[
+            (not bitwise, "FAIL: async weights diverged from the synchronous drain"),
+            (not cached or cache_pages != 0,
+             "FAIL: cache replay was not free (pages or misses)"),
+        ],
+        extra={"bitwise_equal": bitwise, "all_cached": cached},
+        results={"service_async": {
+            "jobs": JOBS,
+            "workers": WORKERS,
+            "submit_latency_max_s": float(submit_seconds.max()),
+            "submit_latency_mean_s": float(submit_seconds.mean()),
+            "drain_s": drain_elapsed,
+            "jobs_per_s": JOBS / drain_elapsed,
+            "sync_jobs_per_s": sync_jobs_per_s,
+            "cache_replay_s": cache_elapsed,
+            "cache_replay_pages": cache_pages,
+            "bitwise_equal_to_sync": bitwise,
+        }},
+    )]
 
 
 # -- the per-table parallel-dispatch gate --------------------------------------
 
 
-def _build_parallel_service(workers: int, parallel_scans: bool) -> TrainingService:
-    service = TrainingService(
-        scan_seed=11,
+def _parallel_service(workers: int, parallel_scans: bool) -> TrainingService:
+    tables = {
+        f"par{t}": {"heap": LatencyHeapFile(
+            MaterializedHeapFile(*make_binary_data(PAR_M, PAR_D, seed=50 + t)),
+            PAR_PAGE_LATENCY,
+        )}
+        for t in range(PAR_TABLES)
+    }
+    return _build_service(
+        tables,
+        budget_jobs=PAR_JOBS_PER_TABLE,
         batching_window=PAR_JOBS_PER_TABLE,
         workers=workers,
         parallel_scans=parallel_scans,
         buffer_pool_pages=1,
     )
-    for t in range(PAR_TABLES):
-        X, y = make_binary_data(PAR_M, PAR_D, seed=50 + t)
-        heap = LatencyHeapFile(MaterializedHeapFile(X, y), PAR_PAGE_LATENCY)
-        service.register_table(f"par{t}", heap=heap)
-        service.open_budget(
-            "bench-tenant", f"par{t}", PAR_JOBS_PER_TABLE * EPS + 1e-9
-        )
-    return service
-
-
-def _submit_parallel_workload(service: TrainingService) -> list:
-    lambdas = np.logspace(-4, -1, PAR_JOBS_PER_TABLE)
-    records = []
-    for j in range(PAR_JOBS_PER_TABLE):
-        for t in range(PAR_TABLES):
-            records.append(
-                service.submit(
-                    "bench-tenant",
-                    f"par{t}",
-                    LogisticLoss(regularization=float(lambdas[j])),
-                    epsilon=EPS,
-                    passes=PASSES,
-                    batch_size=BATCH,
-                    seed=8000 + 100 * t + j,
-                )
-            )
-    return records
 
 
 def _run_parallel(parallel_scans: bool, workers: int = PAR_WORKERS) -> dict:
-    service = _build_parallel_service(workers, parallel_scans)
+    service = _parallel_service(workers, parallel_scans)
     start = time.perf_counter()
-    records = _submit_parallel_workload(service)
+    records = [
+        _submit_one(service, j, f"par{t}", seed=8000 + 100 * t + j)
+        for j in range(PAR_JOBS_PER_TABLE)
+        for t in range(PAR_TABLES)
+    ]
     service.drain()
     elapsed = time.perf_counter() - start
     assert all(record.status is JobStatus.COMPLETED for record in records)
     return {
         "seconds": elapsed,
-        "records": records,
         "overlap": service.peak_scan_overlap,
-        "weights": {
-            (record.job.table, record.job.seed): record.model for record in records
-        },
+        "pages": [record.group_pages for record in records],
+        "models": np.stack([record.model for record in records]),
     }
 
 
 def _solo_pages() -> int:
     """Page requests one job alone records (the attribution reference)."""
-    service = _build_parallel_service(workers=1, parallel_scans=True)
-    record = service.submit(
-        "bench-tenant", "par0", LogisticLoss(regularization=1e-3),
-        epsilon=EPS, passes=PASSES, batch_size=BATCH, seed=1,
-    )
+    service = _parallel_service(workers=1, parallel_scans=True)
+    record = _submit_one(service, 0, "par0", seed=1)
     service.drain()
     assert record.status is JobStatus.COMPLETED
     return record.group_pages
 
 
-def bench_parallel(gate: bool, write: bool = True, report=None) -> int:
+def bench_parallel(smoke: bool) -> list:
     """Per-table engine domains vs one global engine lock, wall-clock.
 
     Same jobs, same tables, same workers — the only difference is the
@@ -462,17 +442,9 @@ def bench_parallel(gate: bool, write: bool = True, report=None) -> int:
     parallel = _run_parallel(parallel_scans=True)
     speedup = serialized["seconds"] / parallel["seconds"]
     solo = _solo_pages()
-
-    bitwise = all(
-        np.array_equal(
-            record.model, reference["weights"][(record.job.table, record.job.seed)]
-        )
-        for record in parallel["records"] + serialized["records"]
-    )
-    pages_exact = all(
-        record.group_pages == solo
-        for record in parallel["records"] + serialized["records"]
-    )
+    runs = (parallel, serialized)
+    bitwise = all(np.array_equal(run["models"], reference["models"]) for run in runs)
+    pages_exact = all(pages == solo for run in runs for pages in run["pages"])
 
     print(f"global lock    : {serialized['seconds'] * 1e3:8.1f} ms "
           f"(peak overlap {serialized['overlap']})")
@@ -483,50 +455,38 @@ def bench_parallel(gate: bool, write: bool = True, report=None) -> int:
     print(f"pages per job  : solo {solo}; all jobs identical: {pages_exact}")
     print(f"bitwise parallel == sync per job: {bitwise}")
 
-    if write:
-        _write_results(
-            service_parallel={
-                "tables": PAR_TABLES,
-                "workers": PAR_WORKERS,
-                "jobs": total_jobs,
-                "page_latency_s": PAR_PAGE_LATENCY,
-                "global_lock_s": serialized["seconds"],
-                "per_table_s": parallel["seconds"],
-                "speedup": speedup,
-                "peak_overlap": parallel["overlap"],
-                "solo_pages": solo,
-                "pages_exact": pages_exact,
-                "bitwise_equal_to_sync": bitwise,
-            }
-        )
-    if report is not None:
-        write_report(
-            report,
-            parallel_dispatch={
-                "metric": "wall-clock speedup, per-table engine domains over "
-                f"global lock ({PAR_WORKERS} workers x {PAR_TABLES} tables)",
-                "value": speedup,
-                "floor": PARALLEL_SPEEDUP_FLOOR,
-                "passed": bool(
-                    speedup >= PARALLEL_SPEEDUP_FLOOR and bitwise and pages_exact
-                ),
-                "bitwise_equal": bitwise,
-                "pages_exact": pages_exact,
-                "peak_overlap": parallel["overlap"],
-                "shape": {"m": PAR_M, "d": PAR_D, "jobs": total_jobs},
-            },
-        )
-
-    if gate and not (speedup >= PARALLEL_SPEEDUP_FLOOR and bitwise and pages_exact):
-        if speedup < PARALLEL_SPEEDUP_FLOOR:
-            print(f"FAIL: cross-table overlap below {PARALLEL_SPEEDUP_FLOOR}x")
-        if not bitwise:
-            print("FAIL: parallel weights diverged from the synchronous drain")
-        if not pages_exact:
-            print("FAIL: per-table page attribution drifted from the solo run")
-        return 1
-    print("PASS")
-    return 0
+    return [Gate(
+        "parallel_dispatch",
+        "wall-clock speedup, per-table engine domains over "
+        f"global lock ({PAR_WORKERS} workers x {PAR_TABLES} tables)",
+        speedup,
+        PARALLEL_SPEEDUP_FLOOR,
+        {"m": PAR_M, "d": PAR_D, "jobs": total_jobs},
+        checks=[
+            (speedup < PARALLEL_SPEEDUP_FLOOR,
+             f"FAIL: cross-table overlap below {PARALLEL_SPEEDUP_FLOOR}x"),
+            (not bitwise, "FAIL: parallel weights diverged from the synchronous drain"),
+            (not pages_exact, "FAIL: per-table page attribution drifted from the solo run"),
+        ],
+        extra={
+            "bitwise_equal": bitwise,
+            "pages_exact": pages_exact,
+            "peak_overlap": parallel["overlap"],
+        },
+        results={"service_parallel": {
+            "tables": PAR_TABLES,
+            "workers": PAR_WORKERS,
+            "jobs": total_jobs,
+            "page_latency_s": PAR_PAGE_LATENCY,
+            "global_lock_s": serialized["seconds"],
+            "per_table_s": parallel["seconds"],
+            "speedup": speedup,
+            "peak_overlap": parallel["overlap"],
+            "solo_pages": solo,
+            "pages_exact": pages_exact,
+            "bitwise_equal_to_sync": bitwise,
+        }},
+    )]
 
 
 # -- the elevator (shared-cursor) gate -----------------------------------------
@@ -545,34 +505,15 @@ CUR_LATE_BATCHES = (10, 50, 100)
 ELEVATOR_PAGE_FLOOR = 1.5
 
 
-class _GatedLoss(LogisticLoss):
-    """Blocks gradients until released: guarantees the late jobs arrive
-    while the opener's scan is genuinely mid-flight, making the boarding
-    scenario (and its page counts) deterministic rather than a race."""
-
-    def __init__(self, regularization):
-        super().__init__(regularization)
-        self.started = threading.Event()
-        self.release = threading.Event()
-
-    def batch_gradient(self, w, X_batch, y_batch):
-        self.started.set()
-        self.release.wait(timeout=60.0)
-        return super().batch_gradient(w, X_batch, y_batch)
-
-
 def _run_cursor(elevator: bool) -> dict:
     """The sustained-arrival script, identical in both modes: one opener
     starts a scan, CUR_LATE_JOBS compatible-on-the-table jobs arrive while
     it runs. Elevator mode boards them on the live cursor; windowed mode
-    parks them for the next batching window."""
-    X, y = make_binary_data(M, D, seed=77)
-    service = TrainingService(
-        elevator=elevator, scan_seed=11, batching_window=JOBS, workers=1,
-    )
-    service.register_table("bench", X, y)
-    service.open_budget("bench-tenant", "bench", (1 + CUR_LATE_JOBS) * EPS + 1e-9)
-    gate_loss = _GatedLoss(1e-3)
+    parks them for the next batching window. The opener's gated loss
+    holds its scan mid-flight until the late jobs are in, so the
+    scenario (and its page counts) is deterministic rather than a race."""
+    service = _build_service(budget_jobs=1 + CUR_LATE_JOBS, elevator=elevator)
+    gate_loss = GatedLoss(1e-3)
     lambdas = np.logspace(-4, -1, CUR_LATE_JOBS)
     start = time.perf_counter()
     opener = service.submit(
@@ -598,46 +539,15 @@ def _run_cursor(elevator: bool) -> dict:
     records = [opener] + lates
     assert all(record.status is JobStatus.COMPLETED for record in records)
     return {
-        "mode": "elevator" if elevator else "windowed",
         "seconds": elapsed,
         "pages": service.page_reads,
         "scans": service.scheduler.table_scans["bench"],
         "boarded": sum(1 for record in lates if record.boarding_offset > 0),
         "records": records,
-        "data": (X, y),
     }
 
 
-def _cursor_reference(record, X, y) -> np.ndarray:
-    """Rebuild ``record``'s release solo from its provenance: a fresh
-    engine, the service permutation, run_sgd at the recorded boarding
-    offset, the job's own noise stream."""
-    job = record.job
-    session = BismarckSession()
-    session.load_table(job.table, X, y)
-    shuffle = session.shared_scan(
-        job.table,
-        random_state=np.random.SeedSequence(
-            [11, zlib.crc32(job.table.encode("utf-8"))]
-        ),
-    )
-    schedule, projection, properties = job.candidate.resolve(M)
-    sensitivity = sensitivity_for_schedule(
-        properties, schedule, M, job.candidate.passes, job.candidate.batch_size
-    )
-    uda = SGDUDA(job.candidate.loss, schedule, job.candidate.batch_size, projection)
-    report = session.run_sgd(
-        job.table, uda, epochs=job.candidate.passes, chunk_size=256,
-        shuffle=shuffle, start_offset=record.boarding_offset,
-    )
-    _, noise_rng = job.spawn_streams()
-    noise = mechanism_for(job.privacy).sample(
-        report.model.shape[0], sensitivity.value, job.privacy, noise_rng
-    )
-    return report.model + noise
-
-
-def bench_cursor(gate: bool, write: bool = True, report=None) -> int:
+def bench_cursor(smoke: bool) -> list:
     """Elevator boarding vs window-boundary batching under sustained
     arrivals. The gate requires the elevator to be >= 1.5x cheaper on
     pages, every late job to have actually boarded mid-flight
@@ -651,16 +561,18 @@ def bench_cursor(gate: bool, write: bool = True, report=None) -> int:
     elevator = _run_cursor(elevator=True)
     windowed = _run_cursor(elevator=False)
     ratio = windowed["pages"] / elevator["pages"]
-    X, y = elevator["data"]
+    data = _bench_data()
     bitwise = all(
-        np.array_equal(record.model, _cursor_reference(record, X, y))
+        np.array_equal(
+            record.model, solo_release(record, **data, scan_seed=11, chunk_size=256)
+        )
         for record in elevator["records"]
     )
     all_boarded = elevator["boarded"] == CUR_LATE_JOBS
 
-    for row in (windowed, elevator):
+    for mode, row in (("windowed", windowed), ("elevator", elevator)):
         print(
-            f"{row['mode']:>10}: {row['seconds'] * 1e3:8.1f} ms"
+            f"{mode:>10}: {row['seconds'] * 1e3:8.1f} ms"
             f"   {row['pages']:>7} pages   {row['scans']} scan(s)"
         )
     print(f"page ratio:   {ratio:6.1f}x fewer requests boarding "
@@ -668,47 +580,32 @@ def bench_cursor(gate: bool, write: bool = True, report=None) -> int:
     print(f"late jobs boarded mid-flight: {elevator['boarded']}/{CUR_LATE_JOBS}")
     print(f"bitwise boarded == solo(start_offset): {bitwise}")
 
-    if write:
-        _write_results(
-            service_elevator={
-                "jobs": total,
-                "late_jobs": CUR_LATE_JOBS,
-                "windowed_pages": windowed["pages"],
-                "elevator_pages": elevator["pages"],
-                "page_ratio": ratio,
-                "windowed_s": windowed["seconds"],
-                "elevator_s": elevator["seconds"],
-                "boarded": elevator["boarded"],
-                "bitwise_equal": bitwise,
-            }
-        )
-    if report is not None:
-        write_report(
-            report,
-            elevator_boarding={
-                "metric": "page-request ratio, window batching over elevator "
-                f"boarding ({total} jobs, sustained arrivals)",
-                "value": ratio,
-                "floor": ELEVATOR_PAGE_FLOOR,
-                "passed": bool(
-                    ratio >= ELEVATOR_PAGE_FLOOR and bitwise and all_boarded
-                ),
-                "bitwise_equal": bitwise,
-                "boarded": elevator["boarded"],
-                "shape": {"m": M, "d": D, "jobs": total},
-            },
-        )
-
-    if gate and not (ratio >= ELEVATOR_PAGE_FLOOR and bitwise and all_boarded):
-        if ratio < ELEVATOR_PAGE_FLOOR:
-            print(f"FAIL: boarding below {ELEVATOR_PAGE_FLOOR}x fewer pages")
-        if not all_boarded:
-            print("FAIL: late jobs did not board the running scan")
-        if not bitwise:
-            print("FAIL: boarded weights diverged from solo offset runs")
-        return 1
-    print("PASS")
-    return 0
+    return [Gate(
+        "elevator_boarding",
+        "page-request ratio, window batching over elevator "
+        f"boarding ({total} jobs, sustained arrivals)",
+        ratio,
+        ELEVATOR_PAGE_FLOOR,
+        {"m": M, "d": D, "jobs": total},
+        checks=[
+            (ratio < ELEVATOR_PAGE_FLOOR,
+             f"FAIL: boarding below {ELEVATOR_PAGE_FLOOR}x fewer pages"),
+            (not all_boarded, "FAIL: late jobs did not board the running scan"),
+            (not bitwise, "FAIL: boarded weights diverged from solo offset runs"),
+        ],
+        extra={"bitwise_equal": bitwise, "boarded": elevator["boarded"]},
+        results={"service_elevator": {
+            "jobs": total,
+            "late_jobs": CUR_LATE_JOBS,
+            "windowed_pages": windowed["pages"],
+            "elevator_pages": elevator["pages"],
+            "page_ratio": ratio,
+            "windowed_s": windowed["seconds"],
+            "elevator_s": elevator["seconds"],
+            "boarded": elevator["boarded"],
+            "bitwise_equal": bitwise,
+        }},
+    )]
 
 
 # -- the durability (WAL vs snapshot) note -------------------------------------
@@ -724,9 +621,6 @@ def _synthetic_record(j: int, d: int = 8):
     by the thousand, so the note can scale history without training
     thousands of real jobs. It is marked done, as a released record is,
     so its payload carries the weights."""
-    from repro.core.bolton import BoltOnCandidate
-    from repro.service import JobRecord, TrainingJob
-
     job = TrainingJob(
         principal="bench-tenant",
         table="bench",
@@ -746,7 +640,7 @@ def _synthetic_record(j: int, d: int = 8):
     return record
 
 
-def bench_durability(write: bool = True) -> int:
+def bench_durability(smoke: bool) -> list:
     """Per-window autosave cost: append-only log vs full snapshot.
 
     The WAL rewrite's claim is O(1) durability per dispatched window —
@@ -756,8 +650,6 @@ def bench_durability(write: bool = True) -> int:
     informational, never a gate (absolute fsync latency flakes on shared
     CI runners).
     """
-    import tempfile
-
     print(f"\ndurability     : {WAL_WINDOW_EVENTS}-event window autosave, "
           f"log append+fsync vs full snapshot")
     rows = []
@@ -788,18 +680,14 @@ def bench_durability(write: bool = True) -> int:
     print(f"  {WAL_HISTORY_SIZES[0]} -> {WAL_HISTORY_SIZES[-1]} records: "
           f"snapshot cost x{snapshot_growth:.1f}, log window cost "
           f"x{wal_growth:.1f}")
-    if write:
-        _write_results(
-            service_wal={
-                "history_sizes": list(WAL_HISTORY_SIZES),
-                "window_events": WAL_WINDOW_EVENTS,
-                "snapshot_s": [row[1] for row in rows],
-                "wal_window_s": [row[2] for row in rows],
-                "snapshot_growth": snapshot_growth,
-                "wal_window_growth": wal_growth,
-            }
-        )
-    return 0
+    return [Gate(results={"service_wal": {
+        "history_sizes": list(WAL_HISTORY_SIZES),
+        "window_events": WAL_WINDOW_EVENTS,
+        "snapshot_s": [row[1] for row in rows],
+        "wal_window_s": [row[2] for row in rows],
+        "snapshot_growth": snapshot_growth,
+        "wal_window_growth": wal_growth,
+    }})]
 
 
 # -- the queue-scaling note ----------------------------------------------------
@@ -807,46 +695,53 @@ def bench_durability(write: bool = True) -> int:
 QUEUE_JOBS = 10_000
 
 
-def bench_queue(write: bool = True) -> int:
-    """Submit latency with 10^4 jobs piling up in the queue (no workers).
+@contextlib.contextmanager
+def _http_client(service):
+    """A bench-tenant ``ServiceClient`` of ``service``, through a live
+    ``repro-api/v2`` front-end on loopback."""
+    with ServiceApiServer(service, {"bench-token": "bench-tenant"}) as server:
+        yield ServiceClient(server.url, token="bench-token")
+
+
+def _queue_note(http: bool) -> dict:
+    """Submit latency with QUEUE_JOBS jobs piling up in the queue (no
+    workers), in process or through the HTTP front-end.
 
     The queue is kept sorted on insert (bisect), so each claim is one
     O(n) pass and each push O(log n) compares + one shift — the old
     sort-at-pop charged an O(n log n) re-sort to the admission lock that
-    submit p99 waits on. This prints the note the ROADMAP records; it is
-    informational, not a gate (absolute latency gates flake on shared CI
-    runners).
+    submit p99 waits on. Priorities cycle, so pushes land mid-queue
+    rather than only appending.
     """
-    X, y = make_binary_data(SMOKE_M, SMOKE_D, seed=77)
-    service = TrainingService(scan_seed=11, workers=1)
-    service.register_table("bench", X, y)
-    service.open_budget("bench-tenant", "bench", QUEUE_JOBS * EPS + 1e-9)
-    lambdas = np.logspace(-4, -1, 8)
-    seconds = np.empty(QUEUE_JOBS)
-    for j in range(QUEUE_JOBS):
-        t0 = time.perf_counter()
-        service.submit(
-            "bench-tenant", "bench",
-            LogisticLoss(regularization=float(lambdas[j % len(lambdas)])),
-            epsilon=EPS, passes=PASSES, batch_size=BATCH,
-            priority=j % 4,  # mid-queue inserts, not append-only
-            seed=9000 + j,
+    service = _build_service(
+        {"bench": _bench_data(SMOKE_M, SMOKE_D)}, budget_jobs=QUEUE_JOBS
+    )
+    with (_http_client(service) if http else contextlib.nullcontext(service)) as submitter:
+        seconds, _ = _timed_submits(
+            lambda j: _submit_one(submitter, j, priority=j % 4, seed=9000 + j),
+            QUEUE_JOBS,
         )
-        seconds[j] = time.perf_counter() - t0
     p50, p99 = np.percentile(seconds, [50, 99])
+    return {
+        "queued_jobs": QUEUE_JOBS,
+        "submit_p50_s": float(p50),
+        "submit_p99_s": float(p99),
+        "submit_max_s": float(seconds.max()),
+    }
+
+
+def bench_queue(smoke: bool) -> list:
+    """Submit latency with 10^4 jobs piling up in the queue (no workers).
+
+    This prints the note the ROADMAP records; it is informational, not a
+    gate (absolute latency gates flake on shared CI runners).
+    """
+    note = _queue_note(http=False)
     print(f"\nqueue scaling  : {QUEUE_JOBS} submits, queue depth 0 -> {QUEUE_JOBS}")
-    print(f"submit latency : p50 {p50 * 1e6:7.1f} us, p99 {p99 * 1e6:7.1f} us, "
-          f"max {seconds.max() * 1e6:.1f} us (insert-sorted queue)")
-    if write:
-        _write_results(
-            service_queue={
-                "queued_jobs": QUEUE_JOBS,
-                "submit_p50_s": float(p50),
-                "submit_p99_s": float(p99),
-                "submit_max_s": float(seconds.max()),
-            }
-        )
-    return 0
+    print(f"submit latency : p50 {note['submit_p50_s'] * 1e6:7.1f} us, "
+          f"p99 {note['submit_p99_s'] * 1e6:7.1f} us, "
+          f"max {note['submit_max_s'] * 1e6:.1f} us (insert-sorted queue)")
+    return [Gate(results={"service_queue": note})]
 
 
 # -- the observability-overhead gate -------------------------------------------
@@ -863,23 +758,30 @@ OBS_OVERHEAD_CEILING_PCT = 5.0
 OBS_PAIRS = 192
 
 
-def _run_obs(metrics) -> dict:
-    """One shared-flight synchronous drain of the standard workload under
-    the given metrics registry (live or the disabled twin)."""
-    service = _build_service(metrics=metrics)
-    records = _submit_workload(service)
-    start = time.perf_counter()
-    service.drain()
-    elapsed = time.perf_counter() - start
-    assert all(record.status is JobStatus.COMPLETED for record in records)
-    return {
-        "seconds": elapsed,
-        "models": np.stack([record.model for record in records]),
-        "service": service,
-    }
+def _alternating_pairs(pairs: int, base, arm):
+    """Run ``pairs`` pairs of fresh drains back to back, one per arm:
+    ``base`` first on even pairs and ``arm`` first on odd ones, so neither
+    always pays the first-position cost. Each arm returns a run with its
+    ``"seconds"`` and released ``"models"``.
+
+    Returns the per-pair base and arm seconds (arrays, for the median of
+    the per-pair ratio), whether every pair's two drains released the
+    same weights bitwise, and the last arm run.
+    """
+    base_s, arm_s, bitwise = np.empty(pairs), np.empty(pairs), True
+    for pair in range(pairs):
+        if pair % 2:
+            arm_run = arm()
+            base_run = base()
+        else:
+            base_run = base()
+            arm_run = arm()
+        base_s[pair], arm_s[pair] = base_run["seconds"], arm_run["seconds"]
+        bitwise = bitwise and np.array_equal(base_run["models"], arm_run["models"])
+    return base_s, arm_s, bitwise, arm_run
 
 
-def bench_observability(gate: bool, write: bool = True, report=None) -> int:
+def bench_observability(smoke: bool) -> list:
     """Instrumented vs obs.disabled() drain wall-clock.
 
     Same workload, same seeds — the only difference is whether the
@@ -892,24 +794,15 @@ def bench_observability(gate: bool, write: bool = True, report=None) -> int:
     """
     print(f"\nobservability  : {JOBS} jobs, instrumented vs disabled, "
           f"median of {OBS_PAIRS} alternating drain pairs")
-    instrumented_s, disabled_s = [], []
-    instrumented = disabled_run = None
-    for pair in range(OBS_PAIRS):
-        if pair % 2:
-            instrumented = _run_obs(None)  # the service default: a live registry
-            disabled_run = _run_obs(obs.disabled())
-        else:
-            disabled_run = _run_obs(obs.disabled())
-            instrumented = _run_obs(None)
-        disabled_s.append(disabled_run["seconds"])
-        instrumented_s.append(instrumented["seconds"])
-    ratios = np.asarray(instrumented_s) / np.asarray(disabled_s)
+    disabled_s, instrumented_s, bitwise, instrumented = _alternating_pairs(
+        OBS_PAIRS,
+        lambda: _run(metrics=obs.disabled()),
+        lambda: _run(metrics=None),  # the service default: a live registry
+    )
+    ratios = instrumented_s / disabled_s
     overhead_pct = max(0.0, (float(np.median(ratios)) - 1.0) * 100.0)
     median_base = float(np.median(disabled_s))
     median_inst = float(np.median(instrumented_s))
-    bitwise = bool(
-        np.array_equal(instrumented["models"], disabled_run["models"])
-    )
     service = instrumented["service"]
     traced = all(
         record.trace.names()[-1] == "commit"
@@ -923,96 +816,39 @@ def bench_observability(gate: bool, write: bool = True, report=None) -> int:
     print(f"bitwise instrumented == disabled per job: {bitwise}")
     print(f"all records fully traced (admit -> commit): {traced}")
 
-    if write:
-        _write_results(
-            service_obs={
-                "jobs": JOBS,
-                "pairs": OBS_PAIRS,
-                "disabled_s": median_base,
-                "instrumented_s": median_inst,
-                "overhead_pct": overhead_pct,
-                "bitwise_equal": bitwise,
-            }
-        )
-    if report is not None:
-        write_report(
-            report,
-            service_obs={
-                "metric": "telemetry overhead, instrumented over disabled "
-                f"drain wall-clock ({JOBS} jobs)",
-                "value": overhead_pct,
-                "floor": OBS_OVERHEAD_CEILING_PCT,
-                "passed": bool(
-                    overhead_pct <= OBS_OVERHEAD_CEILING_PCT
-                    and bitwise
-                    and traced
-                ),
-                "bitwise_equal": bitwise,
-                "all_traced": traced,
-                "shape": {"m": M, "d": D, "jobs": JOBS},
-            },
-        )
+    return [Gate(
+        "service_obs",
+        "telemetry overhead, instrumented over disabled "
+        f"drain wall-clock ({JOBS} jobs)",
+        overhead_pct,
+        OBS_OVERHEAD_CEILING_PCT,
+        {"m": M, "d": D, "jobs": JOBS},
+        checks=[
+            (overhead_pct > OBS_OVERHEAD_CEILING_PCT,
+             f"FAIL: telemetry overhead above {OBS_OVERHEAD_CEILING_PCT}%"),
+            (not bitwise, "FAIL: instrumentation changed the released weights"),
+            (not traced, "FAIL: a terminal record is missing its commit span"),
+        ],
+        extra={"bitwise_equal": bitwise, "all_traced": traced},
+        results={"service_obs": {
+            "jobs": JOBS,
+            "pairs": OBS_PAIRS,
+            "disabled_s": median_base,
+            "instrumented_s": median_inst,
+            "overhead_pct": overhead_pct,
+            "bitwise_equal": bitwise,
+        }},
         # The exported artifact: both expositions of the instrumented run.
-        report_dir = pathlib.Path(report).resolve().parent
-        (report_dir / "metrics-dump.prom").write_text(service.metrics())
-        (report_dir / "metrics-dump.json").write_text(
-            json.dumps(service.metrics(format="json"), indent=1, sort_keys=True)
-            + "\n"
-        )
-
-    failed = overhead_pct > OBS_OVERHEAD_CEILING_PCT or not bitwise or not traced
-    if gate and failed:
-        if overhead_pct > OBS_OVERHEAD_CEILING_PCT:
-            print(f"FAIL: telemetry overhead above {OBS_OVERHEAD_CEILING_PCT}%")
-        if not bitwise:
-            print("FAIL: instrumentation changed the released weights")
-        if not traced:
-            print("FAIL: a terminal record is missing its commit span")
-        return 1
-    print("PASS")
-    return 0
+        artifacts={
+            "metrics-dump.prom": service.metrics(),
+            "metrics-dump.json": json.dumps(
+                service.metrics(format="json"), indent=1, sort_keys=True
+            ) + "\n",
+        },
+    )]
 
 
-def _build_disk_service(
-    window: int, sqlite_path, buffer_pool_pages: int = 65536
-) -> TrainingService:
-    """The standard bench service, but with the table on real storage:
-    the dataset is bulk-loaded into a SQLite-WAL heap and every pool
-    miss pays an actual database read."""
-    X, y = make_binary_data(M, D, seed=77)
-    service = TrainingService(
-        scan_seed=11, batching_window=window, workers=1,
-        buffer_pool_pages=buffer_pool_pages,
-    )
-    service.register_table(
-        "bench", X, y, backend="sqlite", path=sqlite_path
-    )
-    service.open_budget("bench-tenant", "bench", 2 * JOBS * EPS + 1e-9)
-    return service
-
-
-def _run_disk(window: int, sqlite_path, buffer_pool_pages: int = 65536) -> dict:
-    service = _build_disk_service(window, sqlite_path, buffer_pool_pages)
-    heap = service.session.catalog.get("bench").heap
-    stats = service.session.pool.stats_for(heap)
-    records = _submit_workload(service)
-    pages_before, misses_before = service.page_reads, stats.cache_misses
-    start = time.perf_counter()
-    service.drain()
-    elapsed = time.perf_counter() - start
-    pages = service.page_reads - pages_before
-    assert all(record.status is JobStatus.COMPLETED for record in records)
-    return {
-        "mode": "per-job" if window == 1 else "shared",
-        "seconds": elapsed,
-        "pages": pages,
-        "misses": stats.cache_misses - misses_before,
-        "table_pages": heap.num_pages,
-        "models": np.stack([record.model for record in records]),
-    }
-
-
-def bench_disk(gate: bool, write: bool = True, report=None) -> int:
+def bench_disk(smoke: bool) -> list:
     """The shared-scan claims, re-proven on real I/O.
 
     Same workload as the base gate, but the table lives in a SQLite-WAL
@@ -1031,28 +867,23 @@ def bench_disk(gate: bool, write: bool = True, report=None) -> int:
     full-table pool scan with every page faulting in from SQLite vs every
     page resident.
     """
-    import tempfile
-
-    from repro.rdbms.storage import BufferPool, SQLiteHeapFile, tuples_per_page
-
     print(f"\ndisk backend: {JOBS} jobs on a SQLite-WAL heap, m={M}, d={D}")
     with tempfile.TemporaryDirectory(prefix="repro-bench-disk-") as tmp:
         tmp = pathlib.Path(tmp)
-        shared = _run_disk(JOBS, sqlite_path=tmp / "shared.db")
-        per_job = _run_disk(1, sqlite_path=tmp / "per-job.db")
+
+        def on_sqlite(name: str, **options) -> dict:
+            table = {**_bench_data(), "backend": "sqlite", "path": tmp / name}
+            return _run({"bench": table}, **options)
+
+        shared = on_sqlite("shared.db")
+        per_job = on_sqlite("per-job.db", batching_window=1)
         thrash_pool = max(1, -(-M // tuples_per_page(D)) // 4)
-        thrash = _run_disk(JOBS, tmp / "thrash.db", buffer_pool_pages=thrash_pool)
+        thrash = on_sqlite("thrash.db", buffer_pool_pages=thrash_pool)
         reference = _run()  # the in-memory twin
 
         ratio = per_job["pages"] / shared["pages"]
-        bitwise_paths = all(
-            np.array_equal(shared["models"][j], per_job["models"][j])
-            for j in range(JOBS)
-        )
-        bitwise_backend = all(
-            np.array_equal(shared["models"][j], reference["models"][j])
-            for j in range(JOBS)
-        )
+        bitwise_paths = np.array_equal(shared["models"], per_job["models"])
+        bitwise_backend = np.array_equal(shared["models"], reference["models"])
         loops, ragged = divmod(thrash["pages"], M)
         thrash_expected = thrash["table_pages"] * loops
         thrash_exact = ragged == 0 and thrash["misses"] == thrash_expected
@@ -1062,8 +893,7 @@ def bench_disk(gate: bool, write: bool = True, report=None) -> int:
         # sweep never perturbs the gated runs' counters): one full-table
         # scan with every page faulting in from SQLite, then the same scan
         # with every page resident.
-        X, y = make_binary_data(M, D, seed=77)
-        heap = SQLiteHeapFile.bulk_load(tmp / "sweep.db", X, y)
+        heap = SQLiteHeapFile.bulk_load(tmp / "sweep.db", **_bench_data())
         pool = BufferPool(capacity_pages=heap.num_pages)
         start = time.perf_counter()
         for _ in pool.scan(heap):
@@ -1075,9 +905,9 @@ def bench_disk(gate: bool, write: bool = True, report=None) -> int:
         warm_s = time.perf_counter() - start
         heap.close()
 
-    for row in (shared, per_job):
+    for mode, row in (("shared", shared), ("per-job", per_job)):
         print(
-            f"{row['mode']:>10}: {row['seconds'] * 1e3:8.1f} ms"
+            f"{mode:>10}: {row['seconds'] * 1e3:8.1f} ms"
             f"   {row['pages']:>7} pages"
         )
     print(f"page ratio:   {ratio:6.1f}x fewer requests shared on real I/O"
@@ -1092,81 +922,59 @@ def bench_disk(gate: bool, write: bool = True, report=None) -> int:
           f"from SQLite) vs warm {warm_s * 1e3:.1f} ms (all resident) — "
           f"{cold_s / max(warm_s, 1e-9):.1f}x (informational)")
 
-    if write:
-        _write_results(
-            service_disk={
-                "jobs": JOBS,
-                "fused_s": shared["seconds"],
-                "sequential_s": per_job["seconds"],
-                "fused_pages": shared["pages"],
-                "sequential_pages": per_job["pages"],
-                "page_ratio": ratio,
-                "bitwise_fused_vs_sequential": bitwise_paths,
-                "bitwise_sqlite_vs_memory": bitwise_backend,
-                "thrash_misses": thrash["misses"],
-                "thrash_expected_misses": thrash_expected,
-                "bitwise_thrash_vs_memory": bitwise_thrash,
-                "cold_sweep_s": cold_s,
-                "warm_sweep_s": warm_s,
-            }
-        )
-
-    if report is not None:
-        write_report(
-            report,
-            disk_backend={
-                "metric": f"page-request ratio, one scan per job over one "
-                f"shared flight, "
-                f"SQLite-WAL heap ({JOBS} jobs, one table)",
-                "value": ratio,
-                "floor": PAGE_RATIO_FLOOR,
-                "passed": bool(
-                    ratio >= PAGE_RATIO_FLOOR
-                    and bitwise_paths
-                    and bitwise_backend
-                ),
-                "bitwise_fused_vs_sequential": bitwise_paths,
-                "bitwise_sqlite_vs_memory": bitwise_backend,
-                "cold_sweep_s": cold_s,
-                "warm_sweep_s": warm_s,
-                "shape": {"m": M, "d": D, "jobs": JOBS},
-            },
-            disk_thrash={
-                "metric": "pool misses of one shared flight over a SQLite-WAL "
-                "heap behind a pool a quarter its size; must equal pages x loops",
-                "value": thrash["misses"],
-                "floor": thrash_expected,
-                "passed": bool(thrash_exact and bitwise_thrash),
-                "loops": loops,
-                "bitwise_thrash_vs_memory": bitwise_thrash,
-                "shape": {
-                    "m": M, "d": D, "jobs": JOBS,
-                    "pages": thrash["table_pages"], "pool_pages": thrash_pool,
-                },
-            },
-        )
-
-    failed = (
-        ratio < PAGE_RATIO_FLOOR
-        or not bitwise_paths
-        or not bitwise_backend
-        or not thrash_exact
-        or not bitwise_thrash
+    backend = Gate(
+        "disk_backend",
+        "page-request ratio, one scan per job over one shared flight, "
+        f"SQLite-WAL heap ({JOBS} jobs, one table)",
+        ratio,
+        PAGE_RATIO_FLOOR,
+        {"m": M, "d": D, "jobs": JOBS},
+        checks=[
+            (ratio < PAGE_RATIO_FLOOR,
+             f"FAIL: shared flight below {PAGE_RATIO_FLOOR}x on real I/O"),
+            (not bitwise_paths, "FAIL: shared weights diverged from per-job on sqlite"),
+            (not bitwise_backend,
+             "FAIL: sqlite-backed weights diverged from in-memory twins"),
+        ],
+        extra={
+            "bitwise_fused_vs_sequential": bitwise_paths,
+            "bitwise_sqlite_vs_memory": bitwise_backend,
+            "cold_sweep_s": cold_s,
+            "warm_sweep_s": warm_s,
+        },
+        results={"service_disk": {
+            "jobs": JOBS,
+            "fused_s": shared["seconds"],
+            "sequential_s": per_job["seconds"],
+            "fused_pages": shared["pages"],
+            "sequential_pages": per_job["pages"],
+            "page_ratio": ratio,
+            "bitwise_fused_vs_sequential": bitwise_paths,
+            "bitwise_sqlite_vs_memory": bitwise_backend,
+            "thrash_misses": thrash["misses"],
+            "thrash_expected_misses": thrash_expected,
+            "bitwise_thrash_vs_memory": bitwise_thrash,
+            "cold_sweep_s": cold_s,
+            "warm_sweep_s": warm_s,
+        }},
     )
-    if gate and failed:
-        if ratio < PAGE_RATIO_FLOOR:
-            print(f"FAIL: shared flight below {PAGE_RATIO_FLOOR}x on real I/O")
-        if not bitwise_paths:
-            print("FAIL: shared weights diverged from per-job on sqlite")
-        if not bitwise_backend:
-            print("FAIL: sqlite-backed weights diverged from in-memory twins")
-        if not thrash_exact:
-            print("FAIL: thrash-arm misses are not one per page per loop")
-        if not bitwise_thrash:
-            print("FAIL: thrash-arm weights diverged from in-memory twins")
-        return 1
-    print("PASS")
-    return 0
+    thrash_gate = Gate(
+        "disk_thrash",
+        "pool misses of one shared flight over a SQLite-WAL "
+        "heap behind a pool a quarter its size; must equal pages x loops",
+        thrash["misses"],
+        thrash_expected,
+        {
+            "m": M, "d": D, "jobs": JOBS,
+            "pages": thrash["table_pages"], "pool_pages": thrash_pool,
+        },
+        checks=[
+            (not thrash_exact, "FAIL: thrash-arm misses are not one per page per loop"),
+            (not bitwise_thrash, "FAIL: thrash-arm weights diverged from in-memory twins"),
+        ],
+        extra={"loops": loops, "bitwise_thrash_vs_memory": bitwise_thrash},
+    )
+    return [backend, thrash_gate]
 
 
 # -- the HTTP front-end gate ---------------------------------------------------
@@ -1195,10 +1003,6 @@ HTTP_PAIRS = 16
 #: front-end exists for); at the smoke shape the standard 2-pass jobs
 #: finish in ~1 ms each, which would gate on socket overhead alone.
 HTTP_DRAIN_PASSES = 4 * PASSES
-
-
-def _http_tokens() -> dict:
-    return {"bench-token": "bench-tenant"}
 
 
 def _drain_workload(service, submit_one, jobs: int, submitters: int = 1):
@@ -1233,27 +1037,30 @@ def _drain_workload(service, submit_one, jobs: int, submitters: int = 1):
     return elapsed, submitted
 
 
-def bench_http(gate: bool, write: bool = True, report=None) -> int:
-    from repro.api import ServiceApiServer, ServiceClient
+def _transport_drain(http: bool) -> dict:
+    """One fresh twin's end-to-end drain: the workload submitted in
+    process or through the socket (fanned over WORKERS submitter
+    threads), then drained by WORKERS workers; the weights are fetched
+    through the same transport."""
+    service = _build_service(workers=WORKERS)
+    with (_http_client(service) if http else contextlib.nullcontext(service)) as submitter:
+        seconds, records = _drain_workload(
+            service,
+            lambda j: _submit_one(submitter, j, passes=HTTP_DRAIN_PASSES),
+            JOBS,
+            submitters=WORKERS if http else 1,
+        )
+        models = np.stack([submitter.model(record.job_id) for record in records])
+    return {"seconds": seconds, "models": models}
 
+
+def bench_http(smoke: bool) -> list:
     print(f"\nhttp api shape: {JOBS} jobs over repro-api/v2 "
           "(ThreadingHTTPServer + http.client keep-alive client, loopback)")
 
     # -- submit latency: admission through the socket, no workers ------
-    lat_service = _build_service()
-    with ServiceApiServer(lat_service, _http_tokens()) as lat_server:
-        lat_server.start()
-        client = ServiceClient(lat_server.url, token="bench-token")
-        lambdas = np.logspace(-4, -1, 8)
-        seconds = np.empty(JOBS)
-        for j in range(JOBS):
-            t0 = time.perf_counter()
-            client.submit(
-                "bench-tenant", "bench",
-                LogisticLoss(regularization=float(lambdas[j % len(lambdas)])),
-                epsilon=EPS, passes=PASSES, batch_size=BATCH, seed=7000 + j,
-            )
-            seconds[j] = time.perf_counter() - t0
+    with _http_client(_build_service()) as client:
+        seconds, _ = _timed_submits(lambda j: _submit_one(client, j), JOBS)
     p50, p99 = np.percentile(seconds, [50, 99])
     print(f"submit latency: p50 {p50 * 1e3:6.2f} ms, p99 {p99 * 1e3:6.2f} ms, "
           f"max {seconds.max() * 1e3:.2f} ms "
@@ -1261,60 +1068,12 @@ def bench_http(gate: bool, write: bool = True, report=None) -> int:
 
     # -- end-to-end throughput: twin services, workers draining, the
     # median over HTTP_PAIRS fresh-twin pairs of the per-pair ratio (one
-    # drain per transport, alternating which goes first).
-    def inproc_drain():
-        service = _build_service(workers=WORKERS)
-        return _drain_workload(
-            service,
-            lambda j: service.submit(
-                "bench-tenant", "bench",
-                LogisticLoss(regularization=float(lambdas[j % len(lambdas)])),
-                epsilon=EPS, passes=HTTP_DRAIN_PASSES, batch_size=BATCH,
-                seed=7000 + j,
-            ),
-            JOBS,
-        )
-
-    def http_drain():
-        service = _build_service(workers=WORKERS)
-        with ServiceApiServer(service, _http_tokens()) as server:
-            client = ServiceClient(server.url, token="bench-token")
-            seconds, views = _drain_workload(
-                service,
-                lambda j: client.submit(
-                    "bench-tenant", "bench",
-                    LogisticLoss(
-                        regularization=float(lambdas[j % len(lambdas)])
-                    ),
-                    epsilon=EPS, passes=HTTP_DRAIN_PASSES,
-                    batch_size=BATCH, seed=7000 + j,
-                ),
-                JOBS,
-                submitters=WORKERS,
-            )
-            models = [client.model(view.job_id) for view in views]
-        return seconds, models
-
-    inproc_times, http_times = [], []
-    bitwise = True
-    for pair in range(HTTP_PAIRS):
-        if pair % 2:
-            http_s, http_models = http_drain()
-            inproc_s, inproc_records = inproc_drain()
-        else:
-            inproc_s, inproc_records = inproc_drain()
-            http_s, http_models = http_drain()
-        inproc_times.append(inproc_s)
-        http_times.append(http_s)
-        # The conformance claim, re-proven at bench shape: the socket is
-        # invisible to the released bits.
-        bitwise = bitwise and all(
-            np.array_equal(model, record.model)
-            for model, record in zip(http_models, inproc_records)
-        )
-    throughput_ratio = float(
-        np.median(np.asarray(inproc_times) / np.asarray(http_times))
+    # drain per transport, alternating which goes first). The socket must
+    # be invisible to the released bits in every pair.
+    inproc_times, http_times, bitwise, _ = _alternating_pairs(
+        HTTP_PAIRS, lambda: _transport_drain(False), lambda: _transport_drain(True)
     )
+    throughput_ratio = float(np.median(inproc_times / http_times))
     inproc_s = float(np.median(inproc_times))
     http_s = float(np.median(http_times))
     inproc_jps = JOBS / inproc_s
@@ -1327,90 +1086,85 @@ def bench_http(gate: bool, write: bool = True, report=None) -> int:
 
     # -- full shape only: the 10^4-queued-jobs note over the socket ----
     queue_note = None
-    if write:
-        q_X, q_y = make_binary_data(SMOKE_M, SMOKE_D, seed=77)
-        q_service = TrainingService(scan_seed=11, workers=1)
-        q_service.register_table("bench", q_X, q_y)
-        q_service.open_budget("bench-tenant", "bench", QUEUE_JOBS * EPS + 1e-9)
-        with ServiceApiServer(q_service, _http_tokens()) as q_server:
-            q_server.start()
-            q_client = ServiceClient(q_server.url, token="bench-token")
-            q_seconds = np.empty(QUEUE_JOBS)
-            for j in range(QUEUE_JOBS):
-                t0 = time.perf_counter()
-                q_client.submit(
-                    "bench-tenant", "bench",
-                    LogisticLoss(
-                        regularization=float(lambdas[j % len(lambdas)])
-                    ),
-                    epsilon=EPS, passes=PASSES, batch_size=BATCH,
-                    priority=j % 4, seed=9000 + j,
-                )
-                q_seconds[j] = time.perf_counter() - t0
-        q_p50, q_p99 = np.percentile(q_seconds, [50, 99])
-        queue_note = {
-            "queued_jobs": QUEUE_JOBS,
-            "submit_p50_s": float(q_p50),
-            "submit_p99_s": float(q_p99),
-            "submit_max_s": float(q_seconds.max()),
-        }
+    if not smoke:
+        queue_note = _queue_note(http=True)
         print(f"queue note:   {QUEUE_JOBS} http submits, "
-              f"p50 {q_p50 * 1e3:.2f} ms, p99 {q_p99 * 1e3:.2f} ms, "
-              f"max {q_seconds.max() * 1e3:.2f} ms (informational)")
+              f"p50 {queue_note['submit_p50_s'] * 1e3:.2f} ms, "
+              f"p99 {queue_note['submit_p99_s'] * 1e3:.2f} ms, "
+              f"max {queue_note['submit_max_s'] * 1e3:.2f} ms (informational)")
 
-    if write:
-        _write_results(
-            service_http={
-                "jobs": JOBS,
-                "submit_p50_s": float(p50),
-                "submit_p99_s": float(p99),
-                "inproc_jobs_per_s": inproc_jps,
-                "http_jobs_per_s": http_jps,
-                "throughput_ratio": throughput_ratio,
-                "bitwise_equal": bitwise,
-                "queued": queue_note,
-            }
-        )
+    return [Gate(
+        "service_http",
+        f"http submit p99 (s) and end-to-end throughput "
+        f"ratio over in-process ({JOBS} jobs, {WORKERS} workers)",
+        throughput_ratio,
+        HTTP_THROUGHPUT_FLOOR,
+        {"m": M, "d": D, "jobs": JOBS},
+        checks=[
+            (p99 > HTTP_SUBMIT_P99_CEILING_S,
+             f"FAIL: http submit p99 {p99 * 1e3:.2f} ms above "
+             f"{HTTP_SUBMIT_P99_CEILING_S * 1e3:.0f} ms"),
+            (throughput_ratio < HTTP_THROUGHPUT_FLOOR,
+             f"FAIL: http throughput {throughput_ratio:.2f}x below "
+             f"{HTTP_THROUGHPUT_FLOOR}x in-process"),
+            (not bitwise, "FAIL: http-submitted weights diverged from in-process"),
+        ],
+        extra={
+            "submit_p99_s": float(p99),
+            "submit_p99_ceiling_s": HTTP_SUBMIT_P99_CEILING_S,
+            "bitwise_equal": bitwise,
+        },
+        results={"service_http": {
+            "jobs": JOBS,
+            "submit_p50_s": float(p50),
+            "submit_p99_s": float(p99),
+            "inproc_jobs_per_s": inproc_jps,
+            "http_jobs_per_s": http_jps,
+            "throughput_ratio": throughput_ratio,
+            "bitwise_equal": bitwise,
+            "queued": queue_note,
+        }},
+    )]
 
-    if report is not None:
-        write_report(
-            report,
-            service_http={
-                "metric": f"http submit p99 (s) and end-to-end throughput "
-                f"ratio over in-process ({JOBS} jobs, {WORKERS} workers)",
-                "value": throughput_ratio,
-                "floor": HTTP_THROUGHPUT_FLOOR,
-                "passed": bool(
-                    p99 <= HTTP_SUBMIT_P99_CEILING_S
-                    and throughput_ratio >= HTTP_THROUGHPUT_FLOOR
-                    and bitwise
-                ),
-                "submit_p99_s": float(p99),
-                "submit_p99_ceiling_s": HTTP_SUBMIT_P99_CEILING_S,
-                "bitwise_equal": bitwise,
-                "shape": {"m": M, "d": D, "jobs": JOBS},
-            },
-        )
 
-    failed = []
-    if p99 > HTTP_SUBMIT_P99_CEILING_S:
-        failed.append(
-            f"FAIL: http submit p99 {p99 * 1e3:.2f} ms above "
-            f"{HTTP_SUBMIT_P99_CEILING_S * 1e3:.0f} ms"
-        )
-    if throughput_ratio < HTTP_THROUGHPUT_FLOOR:
-        failed.append(
-            f"FAIL: http throughput {throughput_ratio:.2f}x below "
-            f"{HTTP_THROUGHPUT_FLOOR}x in-process"
-        )
-    if not bitwise:
-        failed.append("FAIL: http-submitted weights diverged from in-process")
-    if gate and failed:
-        for line in failed:
-            print(line)
-        return 1
-    print("PASS")
-    return 0
+#: The modes after the shared-scan gate (which always runs first), in
+#: run order: (flag, scenario, help).
+MODES = (
+    ("--async", bench_async,
+     "also benchmark background-worker dispatch (submit latency "
+     "vs drain throughput) and the zero-cost cache replay"),
+    ("--parallel", bench_parallel,
+     "also benchmark per-table engine domains on 2 latency-backed "
+     f"tables x {PAR_WORKERS} workers and fail (exit 1) below "
+     f"{PARALLEL_SPEEDUP_FLOOR}x over the global engine lock"),
+    ("--cursor", bench_cursor,
+     "also benchmark elevator (shared-cursor) boarding against "
+     "window-boundary batching under sustained arrivals and fail "
+     f"(exit 1) below {ELEVATOR_PAGE_FLOOR}x fewer pages"),
+    # argparse %-formats help text, so a literal percent sign is "%%".
+    ("--observability", bench_observability,
+     "also benchmark the telemetry layer's drain overhead against "
+     f"obs.disabled() and fail (exit 1) above {OBS_OVERHEAD_CEILING_PCT}%% "
+     "or on any weight divergence"),
+    ("--disk", bench_disk,
+     "also re-prove the shared-scan claims on real storage: the "
+     "table in a SQLite-WAL heap file, shared still >= "
+     f"{PAGE_RATIO_FLOOR}x fewer pages, releases bitwise-equal to the "
+     "in-memory backend, and behind a pool smaller than the table one "
+     "miss per page per loop (plus a warm-vs-cold pool sweep note)"),
+    ("--http", bench_http,
+     "also benchmark the repro-api/v2 HTTP front-end vs the "
+     f"in-process verbs and fail (exit 1) above a "
+     f"{HTTP_SUBMIT_P99_CEILING_S * 1e3:.0f} ms submit p99, below "
+     f"{HTTP_THROUGHPUT_FLOOR}x end-to-end throughput, or on any "
+     "weight divergence"),
+    ("--queue", bench_queue,
+     f"also print the submit-latency note at {QUEUE_JOBS} queued "
+     "jobs (informational, never gates)"),
+    ("--durability", bench_durability,
+     "also print the per-window autosave note — append-only log "
+     "vs full snapshot at growing history (informational, never gates)"),
+)
 
 
 def main(argv=None) -> int:
@@ -1418,68 +1172,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--gate",
         action="store_true",
-        help="exit 1 unless one shared flight makes >= "
+        help="exit 1 if any selected gate fails; the shared-scan gate, "
+        f"which always runs, needs one shared flight to make >= "
         f"{PAGE_RATIO_FLOOR}x fewer page requests than one scan per job "
-        "(and stays bitwise-equal)",
+        "(and to stay bitwise-equal)",
     )
-    parser.add_argument(
-        "--async",
-        dest="run_async",
-        action="store_true",
-        help="also benchmark background-worker dispatch (submit latency "
-        "vs drain throughput) and the zero-cost cache replay",
-    )
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="also benchmark per-table engine domains on 2 latency-backed "
-        f"tables x {PAR_WORKERS} workers and fail (exit 1) below "
-        f"{PARALLEL_SPEEDUP_FLOOR}x over the global engine lock",
-    )
-    parser.add_argument(
-        "--cursor",
-        action="store_true",
-        help="also benchmark elevator (shared-cursor) boarding against "
-        "window-boundary batching under sustained arrivals and fail "
-        f"(exit 1) below {ELEVATOR_PAGE_FLOOR}x fewer pages",
-    )
-    parser.add_argument(
-        "--observability",
-        action="store_true",
-        help="also benchmark the telemetry layer's drain overhead against "
-        f"obs.disabled() and fail (exit 1) above {OBS_OVERHEAD_CEILING_PCT}% "
-        "or on any weight divergence",
-    )
-    parser.add_argument(
-        "--disk",
-        action="store_true",
-        help="also re-prove the shared-scan claims on real storage: the "
-        "table in a SQLite-WAL heap file, shared still >= "
-        f"{PAGE_RATIO_FLOOR}x fewer pages, releases bitwise-equal to the "
-        "in-memory backend, and behind a pool smaller than the table one "
-        "miss per page per loop (plus a warm-vs-cold pool sweep note)",
-    )
-    parser.add_argument(
-        "--http",
-        action="store_true",
-        help="also benchmark the repro-api/v2 HTTP front-end vs the "
-        f"in-process verbs and fail (exit 1) above a "
-        f"{HTTP_SUBMIT_P99_CEILING_S * 1e3:.0f} ms submit p99, below "
-        f"{HTTP_THROUGHPUT_FLOOR}x end-to-end throughput, or on any "
-        "weight divergence",
-    )
-    parser.add_argument(
-        "--queue",
-        action="store_true",
-        help=f"also print the submit-latency note at {QUEUE_JOBS} queued "
-        "jobs (informational, never gates)",
-    )
-    parser.add_argument(
-        "--durability",
-        action="store_true",
-        help="also print the per-window autosave note — append-only log "
-        "vs full snapshot at growing history (informational, never gates)",
-    )
+    for flag, _, text in MODES:
+        parser.add_argument(flag, action="store_true", help=text)
     parser.add_argument(
         "--smoke",
         action="store_true",
@@ -1493,30 +1192,16 @@ def main(argv=None) -> int:
         help="also merge per-gate summaries (value/floor/passed) into this "
         "JSON file — written at any shape, for CI artifacts + step summary",
     )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        _set_shape(SMOKE_JOBS, SMOKE_M, SMOKE_D)
-        _set_parallel_shape(SMOKE_PAR_M, SMOKE_PAR_LATENCY)
+    args = vars(parser.parse_args(argv))
+    if args["smoke"]:
+        _set_smoke_shape()
         print(f"SMOKE mode: {JOBS} jobs, m={M}, d={D} (gates unchanged)")
-    status = bench_service(args.gate, write=not args.smoke, report=args.report)
-    if status == 0 and args.run_async:
-        status = bench_async(args.gate, write=not args.smoke, report=args.report)
-    if status == 0 and args.parallel:
-        status = bench_parallel(args.gate, write=not args.smoke, report=args.report)
-    if status == 0 and args.cursor:
-        status = bench_cursor(args.gate, write=not args.smoke, report=args.report)
-    if status == 0 and args.observability:
-        status = bench_observability(
-            args.gate, write=not args.smoke, report=args.report
+    status = 0
+    for scenario in [bench_service] + [run for flag, run, _ in MODES if args[flag[2:]]]:
+        gates = scenario(args["smoke"])
+        status |= finish(
+            gates, report=args["report"], write=not args["smoke"], gate=args["gate"]
         )
-    if status == 0 and args.disk:
-        status = bench_disk(args.gate, write=not args.smoke, report=args.report)
-    if status == 0 and args.http:
-        status = bench_http(args.gate, write=not args.smoke, report=args.report)
-    if status == 0 and args.queue:
-        status = bench_queue(write=not args.smoke)
-    if status == 0 and args.durability:
-        status = bench_durability(write=not args.smoke)
     return status
 
 

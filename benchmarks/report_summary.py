@@ -27,6 +27,9 @@ GATE_LABELS = {
     "parallel_dispatch": "Per-table overlap >= 1.5x global lock",
     "elevator_boarding": "Elevator >= 1.5x fewer pages than windows",
     "service_obs": "Telemetry overhead <= 5% of drain",
+    "disk_backend": "SQLite shared-scan >= 3x page ratio",
+    "disk_thrash": "SQLite thrash misses == pages x loops",
+    "service_http": "HTTP >= 0.5x in-process, submit p99 <= 50 ms",
 }
 
 

@@ -11,10 +11,10 @@ Reproduces the paper's MNIST setup on the synthetic stand-in:
 
 The ten binary models all read the same projected feature rows, so the
 trainer is passed as a structural ``BoltOnCandidate`` and one-vs-rest
-runs on the **fused path by default**: one data scan trains all ten
-classes, with the per-class ±1 relabeling expressed as a (10, m) label
-matrix and each class keeping its own ε/10 budget share and noise stream
-(``fused=False`` replays the classic per-class loop).
+runs on the **fused path**: one data scan trains all ten classes, with
+the per-class ±1 relabeling expressed as a (10, m) label matrix and each
+class keeping its own ε/10 budget share and noise stream (an opaque
+trainer callable replays the classic per-class loop).
 
 Run:  python examples/mnist_multiclass.py
 """

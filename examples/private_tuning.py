@@ -6,11 +6,12 @@ mechanism tuner, then contrasts the private selection with the selection a
 public validation set would have made.
 
 Both tuning variants are many-model workloads, so they run on the fused
-multi-model engine by default: the factory below is *structural*
+multi-model engine: the factory below is *structural*
 (``BoltOnTrainerFactory`` exposes each grid point as a ``BoltOnCandidate``),
 which lets Algorithm 3 train all partitions' models in stacked fused runs
 and the public grid search train every candidate in ONE scan of the public
-split. Pass ``fused=False`` to either tuner to replay the sequential
+split. Wrap the factory in an opaque callable
+(``lambda theta: trainer_factory(theta)``) to replay the sequential
 reference path — the same models, bit for bit.
 
 Run:  python examples/private_tuning.py
@@ -43,7 +44,7 @@ def main() -> None:
 
     outcome = privately_tuned_sgd(
         train.features, train.labels, trainer_factory, grid, epsilon,
-        delta=delta, random_state=0,  # fused by default: partitions train stacked
+        delta=delta, random_state=0,  # fused: partitions train stacked
     )
     print("== private tuning (Algorithm 3, fused) ==")
     print(f"chosen parameters : {outcome.chosen_parameters}")
@@ -55,7 +56,7 @@ def main() -> None:
         public_train.features, public_train.labels,
         public_val.features, public_val.labels,
         trainer_factory, grid, epsilon, delta=delta, random_state=0,
-        # fused by default: the whole grid trains in one scan of the
+        # fused: the whole grid trains in one scan of the
         # public split (6 candidates, 1 data pass per epoch-slot).
     )
     print("== tuning on public data (fused grid, one scan) ==")

@@ -216,16 +216,14 @@ class ServiceClient:
         """Every account's statement, as the same ``AccountStatement``
         objects the in-process verb returns."""
         payload = self._call("GET", "/v1/budgets")
-        return [
-            wire.BudgetView.from_payload(entry).to_statement()
-            for entry in payload["budgets"]
-        ]
+        return [AccountStatement.from_payload(entry) for entry in payload["budgets"]]
 
     def health(self) -> Dict[str, object]:
         """``TrainingService.health()``'s dict (``/v1/healthz`` is the
         one unauthenticated endpoint — probes don't carry tokens)."""
         payload = self._call("GET", "/v1/healthz", auth=False)
-        return wire.HealthView.from_payload(payload).to_payload()
+        del payload["api"]
+        return payload
 
     def metrics(self, format: str = "prometheus") -> Union[str, dict]:
         """The metrics exposition: Prometheus text or the JSON document."""

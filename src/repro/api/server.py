@@ -25,7 +25,9 @@ POST   ``/v1/admin/shutdown``       graceful stop (admin token only)
 ``Authorization: Bearer <token>``; the server's token map assigns each
 token a principal, and a submit whose body names a *different*
 principal is rejected (403 ``principal_mismatch``) — budget identity is
-enforced at the edge, before the ledger ever sees the job.
+enforced at the edge, before the ledger ever sees the job. The job
+routes answer only the principal that submitted the job: any other
+token gets 404 ``unknown_job``, as for an id that does not exist.
 
 **Errors.** Any :class:`~repro.service.errors.ServiceError` a verb
 raises maps 1:1 onto the fault envelope ``{"error": {"code",
@@ -69,7 +71,9 @@ from repro.service.errors import (
     PrincipalMismatch,
     ServiceError,
     Unauthorized,
+    UnknownJob,
 )
+from repro.service.registry import JobRecord
 from repro.service.server import TrainingService
 
 #: Max accepted request-body size (a submit payload is a few KB; nothing
@@ -431,8 +435,7 @@ class _ApiHandler(BaseHTTPRequestHandler):
 
         if path == "/v1/healthz":
             self._expect(method, "GET")
-            view = wire.HealthView.from_health(service.health())
-            return ("/v1/healthz", *self._json(200, view.to_payload()))
+            return ("/v1/healthz", *self._json(200, service.health()))
 
         if path == "/v1/admin/shutdown":
             self._expect(method, "POST")
@@ -445,11 +448,8 @@ class _ApiHandler(BaseHTTPRequestHandler):
         if path == "/v1/budgets":
             self._expect(method, "GET")
             self._principal()
-            views = [
-                wire.BudgetView.from_statement(statement).to_payload()
-                for statement in service.budgets()
-            ]
-            return ("/v1/budgets", *self._json(200, {"budgets": views}))
+            budgets = [statement.payload() for statement in service.budgets()]
+            return ("/v1/budgets", *self._json(200, {"budgets": budgets}))
 
         if path == "/v1/jobs":
             self._expect(method, "POST")
@@ -460,9 +460,9 @@ class _ApiHandler(BaseHTTPRequestHandler):
             job_id, leaf = match.group(1), match.group(2) or ""
             route = f"/v1/jobs/{{id}}{leaf}"
             self._expect(method, "POST" if leaf == "/cancel" else "GET")
+            record = self._own_record(job_id)
             if leaf == "/cancel":
                 return (route, *self._cancel(job_id))
-            self._principal()
             if leaf == "/model":
                 payload = {
                     "job_id": job_id,
@@ -470,12 +470,9 @@ class _ApiHandler(BaseHTTPRequestHandler):
                 }
                 return (route, *self._json(200, payload))
             if leaf == "/trace":
-                payload = {
-                    "job_id": job_id,
-                    "trace": service.trace(job_id).payload(),
-                }
+                payload = {"job_id": job_id, "trace": record.trace.payload()}
                 return (route, *self._json(200, payload))
-            return (route, *self._json(200, {"job": service.result(job_id).payload()}))
+            return (route, *self._json(200, {"job": record.payload()}))
 
         raise ServiceApiError(404, "unknown_route", f"no such endpoint: {path}")
 
@@ -515,8 +512,20 @@ class _ApiHandler(BaseHTTPRequestHandler):
         )
         return self._json(200, {"job": record.payload()})
 
+    def _own_record(self, job_id: str) -> JobRecord:
+        """The record of ``job_id`` if the token's principal submitted it.
+
+        Another tenant gets ``unknown_job``, as for an id that does not
+        exist: a job id grants no access to the job, and the answer does
+        not tell whether the id exists.
+        """
+        principal = self._principal()
+        record = self.server_api.service.result(job_id)
+        if record.job.principal != principal:
+            raise UnknownJob(f"unknown job {job_id!r}")
+        return record
+
     def _cancel(self, job_id: str) -> Tuple[int, bytes, str]:
-        self._principal()
         service = self.server_api.service
         if not service.cancel(job_id):
             raise NotCancellable(

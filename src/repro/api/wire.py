@@ -1,10 +1,13 @@
 """The ``repro-api/v2`` wire schema — typed payloads, exact round-trips.
 
-Every request and response body the HTTP front-end speaks is either a
-job record or one of the dataclasses here. A job travels as
+Every request and response body the HTTP front-end speaks is a job
+record, an account statement, the ``health()`` dict as it is, or the
+submit request here. A job travels as
 :meth:`JobRecord.payload() <repro.service.registry.JobRecord.payload>` —
 the same JSON the snapshot and the write-ahead log carry — and the
-client rebuilds it with ``JobRecord.from_payload``. Floats ride JSON
+client rebuilds it with ``JobRecord.from_payload``; a budget entry is
+:meth:`AccountStatement.payload()
+<repro.service.ledger.AccountStatement.payload>`. Floats ride JSON
 numbers: Python's ``json`` writes each float64 as its shortest
 round-tripping repr, so a model fetched over the wire is
 ``np.array_equal`` to the in-process release it came from.
@@ -24,11 +27,9 @@ job body, so a ``v1`` peer is refused at the tag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.core.mechanisms import PrivacyParameters
 from repro.optim.losses import Loss
-from repro.service.ledger import AccountStatement
 from repro.service.registry import _loss_from_payload, _loss_payload
 
 #: The protocol tag every envelope carries (reject foreign bodies early).
@@ -107,100 +108,4 @@ class SubmitRequest:
             radius=payload.get("radius"),
             priority=payload.get("priority", 0),
             seed=payload.get("seed", 0),
-        )
-
-
-# -- responses --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BudgetView:
-    """One account statement (``GET /v1/budgets``) — convertible to the
-    in-process :class:`~repro.service.ledger.AccountStatement` exactly."""
-
-    principal: str
-    table: str
-    epsilon_cap: float
-    delta_cap: float
-    epsilon_spent: float
-    delta_spent: float
-    epsilon_reserved: float
-    delta_reserved: float
-
-    @classmethod
-    def from_statement(cls, statement: AccountStatement) -> "BudgetView":
-        return cls(
-            principal=statement.principal,
-            table=statement.table,
-            epsilon_cap=statement.cap.epsilon,
-            delta_cap=statement.cap.delta,
-            epsilon_spent=statement.spent[0],
-            delta_spent=statement.spent[1],
-            epsilon_reserved=statement.reserved[0],
-            delta_reserved=statement.reserved[1],
-        )
-
-    def to_statement(self) -> AccountStatement:
-        return AccountStatement(
-            principal=self.principal,
-            table=self.table,
-            cap=PrivacyParameters(self.epsilon_cap, self.delta_cap),
-            spent=(self.epsilon_spent, self.delta_spent),
-            reserved=(self.epsilon_reserved, self.delta_reserved),
-        )
-
-    def to_payload(self) -> dict:
-        return {
-            "principal": self.principal,
-            "table": self.table,
-            "epsilon_cap": self.epsilon_cap,
-            "delta_cap": self.delta_cap,
-            "epsilon_spent": self.epsilon_spent,
-            "delta_spent": self.delta_spent,
-            "epsilon_reserved": self.epsilon_reserved,
-            "delta_reserved": self.delta_reserved,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "BudgetView":
-        return cls(**payload)
-
-
-@dataclass
-class HealthView:
-    """``GET /v1/healthz``: the ``TrainingService.health()`` snapshot."""
-
-    status: str
-    durability: Dict[str, object]
-    queue_depth: int
-    queue_depths: Dict[str, int]
-    workers: int
-    dispatch_running: bool
-    jobs: Dict[str, int]
-
-    @classmethod
-    def from_health(cls, health: Dict[str, object]) -> "HealthView":
-        return cls(**health)
-
-    def to_payload(self) -> dict:
-        return {
-            "status": self.status,
-            "durability": dict(self.durability),
-            "queue_depth": self.queue_depth,
-            "queue_depths": dict(self.queue_depths),
-            "workers": self.workers,
-            "dispatch_running": self.dispatch_running,
-            "jobs": dict(self.jobs),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "HealthView":
-        return cls(
-            status=payload["status"],
-            durability=payload["durability"],
-            queue_depth=payload["queue_depth"],
-            queue_depths=payload["queue_depths"],
-            workers=payload["workers"],
-            dispatch_running=payload["dispatch_running"],
-            jobs=payload["jobs"],
         )

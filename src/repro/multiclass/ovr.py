@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.accountant import PrivacyAccountant, split_evenly
-from repro.core.bolton import BoltOnCandidate, private_psgd_fleet, train_bolt_on
+from repro.core.bolton import BoltOnCandidate, private_psgd_fleet
 from repro.core.mechanisms import PrivacyParameters
 from repro.utils.rng import RandomState, spawn_generators
 from repro.utils.validation import check_matrix_labels
@@ -92,7 +92,6 @@ def train_one_vs_rest(
     classes: Optional[Sequence[int]] = None,
     random_state: RandomState = None,
     accountant: Optional[PrivacyAccountant] = None,
-    fused: Optional[bool] = None,
 ) -> OneVsRestResult:
     """Train one private binary model per class on an even budget split.
 
@@ -104,12 +103,11 @@ def train_one_vs_rest(
     :func:`repro.baselines.scs13_train` qualify via a small lambda) — or a
     structural :class:`repro.core.bolton.BoltOnCandidate`.
 
-    With a candidate, ``fused=None`` (the default) trains **all classes in
-    one data scan**: the per-class relabelings become one ``(C, m)`` label
-    matrix feeding the fused engine, each class keeps its own noise stream
-    and its ε/C budget share, and the sensitivity/noise epilogue is
-    per-class exactly as in the sequential path. ``fused=False`` trains a
-    candidate sequentially; fusing an opaque callable raises.
+    A candidate trains **all classes in one data scan**: the per-class
+    relabelings become one ``(C, m)`` label matrix feeding the fused
+    engine, each class keeps its own noise stream and its ε/C budget
+    share, and the sensitivity/noise epilogue is per-class exactly as a
+    solo bolt-on run's. A callable trains the classes one after another.
 
     When an ``accountant`` is supplied every sub-model's spend is recorded
     against it (and the call fails loudly if the budget would overflow).
@@ -121,20 +119,11 @@ def train_one_vs_rest(
     if len(classes) < 2:
         raise ValueError(f"need at least two classes, got {classes}")
 
-    is_candidate = isinstance(trainer, BoltOnCandidate)
-    if fused is None:
-        fused = is_candidate
-    if fused and not is_candidate:
-        raise ValueError(
-            "fused one-vs-rest needs a structural BoltOnCandidate trainer; "
-            "pass fused=False to train an opaque callable sequentially"
-        )
-
     shares = split_evenly(total, len(classes))
 
     models: List[np.ndarray] = []
     sub_results: List[object] = []
-    if fused:
+    if isinstance(trainer, BoltOnCandidate):
         rngs = spawn_generators(random_state, len(classes) + 1)
         results = private_psgd_fleet(
             X,
@@ -154,16 +143,10 @@ def train_one_vs_rest(
         rngs = spawn_generators(random_state, len(classes))
         for cls, share, rng in zip(classes, shares, rngs):
             y_binary = np.where(y == cls, 1.0, -1.0)
-            if is_candidate:
-                result: object = train_bolt_on(
-                    X, y_binary, trainer, share.epsilon,
-                    delta=share.delta, random_state=rng,
-                )
-            else:
-                result = trainer(
-                    X, y_binary, epsilon=share.epsilon, delta=share.delta,
-                    random_state=rng,
-                )
+            result = trainer(
+                X, y_binary, epsilon=share.epsilon, delta=share.delta,
+                random_state=rng,
+            )
             if accountant is not None:
                 accountant.spend(share, label=f"ovr-class-{cls}")
             models.append(np.asarray(result.model, dtype=np.float64))

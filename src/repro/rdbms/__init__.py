@@ -36,7 +36,6 @@ from repro.rdbms.executor import (
     Shuffle,
     ShuffleOnce,
     run_aggregate,
-    run_aggregates,
 )
 from repro.rdbms.storage import (
     PAGE_SIZE_BYTES,
@@ -80,7 +79,6 @@ __all__ = [
     "Shuffle",
     "ShuffleOnce",
     "run_aggregate",
-    "run_aggregates",
     "UDA",
     "AvgUDA",
     "MultiSGDState",

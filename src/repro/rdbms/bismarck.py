@@ -246,7 +246,6 @@ class BismarckSession:
         *,
         convergence_tolerance: Optional[float] = None,
         loss_for_convergence: Optional[Loss] = None,
-        fresh_permutation_each_epoch: bool = False,
         random_state: RandomState = None,
         algorithm_label: str = "noiseless",
         chunk_size: Optional[int] = None,
@@ -265,9 +264,7 @@ class BismarckSession:
         permutation, same page accounting, same model, vectorized hot loop.
 
         ``shuffle`` reuses an existing operator (typically from
-        :meth:`shared_scan`) instead of drawing a fresh permutation —
-        don't combine it with ``fresh_permutation_each_epoch``, which
-        would reshuffle the shared order under other callers.
+        :meth:`shared_scan`) instead of drawing a fresh permutation.
 
         ``start_offset`` rotates every epoch to begin at that position on
         the shuffle's canonical chunk grid and wrap around — the *solo
@@ -276,7 +273,7 @@ class BismarckSession:
         boarded ride and this run execute identical operation sequences,
         so their models agree bitwise. Requires ``shuffle`` (offsets are
         positions in an existing permutation) and ``chunk_size`` (the
-        grid), and excludes ``fresh_permutation_each_epoch``.
+        grid).
         """
         check_positive_int(epochs, "epochs")
         table = self.catalog.get(table_name)
@@ -289,10 +286,6 @@ class BismarckSession:
             if chunk_size is None:
                 raise ValueError(
                     "start_offset lives on the chunk grid; pass chunk_size"
-                )
-            if fresh_permutation_each_epoch:
-                raise ValueError(
-                    "start_offset and fresh_permutation_each_epoch are exclusive"
                 )
         if shuffle is None:
             rng = as_generator(random_state)
@@ -310,8 +303,6 @@ class BismarckSession:
         total_noise_draws = 0
 
         for epoch in range(1, epochs + 1):
-            if fresh_permutation_each_epoch and epoch > 1:
-                shuffle.reshuffle()
             hits_before = pool_stats.cache_hits
             misses_before = pool_stats.cache_misses
             updates_before = uda.updates_applied
@@ -334,7 +325,7 @@ class BismarckSession:
                 gradient_evaluations=table.num_tuples,
                 batch_updates=uda.updates_applied - updates_before,
                 noise_draws=noise_after - noise_before,
-                shuffled_tuples=table.num_tuples if epoch == 1 or fresh_permutation_each_epoch else 0,
+                shuffled_tuples=table.num_tuples if epoch == 1 else 0,
                 page_hits=pool_stats.cache_hits - hits_before,
                 page_misses=pool_stats.cache_misses - misses_before,
                 dimension=table.dimension,
@@ -371,7 +362,6 @@ class BismarckSession:
         uda: MultiSGDUDA,
         epochs: int,
         *,
-        fresh_permutation_each_epoch: bool = False,
         random_state: RandomState = None,
         algorithm_label: str = "noiseless-multi",
         chunk_size: Optional[int] = None,
@@ -401,8 +391,6 @@ class BismarckSession:
         total_noise_draws = 0
 
         for epoch in range(1, epochs + 1):
-            if fresh_permutation_each_epoch and epoch > 1:
-                shuffle.reshuffle()
             hits_before = pool_stats.cache_hits
             misses_before = pool_stats.cache_misses
             updates_before = uda.updates_applied
@@ -425,9 +413,7 @@ class BismarckSession:
                 # The scan is shared: tuples stream (and pages are
                 # requested) once per epoch regardless of K...
                 tuples_processed=table.num_tuples,
-                shuffled_tuples=table.num_tuples
-                if epoch == 1 or fresh_permutation_each_epoch
-                else 0,
+                shuffled_tuples=table.num_tuples if epoch == 1 else 0,
                 page_hits=pool_stats.cache_hits - hits_before,
                 page_misses=pool_stats.cache_misses - misses_before,
                 # ...while per-model arithmetic is honestly charged K-fold.
@@ -450,32 +436,6 @@ class BismarckSession:
             epochs=reports,
             algorithm=algorithm_label,
             noise_draws=total_noise_draws,
-        )
-
-    def run_noiseless_multi(
-        self,
-        table_name: str,
-        losses,
-        schedules,
-        epochs: int,
-        batch_size: int = 1,
-        projections=None,
-        random_state: RandomState = None,
-        chunk_size: Optional[int] = None,
-    ) -> MultiTrainingReport:
-        """Fused grid training: K (loss, schedule) candidates, one scan.
-
-        The convenience wrapper the tuning workloads use — build the fused
-        UDA from per-candidate losses/schedules and run it through
-        :meth:`run_sgd_multi`.
-        """
-        uda = MultiSGDUDA(losses, schedules, batch_size, projections)
-        return self.run_sgd_multi(
-            table_name,
-            uda,
-            epochs,
-            random_state=random_state,
-            chunk_size=chunk_size,
         )
 
     # -- the three algorithm entry points -------------------------------------------

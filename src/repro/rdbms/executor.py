@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Sequence, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -201,8 +201,8 @@ class ShuffleOnce:
     * **the id gather** — everything else reads ``permutation[i]`` from
       the table's own heap: a table that fits the pool (it costs no
       misses in any order), a heap that keeps no copy (virtual heaps,
-      the latency and fault wrappers), a copy that could not be written,
-      and every permutation drawn by :meth:`reshuffle`.
+      the latency and fault wrappers), and a copy that could not be
+      written.
 
     Either way each chunk is the same block of bytes from the same
     number of page requests, so releases and ``pages_requested`` never
@@ -225,7 +225,6 @@ class ShuffleOnce:
         self._permutation: Optional[np.ndarray] = None
         #: (heap, tuple ids) the scans read — decided once per permutation.
         self._source: Optional[Tuple[HeapFile, np.ndarray]] = None
-        self._may_copy = True
         self._lock = threading.Lock()
         self._cursors: dict = {}
 
@@ -245,16 +244,6 @@ class ShuffleOnce:
             return None
         return source[0]
 
-    def reshuffle(self) -> None:
-        """Draw a fresh permutation (the fresh-permutation-per-pass mode).
-
-        A copy per pass would rewrite the table every pass, so this drops
-        the copy, and the operator reads through the id gather from here on.
-        """
-        self._permutation = None
-        self._source = None
-        self._may_copy = False
-
     def _scan_source(self) -> Tuple[HeapFile, np.ndarray]:
         """The heap the scans read and, per permutation position, the id
         of the tuple to read there (see the class docstring)."""
@@ -265,7 +254,7 @@ class ShuffleOnce:
                 if source is None:
                     heap, perm = self.table.heap, self.permutation
                     copy = None
-                    if self._may_copy and heap.num_pages > self.pool.capacity:
+                    if heap.num_pages > self.pool.capacity:
                         copy = heap.clustered(perm)
                     if copy is None:
                         source = (heap, perm)
@@ -571,48 +560,3 @@ def run_aggregate(
         for features, labels in source.scan_chunks(chunk_size):
             state = uda.transition_batch(state, features, labels)
     return uda.terminate(state)
-
-
-def run_aggregates(
-    source,
-    udas: Sequence[UDA],
-    *,
-    chunk_size: Optional[int] = None,
-    initialize_kwargs: Optional[Any] = None,
-) -> list:
-    """Evaluate ``SELECT uda_1(...), ..., uda_K(...) FROM source``.
-
-    The Bismarck shared-scan form: K aggregates fold the *same* tuple
-    stream, so the scan — and every page request it makes — is paid once
-    instead of K times. ``initialize_kwargs`` is either one dict shared by
-    every UDA or a sequence of K per-UDA dicts. Returns the K terminate
-    values in UDA order.
-
-    (A :class:`repro.rdbms.uda.MultiSGDUDA` additionally fuses the models'
-    arithmetic into one state; this function is the generic form that
-    shares the scan across arbitrary independent aggregates.)
-    """
-    udas = list(udas)
-    if len(udas) == 0:
-        raise ValueError("at least one UDA is required")
-    if initialize_kwargs is None:
-        kwargs_list = [{} for _ in udas]
-    elif isinstance(initialize_kwargs, dict):
-        kwargs_list = [initialize_kwargs for _ in udas]
-    else:
-        kwargs_list = list(initialize_kwargs)
-        if len(kwargs_list) != len(udas):
-            raise ValueError(
-                f"initialize_kwargs must match the {len(udas)} UDAs, "
-                f"got {len(kwargs_list)} entries"
-            )
-    states = [uda.initialize(**kwargs) for uda, kwargs in zip(udas, kwargs_list)]
-    if chunk_size is None:
-        for features, label in source:
-            for i, uda in enumerate(udas):
-                states[i] = uda.transition(states[i], features, label)
-    else:
-        for features, labels in source.scan_chunks(chunk_size):
-            for i, uda in enumerate(udas):
-                states[i] = uda.transition_batch(states[i], features, labels)
-    return [uda.terminate(state) for uda, state in zip(udas, states)]

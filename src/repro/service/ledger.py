@@ -100,6 +100,32 @@ class AccountStatement:
     def available_epsilon(self) -> float:
         return max(self.cap.epsilon - self.spent[0] - self.reserved[0], 0.0)
 
+    def payload(self) -> dict:
+        """The statement as flat JSON — ``principal``, ``table`` and the
+        ``epsilon_``/``delta_`` halves of ``cap``, ``spent`` and
+        ``reserved`` — as one ``GET /v1/budgets`` entry carries it."""
+        return {
+            "principal": self.principal,
+            "table": self.table,
+            "epsilon_cap": self.cap.epsilon,
+            "delta_cap": self.cap.delta,
+            "epsilon_spent": self.spent[0],
+            "delta_spent": self.spent[1],
+            "epsilon_reserved": self.reserved[0],
+            "delta_reserved": self.reserved[1],
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "AccountStatement":
+        """The inverse of :meth:`payload`, exactly."""
+        return cls(
+            principal=payload["principal"],
+            table=payload["table"],
+            cap=PrivacyParameters(payload["epsilon_cap"], payload["delta_cap"]),
+            spent=(payload["epsilon_spent"], payload["delta_spent"]),
+            reserved=(payload["epsilon_reserved"], payload["delta_reserved"]),
+        )
+
 
 class PrivacyBudgetLedger:
     """Thread-safe two-phase budget accounting over many accounts."""

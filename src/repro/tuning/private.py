@@ -40,26 +40,6 @@ from repro.utils.validation import check_matrix_labels, check_positive
 TrainerFactory = Callable[[Dict], Callable[..., object]]
 
 
-def resolve_fused(trainer_factory: TrainerFactory, fused: Optional[bool]) -> bool:
-    """Shared fused-path dispatch for the two tuning entry points.
-
-    ``fused=None`` fuses exactly when the factory is *structural* (exposes
-    ``candidate(theta)`` — the :class:`repro.core.bolton.
-    BoltOnTrainerFactory` contract); forcing ``fused=True`` on an opaque
-    factory raises, since the engine cannot see inside a trainer closure.
-    """
-    fusable = hasattr(trainer_factory, "candidate")
-    if fused is None:
-        return fusable
-    if fused and not fusable:
-        raise ValueError(
-            "fused tuning needs a structural factory exposing "
-            "candidate(theta) — e.g. repro.core.bolton.BoltOnTrainerFactory; "
-            "pass fused=False to train opaque trainers sequentially"
-        )
-    return fused
-
-
 @dataclass
 class TuningOutcome:
     """The released model plus full (private-safe) diagnostics."""
@@ -157,7 +137,6 @@ def privately_tuned_sgd(
     delta: float = 0.0,
     random_state: RandomState = None,
     accountant: Optional[PrivacyAccountant] = None,
-    fused: Optional[bool] = None,
 ) -> TuningOutcome:
     """Run Algorithm 3 end to end.
 
@@ -167,9 +146,10 @@ def privately_tuned_sgd(
     slice with the full (ε, δ) (parallel composition); selection uses the
     exponential mechanism at ε.
 
-    ``fused=None`` (default) trains all partitions' models through the
-    fused engine whenever the factory is structural (exposes
-    ``candidate(theta)``): the near-equal partitions are stacked into
+    A structural factory (one exposing ``candidate(theta)``, the
+    :class:`repro.core.bolton.BoltOnTrainerFactory` contract) trains all
+    partitions' models through the fused engine: the near-equal
+    partitions are stacked into
     ``(K, m_i, d)`` tensors (one fused run per distinct partition size —
     ``array_split`` produces at most two) and every candidate keeps its
     own permutation and noise streams, so the fused result matches the
@@ -187,8 +167,7 @@ def privately_tuned_sgd(
     portions = partition_dataset(X, y, l + 1, master)
     X_val, y_val = portions[-1]
 
-    fused = resolve_fused(trainer_factory, fused)
-    if fused:
+    if hasattr(trainer_factory, "candidate"):
         from repro.core.bolton import private_psgd_fleet
 
         specs = [trainer_factory.candidate(theta) for theta in candidates]

@@ -18,12 +18,12 @@ reference path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from repro.tuning.grid import ParameterGrid
-from repro.tuning.private import TrainerFactory, resolve_fused
+from repro.tuning.private import TrainerFactory
 from repro.utils.rng import RandomState, spawn_generators
 from repro.utils.validation import check_matrix_labels
 
@@ -48,7 +48,6 @@ def tune_on_public_data(
     *,
     delta: float = 0.0,
     random_state: RandomState = None,
-    fused: Optional[bool] = None,
 ) -> PublicTuningOutcome:
     """Exhaustive grid search on public data.
 
@@ -57,17 +56,15 @@ def tune_on_public_data(
     level they will face (matching the paper's methodology of evaluating
     each algorithm at each ε).
 
-    ``fused=None`` (the default) trains the whole grid in one fused data
-    scan whenever ``trainer_factory`` exposes ``candidate(theta)`` (the
-    structural contract of :class:`repro.core.bolton.BoltOnTrainerFactory`)
-    and falls back to per-candidate sequential training otherwise;
-    ``fused=False`` forces the sequential reference path.
+    The whole grid trains in one fused data scan whenever
+    ``trainer_factory`` exposes ``candidate(theta)`` (the structural
+    contract of :class:`repro.core.bolton.BoltOnTrainerFactory`); an
+    opaque factory trains its candidates one after another.
     """
     X_train, y_train = check_matrix_labels(X_train, y_train)
     X_val, y_val = check_matrix_labels(X_val, y_val)
     candidates = grid.candidates()
-    fused = resolve_fused(trainer_factory, fused)
-    if fused:
+    if hasattr(trainer_factory, "candidate"):
         from repro.core.bolton import private_psgd_fleet
 
         rngs = spawn_generators(random_state, len(candidates) + 1)

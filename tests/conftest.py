@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import threading
+import zlib
+
 import numpy as np
 import pytest
 
+from repro.core.mechanisms import mechanism_for
+from repro.core.sensitivity import sensitivity_for_schedule
 from repro.data.preprocessing import normalize_rows
+from repro.optim.losses import LogisticLoss
+from repro.rdbms.bismarck import BismarckSession
+from repro.rdbms.uda import SGDUDA
 
 
 def make_binary_data(m: int, d: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -16,6 +24,58 @@ def make_binary_data(m: int, d: int, seed: int = 0) -> tuple[np.ndarray, np.ndar
     X = normalize_rows(rng.standard_normal((m, d)) / np.sqrt(d))
     y = np.where(X @ direction >= 0.0, 1.0, -1.0)
     return X, y
+
+
+class GatedLoss(LogisticLoss):
+    """Blocks every gradient until released: holds a flight mid-scan, so
+    a job submitted meanwhile boards it at a deterministic non-zero
+    offset (and a fault can be armed at a deterministic point)."""
+
+    def __init__(self, regularization):
+        super().__init__(regularization)
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def batch_gradient(self, w, X_batch, y_batch):
+        self.started.set()
+        self.release.wait(timeout=30.0)
+        return super().batch_gradient(w, X_batch, y_batch)
+
+
+def solo_release(record, features, labels, scan_seed: int, chunk_size: int) -> np.ndarray:
+    """Replicate a service's release for ``record`` from scratch: a fresh
+    engine, the table's service permutation (the service's ``scan_seed``),
+    a solo ``run_sgd(start_offset=record.boarding_offset)`` on the
+    service's ``chunk_size`` grid, and the job's own noise stream — the
+    reference a boarded release must equal bitwise."""
+    job = record.job
+    session = BismarckSession()
+    session.load_table(job.table, features, labels)
+    shuffle = session.shared_scan(
+        job.table,
+        random_state=np.random.SeedSequence(
+            [scan_seed, zlib.crc32(job.table.encode("utf-8"))]
+        ),
+    )
+    m = features.shape[0]
+    schedule, projection, properties = job.candidate.resolve(m)
+    sensitivity = sensitivity_for_schedule(
+        properties, schedule, m, job.candidate.passes, job.candidate.batch_size
+    )
+    uda = SGDUDA(job.candidate.loss, schedule, job.candidate.batch_size, projection)
+    report = session.run_sgd(
+        job.table,
+        uda,
+        epochs=job.candidate.passes,
+        chunk_size=chunk_size,
+        shuffle=shuffle,
+        start_offset=record.boarding_offset,
+    )
+    _, noise_rng = job.spawn_streams()
+    noise = mechanism_for(job.privacy).sample(
+        report.model.shape[0], sensitivity.value, job.privacy, noise_rng
+    )
+    return report.model + noise
 
 
 @pytest.fixture

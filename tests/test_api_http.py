@@ -130,23 +130,31 @@ class HttpTransport:
     def client(self, principal: str = "alice") -> ServiceClient:
         return self._clients[principal]
 
+    def owner(self, job_id) -> ServiceClient:
+        """The submitting principal's client: the job routes answer only
+        the job's owner (alice's client asks about an unknown id)."""
+        try:
+            return self.client(self.service.result(job_id).job.principal)
+        except UnknownJob:
+            return self.client()
+
     def submit(self, principal, **kwargs):
         return self.client(principal).submit(principal, "t", **kwargs)
 
     def wait(self, job_id, timeout=30.0):
-        return self.client().wait(job_id, timeout=timeout)
+        return self.owner(job_id).wait(job_id, timeout=timeout)
 
     def result(self, job_id):
-        return self.client().result(job_id)
+        return self.owner(job_id).result(job_id)
 
     def model(self, job_id):
-        return self.client().model(job_id)
+        return self.owner(job_id).model(job_id)
 
     def trace(self, job_id):
-        return self.client().trace(job_id)
+        return self.owner(job_id).trace(job_id)
 
     def cancel(self, job_id):
-        return self.client().cancel(job_id)
+        return self.owner(job_id).cancel(job_id)
 
     def budgets(self):
         return self.client().budgets()
@@ -307,6 +315,43 @@ class TestConcurrentSubmitters:
         finally:
             server.close()
             service.stop()
+
+
+class TestJobOwnership:
+    """The job routes answer only the principal that submitted the job;
+    any other tenant's token gets ``unknown_job``, as for a missing id."""
+
+    def test_another_tenant_can_neither_read_nor_cancel_a_job(self):
+        service = TrainingService(scan_seed=5, workers=1)
+        service.register_table("t", X, Y)
+        service.open_budget("alice", "t", 10.0)  # bob holds no account on t
+        with ServiceApiServer(service, TOKENS) as server:
+            alice = ServiceClient(server.url, token="alice-token")
+            bob = ServiceClient(server.url, token="bob-token")
+            job_id = alice.submit("alice", "t", **SUBMIT).job_id
+
+            def refused(verb):
+                with pytest.raises(UnknownJob) as excinfo:
+                    verb(job_id)
+                assert excinfo.value.code == "unknown_job"
+
+            for verb in (bob.result, bob.model, bob.trace, bob.cancel):
+                refused(verb)
+            # Bob's cancel never reached the queue: alice's job is still
+            # queued, holding its reservation.
+            assert alice.result(job_id).status is JobStatus.QUEUED
+            (statement,) = service.budgets()
+            assert statement.reserved == (EPS, 0.0)
+
+            service.start()
+            try:
+                final = alice.wait(job_id, timeout=30.0)
+                assert final.status is JobStatus.COMPLETED
+                assert np.array_equal(alice.model(job_id), REFERENCE)
+                for verb in (bob.result, bob.model, bob.trace, bob.cancel):
+                    refused(verb)
+            finally:
+                service.stop()
 
 
 @pytest.fixture()

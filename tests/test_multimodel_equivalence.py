@@ -49,7 +49,7 @@ from repro.optim.schedules import (
     SquareRootSchedule,
 )
 from repro.rdbms.catalog import Catalog
-from repro.rdbms.executor import ShuffleOnce, run_aggregate, run_aggregates
+from repro.rdbms.executor import ShuffleOnce, run_aggregate
 from repro.rdbms.storage import BufferPool
 from repro.rdbms.uda import MultiSGDUDA, SGDUDA
 from tests.conftest import make_binary_data
@@ -331,8 +331,8 @@ class TestBoltOnFleet:
         )
         grid = ParameterGrid({"passes": [2, 5], "regularization": [0.01, 0.1]})
         fused = privately_tuned_sgd(X, y, factory, grid, epsilon=2.0, random_state=9)
-        sequential = privately_tuned_sgd(
-            X, y, factory, grid, epsilon=2.0, random_state=9, fused=False
+        sequential = privately_tuned_sgd(  # an opaque factory: sequential
+            X, y, lambda theta: factory(theta), grid, epsilon=2.0, random_state=9
         )
         assert fused.chosen_index == sequential.chosen_index
         np.testing.assert_array_equal(
@@ -425,25 +425,6 @@ class TestFusedRDBMS:
             model = run_aggregate(shuffle_k, uda, chunk_size=32, dimension=5)
             np.testing.assert_array_equal(fused_models[k], model)
 
-    def test_run_aggregates_shares_one_scan(self):
-        info = self.make_table()
-        pool = BufferPool(100)
-        shuffle = ShuffleOnce(info, pool, random_state=5)
-        udas = [
-            SGDUDA(LogisticLoss(), ConstantSchedule(0.1), batch_size=10),
-            SGDUDA(LogisticLoss(0.01), ConstantSchedule(0.05), batch_size=10),
-        ]
-        models = run_aggregates(
-            shuffle, udas, chunk_size=32, initialize_kwargs={"dimension": 6}
-        )
-        assert shuffle.stats.pages_requested == 137  # one scan for both
-        for k, uda in enumerate(udas):
-            info_k = self.make_table()
-            shuffle_k = ShuffleOnce(info_k, BufferPool(100), random_state=5)
-            solo = SGDUDA(uda.loss, uda.schedule, batch_size=10)
-            reference = run_aggregate(shuffle_k, solo, chunk_size=32, dimension=6)
-            np.testing.assert_array_equal(models[k], reference)
-
     def test_session_multi_report_charges_scan_once(self):
         from repro.rdbms.bismarck import BismarckSession
 
@@ -457,8 +438,8 @@ class TestFusedRDBMS:
         fused_session = BismarckSession()
         fused_session.load_table("t", X, y)
         fused_session.warm_cache("t")
-        fused = fused_session.run_noiseless_multi(
-            "t", losses, schedules, epochs=2, batch_size=10,
+        fused = fused_session.run_sgd_multi(
+            "t", MultiSGDUDA(losses, schedules, batch_size=10), epochs=2,
             random_state=3, chunk_size=64,
         )
         assert fused.num_models == 3

@@ -92,17 +92,6 @@ class TestShuffle:
         second = [tuple(f) for f, _ in shuffle]
         assert first == second
 
-    def test_reshuffle_changes_order(self):
-        catalog = Catalog()
-        info, X, y = make_table(catalog)
-        pool = BufferPool(100)
-        shuffle = ShuffleOnce(info, pool, random_state=5)
-        first = [tuple(f) for f, _ in shuffle]
-        shuffle.reshuffle()
-        second = [tuple(f) for f, _ in shuffle]
-        assert first != second
-        assert sorted(first) == sorted(second)
-
     def test_permutation_covers_everything(self):
         catalog = Catalog()
         info, X, y = make_table(catalog)
@@ -146,16 +135,6 @@ class TestShuffledCopy:
             stats = pool.stats_for(info.heap)
             assert stats.page_reads == op.stats.pages_requested == 600
             assert stats.cache_misses == info.heap.num_pages == 25
-
-    def test_reshuffle_drops_the_copy(self):
-        info = self.thrash_table()
-        shuffle = ShuffleOnce(info, BufferPool(2), random_state=3)
-        first = [tuple(f) for f, _ in shuffle]
-        assert shuffle.shuffled_copy is not None
-        shuffle.reshuffle()
-        second = [tuple(f) for f, _ in shuffle]
-        assert shuffle.shuffled_copy is None
-        assert first != second and sorted(first) == sorted(second)
 
     def test_racing_first_scans_build_one_copy(self):
         info = self.thrash_table()

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
-import zlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,13 +34,12 @@ from hypothesis import strategies as st
 
 from repro.core.accountant import would_overflow
 from repro.core.bolton import BoltOnCandidate
-from repro.core.mechanisms import mechanism_for
-from repro.core.sensitivity import sensitivity_for_schedule
 from repro.optim.losses import HuberSVMLoss, LeastSquaresLoss, LogisticLoss
 from repro.rdbms.bismarck import BismarckSession, NoisySGDUDA
 from repro.rdbms.uda import SGDUDA, ElevatorMultiSGDUDA
 from repro.service import JobStatus, TrainingService
-from tests.conftest import make_binary_data
+from tests import conftest
+from tests.conftest import GatedLoss, make_binary_data
 
 # Component-level shape: small enough that hypothesis examples are cheap,
 # with a ragged last chunk (60 = 16 + 16 + 16 + 12) so grid arithmetic
@@ -55,6 +54,11 @@ XS, YS = make_binary_data(MS, DS, seed=21)
 EPS = 0.05
 SCAN_SEED = 5
 SERVICE_CHUNK = 64
+
+#: The acceptance reference: ``solo_release(record, features, labels)``.
+solo_release = partial(
+    conftest.solo_release, scan_seed=SCAN_SEED, chunk_size=SERVICE_CHUNK
+)
 
 
 def fresh_scan(session: BismarckSession):
@@ -270,56 +274,6 @@ def make_elevator_service(workers: int = 1, cap: float = 10.0, **kwargs):
     service.open_budget("alice", "t", cap)
     service.open_budget("bob", "t", cap)
     return service
-
-
-def solo_release(record, features, labels) -> np.ndarray:
-    """Replicate the scheduler's release for ``record`` from scratch:
-    a fresh engine, the table's service permutation, a solo
-    ``run_sgd(start_offset=record.boarding_offset)``, and the job's own
-    noise stream — the reference the acceptance contract compares to."""
-    job = record.job
-    session = BismarckSession()
-    session.load_table(job.table, features, labels)
-    shuffle = session.shared_scan(
-        job.table,
-        random_state=np.random.SeedSequence(
-            [SCAN_SEED, zlib.crc32(job.table.encode("utf-8"))]
-        ),
-    )
-    m = features.shape[0]
-    schedule, projection, properties = job.candidate.resolve(m)
-    sensitivity = sensitivity_for_schedule(
-        properties, schedule, m, job.candidate.passes, job.candidate.batch_size
-    )
-    uda = SGDUDA(job.candidate.loss, schedule, job.candidate.batch_size, projection)
-    report = session.run_sgd(
-        job.table,
-        uda,
-        epochs=job.candidate.passes,
-        chunk_size=SERVICE_CHUNK,
-        shuffle=shuffle,
-        start_offset=record.boarding_offset,
-    )
-    _, noise_rng = job.spawn_streams()
-    noise = mechanism_for(job.privacy).sample(
-        report.model.shape[0], sensitivity.value, job.privacy, noise_rng
-    )
-    return report.model + noise
-
-
-class GatedLoss(LogisticLoss):
-    """Blocks every gradient until released — holds a flight mid-scan so
-    the test can board a second job at a deterministic non-zero offset."""
-
-    def __init__(self, regularization):
-        super().__init__(regularization)
-        self.started = threading.Event()
-        self.release = threading.Event()
-
-    def batch_gradient(self, w, X_batch, y_batch):
-        self.started.set()
-        self.release.wait(timeout=30.0)
-        return super().batch_gradient(w, X_batch, y_batch)
 
 
 class TestServiceBoarding:

@@ -13,7 +13,6 @@ contract, releases weights bitwise-identical to an undisturbed flight's
 from __future__ import annotations
 
 import sqlite3
-import threading
 import warnings
 
 import numpy as np
@@ -24,7 +23,7 @@ from repro.optim.losses import LogisticLoss
 from repro.rdbms import storage
 from repro.rdbms.storage import FaultyHeapFile, MaterializedHeapFile, SQLiteHeapFile
 from repro.service import JobStatus, TrainingService
-from tests.conftest import make_binary_data
+from tests.conftest import GatedLoss, make_binary_data
 
 M, D = 300, 8
 EPS = 0.05
@@ -118,22 +117,6 @@ class TestTransientFaultRetry:
         # handled by dispatch_window's own fail path, not the last resort
 
 
-class _GatedLoss(LogisticLoss):
-    """Blocks every gradient until released: holds the opener's flight
-    inside its first chunk, so a second job boards — and a fault is
-    armed — at a deterministic point mid-flight."""
-
-    def __init__(self, regularization):
-        super().__init__(regularization)
-        self.started = threading.Event()
-        self.release = threading.Event()
-
-    def batch_gradient(self, w, X_batch, y_batch):
-        self.started.set()
-        self.release.wait(timeout=30.0)
-        return super().batch_gradient(w, X_batch, y_batch)
-
-
 def all_pages_faulty(transient: bool = True) -> FaultyHeapFile:
     """A heap whose every page read faults once armed (``fail_times``
     raised above ``faults_injected``); disarmed at construction."""
@@ -159,7 +142,7 @@ def board_behind_opener(service, arm=lambda: None):
     """A gated opener takes off and is held inside chunk 0; a second job
     boards behind it; ``arm()`` runs (the fault-injection point); the
     flight resumes. Returns (opener, rider) once both are terminal."""
-    gate = _GatedLoss(1e-3)
+    gate = GatedLoss(1e-3)
     opener = service.submit("alice", "f", gate, epsilon=EPS, passes=2,
                             batch_size=25, seed=400)
     assert gate.started.wait(timeout=10.0), "flight never took off"
@@ -171,7 +154,7 @@ def board_behind_opener(service, arm=lambda: None):
     return opener, rider
 
 
-class _ArmingGate(_GatedLoss):
+class _ArmingGate(GatedLoss):
     """A gated loss that also runs ``arm()`` on its ``arm_on``-th
     gradient call."""
 
