@@ -7,12 +7,17 @@ timing, and (d) writes the rendered panel to
 ``benchmarks/results/<name>.txt`` so the regenerated numbers survive the
 run (pytest captures stdout of passing tests). Shared helpers live in
 :mod:`bench_util`.
+
+``bench_service.py`` is not collected: its ``bench_*`` functions are the
+scenarios of a command-line gate driver, not pytest benches.
 """
 
 from __future__ import annotations
 
 import pathlib
 import sys
+
+collect_ignore = ["bench_service.py"]
 
 # Make bench_util and the repository root (for tests.conftest) importable
 # regardless of how pytest was invoked.

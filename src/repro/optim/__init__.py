@@ -48,7 +48,6 @@ from repro.optim.psgd import (
     minibatch_slices,
     run_psgd,
 )
-from repro.optim.variance_reduced import SAG, SVRG, VarianceReducedResult
 from repro.optim.schedules import (
     BST14Schedule,
     CappedInverseTSchedule,
@@ -100,9 +99,6 @@ __all__ = [
     "MultiModelResult",
     "fusion_groups",
     "rows_projector",
-    "SVRG",
-    "SAG",
-    "VarianceReducedResult",
     "run_psgd",
     "minibatch_slices",
     "divergence_bound",

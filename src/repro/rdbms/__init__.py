@@ -5,10 +5,11 @@ Layers (bottom to top):
 * :mod:`repro.rdbms.storage` — slotted pages, heap files (materialized and
   virtual), LRU buffer pool with I/O counters;
 * :mod:`repro.rdbms.catalog` — table namespace;
-* :mod:`repro.rdbms.executor` — sequential scan, ``ORDER BY RANDOM()``
-  shuffle, aggregate evaluation;
+* :mod:`repro.rdbms.executor` — the shuffle-once scan, delivered in
+  chunks (and its shared cursor), and aggregate evaluation;
 * :mod:`repro.rdbms.uda` — the initialize/transition/terminate aggregate
-  contract, with AVG and the Bismarck SGD epoch;
+  contract over that chunked stream, with the Bismarck SGD epoch and its
+  fused and shared-cursor forms;
 * :mod:`repro.rdbms.bismarck` — the front-end controller and the three
   integration styles of Figure 1 (noiseless / bolt-on / white-box noisy);
 * :mod:`repro.rdbms.cost_model` — counters-to-seconds for the runtime and
@@ -31,12 +32,7 @@ from repro.rdbms.cost_model import (
     RuntimeBreakdown,
     WorkCounters,
 )
-from repro.rdbms.executor import (
-    SeqScan,
-    Shuffle,
-    ShuffleOnce,
-    run_aggregate,
-)
+from repro.rdbms.executor import ShuffleOnce, run_aggregate
 from repro.rdbms.storage import (
     PAGE_SIZE_BYTES,
     BufferPool,
@@ -56,7 +52,6 @@ from repro.rdbms.synthesizer import (
 )
 from repro.rdbms.uda import (
     UDA,
-    AvgUDA,
     MultiSGDState,
     MultiSGDUDA,
     SGDState,
@@ -75,12 +70,9 @@ __all__ = [
     "tuples_per_page",
     "Catalog",
     "TableInfo",
-    "SeqScan",
-    "Shuffle",
     "ShuffleOnce",
     "run_aggregate",
     "UDA",
-    "AvgUDA",
     "MultiSGDState",
     "MultiSGDUDA",
     "MultiTrainingReport",

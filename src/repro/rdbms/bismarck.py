@@ -2,8 +2,9 @@
 
 Figure 1 of the paper shows the architecture this module reproduces:
 
-* the dataset lives in a table; a *shuffle* stage permutes it;
-* each epoch runs the SGD UDA over the (shuffled) table via an SQL query;
+* the dataset lives in a table; a *shuffle* stage permutes it once;
+* each epoch runs the SGD UDA over the shuffled table via an SQL query,
+  which the engine evaluates as one chunked scan;
 * a Python front-end controller issues the per-epoch queries and applies
   the convergence test;
 * **(B)** the bolt-on algorithms add noise once, in the *front end*, after
@@ -39,7 +40,7 @@ from repro.optim.schedules import (
 )
 from repro.rdbms.catalog import Catalog, TableInfo
 from repro.rdbms.cost_model import CostModel, RuntimeBreakdown, WorkCounters
-from repro.rdbms.executor import OffsetScanView, ShuffleOnce, run_aggregate
+from repro.rdbms.executor import DEFAULT_CHUNK_SIZE, ShuffleOnce, run_aggregate
 from repro.rdbms.storage import BufferPool
 from repro.rdbms.uda import MultiSGDUDA, SGDState, SGDUDA
 from repro.utils.rng import RandomState, as_generator, spawn_generators
@@ -248,7 +249,7 @@ class BismarckSession:
         loss_for_convergence: Optional[Loss] = None,
         random_state: RandomState = None,
         algorithm_label: str = "noiseless",
-        chunk_size: Optional[int] = None,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
         shuffle: Optional[ShuffleOnce] = None,
         start_offset: int = 0,
     ) -> TrainingReport:
@@ -258,10 +259,8 @@ class BismarckSession:
         each epoch, evaluate the training loss and stop when its relative
         decrease falls below ``convergence_tolerance``.
 
-        ``chunk_size`` selects the executor path: ``None`` streams tuples
-        one at a time through ``UDA.transition``; a positive value streams
-        array blocks through ``scan_chunks``/``transition_batch`` — same
-        permutation, same page accounting, same model, vectorized hot loop.
+        Each epoch streams the permutation's ``chunk_size``-row blocks
+        through ``UDA.transition_batch``.
 
         ``shuffle`` reuses an existing operator (typically from
         :meth:`shared_scan`) instead of drawing a fresh permutation.
@@ -271,26 +270,19 @@ class BismarckSession:
         reference* for a job that boarded a shared cursor mid-flight at
         that offset (see :class:`~repro.rdbms.executor.ScanCursor`): the
         boarded ride and this run execute identical operation sequences,
-        so their models agree bitwise. Requires ``shuffle`` (offsets are
-        positions in an existing permutation) and ``chunk_size`` (the
-        grid).
+        so their models agree bitwise. Requires ``shuffle``: offsets are
+        positions in an existing permutation.
         """
         check_positive_int(epochs, "epochs")
         table = self.catalog.get(table_name)
-        if start_offset:
-            if shuffle is None:
-                raise ValueError(
-                    "start_offset is a position in an existing permutation; "
-                    "pass the shared shuffle operator"
-                )
-            if chunk_size is None:
-                raise ValueError(
-                    "start_offset lives on the chunk grid; pass chunk_size"
-                )
+        if start_offset and shuffle is None:
+            raise ValueError(
+                "start_offset is a position in an existing permutation; "
+                "pass the shared shuffle operator"
+            )
         if shuffle is None:
             rng = as_generator(random_state)
             shuffle = ShuffleOnce(table, self.pool, random_state=rng)
-        source = OffsetScanView(shuffle, start_offset) if start_offset else shuffle
         # Per-table counters: a concurrent scan on another table (per-table
         # engine domains) must never leak into this run's epoch accounting.
         pool_stats = self.pool.stats_for(table.heap)
@@ -308,14 +300,12 @@ class BismarckSession:
             updates_before = uda.updates_applied
             noise_before = getattr(uda, "noise_draws", 0)
 
-            model = run_aggregate(
-                source,
-                uda,
-                chunk_size=chunk_size,
-                model=model,
-                dimension=table.dimension,
-                global_step_offset=global_step_offset,
+            state = uda.initialize(
+                model, dimension=table.dimension, global_step_offset=global_step_offset
             )
+            for features, labels in shuffle.scan_chunks(chunk_size, start_offset):
+                state = uda.transition_batch(state, features, labels)
+            model = uda.terminate(state)
             global_step_offset += -(-table.num_tuples // uda.batch_size)
 
             noise_after = getattr(uda, "noise_draws", 0)
@@ -364,7 +354,7 @@ class BismarckSession:
         *,
         random_state: RandomState = None,
         algorithm_label: str = "noiseless-multi",
-        chunk_size: Optional[int] = None,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
         shuffle: Optional[ShuffleOnce] = None,
     ) -> MultiTrainingReport:
         """Train K models in one table scan per epoch — the fused controller.
@@ -450,7 +440,6 @@ class BismarckSession:
         projection: Optional[Projection] = None,
         random_state: RandomState = None,
         convergence_tolerance: Optional[float] = None,
-        chunk_size: Optional[int] = None,
     ) -> TrainingReport:
         """Regular Bismarck (Figure 1 (A))."""
         uda = SGDUDA(loss, schedule, batch_size, projection)
@@ -461,7 +450,6 @@ class BismarckSession:
             convergence_tolerance=convergence_tolerance,
             random_state=random_state,
             algorithm_label="noiseless",
-            chunk_size=chunk_size,
         )
 
     def run_bolton_private(
@@ -477,7 +465,6 @@ class BismarckSession:
         radius: Optional[float] = None,
         random_state: RandomState = None,
         convergence_tolerance: Optional[float] = None,
-        chunk_size: Optional[int] = None,
     ) -> TrainingReport:
         """Our algorithms as integrated into Bismarck (Figure 1 (B)).
 
@@ -519,7 +506,6 @@ class BismarckSession:
             convergence_tolerance=convergence_tolerance,
             random_state=sgd_rng,
             algorithm_label="bolton",
-            chunk_size=chunk_size,
         )
 
         # ---- the bolt-on addition: this is the entire integration ----
@@ -550,7 +536,6 @@ class BismarckSession:
         radius: Optional[float] = None,
         eta0: float = 1.0,
         random_state: RandomState = None,
-        chunk_size: Optional[int] = None,
     ) -> TrainingReport:
         """SCS13 inside the engine (Figure 1 (C)) — per-batch noise."""
         from repro.baselines.scs13 import scs13_gaussian_sigma, scs13_noise_scale
@@ -588,7 +573,6 @@ class BismarckSession:
         )
         return self.run_sgd(
             table_name, uda, epochs, random_state=sgd_rng, algorithm_label="scs13",
-            chunk_size=chunk_size,
         )
 
     def run_bst14(
@@ -602,7 +586,6 @@ class BismarckSession:
         batch_size: int = 1,
         radius: float = 1.0,
         random_state: RandomState = None,
-        chunk_size: Optional[int] = None,
     ) -> TrainingReport:
         """BST14 (constant-epoch extension) inside the engine."""
         from repro.baselines.bst14 import bst14_noise_sigma, per_iteration_sensitivity
@@ -632,7 +615,6 @@ class BismarckSession:
         )
         return self.run_sgd(
             table_name, uda, epochs, random_state=sgd_rng, algorithm_label="bst14",
-            chunk_size=chunk_size,
         )
 
     # -- internals -------------------------------------------------------------------

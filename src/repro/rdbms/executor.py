@@ -1,49 +1,45 @@
-"""Query execution: sequential scan, shuffle, and aggregate evaluation.
+"""Query execution: the shuffle-once scan and aggregate evaluation.
 
 Bismarck drives each SGD epoch with an SQL query of the form::
 
     SELECT sgd_agg(features, label) FROM dataset ORDER BY RANDOM();
 
-This module provides the corresponding physical operators:
+and shuffles only once: it permutes the table one time and replays that
+order every epoch. This module provides the corresponding operators:
 
-* :class:`SeqScan` — page-at-a-time scan through the buffer pool;
-* :class:`Shuffle` — the ``ORDER BY RANDOM()`` stage: materializes a random
-  permutation of tuple ids and re-reads tuples in that order (every page
-  touched once per resident window; with a too-small pool this produces
-  the random-I/O penalty real shuffles pay);
 * :class:`ShuffleOnce` — Bismarck's shuffle-once: one permutation,
   replayed every epoch. A table with more pages than the pool holds is
   scanned from a copy stored in permutation order, so each page misses
   once per epoch; a table that fits is read in place;
-* :func:`run_aggregate` — feed an operator's tuple stream through a UDA.
+* :class:`ScanCursor` — a resumable position on that replay, the shared
+  scan loop the training service's flights ride;
+* :func:`run_aggregate` — fold an operator's stream through a UDA.
 
 Operators expose the counters the cost model charges: tuples produced,
 pages requested, comparison work for the shuffle.
 
-Two execution paths
--------------------
+One chunked stream
+------------------
 
-Every operator can deliver its tuples two ways:
-
-* **per-tuple** (``__iter__``) — the classic Volcano-style
-  ``(features_row, label)`` stream that feeds ``UDA.transition``;
-* **chunked** (``scan_chunks(chunk_size)``) — ``(X_block, y_block)`` array
-  pairs of up to ``chunk_size`` rows that feed ``UDA.transition_batch``,
-  letting the SGD UDA take NumPy-speed mini-batch steps.
-
-**Determinism contract**: both paths visit tuples in exactly the same
-order (storage order for :class:`SeqScan`, the drawn permutation for the
-shuffles) and request pages through the buffer pool at exactly the same
-points, so ``OperatorStats`` — including ``pages_requested`` — and the
-resulting model are path-independent; the golden tests in
-``tests/test_rdbms_engine.py`` lock both invariants in.
+Every scan delivers ``(X_block, y_block)`` array pairs of up to
+``chunk_size`` rows (:data:`DEFAULT_CHUNK_SIZE` unless the caller picks
+one), which feed ``UDA.transition_batch``. Chunk *j* covers permutation
+positions ``[j*chunk_size, (j+1)*chunk_size)``. Each chunk pins its
+tuples' pages through one ``BufferPool.get_pages`` call, one page
+request per tuple in visit order, so ``OperatorStats`` and the pool's
+hit/miss/eviction counters do not depend on the chunk size. The SGD
+aggregate steps at mini-batch boundaries, never at chunk boundaries, so
+the chunk size moves no step either; it moves a model only through the
+summation order inside a mini-batch that spans two chunks (PSGD's
+``execution="scalar"`` loop is the oracle, at ``atol=1e-12``). Riders
+that must agree bitwise — a service flight and its solo reference —
+use the same chunk size.
 
 Storage-agnostic by construction
 --------------------------------
 
 Scans never read a page directly: every page arrives via
-``BufferPool.get_page`` (per tuple) or ``BufferPool.get_pages`` (per
-chunk), and every heap speaks the same ``HeapFile``
+``BufferPool.get_pages``, and every heap speaks the same ``HeapFile``
 protocol with the same :func:`tuples_per_page` page grid. The one direct
 read is :class:`ShuffleOnce`'s one-off build of a shuffled copy
 (``HeapFile.clustered``), which moves no pool counter. That is what
@@ -70,11 +66,12 @@ from repro.rdbms.uda import UDA
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_positive_int
 
-#: A tuple stream item: (features row, label).
-TupleItem = Tuple[np.ndarray, float]
-
 #: A chunk stream item: (features block, labels block), up to chunk_size rows.
 ChunkItem = Tuple[np.ndarray, np.ndarray]
+
+#: Rows per chunk when the caller names none: ``run_sgd``'s default and
+#: the training service's scan grid.
+DEFAULT_CHUNK_SIZE = 256
 
 
 @dataclass
@@ -84,100 +81,6 @@ class OperatorStats:
     tuples_produced: int = 0
     pages_requested: int = 0
     shuffle_sorted_tuples: int = 0
-
-
-class SeqScan:
-    """Sequential scan in storage order."""
-
-    def __init__(self, table: TableInfo, pool: BufferPool):
-        self.table = table
-        self.pool = pool
-        self.stats = OperatorStats()
-
-    def __iter__(self) -> Iterator[TupleItem]:
-        for page in self.pool.scan(self.table.heap):
-            self.stats.pages_requested += 1
-            for row in range(page.tuple_count):
-                self.stats.tuples_produced += 1
-                yield page.features[row], float(page.labels[row])
-
-    def scan_chunks(self, chunk_size: int) -> Iterator[ChunkItem]:
-        """Storage-order scan emitting ``(X_block, y_block)`` arrays.
-
-        Pages are requested exactly as in the per-tuple path (once each,
-        through the buffer pool); chunks simply re-slice page contents, so
-        they may span page boundaries.
-        """
-        check_positive_int(chunk_size, "chunk_size")
-        d = self.table.dimension
-        X_block = np.empty((chunk_size, d), dtype=np.float64)
-        y_block = np.empty(chunk_size, dtype=np.float64)
-        fill = 0
-        for page in self.pool.scan(self.table.heap):
-            self.stats.pages_requested += 1
-            self.stats.tuples_produced += page.tuple_count
-            start = 0
-            while start < page.tuple_count:
-                take = min(chunk_size - fill, page.tuple_count - start)
-                X_block[fill : fill + take] = page.features[start : start + take]
-                y_block[fill : fill + take] = page.labels[start : start + take]
-                fill += take
-                start += take
-                if fill == chunk_size:
-                    yield X_block, y_block
-                    X_block = np.empty((chunk_size, d), dtype=np.float64)
-                    y_block = np.empty(chunk_size, dtype=np.float64)
-                    fill = 0
-        if fill > 0:
-            yield X_block[:fill], y_block[:fill]
-
-
-class Shuffle:
-    """``ORDER BY RANDOM()``: yield tuples in a fresh random order.
-
-    The permutation is over global tuple ids; tuples are fetched through
-    the buffer pool page by page, so a pool smaller than the table makes
-    shuffled access expensive — exactly why Bismarck shuffles *once* and
-    then scans sequentially each epoch. :class:`ShuffleOnce` implements
-    that optimization.
-    """
-
-    def __init__(
-        self,
-        table: TableInfo,
-        pool: BufferPool,
-        random_state: RandomState = None,
-    ):
-        self.table = table
-        self.pool = pool
-        self.rng = as_generator(random_state)
-        self.stats = OperatorStats()
-
-    def permutation(self) -> np.ndarray:
-        perm = self.rng.permutation(self.table.num_tuples)
-        self.stats.shuffle_sorted_tuples += self.table.num_tuples
-        return perm
-
-    def __iter__(self) -> Iterator[TupleItem]:
-        per_page = tuples_per_page(self.table.dimension)
-        for tuple_id in self.permutation():
-            page_id, row = divmod(int(tuple_id), per_page)
-            page = self.pool.get_page(self.table.heap, page_id)
-            self.stats.pages_requested += 1
-            self.stats.tuples_produced += 1
-            yield page.features[row], float(page.labels[row])
-
-    def scan_chunks(self, chunk_size: int) -> Iterator[ChunkItem]:
-        """Permuted scan emitting ``(X_block, y_block)`` arrays.
-
-        Draws a fresh permutation (like ``__iter__``) and gathers each run
-        of ``chunk_size`` permuted tuples into a block with one
-        ``get_pages`` call per chunk, one page request per tuple —
-        matching the per-tuple path's counters.
-        """
-        yield from _gather_permuted_chunks(
-            self.table.heap, self.pool, self.stats, self.permutation(), chunk_size
-        )
 
 
 class ShuffleOnce:
@@ -264,22 +167,10 @@ class ShuffleOnce:
                     self._source = source
         return source
 
-    def __iter__(self) -> Iterator[TupleItem]:
-        heap, ids = self._scan_source()
-        page_ids, rows = np.divmod(ids, tuples_per_page(heap.dimension))
-        for tuple_index in range(len(ids)):
-            page = self.pool.get_page(heap, int(page_ids[tuple_index]))
-            self.stats.pages_requested += 1
-            self.stats.tuples_produced += 1
-            row = int(rows[tuple_index])
-            yield page.features[row], float(page.labels[row])
-
     def scan_chunks(self, chunk_size: int, start_offset: int = 0) -> Iterator[ChunkItem]:
-        """Replay the stored permutation as ``(X_block, y_block)`` arrays.
-
-        Same order as the per-tuple replay, and the same accounting: one
-        ``get_pages`` call per chunk, one page request per tuple — so
-        epochs are path-independent.
+        """Replay the stored permutation as ``(X_block, y_block)`` arrays:
+        one ``get_pages`` call per chunk, one page request per tuple (see
+        :func:`_gather_chunk`).
 
         ``start_offset`` rotates the delivery: the epoch starts at that
         permutation position and wraps around, visiting every tuple
@@ -315,53 +206,6 @@ class ShuffleOnce:
 _DENSE_GATHER_THRESHOLD = 4
 
 
-def _gather_permuted_chunks(
-    heap: HeapFile,
-    pool: BufferPool,
-    stats: OperatorStats,
-    permutation: np.ndarray,
-    chunk_size: int,
-) -> Iterator[ChunkItem]:
-    """Gather permuted tuples into blocks with page-grouped row copies.
-
-    Shared by the two shuffle operators. Every tuple still pins its page
-    through the buffer pool in visit order — one ``get_pages`` call per
-    chunk, one page request per tuple — so ``OperatorStats``, the pool's
-    hit/miss/eviction counters, and the
-    LRU recency state are *exactly* the per-tuple path's in every regime,
-    resident or thrashing (the golden tests in
-    ``tests/test_rdbms_engine.py`` and the eviction-regime test in
-    ``tests/test_multimodel_equivalence.py`` lock this in).
-
-    The speedup comes from the row copies: ``divmod`` is vectorized for
-    the whole chunk, and when the chunk is *dense* — at least
-    ``_DENSE_GATHER_THRESHOLD`` tuples per distinct page on average
-    (clustered permutations, or chunks spanning a small table, e.g. every
-    golden-test and Bismarck-example configuration) — each page's rows
-    land in the block via one fancy-indexed gather instead of scalar
-    copies. Sparse chunks (a random permutation over a many-page table)
-    keep the scalar copy per tuple, which measures faster there than any
-    grouped form: with ~1 tuple per page there is nothing to batch.
-
-    Pool misses materialize through a per-chunk memo
-    (``BufferPool.get_pages``'s ``reader`` hook): within one chunk each
-    distinct page is read from the heap **at most once**, even when an
-    actively evicting pool misses the same page several times. For a
-    :class:`~repro.rdbms.storage.VirtualHeapFile` that means each page is
-    *synthesized* once per chunk instead of once per miss — the cost that
-    dominated the Figure 2 scale sweeps under shuffled access — while the
-    pool's hit/miss/eviction counters and LRU state stay exactly the
-    per-tuple path's (page content is deterministic per page id, so the
-    memo changes which bytes get recomputed, never what they are).
-    """
-    check_positive_int(chunk_size, "chunk_size")
-    m = len(permutation)
-    for start in range(0, m, chunk_size):
-        yield _gather_chunk(
-            heap, pool, stats, permutation[start : start + chunk_size]
-        )
-
-
 def _gather_chunk(
     heap: HeapFile,
     pool: BufferPool,
@@ -370,11 +214,40 @@ def _gather_chunk(
 ) -> ChunkItem:
     """Gather one run of ``heap``'s tuple ids into an ``(X, y)`` block.
 
-    The single-chunk core of :func:`_gather_permuted_chunks` — also the
-    unit a :class:`ScanCursor` delivers, so a boarded ride and a rotated
+    The unit every scan delivers — :meth:`ShuffleOnce.scan_chunks` and
+    :meth:`ScanCursor.next_chunk` alike — so a boarded ride and a rotated
     solo replay materialize byte-identical blocks from identical page
     requests. ``heap`` is a table's own heap (permuted ids) or its
     shuffled copy (contiguous ids).
+
+    Every tuple pins its page through the buffer pool in visit order —
+    one ``get_pages`` call per chunk, one page request per tuple — so
+    ``OperatorStats``, the pool's hit/miss/eviction counters and its LRU
+    recency state are those of pinning each tuple's page in turn, in
+    every regime, resident or thrashing, whatever the chunk size (the
+    tests in ``tests/test_rdbms_engine.py`` and
+    ``tests/test_multimodel_equivalence.py`` lock this in).
+
+    The speed comes from the row copies: ``divmod`` is vectorized for the
+    whole chunk, and when the chunk is *dense* — at least
+    ``_DENSE_GATHER_THRESHOLD`` tuples per distinct page on average (the
+    shuffled copy's contiguous chunks, or chunks spanning a small table)
+    — each page's rows land in the block via one fancy-indexed gather
+    instead of scalar copies. Sparse chunks (a random permutation over a
+    many-page table) keep the scalar copy per tuple, which measures
+    faster there than any grouped form: with ~1 tuple per page there is
+    nothing to batch.
+
+    Pool misses materialize through a per-chunk memo
+    (``BufferPool.get_pages``'s ``reader`` hook): within one chunk each
+    distinct page is read from the heap **at most once**, even when an
+    actively evicting pool misses the same page several times. For a
+    :class:`~repro.rdbms.storage.VirtualHeapFile` that means each page is
+    *synthesized* once per chunk instead of once per miss — the cost that
+    dominated the Figure 2 scale sweeps under shuffled access — while the
+    pool's counters and LRU state stay those of the page-by-page pins
+    (page content is deterministic per page id, so the memo changes which
+    bytes get recomputed, never what they are).
     """
     d = heap.dimension
     per_page = tuples_per_page(d)
@@ -510,53 +383,20 @@ class ScanCursor:
         self.position = 0
 
 
-class OffsetScanView:
-    """A shuffle operator viewed with its epoch rotated to ``start_offset``.
-
-    The *solo-reference twin* of a boarded elevator ride: feeding this
-    view through :func:`run_aggregate` delivers the underlying
-    :class:`ShuffleOnce`'s canonical chunks starting at the boarding
-    offset and wrapping — exactly the stream a rider that boarded a
-    :class:`ScanCursor` at that position consumed. Chunked delivery only
-    (boarding offsets are positions on a chunk grid; there is no
-    per-tuple boarding).
-    """
-
-    def __init__(self, source: ShuffleOnce, start_offset: int):
-        self.source = source
-        self.start_offset = int(start_offset)
-
-    @property
-    def stats(self) -> OperatorStats:
-        return self.source.stats
-
-    def __iter__(self) -> Iterator[TupleItem]:
-        raise TypeError(
-            "OffsetScanView is chunked-only: boarding offsets live on a "
-            "chunk grid, so pass a chunk_size when running from an offset"
-        )
-
-    def scan_chunks(self, chunk_size: int) -> Iterator[ChunkItem]:
-        yield from self.source.scan_chunks(
-            chunk_size, start_offset=self.start_offset
-        )
-
-
 def run_aggregate(
-    source, uda: UDA, *, chunk_size: Optional[int] = None, **initialize_kwargs: Any
+    source: ShuffleOnce,
+    uda: UDA,
+    *,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    **initialize_kwargs: Any,
 ) -> Any:
     """Evaluate ``SELECT uda(...) FROM source``: the aggregate pipeline.
 
-    ``chunk_size=None`` streams per-tuple through ``UDA.transition``;
-    a positive ``chunk_size`` streams ``source.scan_chunks(chunk_size)``
-    blocks through ``UDA.transition_batch`` — same tuples, same order,
-    same result, vectorized.
+    Streams ``source.scan_chunks(chunk_size)`` blocks through
+    ``UDA.transition_batch`` between ``initialize(**initialize_kwargs)``
+    and ``terminate``.
     """
     state = uda.initialize(**initialize_kwargs)
-    if chunk_size is None:
-        for features, label in source:
-            state = uda.transition(state, features, label)
-    else:
-        for features, labels in source.scan_chunks(chunk_size):
-            state = uda.transition_batch(state, features, labels)
+    for features, labels in source.scan_chunks(chunk_size):
+        state = uda.transition_batch(state, features, labels)
     return uda.terminate(state)

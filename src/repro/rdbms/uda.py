@@ -3,17 +3,20 @@
 PostgreSQL-style UDAs are defined by three functions over an *aggregation
 state*:
 
-* ``initialize`` — create the state (for AVG: ``(sum, count) = (0, 0)``;
-  for SGD: the model ``w`` handed in by the front-end controller);
-* ``transition`` — fold one tuple into the state (for AVG: add; for SGD:
-  accumulate the gradient, stepping ``w`` whenever a mini-batch completes);
-* ``terminate`` — produce the aggregate's value (AVG: ``sum/count``; SGD:
-  the epoch's final ``w``).
+* ``initialize`` — create the state (for SGD: the model ``w`` handed in
+  by the front-end controller);
+* ``transition`` — fold input into the state (for SGD: accumulate the
+  gradient, stepping ``w`` whenever a mini-batch completes). The engine
+  scans in chunks, so the transition here is ``transition_batch``, which
+  folds one ``(X_block, y_block)`` chunk;
+* ``terminate`` — produce the aggregate's value (for SGD: the epoch's
+  final ``w``).
 
-:class:`AvgUDA` is the reference aggregate the paper uses to explain the
-architecture; :class:`SGDUDA` is the Bismarck epoch; the private-baseline
-variants (noise inside ``transition``) live in :mod:`repro.rdbms.bismarck`
-because they are precisely the "deep code changes" being measured.
+:class:`SGDUDA` is the Bismarck epoch, :class:`MultiSGDUDA` the fused
+K-model epoch, and :class:`ElevatorMultiSGDUDA` the rides of the shared
+scan loop the training service flies; the private-baseline variant
+(noise inside the transition) lives in :mod:`repro.rdbms.bismarck`
+because it is precisely the "deep code change" being measured.
 """
 
 from __future__ import annotations
@@ -31,66 +34,23 @@ from repro.utils.validation import check_positive_int
 
 
 class UDA(abc.ABC):
-    """The three-function aggregate contract.
-
-    ``transition_batch`` is the optional fourth function the vectorized
-    executor path calls with ``(X_block, y_block)`` chunks from
-    ``scan_chunks``. Its default folds the block one tuple at a time
-    through :meth:`transition`, so every existing UDA — including the
-    private-baseline UDAs in :mod:`repro.rdbms.bismarck` — works unchanged
-    on the chunked stream; aggregates with a matrix form override it for
-    the actual speedup.
-    """
+    """The three-function aggregate contract, over the engine's chunked
+    stream: ``transition_batch`` receives the ``(X_block, y_block)``
+    chunks of ``scan_chunks``."""
 
     @abc.abstractmethod
     def initialize(self, **kwargs: Any) -> Any:
         """Create a fresh aggregation state."""
 
     @abc.abstractmethod
-    def transition(self, state: Any, features: np.ndarray, label: float) -> Any:
-        """Fold one tuple into the state; returns the updated state."""
-
     def transition_batch(
         self, state: Any, features: np.ndarray, labels: np.ndarray
     ) -> Any:
-        """Fold a block of tuples into the state; returns the updated state.
-
-        Default: a per-tuple loop over :meth:`transition` (identical
-        semantics, no speedup).
-        """
-        for row in range(features.shape[0]):
-            state = self.transition(state, features[row], float(labels[row]))
-        return state
+        """Fold a block of tuples into the state; returns the updated state."""
 
     @abc.abstractmethod
     def terminate(self, state: Any) -> Any:
         """Finish the aggregate and return its value."""
-
-
-class AvgUDA(UDA):
-    """The standard SQL AVG over the label column — the paper's warm-up
-    example for explaining the UDA architecture."""
-
-    def initialize(self, **kwargs: Any) -> tuple[float, int]:
-        return (0.0, 0)
-
-    def transition(
-        self, state: tuple[float, int], features: np.ndarray, label: float
-    ) -> tuple[float, int]:
-        total, count = state
-        return (total + float(label), count + 1)
-
-    def transition_batch(
-        self, state: tuple[float, int], features: np.ndarray, labels: np.ndarray
-    ) -> tuple[float, int]:
-        total, count = state
-        return (total + float(np.sum(labels)), count + int(labels.shape[0]))
-
-    def terminate(self, state: tuple[float, int]) -> float:
-        total, count = state
-        if count == 0:
-            raise ValueError("AVG over zero tuples is undefined")
-        return total / count
 
 
 @dataclass
@@ -162,27 +122,18 @@ class SGDUDA(UDA):
             global_step_offset=int(global_step_offset),
         )
 
-    def transition(self, state: SGDState, features: np.ndarray, label: float) -> SGDState:
-        gradient = self.loss.gradient(state.model, features, label)
-        state.accumulated_gradient += gradient
-        state.examples_in_batch += 1
-        if state.examples_in_batch >= self.batch_size:
-            self._apply_batch(state)
-        return state
-
     def transition_batch(
         self, state: SGDState, features: np.ndarray, labels: np.ndarray
     ) -> SGDState:
         """Fold a tuple block in mini-batch-sized vectorized steps.
 
         Each segment stops at the next mini-batch boundary, so the model is
-        stepped at exactly the same tuple positions — and through the same
-        ``_apply_batch``/``_adjust_gradient`` machinery, preserving the
-        noisy-UDA hook and all counters — as the per-tuple path. The only
-        difference is that a segment's gradient sum is one
-        ``Loss.batch_gradient`` contraction instead of per-tuple calls,
-        which agrees with the scalar accumulation to floating-point
-        rounding.
+        stepped at exactly the tuple positions of PSGD's scalar loop,
+        whatever the chunk size, and every step runs through
+        ``_apply_batch``/``_adjust_gradient`` (the noisy-UDA hook). A
+        segment's gradient sum is one ``Loss.batch_gradient`` contraction,
+        which agrees with PSGD's per-example accumulation
+        (``execution="scalar"``) to floating-point rounding.
         """
         # This loop runs once per rider per chunk in every scan flight:
         # lookups are hoisted, the arithmetic is exactly the per-segment
@@ -374,27 +325,14 @@ class MultiSGDUDA(UDA):
             global_step_offset=int(global_step_offset),
         )
 
-    def transition(
-        self, state: MultiSGDState, features: np.ndarray, label: float
-    ) -> MultiSGDState:
-        """Per-tuple reference path: one scalar gradient per model."""
-        for k, loss in enumerate(self.losses):
-            state.accumulated_gradient[k] += loss.gradient(
-                state.models[k], features, label
-            )
-        state.examples_in_batch += 1
-        if state.examples_in_batch >= self.batch_size:
-            self._apply_batch(state)
-        return state
-
     def transition_batch(
         self, state: MultiSGDState, features: np.ndarray, labels: np.ndarray
     ) -> MultiSGDState:
         """Fold a tuple block in mini-batch-sized *fused* steps.
 
-        Same segment discipline as :meth:`SGDUDA.transition_batch` — the
-        models step at exactly the same tuple positions as the per-tuple
-        path — but each segment's K gradient sums come from one
+        Same segment discipline as :meth:`SGDUDA.transition_batch` — every
+        model steps at the same tuple positions as its own
+        :class:`SGDUDA` — but each segment's K gradient sums come from one
         ``batch_gradient_multi`` call per fusion group.
         """
         # Runs once per cohort per chunk in a scan flight: lookups are
@@ -512,7 +450,7 @@ class _Ride:
     back at the boarding chunk — terminate the epoch (flushing a trailing
     partial mini-batch), advance the global step offset by ``ceil(m /
     b)`` and re-initialize from the epoch's model: the literal calls
-    ``BismarckSession.run_sgd`` makes through ``run_aggregate``. A ride
+    ``BismarckSession.run_sgd`` makes for each epoch. A ride
     that boarded at offset ``p`` therefore executes, per model, the same
     floating-point operations as a solo ``run_sgd(..., start_offset=p)``
     over the same rotated chunks, and its noise/schedule streams consume

@@ -46,6 +46,7 @@ from repro.optim.losses import Loss
 from repro.service.errors import UnknownJob
 from repro.service.jobs import JobStatus, TrainingJob
 from repro.service.ledger import BudgetReceipt
+from repro.service.wal import write_durably
 
 #: Format tag written into every snapshot (reject foreign files early).
 SNAPSHOT_FORMAT = "repro-registry/v1"
@@ -558,7 +559,7 @@ class ModelRegistry:
     # -- durability --------------------------------------------------------------
 
     def snapshot(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
-        """Write the whole store to ``path`` as JSON (atomic rename).
+        """Write the whole store to ``path`` as JSON (:func:`write_durably`).
 
         Safe to call from the dispatch loop's autosave hook while workers
         are releasing jobs: records are serialized under the registry
@@ -584,9 +585,9 @@ class ModelRegistry:
                         self._payload_memo[job_id] = entry
                 entries.append(entry)
             payload = {"format": SNAPSHOT_FORMAT, "records": entries}
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-        tmp.replace(path)
+        write_durably(
+            path, (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode("utf-8")
+        )
         return path
 
     @classmethod

@@ -107,7 +107,7 @@ from repro.core.sensitivity import SensitivityBound, sensitivity_for_schedule
 from repro.obs import metrics as obs_metrics
 from repro.rdbms.bismarck import BismarckSession
 from repro.rdbms.catalog import TableInfo
-from repro.rdbms.executor import ScanCursor
+from repro.rdbms.executor import DEFAULT_CHUNK_SIZE, ScanCursor
 from repro.rdbms.storage import BufferPoolStats, MaterializedHeapFile, TransientPageFault
 from repro.rdbms.uda import ElevatorMultiSGDUDA, ElevatorRider, SGDUDA
 from repro.service.errors import InvalidCandidate, UnknownTable
@@ -259,7 +259,7 @@ class SharedScanScheduler:
         registry: ModelRegistry,
         *,
         batching_window: int = 32,
-        chunk_size: int = 256,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
         scan_seed: int = 0,
         parallel_scans: bool = True,
         elevator: bool = False,

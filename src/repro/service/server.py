@@ -84,6 +84,7 @@ from repro.optim.losses import Loss
 from repro.rdbms.bismarck import BismarckSession
 from repro.rdbms.catalog import TableInfo
 from repro.rdbms.cost_model import CostModel
+from repro.rdbms.executor import DEFAULT_CHUNK_SIZE
 from repro.rdbms.storage import SQLiteHeapFile
 from repro.service.jobs import JobStatus, TrainingJob
 from repro.service.ledger import AccountStatement, PrivacyBudgetLedger
@@ -95,7 +96,7 @@ from repro.service.registry import (
     snapshot_payloads,
 )
 from repro.service.scheduler import SharedScanScheduler
-from repro.service.wal import WalCorruption, WriteAheadLog
+from repro.service.wal import WalCorruption, WriteAheadLog, write_durably
 from repro.service.worker import DispatchLoop
 
 #: File names inside ``state_dir``.
@@ -112,7 +113,7 @@ class TrainingService:
         *,
         buffer_pool_pages: int = 65536,
         batching_window: int = 32,
-        chunk_size: int = 256,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
         scan_seed: int = 0,
         workers: int = 1,
         parallel_scans: bool = True,
@@ -568,7 +569,7 @@ class TrainingService:
         ).set_total(self.wal.resets if self.wal is not None else 0)
 
     def _dump_metrics(self) -> None:
-        """Refresh the on-disk metrics dump (atomic tmp + rename). The
+        """Refresh the on-disk metrics dump (:func:`write_durably`). The
         file's suffix picks the format: ``.json`` dumps the JSON
         document, anything else the Prometheus text exposition. Dumps
         serialize on their own lock — concurrent worker autosaves must
@@ -587,13 +588,11 @@ class TrainingService:
                 )
             else:
                 text = self.metrics(format="prometheus")
-            tmp = self.metrics_file.with_name(self.metrics_file.name + ".tmp")
             with self._metrics_dump_lock:
                 if self._metrics_dump_failed:
                     return
                 self.metrics_file.parent.mkdir(parents=True, exist_ok=True)
-                tmp.write_text(text)
-                tmp.replace(self.metrics_file)
+                write_durably(self.metrics_file, text.encode("utf-8"))
         except OSError as error:
             self._metrics_dump_failed = True
             warnings.warn(
@@ -633,18 +632,16 @@ class TrainingService:
     def _write_snapshot(self, directory: pathlib.Path) -> None:
         """The base snapshot files (caller holds ``_save_lock``)."""
         directory.mkdir(parents=True, exist_ok=True)
-        # Accounts first: each file replaces atomically, but a crash
+        # Accounts first: each file replaces durably, but a crash
         # *between* the two must leave a loadable pair. New caps with
         # an older registry is harmless (grants without receipts); a
         # new registry whose receipts name accounts the caps file has
         # not heard of would make reconcile refuse the whole restore.
-        accounts_path = directory / ACCOUNTS_STATE
-        tmp = accounts_path.with_suffix(".json.tmp")
-        tmp.write_text(
-            json.dumps(self.ledger.caps_payload(), indent=1, sort_keys=True)
-            + "\n"
+        write_durably(
+            directory / ACCOUNTS_STATE,
+            (json.dumps(self.ledger.caps_payload(), indent=1, sort_keys=True) + "\n")
+            .encode("utf-8"),
         )
-        tmp.replace(accounts_path)
         self.registry.snapshot(directory / REGISTRY_STATE)
 
     def _autosave_window(self) -> None:

@@ -11,8 +11,8 @@ module replaces that with the classic write-ahead discipline:
   cost is O(events this window), never O(history);
 * recovery is *snapshot + replay*: a periodic **compaction** folds the
   log into the base snapshot (``registry.json`` + ``accounts.json``,
-  both atomic tmp-rename writes) and starts a fresh log, so replay cost
-  is O(delta since last compaction);
+  both written by :func:`write_durably`) and starts a fresh log, so
+  replay cost is O(delta since last compaction);
 * a **torn final record** — the half-written tail a kill -9 or power cut
   leaves behind — is detected by its checksum/length and truncated away:
   recovery keeps the clean prefix. Anything wrong *before* the tail
@@ -42,10 +42,14 @@ lock — submission-path cheap); :meth:`WriteAheadLog.sync` drains the
 buffer to disk and fsyncs, which the service calls once per dispatched
 window. :meth:`WriteAheadLog.reset` starts a fresh log *after* a
 compaction snapshot: it writes the header plus any still-buffered
-events to a temp file and atomically renames it over the log, so events
-that raced the snapshot are re-logged rather than dropped (replay is
-idempotent — see ``load_state``) and a crash between snapshot and reset
-leaves at worst a stale-but-replayable tail.
+events through :func:`write_durably`, so events that raced the snapshot
+are re-logged rather than dropped (replay is idempotent — see
+``load_state``) and a crash between snapshot and reset leaves at worst a
+stale-but-replayable tail. The snapshot files go through the same
+helper, which fsyncs the directory after each rename: the snapshot's
+rename is on disk before the log's rename is issued, so a power cut can
+never keep the fresh log and lose the snapshot that absorbed the old
+one.
 """
 
 from __future__ import annotations
@@ -68,6 +72,25 @@ _FRAME = struct.Struct("<II")
 #: garbage framing, not a real record (the largest real payload is one
 #: job record — weights included — which is orders of magnitude smaller).
 _MAX_RECORD_BYTES = 1 << 30
+
+
+def write_durably(path: Union[str, pathlib.Path], data: bytes) -> None:
+    """Replace ``path`` by ``data`` so that a crash or a power cut leaves
+    the old file or the new one, never neither: write a sibling ``.tmp``
+    file, fsync it, rename it over ``path``, then fsync the directory so
+    the rename itself is on disk before the caller goes on."""
+    path = pathlib.Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 class WalCorruption(ValueError):
@@ -181,13 +204,11 @@ class WriteAheadLog:
     ``sync`` makes the buffered events durable; ``reset`` starts a fresh
     log after a compaction snapshot. All three are serialized by an
     internal lock, so worker threads and the autosave hook compose
-    without a protocol. ``fsync=False`` is for benchmarks that measure
-    the framing cost without the device flush.
+    without a protocol.
     """
 
-    def __init__(self, path: Union[str, pathlib.Path], *, fsync: bool = True) -> None:
+    def __init__(self, path: Union[str, pathlib.Path]) -> None:
         self.path = pathlib.Path(path)
-        self._fsync = bool(fsync)
         self._lock = threading.Lock()
         self._pending: List[bytes] = []
         self._file: Optional[object] = None
@@ -242,15 +263,7 @@ class WriteAheadLog:
             if self._file is not None:
                 self._file.close()
                 self._file = None
-            tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-            with open(tmp, "wb") as handle:
-                handle.write(_header_frame())
-                for frame in self._pending:
-                    handle.write(frame)
-                handle.flush()
-                if self._fsync:
-                    os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
+            write_durably(self.path, b"".join([_header_frame(), *self._pending]))
             self.records_since_reset = len(self._pending)
             self._pending = []
             self._file = open(self.path, "r+b")
@@ -297,8 +310,7 @@ class WriteAheadLog:
             self._file.write(frame)
         self._pending = []
         self._file.flush()
-        if self._fsync:
-            os.fsync(self._file.fileno())
+        os.fsync(self._file.fileno())
         self.syncs += 1
 
     # -- read path ---------------------------------------------------------------

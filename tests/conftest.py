@@ -13,6 +13,7 @@ from repro.core.sensitivity import sensitivity_for_schedule
 from repro.data.preprocessing import normalize_rows
 from repro.optim.losses import LogisticLoss
 from repro.rdbms.bismarck import BismarckSession
+from repro.rdbms.storage import tuples_per_page
 from repro.rdbms.uda import SGDUDA
 
 
@@ -23,6 +24,24 @@ def make_binary_data(m: int, d: int, seed: int = 0) -> tuple[np.ndarray, np.ndar
     direction /= np.linalg.norm(direction)
     X = normalize_rows(rng.standard_normal((m, d)) / np.sqrt(d))
     y = np.where(X @ direction >= 0.0, 1.0, -1.0)
+    return X, y
+
+
+def pin_each_tuple(shuffle) -> tuple[np.ndarray, np.ndarray]:
+    """The page-by-page reference scan of a ``ShuffleOnce``: read every
+    permutation position from the operator's scan source, pinning the
+    tuple's page with one ``get_page`` call in visit order. Returns the
+    rows as ``(X, y)``; the chunked scan must deliver the same rows and
+    leave the pool's counters where these pins leave them."""
+    heap, ids = shuffle._scan_source()
+    per_page = tuples_per_page(heap.dimension)
+    X = np.empty((len(ids), heap.dimension))
+    y = np.empty(len(ids))
+    for position, tuple_id in enumerate(ids.tolist()):
+        page_id, row = divmod(tuple_id, per_page)
+        page = shuffle.pool.get_page(heap, page_id)
+        X[position] = page.features[row]
+        y[position] = page.labels[row]
     return X, y
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import pathlib
 import py_compile
+import subprocess
+import sys
 
 import pytest
 
@@ -39,6 +42,23 @@ class TestExamples:
         assert '__main__' in source
         assert source.startswith("#!/usr/bin/env python")
         assert '"""' in source  # documented
+
+    @pytest.mark.parametrize(
+        "script",
+        sorted(p.name for p in EXAMPLES_DIR.glob("*.py")),
+    )
+    def test_example_runs(self, script, tmp_path):
+        """Each example runs to completion from a clean directory."""
+        env = dict(os.environ, PYTHONPATH=str(EXAMPLES_DIR.parent / "src"))
+        completed = subprocess.run(
+            [sys.executable, str(EXAMPLES_DIR / script)],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
 
 
 @pytest.fixture(scope="module")

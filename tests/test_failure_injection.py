@@ -15,7 +15,7 @@ from repro.optim.losses import LogisticLoss
 from repro.optim.psgd import PSGD, PSGDConfig
 from repro.optim.schedules import ConstantSchedule
 from repro.rdbms.bismarck import BismarckSession
-from repro.rdbms.executor import run_aggregate, SeqScan
+from repro.rdbms.executor import ShuffleOnce, run_aggregate
 from repro.rdbms.storage import BufferPool, MaterializedHeapFile, VirtualHeapFile
 from repro.rdbms.uda import UDA
 from tests.conftest import make_binary_data
@@ -87,7 +87,7 @@ class TestEngineRobustness:
             def initialize(self, **kwargs):
                 return 0
 
-            def transition(self, state, features, label):
+            def transition_batch(self, state, features, labels):
                 raise RuntimeError("transition bug")
 
             def terminate(self, state):  # pragma: no cover
@@ -100,7 +100,7 @@ class TestEngineRobustness:
         catalog = Catalog()
         catalog.create_table("t", heap)
         with pytest.raises(RuntimeError, match="transition bug"):
-            run_aggregate(SeqScan(catalog.get("t"), BufferPool(4)), ExplodingUDA())
+            run_aggregate(ShuffleOnce(catalog.get("t"), BufferPool(4)), ExplodingUDA())
 
     def test_session_rejects_zero_epochs(self):
         session = BismarckSession()

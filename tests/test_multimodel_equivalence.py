@@ -52,7 +52,7 @@ from repro.rdbms.catalog import Catalog
 from repro.rdbms.executor import ShuffleOnce, run_aggregate
 from repro.rdbms.storage import BufferPool
 from repro.rdbms.uda import MultiSGDUDA, SGDUDA
-from tests.conftest import make_binary_data
+from tests.conftest import make_binary_data, pin_each_tuple
 
 #: Every loss family (regularized and not) — as in the vectorized suite.
 LOSSES = [
@@ -360,7 +360,7 @@ class TestFusedRDBMS:
         (LogisticLoss(regularization=0.1), CappedInverseTSchedule(1.1, 0.1)),
     ]
 
-    @pytest.mark.parametrize("chunk_size", [None, 1, 32, 500])
+    @pytest.mark.parametrize("chunk_size", [1, 32, 500])
     def test_fused_uda_equals_sequential_udas(self, chunk_size):
         losses = [pair[0] for pair in self.LOSSES_SCHEDULES]
         schedules = [pair[1] for pair in self.LOSSES_SCHEDULES]
@@ -440,7 +440,7 @@ class TestFusedRDBMS:
         fused_session.warm_cache("t")
         fused = fused_session.run_sgd_multi(
             "t", MultiSGDUDA(losses, schedules, batch_size=10), epochs=2,
-            random_state=3, chunk_size=64,
+            random_state=3,
         )
         assert fused.num_models == 3
 
@@ -449,7 +449,7 @@ class TestFusedRDBMS:
         solo_session.warm_cache("t")
         solo = solo_session.run_noiseless(
             "t", losses[0], schedules[0], epochs=2, batch_size=10,
-            random_state=3, chunk_size=64,
+            random_state=3,
         )
         # Fused pays ONE scan's I/O while tripling the gradient work: its
         # simulated I/O seconds equal the single-model run's, and K solo
@@ -465,9 +465,10 @@ class TestFusedRDBMS:
 
 
 class TestPageGroupedGather:
-    """The chunked shuffle replay groups row copies by page while keeping
-    counters AND buffer-pool state exactly path-invariant — in every
-    regime, including an actively evicting pool."""
+    """The chunked shuffle replay groups row copies by page while leaving
+    counters AND buffer-pool state exactly where pinning each tuple's page
+    in turn leaves them — in every regime, including an actively evicting
+    pool."""
 
     @staticmethod
     def _table(m, d, seed):
@@ -491,7 +492,7 @@ class TestPageGroupedGather:
 
         pool_tuple = BufferPool(capacity)
         shuffle_tuple = ShuffleOnce(info, pool_tuple, random_state=9)
-        per_tuple = np.vstack([features for features, _ in shuffle_tuple])
+        per_tuple, _ = pin_each_tuple(shuffle_tuple)
 
         info2 = self._table(m, d, seed=1)
         pool_chunk = BufferPool(capacity)
@@ -501,8 +502,8 @@ class TestPageGroupedGather:
         )
 
         np.testing.assert_array_equal(chunked, per_tuple)
-        assert shuffle_chunk.stats.pages_requested == shuffle_tuple.stats.pages_requested
-        assert shuffle_chunk.stats.tuples_produced == shuffle_tuple.stats.tuples_produced
+        assert shuffle_chunk.stats.pages_requested == m
+        assert shuffle_chunk.stats.tuples_produced == m
         # The buffer pool sees the identical touch sequence, so hit/miss/
         # eviction counters — the cost model's input — agree exactly even
         # while the pool is actively evicting.

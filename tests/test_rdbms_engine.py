@@ -11,9 +11,10 @@ import pytest
 from repro.optim.losses import LogisticLoss
 from repro.optim.schedules import ConstantSchedule
 from repro.rdbms.catalog import Catalog
-from repro.rdbms.executor import SeqScan, Shuffle, ShuffleOnce, run_aggregate
+from repro.rdbms.executor import ShuffleOnce, run_aggregate
 from repro.rdbms.storage import BufferPool
-from repro.rdbms.uda import AvgUDA, SGDUDA
+from repro.rdbms.uda import SGDUDA
+from tests.conftest import pin_each_tuple
 
 
 def make_table(catalog, name="t", m=120, d=6, seed=0):
@@ -61,36 +62,25 @@ class TestCatalog:
         assert catalog.table_names() == ["alpha", "zeta"]
 
 
-class TestSeqScan:
-    def test_yields_all_tuples_in_order(self):
-        catalog = Catalog()
-        info, X, y = make_table(catalog)
-        pool = BufferPool(100)
-        rows = list(SeqScan(info, pool))
-        assert len(rows) == 120
-        np.testing.assert_array_equal(rows[0][0], X[0])
-        assert rows[0][1] == y[0]
-        np.testing.assert_array_equal(rows[-1][0], X[-1])
+def scanned(shuffle, chunk_size):
+    """One epoch of ``shuffle``'s chunks, stacked as ``(X, y)``."""
+    blocks = list(shuffle.scan_chunks(chunk_size))
+    return (
+        np.concatenate([X_block for X_block, _ in blocks]),
+        np.concatenate([y_block for _, y_block in blocks]),
+    )
 
 
 class TestShuffle:
-    def test_yields_all_tuples_in_permuted_order(self):
-        catalog = Catalog()
-        info, X, y = make_table(catalog)
-        pool = BufferPool(100)
-        shuffle = Shuffle(info, pool, random_state=5)
-        labels = [label for _, label in shuffle]
-        assert len(labels) == 120
-        assert sorted(labels) == sorted(y.tolist())
-
     def test_shuffle_once_replays_same_order(self):
         catalog = Catalog()
         info, X, y = make_table(catalog)
         pool = BufferPool(100)
         shuffle = ShuffleOnce(info, pool, random_state=5)
-        first = [tuple(f) for f, _ in shuffle]
-        second = [tuple(f) for f, _ in shuffle]
-        assert first == second
+        first, _ = scanned(shuffle, 17)
+        second, _ = scanned(shuffle, 17)
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(first, X[shuffle.permutation])
 
     def test_permutation_covers_everything(self):
         catalog = Catalog()
@@ -112,28 +102,23 @@ class TestShuffledCopy:
         return info
 
     def test_both_paths_replay_the_permutation_missing_each_page_once(self):
+        """The id gather (the table fits its pool) and the copy (it does
+        not) deliver the same rows; the copy misses each page once, at
+        any chunk size."""
         info = self.thrash_table()
         reference = ShuffleOnce(info, BufferPool(10_000), random_state=3)
-        expected = [(tuple(f), label) for f, label in reference]
+        expected_X, expected_y = scanned(reference, 64)
         assert reference.shuffled_copy is None
 
-        tuple_pool, chunk_pool = BufferPool(2), BufferPool(2)
-        per_tuple = ShuffleOnce(info, tuple_pool, random_state=3)
-        chunked = ShuffleOnce(info, chunk_pool, random_state=3)
-        assert [(tuple(f), label) for f, label in per_tuple] == expected
-        blocks = list(chunked.scan_chunks(64))
-        assert np.array_equal(
-            np.concatenate([X for X, _ in blocks]),
-            np.array([f for f, _ in expected]),
-        )
-        assert np.array_equal(
-            np.concatenate([y for _, y in blocks]),
-            np.array([label for _, label in expected]),
-        )
-        assert per_tuple.shuffled_copy is not None
-        for pool, op in ((tuple_pool, per_tuple), (chunk_pool, chunked)):
+        for chunk_size in (1, 64):
+            pool = BufferPool(2)
+            chunked = ShuffleOnce(info, pool, random_state=3)
+            X_scan, y_scan = scanned(chunked, chunk_size)
+            assert np.array_equal(X_scan, expected_X)
+            assert np.array_equal(y_scan, expected_y)
+            assert chunked.shuffled_copy is not None
             stats = pool.stats_for(info.heap)
-            assert stats.page_reads == op.stats.pages_requested == 600
+            assert stats.page_reads == chunked.stats.pages_requested == 600
             assert stats.cache_misses == info.heap.num_pages == 25
 
     def test_racing_first_scans_build_one_copy(self):
@@ -171,21 +156,6 @@ class TestShuffledCopy:
         assert pool.stats_for(info.heap).page_reads == 8 * 64
 
 
-class TestAvgUDA:
-    def test_avg_matches_numpy(self):
-        catalog = Catalog()
-        info, X, y = make_table(catalog)
-        pool = BufferPool(100)
-        result = run_aggregate(SeqScan(info, pool), AvgUDA())
-        assert result == pytest.approx(float(np.mean(y)))
-
-    def test_empty_aggregate_rejected(self):
-        uda = AvgUDA()
-        state = uda.initialize()
-        with pytest.raises(ValueError, match="zero tuples"):
-            uda.terminate(state)
-
-
 class TestSGDUDA:
     def test_one_epoch_matches_library_psgd(self):
         """The UDA epoch must produce exactly the same model as the plain
@@ -214,7 +184,7 @@ class TestSGDUDA:
         info, X, y = make_table(catalog, m=95, d=5)
         pool = BufferPool(100)
         uda = SGDUDA(LogisticLoss(), ConstantSchedule(0.1), batch_size=10)
-        run_aggregate(SeqScan(info, pool), uda, dimension=5)
+        run_aggregate(ShuffleOnce(info, pool, random_state=0), uda, dimension=5)
         assert uda.updates_applied == 10  # ceil(95/10)
 
     def test_epoch_chaining_continues_schedule(self):
@@ -241,135 +211,109 @@ class TestSGDUDA:
             LogisticLoss(), ConstantSchedule(2.0), batch_size=1,
             projection=L2BallProjection(0.1),
         )
-        model = run_aggregate(SeqScan(info, pool), uda, dimension=4)
+        model = run_aggregate(ShuffleOnce(info, pool, random_state=0), uda, dimension=4)
         assert np.linalg.norm(model) <= 0.1 + 1e-9
 
 
 class TestChunkedExecution:
-    """Golden regression: the chunked path is the per-tuple path.
-
-    Same tuples in the same order, same page-request accounting, same
-    model — only the delivery granularity (and the speed) differs.
-    """
-
-    def _sgd_epoch(self, chunk_size, m=137, d=6, batch_size=10, seed=3):
-        catalog = Catalog()
-        info, X, y = make_table(catalog, m=m, d=d, seed=seed)
-        pool = BufferPool(100)
-        shuffle = ShuffleOnce(info, pool, random_state=7)
-        uda = SGDUDA(LogisticLoss(0.01), ConstantSchedule(0.1), batch_size=batch_size)
-        model = run_aggregate(shuffle, uda, chunk_size=chunk_size, dimension=d)
-        return model, shuffle.stats, uda
-
-    @pytest.mark.parametrize("chunk_size", [1, 10, 32, 137, 500])
-    def test_sgd_epoch_chunked_equals_per_tuple(self, chunk_size):
-        """The golden invariant of the vectorized RDBMS path: fixed seed,
-        chunked scan, same final w and same OperatorStats as per-tuple."""
-        model_ref, stats_ref, uda_ref = self._sgd_epoch(None)
-        model_chunk, stats_chunk, uda_chunk = self._sgd_epoch(chunk_size)
-        np.testing.assert_allclose(model_chunk, model_ref, rtol=0, atol=1e-12)
-        assert stats_chunk.pages_requested == stats_ref.pages_requested
-        assert stats_chunk.tuples_produced == stats_ref.tuples_produced
-        assert uda_chunk.updates_applied == uda_ref.updates_applied
-
-    def test_seqscan_chunks_reassemble_table(self):
-        catalog = Catalog()
-        info, X, y = make_table(catalog, m=120, d=6)
-        pool = BufferPool(100)
-        scan = SeqScan(info, pool)
-        chunks = list(scan.scan_chunks(37))
-        np.testing.assert_array_equal(np.vstack([c[0] for c in chunks]), X)
-        np.testing.assert_array_equal(np.concatenate([c[1] for c in chunks]), y)
-        assert all(c[0].shape[0] == 37 for c in chunks[:-1])
-        # Counters match a per-tuple SeqScan of the same table.
-        reference = SeqScan(info, BufferPool(100))
-        list(reference)
-        assert scan.stats.pages_requested == reference.stats.pages_requested
-        assert scan.stats.tuples_produced == reference.stats.tuples_produced
-
     def test_shuffle_once_chunks_replay_permutation(self):
         catalog = Catalog()
         info, X, y = make_table(catalog)
         pool = BufferPool(100)
         shuffle = ShuffleOnce(info, pool, random_state=5)
-        per_tuple = np.vstack([f for f, _ in shuffle])
-        chunked = np.vstack([c[0] for c in shuffle.scan_chunks(17)])
-        np.testing.assert_array_equal(chunked, per_tuple)
-
-    def test_shuffle_chunks_cover_everything(self):
-        catalog = Catalog()
-        info, X, y = make_table(catalog)
-        pool = BufferPool(100)
-        shuffle = Shuffle(info, pool, random_state=5)
-        labels = np.concatenate([c[1] for c in shuffle.scan_chunks(13)])
-        assert sorted(labels.tolist()) == sorted(y.tolist())
-        assert shuffle.stats.pages_requested == 120
-
-    def test_avg_uda_chunked_matches_scalar(self):
-        catalog = Catalog()
-        info, X, y = make_table(catalog)
-        pool = BufferPool(100)
-        chunked = run_aggregate(SeqScan(info, pool), AvgUDA(), chunk_size=11)
-        assert chunked == pytest.approx(float(np.mean(y)))
-
-    def test_default_transition_batch_falls_back_to_transition(self):
-        """A UDA that only defines transition (the bismarck.py baseline
-        situation) must work unchanged on the chunked stream."""
-
-        class CountingMaxUDA(AvgUDA):
-            transitions = 0
-
-            def transition(self, state, features, label):
-                type(self).transitions += 1
-                return super().transition(state, features, label)
-
-            # No transition_batch override: AvgUDA's would be inherited, so
-            # restore the base UDA row-loop default explicitly.
-            def transition_batch(self, state, features, labels):
-                from repro.rdbms.uda import UDA
-
-                return UDA.transition_batch(self, state, features, labels)
-
-        catalog = Catalog()
-        info, X, y = make_table(catalog)
-        pool = BufferPool(100)
-        result = run_aggregate(SeqScan(info, pool), CountingMaxUDA(), chunk_size=50)
-        assert result == pytest.approx(float(np.mean(y)))
-        assert CountingMaxUDA.transitions == 120
+        chunked, labels = scanned(shuffle, 17)
+        np.testing.assert_array_equal(chunked, X[shuffle.permutation])
+        np.testing.assert_array_equal(labels, y[shuffle.permutation])
+        assert shuffle.stats.pages_requested == shuffle.stats.tuples_produced == 120
 
     def test_invalid_chunk_size_rejected(self):
         catalog = Catalog()
         info, X, y = make_table(catalog)
         pool = BufferPool(100)
         with pytest.raises(ValueError):
-            list(SeqScan(info, pool).scan_chunks(0))
+            list(ShuffleOnce(info, pool).scan_chunks(0))
 
-    def test_noisy_uda_chunked_equals_per_tuple(self):
-        """The white-box baselines ride the chunked engine unchanged: the
-        per-mini-batch noise hook fires at the same steps with the same
-        draws."""
-        from repro.rdbms.bismarck import NoisySGDUDA
 
-        def run(chunk_size):
-            catalog = Catalog()
-            info, X, y = make_table(catalog, m=90, d=5, seed=3)
-            pool = BufferPool(100)
-            noise_rng = np.random.default_rng(21)
+def seeded_noise(seed=33):
+    """A per-step noise sampler, ``(step, dimension) -> vector``, drawing
+    from its own seeded stream; two samplers with one seed draw alike."""
+    rng = np.random.default_rng(seed)
 
-            def noise_sampler(step, dimension):
-                return noise_rng.normal(0.0, 0.01, size=dimension)
+    def draw(step, dimension):
+        return rng.normal(0.0, 0.05 / step, size=dimension)
 
-            uda = NoisySGDUDA(
-                LogisticLoss(), ConstantSchedule(0.1), noise_sampler, batch_size=10
-            )
-            shuffle = ShuffleOnce(info, pool, random_state=7)
-            model = run_aggregate(shuffle, uda, chunk_size=chunk_size, dimension=5)
-            return model, uda.noise_draws
+    return draw
 
-        model_ref, draws_ref = run(None)
-        model_chunk, draws_chunk = run(32)
-        np.testing.assert_allclose(model_chunk, model_ref, rtol=0, atol=1e-12)
-        assert draws_chunk == draws_ref == 9
+
+class TestChunkedRunEqualsScalarOracle:
+    """A chunked ``run_sgd`` over a table's shared permutation is PSGD's
+    per-example reference loop (``execution="scalar"``) over the same
+    permutation: every step at the same tuple position, to rounding.
+
+    The grid covers the margin losses; b dividing m, b not dividing m
+    and b > m; chunks of one tuple, of 32 and larger than the table; one
+    and three epochs; and the white-box ``NoisySGDUDA``, whose sampler
+    and PSGD's ``gradient_noise`` draw from identically seeded streams.
+    """
+
+    M, D = 90, 5
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["plain", "noisy"])
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize("chunk_size", [1, 32, 256])
+    @pytest.mark.parametrize("batch_size", [1, 10, 7, 128])
+    @pytest.mark.parametrize("loss_name", ["logistic", "huber", "least-squares", "hinge"])
+    def test_chunked_run_equals_scalar_psgd(
+        self, loss_name, batch_size, chunk_size, epochs, noisy
+    ):
+        from repro.optim.losses import HingeLoss, HuberSVMLoss, LeastSquaresLoss
+        from repro.optim.projection import BoxProjection, IdentityProjection, L2BallProjection
+        from repro.optim.psgd import PSGD, PSGDConfig
+        from repro.optim.schedules import CappedInverseTSchedule, InverseSqrtTSchedule
+        from repro.rdbms.bismarck import BismarckSession, NoisySGDUDA
+        from tests.conftest import make_binary_data
+
+        loss, schedule, projection = {
+            "logistic": (LogisticLoss(0.01), ConstantSchedule(0.2), IdentityProjection()),
+            "huber": (
+                HuberSVMLoss(0.1, 0.01), InverseSqrtTSchedule(0.5), L2BallProjection(0.5)
+            ),
+            "least-squares": (
+                LeastSquaresLoss(0.02), CappedInverseTSchedule(1.0, 0.02), L2BallProjection(0.3)
+            ),
+            "hinge": (HingeLoss(), ConstantSchedule(0.1), BoxProjection(-0.2, 0.2)),
+        }[loss_name]
+        X, y = make_binary_data(self.M, self.D, seed=11)
+        session = BismarckSession(buffer_pool_pages=4)
+        session.load_table("t", X, y)
+        shuffle = session.shared_scan("t", random_state=2)
+        gradient_noise = None
+        if noisy:
+            uda = NoisySGDUDA(loss, schedule, seeded_noise(), batch_size, projection)
+            draw = seeded_noise()
+
+            def gradient_noise(step, dimension, rng):
+                return draw(step, dimension)
+        else:
+            uda = SGDUDA(loss, schedule, batch_size, projection)
+        report = session.run_sgd(
+            "t", uda, epochs, chunk_size=chunk_size, shuffle=shuffle
+        )
+
+        config = PSGDConfig(
+            schedule=schedule,
+            passes=epochs,
+            batch_size=batch_size,
+            projection=projection,
+            execution="scalar",
+        )
+        oracle = PSGD(loss, config, gradient_noise=gradient_noise).run(
+            X, y, permutation=shuffle.permutation
+        )
+        np.testing.assert_allclose(report.model, oracle.model, rtol=0, atol=1e-12)
+        steps = epochs * -(-self.M // batch_size)
+        assert uda.updates_applied == oracle.updates == steps
+        assert report.noise_draws == (steps if noisy else 0)
 
 
 class TestVirtualHeapChunkGather:
@@ -412,11 +356,11 @@ class TestVirtualHeapChunkGather:
         per_page = tuples_per_page(self.D)
         perm = self._thrashing_permutation(m, per_page)
 
-        # Per-tuple reference: counters + streamed values.
+        # Page-by-page reference: counters + streamed values.
         pool_ref = BufferPool(3)
         shuffle_ref = ShuffleOnce(info, pool_ref)
         shuffle_ref._permutation = perm.copy()
-        ref_rows = [(features.copy(), label) for features, label in shuffle_ref]
+        ref_X, ref_y = pin_each_tuple(shuffle_ref)
         ref_stats = (pool_ref.stats.page_reads, pool_ref.stats.cache_hits,
                      pool_ref.stats.cache_misses, pool_ref.stats.evictions)
         ref_synth = dict(synth_calls)
@@ -433,18 +377,14 @@ class TestVirtualHeapChunkGather:
                        pool.stats.cache_misses, pool.stats.evictions)
         assert chunk_stats == ref_stats
 
-        # Values identical to the per-tuple stream.
+        # Values identical to the page-by-page stream.
         X_chunked = np.vstack([X_block for X_block, _ in blocks])
         y_chunked = np.concatenate([y_block for _, y_block in blocks])
-        np.testing.assert_array_equal(
-            X_chunked, np.vstack([row for row, _ in ref_rows])
-        )
-        np.testing.assert_array_equal(
-            y_chunked, np.array([label for _, label in ref_rows])
-        )
+        np.testing.assert_array_equal(X_chunked, ref_X)
+        np.testing.assert_array_equal(y_chunked, ref_y)
 
-        # The satellite claim: at most one synthesis per (chunk, page) —
-        # far below the per-tuple path's miss-driven synthesis count.
+        # At most one synthesis per (chunk, page) — far below the
+        # page-by-page pins' miss-driven synthesis count.
         chunks = -(-m // chunk_size)
         assert sum(synth_calls.values()) <= chunks * heap.num_pages
         assert sum(synth_calls.values()) < sum(ref_synth.values())
@@ -460,12 +400,9 @@ class TestVirtualHeapChunkGather:
         perm = sh_a.permutation
         sh_b = ShuffleOnce(info, pool_b)
         sh_b._permutation = perm.copy()
-        rows = [(features.copy(), label) for features, label in sh_a]
-        blocks = list(sh_b.scan_chunks(17))
-        np.testing.assert_array_equal(
-            np.vstack([X_block for X_block, _ in blocks]),
-            np.vstack([row for row, _ in rows]),
-        )
+        rows, _ = pin_each_tuple(sh_a)
+        chunked, _ = scanned(sh_b, 17)
+        np.testing.assert_array_equal(chunked, rows)
         assert (
             pool_a.stats.page_reads,
             pool_a.stats.cache_hits,
@@ -540,13 +477,12 @@ class TestLeanStepIsTheReferenceStep:
         session.load_table("t", X, y)
         return session
 
-    def _release(self, uda, chunk_size, epochs=4):
+    def _release(self, uda, epochs=4):
         return self._session().run_sgd(
-            "t", uda, epochs, random_state=9, chunk_size=chunk_size
+            "t", uda, epochs, random_state=9, chunk_size=self.CHUNK
         ).model
 
     @pytest.mark.parametrize("batch_size", [1, 8, 32, 5, 13, 50])
-    @pytest.mark.parametrize("chunk_size", [CHUNK, None])
     @pytest.mark.parametrize(
         "loss, schedule, projection",
         [
@@ -557,9 +493,7 @@ class TestLeanStepIsTheReferenceStep:
             ("hinge", "constant", None),
         ],
     )
-    def test_release_equals_reference(
-        self, loss, schedule, projection, batch_size, chunk_size
-    ):
+    def test_release_equals_reference(self, loss, schedule, projection, batch_size):
         from repro.optim.losses import HingeLoss, HuberSVMLoss, LeastSquaresLoss
         from repro.optim.projection import BoxProjection, L2BallProjection
         from repro.optim.schedules import (
@@ -591,8 +525,8 @@ class TestLeanStepIsTheReferenceStep:
             pass
 
         args = (losses[loss], schedules[schedule], batch_size, projections[projection])
-        lean = self._release(SGDUDA(*args), chunk_size)
-        reference = self._release(ReferenceSGDUDA(*args), chunk_size)
+        lean = self._release(SGDUDA(*args))
+        reference = self._release(ReferenceSGDUDA(*args))
         assert np.array_equal(lean, reference)
 
     @pytest.mark.parametrize("batch_size", [8, 13])
@@ -616,8 +550,8 @@ class TestLeanStepIsTheReferenceStep:
             )
 
         lean, reference = build(NoisySGDUDA), build(ReferenceNoisySGDUDA)
-        lean_model = self._release(lean, self.CHUNK)
-        reference_model = self._release(reference, self.CHUNK)
+        lean_model = self._release(lean)
+        reference_model = self._release(reference)
         assert np.array_equal(lean_model, reference_model)
         assert lean.noise_draws == reference.noise_draws > 0
         assert lean.updates_applied == reference.updates_applied

@@ -118,7 +118,7 @@ class TestWalFraming:
 
     def test_truncated_file_recovers_and_appends(self, tmp_path):
         path = tmp_path / "log.wal"
-        wal = WriteAheadLog(path, fsync=False)
+        wal = WriteAheadLog(path)
         for event in SAMPLE_EVENTS:
             wal.append(event)
         wal.sync()
@@ -190,7 +190,7 @@ class TestWalFraming:
         """Events appended after the compaction snapshot was cut must
         survive the log reset — a lost receipt is unrecoverable."""
         path = tmp_path / "log.wal"
-        wal = WriteAheadLog(path, fsync=False)
+        wal = WriteAheadLog(path)
         wal.append(SAMPLE_EVENTS[0])
         wal.sync()
         wal.append(SAMPLE_EVENTS[2])  # buffered, not yet synced
@@ -326,6 +326,52 @@ class TestIncrementalAutosave:
         assert restarted.load_state() >= 2  # snapshot still carries both
         for record in records:
             assert restarted.result(record.job_id).job_id == record.job_id
+
+    def test_compaction_makes_the_snapshot_durable_before_the_log(
+        self, tmp_path, monkeypatch
+    ):
+        """Power-cut ordering: every file ``save_state`` replaces is
+        fsynced before its rename and its directory after it, and the
+        log's rename waits for the registry's directory fsync — so the
+        fresh log never reaches disk ahead of the snapshot that absorbed
+        the old one."""
+        service = make_service(state_dir=tmp_path)
+        submit_n(service, 2)
+        service.drain()
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            return fsync(fd)
+
+        def recording_replace(src, dst, **kwargs):
+            calls.append(("replace", os.path.basename(dst), os.stat(src).st_ino))
+            return replace(src, dst, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", recording_fsync)
+            patch.setattr(os, "replace", recording_replace)
+            service.save_state()
+
+        directory_fsync = ("fsync", os.stat(tmp_path).st_ino)
+        renames = {call[1]: at for at, call in enumerate(calls) if call[0] == "replace"}
+        assert {ACCOUNTS_STATE, REGISTRY_STATE, WAL_STATE} <= set(renames)
+        durable = {}
+        for name in (ACCOUNTS_STATE, REGISTRY_STATE, WAL_STATE):
+            at = renames[name]
+            assert ("fsync", calls[at][2]) in calls[:at], (
+                f"{name} was renamed before its data was fsynced"
+            )
+            after = calls[at + 1:]
+            next_rename = next(
+                (i for i, call in enumerate(after) if call[0] == "replace"), len(after)
+            )
+            assert directory_fsync in after[:next_rename], (
+                f"{name}'s rename was not made durable before the next one"
+            )
+            durable[name] = at + 1 + after.index(directory_fsync)
+        assert renames[WAL_STATE] > durable[REGISTRY_STATE]
 
     def test_save_state_to_a_foreign_directory_keeps_the_log(self, tmp_path):
         """An explicit export snapshot must not reset the live log."""
