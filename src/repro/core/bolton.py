@@ -543,11 +543,14 @@ def private_psgd_fleet(
         if stacked:
             group_X = X[indices]
             group_y = y[indices]
-            group_perm = (
-                np.stack([perm_rngs[k].permutation(m) for k in indices])
-                if permutation is None
-                else np.asarray(permutation)[indices]
-            )
+            if permutation is None:
+                group_perm = np.stack([perm_rngs[k].permutation(m) for k in indices])
+            else:
+                # A (K, m) matrix holds one order per candidate; one (m,)
+                # order is shared, and the engine broadcasts it.
+                group_perm = np.asarray(permutation)
+                if group_perm.ndim == 2:
+                    group_perm = group_perm[indices]
         else:
             group_X = X
             group_y = y if y.ndim == 1 else y[indices]

@@ -300,9 +300,9 @@ def fusion_groups(
     ``representative.batch_gradient_multi(W[indices], ...,
     regularization=lambdas)`` call evaluates the whole group. Losses whose
     key is ``None`` form singleton groups (served by their own multi
-    method — the row-loop fallback for scalar-only losses). Both the
-    fused PSGD engine and the fused SGD UDA build their execution plan
-    from this.
+    method — the row-loop fallback for scalar-only losses).
+    :class:`repro.optim.psgd.FusedStep`, the one update both fused
+    engines take, plans its groups with this.
     """
     keyed: dict = {}
     singletons: list[list[int]] = []

@@ -61,7 +61,7 @@ import numpy as np
 from repro.optim.losses import Loss, fusion_groups
 from repro.optim.projection import IdentityProjection, Projection, rows_projector
 from repro.optim.schedules import StepSizeSchedule
-from repro.utils.rng import RandomState, as_generator, spawn_generators
+from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_matrix_labels, check_positive_int
 
 #: Signature of the per-update noise hook: (t, dimension, rng) -> noise vector.
@@ -385,6 +385,118 @@ class _ModelAverager:
         return coeffs
 
 
+class FusedStep:
+    """One mini-batch update of K models: the fused engines' only step.
+
+    :class:`MultiModelPSGD` (in memory) and
+    :class:`~repro.rdbms.uda.MultiSGDUDA` (in the scan) compute every
+    gradient and take every step through this object, so the argument
+    that row ``k`` is model ``k``'s own run is written once, here:
+
+    * models whose losses share a :meth:`~repro.optim.losses.Loss.fusion_key`
+      form one fusion group, evaluated by one ``batch_gradient_multi`` call
+      with a per-model lambda vector; ``MarginLoss``'s kernel runs the
+      single-model product once per row, so row ``k`` is bitwise model
+      ``k``'s own ``batch_gradient`` (a ``None`` key keeps a model in a
+      group of its own, served by its loss's row-loop fallback);
+    * the step ``W - rate_k(t) * G`` is elementwise, and the rate matrix
+      holds each schedule's exact ``rates`` vector — ``rates(n)[t - 1] ==
+      rate(t)`` for every ``n``, so growing it on demand moves no entry;
+    * the row projector takes each row's own norm, and its row-loop path
+      calls the model's own projection.
+
+    Every operation treats rows independently, so stepping all active rows
+    at once equals stepping each group, or each model, in turn.
+    """
+
+    def __init__(
+        self,
+        losses: Sequence[Loss],
+        schedules: Sequence[StepSizeSchedule],
+        projections: Optional[Sequence[Optional[Projection]]] = None,
+    ):
+        self.losses = list(losses)
+        self.schedules = list(schedules)
+        K = len(self.losses)
+        if K == 0:
+            raise ValueError("at least one model is required")
+        if len(self.schedules) != K:
+            raise ValueError(f"got {K} losses but {len(self.schedules)} schedules")
+        if projections is None:
+            projections = [None] * K
+        if len(projections) != K:
+            raise ValueError(f"projections must have {K} entries")
+        self.projections = [
+            p if p is not None else IdentityProjection() for p in projections
+        ]
+        self._rates = np.empty((K, 0), dtype=np.float64)
+        self.restrict(np.arange(K))
+
+    def restrict(self, rows: np.ndarray) -> None:
+        """Step only the models at ``rows`` from now on; the others freeze.
+
+        Plans the fusion groups and the row projector over those models.
+        When one group holds every model its rows are a full slice, so the
+        kernel reads ``W`` and the data as views, and its result is the
+        gradient with no copy.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        every = rows.size == len(self.losses)
+        groups = [
+            (rep, rows[relative], lams)
+            for rep, relative, lams in fusion_groups([self.losses[k] for k in rows])
+        ]
+        if len(groups) == 1 and every:
+            groups = [(groups[0][0], slice(None), groups[0][2])]
+        self._groups = groups
+        self._rows = slice(None) if every else rows
+        self._projector = rows_projector([self.projections[k] for k in rows])
+
+    def project(self, W: np.ndarray) -> np.ndarray:
+        """Project every active row of ``W`` onto its model's set, in place."""
+        if self._projector is not None:
+            W[self._rows] = self._projector(W[self._rows])
+        return W
+
+    def gradient(self, W: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """The ``(K, d)`` mean gradients of the active models on one batch.
+
+        ``X`` is one shared ``(n, d)`` batch or a ``(K, n, d)`` per-model
+        stack, and ``Y`` is shared ``(n,)`` or per-model ``(K, n)``. Rows
+        of frozen models are zero.
+        """
+        groups = self._groups
+        # A full-slice group is the only group: its result is the gradient.
+        G = None if isinstance(groups[0][1], slice) else np.zeros_like(W)
+        for rep, rows, lams in groups:
+            Gg = rep.batch_gradient_multi(
+                W[rows],
+                X[rows] if X.ndim == 3 else X,
+                Y[rows] if Y.ndim == 2 else Y,
+                regularization=lams,
+            )
+            if G is None:
+                return Gg
+            G[rows] = Gg
+        return G
+
+    def step(self, W: np.ndarray, G: np.ndarray, t: int) -> np.ndarray:
+        """Update ``t``: ``W - rate_k(t) * G`` on every active row, each then
+        projected onto its model's set. Returns the stepped matrix; with
+        frozen rows, the active ones are written into ``W`` itself."""
+        if t > self._rates.shape[1]:
+            total = max(t, 64, 2 * self._rates.shape[1])
+            self._rates = np.stack([schedule.rates(total) for schedule in self.schedules])
+        rows = self._rows
+        stepped = W[rows] - self._rates[rows, t - 1][:, None] * G[rows]
+        if self._projector is not None:
+            stepped = self._projector(stepped)
+        if isinstance(rows, slice):
+            return stepped
+        W[rows] = stepped
+        return W
+
+
 @dataclass
 class ModelSpec:
     """One model of a fused multi-model run (its *per-model* knobs).
@@ -393,10 +505,7 @@ class ModelSpec:
     boundaries, pass count cap) across models; everything that may vary
     per model lives here. ``passes`` may undercut the engine's scan passes
     (a k-grid trains k=5 and k=10 candidates in one 10-pass scan: the k=5
-    rows simply freeze after their fifth pass). ``gradient_noise`` is the
-    same hook as on :class:`PSGD`, called once per update with the model's
-    *own* generator so each model's noise stream is exactly what its
-    standalone run would have consumed.
+    rows simply freeze after their fifth pass).
     """
 
     loss: Loss
@@ -404,7 +513,6 @@ class ModelSpec:
     projection: Projection = field(default_factory=IdentityProjection)
     passes: Optional[int] = None
     average: Optional[str] = None
-    gradient_noise: Optional[GradientNoise] = None
 
 
 @dataclass
@@ -433,11 +541,11 @@ class MultiModelPSGD:
     grids, per-partition private tuning, one-vs-rest multiclass), yet each
     model classically pays for its own pass over the data. This engine
     carries a ``(K, d)`` weight matrix instead: one scan feeds every
-    model, and each mini-batch becomes one batched call
-    (``Loss.batch_gradient_multi``) per fusion group rather than K small
-    per-model calls — K scans turn into 1 scan, and the K per-model
-    matrix-vector products of a step are issued from one stacked
-    ``np.matmul`` instead of K Python-level calls.
+    model, and each mini-batch is one :class:`FusedStep` gradient (one
+    ``Loss.batch_gradient_multi`` call per fusion group) and one step,
+    rather than K small per-model calls — K scans turn into 1 scan, and
+    the K per-model matrix-vector products of a step are issued from one
+    stacked ``np.matmul`` instead of K Python-level calls.
 
     Two data layouts are supported:
 
@@ -447,22 +555,19 @@ class MultiModelPSGD:
     * **stacked** — ``X`` is ``(K, m, d)``: per-model datasets of equal
       size (disjoint tuning partitions). Permutations are per-model.
 
-    **Determinism contract.** Models whose losses share a
-    :meth:`~repro.optim.losses.Loss.fusion_key` are evaluated through one
-    representative instance with a per-model regularization vector;
-    everything else (schedules via exact ``rates`` vectors, projections,
-    per-model noise generators consumed once per update in update order)
-    reproduces K independent vectorized PSGD runs on the same
-    permutation(s) — bit for bit: the stacked kernels run each model's
-    single-model products per row, and the row projector each row's own
-    norm. ``tests/test_multimodel_equivalence.py`` pins fused ==
-    sequential with ``np.array_equal`` across losses × schedules ×
-    noisy/noiseless × heterogeneous per-model hyper-parameters.
+    **Determinism contract.** Given the same permutation(s), the fused
+    run reproduces K independent vectorized PSGD runs bit for bit: the
+    :class:`FusedStep` argument covers the gradients, rates and
+    projections, and averaging is per model.
+    ``tests/test_multimodel_equivalence.py`` pins fused == sequential with
+    ``np.array_equal`` across losses × schedules × heterogeneous per-model
+    hyper-parameters.
 
     Unsupported (use per-model :class:`PSGD`, the reference oracle):
-    ``example_sampler``, convergence-tolerance early stopping, loss
-    tracking, and per-model batch sizes (batch boundaries define the
-    shared scan).
+    per-step gradient noise and ``example_sampler`` (the white-box
+    baselines train one model at a time), a fresh permutation per pass,
+    convergence-tolerance early stopping, loss tracking, and per-model
+    batch sizes (batch boundaries define the shared scan).
     """
 
     def __init__(
@@ -470,7 +575,6 @@ class MultiModelPSGD:
         specs: Sequence[ModelSpec],
         passes: Optional[int] = None,
         batch_size: int = 1,
-        fresh_permutation_each_pass: bool = False,
     ):
         if len(specs) == 0:
             raise ValueError("at least one ModelSpec is required")
@@ -487,7 +591,6 @@ class MultiModelPSGD:
                 f"({self.passes}); raise the engine passes"
             )
         self.batch_size = check_positive_int(batch_size, "batch_size")
-        self.fresh_permutation_each_pass = bool(fresh_permutation_each_pass)
         for spec in self.specs:
             if spec.average not in (None, "uniform", "suffix"):
                 raise ValueError(
@@ -496,42 +599,27 @@ class MultiModelPSGD:
 
     # -- public API -----------------------------------------------------------
 
-    def run(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        initial: Optional[np.ndarray] = None,
-        random_state: RandomState = None,
-        permutation: Optional[np.ndarray] = None,
-        noise_random_states: Optional[Sequence[RandomState]] = None,
-    ) -> MultiModelResult:
+    def run(self, X: np.ndarray, y: np.ndarray, permutation: np.ndarray) -> MultiModelResult:
         """Run the fused scan and return all K models.
 
-        ``random_state`` drives the scan permutation(s). Per-model noise
-        generators come from ``noise_random_states`` (one entry per spec);
-        when omitted they are spawned from the master generator *before*
-        any permutation is drawn. ``permutation`` fixes the scan order for
-        replay: a single ``(m,)`` arrangement (required form for shared
-        ``X``) or a ``(K, m)`` matrix of per-model arrangements for
-        stacked ``X``.
+        ``permutation`` is the scan order: a single ``(m,)`` arrangement
+        (the only form for shared ``X``; a stack broadcasts it) or a
+        ``(K, m)`` matrix of per-model arrangements for stacked ``X``.
         """
-        X, Y, y_shared, stacked, m, d = self._canonicalize_data(X, y)
+        X, Y, stacked, m, d = self._canonicalize_data(X, y)
         K = len(self.specs)
-        rng = as_generator(random_state)
-        noise_rngs = self._resolve_noise_rngs(noise_random_states, rng)
-
-        W = self._initial_matrix(initial, K, d)
+        step = FusedStep(
+            [spec.loss for spec in self.specs],
+            [spec.schedule for spec in self.specs],
+            [spec.projection for spec in self.specs],
+        )
+        W = step.project(np.zeros((K, d), dtype=np.float64))
         slices = minibatch_slices(m, self.batch_size)
-        n_batches = len(slices)
         passes_per_model = np.array(
             [spec.passes if spec.passes is not None else self.passes for spec in self.specs],
             dtype=np.int64,
         )
-        updates_per_model = passes_per_model * n_batches
-        etas = np.zeros((K, self.passes * n_batches), dtype=np.float64)
-        for k, spec in enumerate(self.specs):
-            etas[k, : updates_per_model[k]] = spec.schedule.rates(int(updates_per_model[k]))
-
+        updates_per_model = passes_per_model * len(slices)
         averagers = [
             _ModelAverager(spec.average, int(updates_per_model[k]))
             for k, spec in enumerate(self.specs)
@@ -543,35 +631,25 @@ class MultiModelPSGD:
             dtype=np.int64,
         )
 
-        orders = self._resolve_permutations(permutation, m, K, stacked, rng)
-        Xp, Yp = self._gather(X, Y, y_shared, stacked, orders)
+        orders = self._resolve_permutations(permutation, m, K, stacked)
+        Xp, Yp = self._gather(X, Y, stacked, orders)
 
         t = 0
         passes_completed = 0
-        groups: Optional[list] = None
-        active_count = -1
         for pass_index in range(self.passes):
-            if (
-                self.fresh_permutation_each_pass
-                and permutation is None
-                and pass_index > 0
-            ):
-                orders = self._resolve_permutations(None, m, K, stacked, rng)
-                Xp, Yp = self._gather(X, Y, y_shared, stacked, orders)
             active = np.flatnonzero(passes_per_model > pass_index)
             if active.size == 0:
                 break
-            if active.size != active_count:
-                groups = self._build_groups(active)
-                active_count = int(active.size)
-            observing = [
-                int(k) for k in np.intersect1d(averaging_models, active)
-            ]
+            if active.size < K:
+                step.restrict(active)
+            observing = np.intersect1d(averaging_models, active).tolist()
             for sl in slices:
                 t += 1
-                self._fused_step(
-                    W, Xp, Yp, y_shared, stacked, sl, t, etas, groups, noise_rngs
-                )
+                # [..., sl, :] cuts the batch from a shared (m, d) block
+                # and a (K, m, d) stack alike; [..., sl] from either label
+                # layout.
+                G = step.gradient(W, Xp[..., sl, :], Yp[..., sl])
+                W = step.step(W, G, t)
                 for k in observing:
                     averagers[k].observe(t, W[k])
             passes_completed += 1
@@ -599,16 +677,12 @@ class MultiModelPSGD:
         K = len(self.specs)
         if X.ndim == 2:
             m, d = X.shape
-            stacked = False
-            if y.ndim == 1:
-                if y.shape != (m,):
-                    raise ValueError(f"labels must have shape ({m},), got {y.shape}")
-                return X, y, True, stacked, m, d
-            if y.shape != (K, m):
+            if y.shape not in ((m,), (K, m)):
                 raise ValueError(
-                    f"per-model labels must have shape ({K}, {m}), got {y.shape}"
+                    f"labels must have shape ({m},) or per-model ({K}, {m}), "
+                    f"got {y.shape}"
                 )
-            return X, y, False, stacked, m, d
+            return X, y, False, m, d
         if X.ndim == 3:
             if X.shape[0] != K:
                 raise ValueError(
@@ -619,50 +693,13 @@ class MultiModelPSGD:
                 raise ValueError(
                     f"stacked labels must have shape ({K}, {m}), got {y.shape}"
                 )
-            return X, y, False, True, m, d
+            return X, y, True, m, d
         raise ValueError(f"X must be (m, d) or (K, m, d), got shape {X.shape}")
 
-    def _resolve_noise_rngs(
-        self, noise_random_states: Optional[Sequence[RandomState]], rng: np.random.Generator
-    ) -> list:
-        K = len(self.specs)
-        if not any(spec.gradient_noise is not None for spec in self.specs):
-            return [None] * K
-        if noise_random_states is None:
-            return spawn_generators(rng, K)
-        if len(noise_random_states) != K:
-            raise ValueError(
-                f"noise_random_states must have one entry per model ({K}), "
-                f"got {len(noise_random_states)}"
-            )
-        return [as_generator(state) for state in noise_random_states]
-
-    def _initial_matrix(self, initial: Optional[np.ndarray], K: int, d: int) -> np.ndarray:
-        if initial is None:
-            W = np.zeros((K, d), dtype=np.float64)
-        else:
-            W = np.array(initial, dtype=np.float64, copy=True)
-            if W.shape != (K, d):
-                raise ValueError(
-                    f"initial hypotheses have shape {W.shape}, expected ({K}, {d})"
-                )
-        for k, spec in enumerate(self.specs):
-            W[k] = spec.projection(W[k])
-        return W
-
     def _resolve_permutations(
-        self,
-        permutation: Optional[np.ndarray],
-        m: int,
-        K: int,
-        stacked: bool,
-        rng: np.random.Generator,
+        self, permutation: np.ndarray, m: int, K: int, stacked: bool
     ) -> np.ndarray:
-        """Return the scan order: (m,) shared, or (K, m) when stacked."""
-        if permutation is None:
-            if stacked:
-                return np.stack([rng.permutation(m) for _ in range(K)])
-            return rng.permutation(m)
+        """Validate the scan order: (m,) shared, or (K, m) when stacked."""
         order = np.asarray(permutation, dtype=np.int64)
         expected = list(range(m))
         if stacked and order.ndim == 2:
@@ -678,61 +715,14 @@ class MultiModelPSGD:
             return np.broadcast_to(order, (K, m))
         return order
 
-    def _gather(self, X, Y, y_shared, stacked, orders):
-        """Materialize permuted contiguous blocks, once per permutation."""
+    def _gather(self, X, Y, stacked, orders):
+        """Materialize permuted contiguous blocks, once per run."""
         if stacked:
-            Xp = np.stack([X[k][orders[k]] for k in range(X.shape[0])])
-            Yp = np.stack([Y[k][orders[k]] for k in range(X.shape[0])])
-            return Xp, Yp
-        Xp = X[orders]
-        Yp = Y[orders] if y_shared else Y[:, orders]
-        return Xp, Yp
-
-    def _build_groups(self, active: np.ndarray) -> list:
-        """Partition active model indices into fusable gradient groups.
-
-        Delegates to :func:`repro.optim.losses.fusion_groups`: models whose
-        losses share a fusion key are evaluated through one
-        ``batch_gradient_multi`` call with a per-model lambda vector; a
-        ``None`` key keeps a model in its own singleton group (still served
-        by its own loss's multi method — the row-loop fallback for
-        scalar-only losses). Each group also carries its compiled row
-        projector.
-        """
-        groups = []
-        for rep, relative, lams in fusion_groups([self.specs[k].loss for k in active]):
-            idx = active[relative]
-            projector = rows_projector([self.specs[k].projection for k in idx])
-            groups.append((rep, idx, lams, projector))
-        return groups
-
-    def _fused_step(self, W, Xp, Yp, y_shared, stacked, sl, t, etas, groups, noise_rngs):
-        """One mini-batch update of every active model (one stacked
-        gradient call per fusion group)."""
-        if stacked:
-            Xb = Xp[:, sl]
-            Yb = Yp[:, sl]
-        else:
-            Xb = Xp[sl]
-            Yb = Yp[sl] if y_shared else Yp[:, sl]
-        d = W.shape[1]
-        for rep, idx, lams, projector in groups:
-            if stacked:
-                Xg, Yg = Xb[idx], Yb[idx]
-            elif y_shared:
-                Xg, Yg = Xb, Yb
-            else:
-                Xg, Yg = Xb, Yb[idx]
-            Wg = W[idx]
-            Gg = rep.batch_gradient_multi(Wg, Xg, Yg, regularization=lams)
-            for i, k in enumerate(idx.tolist()):
-                noise_hook = self.specs[k].gradient_noise
-                if noise_hook is not None:
-                    Gg[i] = Gg[i] + noise_hook(t, d, noise_rngs[k])
-            Wg = Wg - etas[idx, t - 1][:, None] * Gg
-            if projector is not None:
-                Wg = projector(Wg)
-            W[idx] = Wg
+            return (
+                np.take_along_axis(X, orders[:, :, None], axis=1),
+                np.take_along_axis(Y, orders, axis=1),
+            )
+        return X[orders], Y[..., orders]
 
 
 def run_psgd(

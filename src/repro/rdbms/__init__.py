@@ -52,7 +52,6 @@ from repro.rdbms.synthesizer import (
 )
 from repro.rdbms.uda import (
     UDA,
-    MultiSGDState,
     MultiSGDUDA,
     SGDState,
     SGDUDA,
@@ -73,7 +72,6 @@ __all__ = [
     "ShuffleOnce",
     "run_aggregate",
     "UDA",
-    "MultiSGDState",
     "MultiSGDUDA",
     "MultiTrainingReport",
     "SGDUDA",

@@ -84,7 +84,7 @@ class MultiTrainingReport:
 
     ``models`` is the ``(K, d)`` matrix of trained models. The per-epoch
     runtime reports charge the scan — tuples streamed, pages requested,
-    shuffle work — **once**, while gradient/update/noise work is charged
+    shuffle work — **once**, while gradient/update work is charged
     K-fold; contrast with K separate :class:`TrainingReport` runs, whose
     totals repeat the scan K times. That difference is exactly the
     shared-scan amortization the cost model quantifies.
@@ -93,7 +93,6 @@ class MultiTrainingReport:
     models: np.ndarray
     epochs: List[EpochReport] = field(default_factory=list)
     algorithm: str = "noiseless-multi"
-    noise_draws: int = 0
 
     @property
     def num_models(self) -> int:
@@ -363,8 +362,8 @@ class BismarckSession:
         aggregate query per epoch), but the query is the fused
         :class:`~repro.rdbms.uda.MultiSGDUDA`: the scan streams each tuple
         block once and every model folds it, so the epoch's page requests
-        and executor work are charged once while gradient/update/noise
-        work is charged per model. This is the Bismarck
+        and executor work are charged once while gradient/update work is
+        charged per model. This is the Bismarck
         many-aggregates-one-scan pattern applied to model training.
         """
         check_positive_int(epochs, "epochs")
@@ -378,13 +377,11 @@ class BismarckSession:
         models: Optional[np.ndarray] = None
         reports: List[EpochReport] = []
         global_step_offset = 0
-        total_noise_draws = 0
 
         for epoch in range(1, epochs + 1):
             hits_before = pool_stats.cache_hits
             misses_before = pool_stats.cache_misses
             updates_before = uda.updates_applied
-            noise_before = uda.noise_draws
 
             models = run_aggregate(
                 shuffle,
@@ -397,8 +394,6 @@ class BismarckSession:
             global_step_offset += -(-table.num_tuples // uda.batch_size)
 
             scan_updates = uda.updates_applied - updates_before
-            epoch_noise = uda.noise_draws - noise_before
-            total_noise_draws += epoch_noise
             work = WorkCounters(
                 # The scan is shared: tuples stream (and pages are
                 # requested) once per epoch regardless of K...
@@ -409,7 +404,6 @@ class BismarckSession:
                 # ...while per-model arithmetic is honestly charged K-fold.
                 gradient_evaluations=table.num_tuples * K,
                 batch_updates=scan_updates * K,
-                noise_draws=epoch_noise,
                 dimension=table.dimension,
             )
             reports.append(
@@ -425,7 +419,6 @@ class BismarckSession:
             models=models,
             epochs=reports,
             algorithm=algorithm_label,
-            noise_draws=total_noise_draws,
         )
 
     # -- the three algorithm entry points -------------------------------------------

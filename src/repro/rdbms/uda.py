@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.optim.losses import Loss, MarginLoss, fusion_groups
-from repro.optim.projection import IdentityProjection, Projection, rows_projector
+from repro.optim.losses import Loss, MarginLoss
+from repro.optim.projection import IdentityProjection, Projection
+from repro.optim.psgd import FusedStep
 from repro.optim.schedules import StepSizeSchedule
 from repro.utils.validation import check_positive_int
 
@@ -194,33 +195,6 @@ class SGDUDA(UDA):
         return gradient
 
 
-@dataclass
-class MultiSGDState:
-    """The fused K-model SGD aggregation state.
-
-    The per-model ``model``/``accumulated_gradient`` vectors of
-    :class:`SGDState` become ``(K, d)`` matrices; the batch counters stay
-    scalar because the fused scan steps every model at the same tuple
-    positions (shared batch size — that lockstep is what lets one scan
-    feed K models).
-    """
-
-    models: np.ndarray
-    accumulated_gradient: np.ndarray
-    examples_in_batch: int
-    batches_completed: int
-    global_step_offset: int
-
-    @property
-    def next_step_index(self) -> int:
-        """1-based global index of the *next* mini-batch update."""
-        return self.global_step_offset + self.batches_completed + 1
-
-    @property
-    def num_models(self) -> int:
-        return int(self.models.shape[0])
-
-
 class MultiSGDUDA(UDA):
     """K SGD epochs as ONE aggregate — the Bismarck shared-scan trick.
 
@@ -230,19 +204,19 @@ class MultiSGDUDA(UDA):
     hyper-parameter grid, paying the scan (and its page requests) once
     instead of K times. Per-model heterogeneity mirrors
     :class:`repro.optim.psgd.ModelSpec`: each model has its own loss
-    (regularization), step-size schedule, projection, and optional
-    per-batch ``noise_sampler`` (the white-box baselines' hook,
-    ``(step_index, dimension) -> vector``). The batch size is shared — it
-    defines the lockstep mini-batch boundaries of the scan.
+    (regularization), step-size schedule and projection. The batch size
+    is shared — it defines the lockstep mini-batch boundaries of the
+    scan — so the state is an :class:`SGDState` whose ``model`` is the
+    ``(K, d)`` matrix, with scalar batch counters.
 
-    Fusable losses fold through one ``batch_gradient_multi`` call per
-    group, whose row ``k`` is bitwise the single-model
-    ``batch_gradient`` for :class:`~repro.optim.losses.MarginLoss`
-    kernels, and projections run through the compiled row projector,
-    which is bitwise each row's own projection. So every model ends
-    bitwise equal to its own :class:`SGDUDA` epoch over the same shuffled
-    stream — which is what lets the training service fold riders that
-    board together as one of these (:class:`ElevatorMultiSGDUDA`).
+    Each segment's K gradients and each mini-batch step go through one
+    :class:`~repro.optim.psgd.FusedStep`, the update the in-memory
+    :class:`~repro.optim.psgd.MultiModelPSGD` takes too, so every model
+    ends bitwise equal to its own :class:`SGDUDA` epoch over the same
+    shuffled stream — which is what lets the training service fold riders
+    that board together as one of these (:class:`ElevatorMultiSGDUDA`).
+    Per-step noise is not fused: the white-box baselines step one model
+    at a time through :class:`repro.rdbms.bismarck.NoisySGDUDA`.
     """
 
     def __init__(
@@ -251,50 +225,15 @@ class MultiSGDUDA(UDA):
         schedules: Sequence[StepSizeSchedule],
         batch_size: int = 1,
         projections: Optional[Sequence[Optional[Projection]]] = None,
-        noise_samplers: Optional[Sequence[Optional[Callable[[int, int], np.ndarray]]]] = None,
     ):
-        self.losses = list(losses)
-        self.schedules = list(schedules)
-        if len(self.losses) == 0:
-            raise ValueError("at least one model is required")
-        if len(self.schedules) != len(self.losses):
-            raise ValueError(
-                f"got {len(self.losses)} losses but {len(self.schedules)} schedules"
-            )
-        K = len(self.losses)
         self.batch_size = check_positive_int(batch_size, "batch_size")
-        if projections is None:
-            projections = [None] * K
-        if len(projections) != K:
-            raise ValueError(f"projections must have {K} entries")
-        self.projections: list[Projection] = [
-            p if p is not None else IdentityProjection() for p in projections
-        ]
-        if noise_samplers is None:
-            noise_samplers = [None] * K
-        if len(noise_samplers) != K:
-            raise ValueError(f"noise_samplers must have {K} entries")
-        self.noise_samplers = list(noise_samplers)
         #: Scan-level mini-batch updates applied (each steps all K models).
         self.updates_applied = 0
-        #: Total noise-sampler invocations across models.
-        self.noise_draws = 0
-        # Execution plan: fusable gradient groups as (representative,
-        # rows, lambdas) — rows is a full slice when one group holds every
-        # model, so its fold indexes views instead of fancy-index copies —
-        # plus the compiled row projector and the cached (K, T) rate matrix
-        # (grown on demand).
-        groups = fusion_groups(self.losses)
-        if len(groups) == 1:
-            groups = [(groups[0][0], slice(None), groups[0][2])]
-        self._groups = groups
-        self._projector = rows_projector(self.projections)
-        self._noisy = any(sampler is not None for sampler in self.noise_samplers)
-        self._rates_matrix: Optional[np.ndarray] = None
+        self._step = FusedStep(losses, schedules, projections)
 
     @property
     def num_models(self) -> int:
-        return len(self.losses)
+        return len(self._step.losses)
 
     # -- the three-function contract -------------------------------------------
 
@@ -304,7 +243,7 @@ class MultiSGDUDA(UDA):
         dimension: Optional[int] = None,
         global_step_offset: int = 0,
         **kwargs: Any,
-    ) -> MultiSGDState:
+    ) -> SGDState:
         K = self.num_models
         if models is None:
             if dimension is None:
@@ -315,10 +254,8 @@ class MultiSGDUDA(UDA):
             raise ValueError(
                 f"models must have shape ({K}, d), got {models.shape}"
             )
-        if self._projector is not None:
-            models = self._projector(models)
-        return MultiSGDState(
-            models=models,
+        return SGDState(
+            model=self._step.project(models),
             accumulated_gradient=np.zeros_like(models),
             examples_in_batch=0,
             batches_completed=0,
@@ -326,89 +263,47 @@ class MultiSGDUDA(UDA):
         )
 
     def transition_batch(
-        self, state: MultiSGDState, features: np.ndarray, labels: np.ndarray
-    ) -> MultiSGDState:
+        self, state: SGDState, features: np.ndarray, labels: np.ndarray
+    ) -> SGDState:
         """Fold a tuple block in mini-batch-sized *fused* steps.
 
         Same segment discipline as :meth:`SGDUDA.transition_batch` — every
         model steps at the same tuple positions as its own
-        :class:`SGDUDA` — but each segment's K gradient sums come from one
-        ``batch_gradient_multi`` call per fusion group.
+        :class:`SGDUDA` — but each segment's K gradients are one
+        :meth:`FusedStep.gradient <repro.optim.psgd.FusedStep.gradient>`.
         """
         # Runs once per cohort per chunk in a scan flight: lookups are
         # hoisted, the arithmetic is SGDUDA's per-segment sequence per row.
         batch_size = self.batch_size
-        groups = self._groups
+        gradient = self._step.gradient
         n = features.shape[0]
         start = 0
         while start < n:
             stop = min(start + batch_size - state.examples_in_batch, n)
             take = stop - start
-            segment_X = features[start:stop]
-            segment_y = labels[start:stop]
-            for rep, rows, lams in groups:
-                mean = rep.batch_gradient_multi(
-                    state.models[rows], segment_X, segment_y, regularization=lams
-                )
-                state.accumulated_gradient[rows] += mean * take
+            mean = gradient(state.model, features[start:stop], labels[start:stop])
+            state.accumulated_gradient += mean * take
             state.examples_in_batch += take
             start = stop
             if state.examples_in_batch >= batch_size:
                 self._apply_batch(state)
         return state
 
-    def terminate(self, state: MultiSGDState) -> np.ndarray:
+    def terminate(self, state: SGDState) -> np.ndarray:
         if state.examples_in_batch > 0:
             self._apply_batch(state)
-        return state.models
+        return state.model
 
-    # -- internals ------------------------------------------------------------
-
-    def _rates(self, count: int) -> np.ndarray:
-        """The cached ``(K, T)`` step sizes, grown to hold at least
-        ``count`` columns: column ``t - 1`` is every model's ``rate(t)``."""
-        matrix = self._rates_matrix
-        total = max(count, 64 if matrix is None else 2 * matrix.shape[1])
-        self._rates_matrix = np.stack(
-            [schedule.rates(total) for schedule in self.schedules]
+    def _apply_batch(self, state: SGDState) -> None:
+        state.model = self._step.step(
+            state.model,
+            state.accumulated_gradient / state.examples_in_batch,
+            state.next_step_index,
         )
-        return self._rates_matrix
-
-    def _apply_batch(self, state: MultiSGDState) -> None:
-        # Update t = next_step_index steps every model at column t - 1.
-        index = state.global_step_offset + state.batches_completed
-        rates = self._rates_matrix
-        if rates is None or index >= rates.shape[1]:
-            rates = self._rates(index + 1)
-        mean_gradient = state.accumulated_gradient / state.examples_in_batch
-        if self._noisy:
-            mean_gradient = self._adjust_gradient(state, mean_gradient)
-        models = state.models - rates[:, index, None] * mean_gradient
-        if self._projector is not None:
-            models = self._projector(models)
-        state.models = models
         state.accumulated_gradient.fill(0.0)
         state.examples_in_batch = 0
         state.batches_completed += 1
         self.updates_applied += 1
-
-    def _adjust_gradient(
-        self, state: MultiSGDState, gradient: np.ndarray
-    ) -> np.ndarray:
-        """Per-model noise hook — the white-box integration surface.
-
-        Each model's sampler fires once per completed mini-batch with the
-        same ``(step_index, dimension)`` arguments its standalone
-        :class:`repro.rdbms.bismarck.NoisySGDUDA` would have seen. Runs
-        only when some model carries a sampler.
-        """
-        for k, sampler in enumerate(self.noise_samplers):
-            if sampler is not None:
-                self.noise_draws += 1
-                gradient[k] = gradient[k] + sampler(
-                    state.next_step_index, gradient.shape[1]
-                )
-        return gradient
 
 
 class ElevatorRider:

@@ -11,10 +11,10 @@
 * the **background dispatch loop** (:mod:`repro.service.worker`),
 
 and exposes the tenant-facing verbs: register a table, grant a budget,
-submit jobs, await results, query records. It is deliberately an
-in-process server (no sockets): the contribution is the scheduling and
-accounting discipline, and an RPC front-end can wrap these verbs without
-touching them.
+submit jobs, await results, query records. The façade itself opens no
+sockets: the contribution is the scheduling and accounting discipline,
+and :class:`repro.api.ServiceApiServer` is the HTTP front-end that
+serves these verbs without touching them.
 
 Async by default
 ----------------
@@ -45,11 +45,11 @@ per-window autosave merely fsyncs the log's tail — O(events this
 window), never O(history). Every ``wal_compact_records`` log records,
 the autosave **compacts**: it writes the full base snapshot
 (``registry.json`` + ``accounts.json``, both atomic renames) and starts
-a fresh log. A restarted service calls :meth:`load_state` (implicit in
-``__init__`` when the files exist is deliberately avoided — tables must
-be registered first) to resume by *snapshot + log replay*: prior
-records, budgets reconciled by replaying committed receipts, the result
-cache re-armed so resubmitted jobs cost 0 pages and 0 ε. A torn final
+a fresh log. A restarted service calls :meth:`load_state` (``__init__``
+never loads implicitly; the call may come before or after the tables
+are registered) to resume by *snapshot + log replay*: prior records,
+budgets reconciled by replaying committed receipts, the result cache
+re-armed so resubmitted jobs cost 0 pages and 0 ε. A torn final
 log record (the kill -9 signature) is truncated away; corruption
 anywhere earlier refuses to load
 (:class:`~repro.service.wal.WalCorruption`, fail-closed). If the state

@@ -5,14 +5,16 @@ The fused engines (:class:`repro.optim.psgd.MultiModelPSGD`,
 private_psgd_fleet`) are only admissible because each model's trajectory
 is *the same algorithm* as its standalone run: same permutation, same
 mini-batch boundaries, same per-model step sizes / regularization /
-projection, same per-model noise stream. This suite is the lock on that
+projection. Both engines update through one
+:class:`repro.optim.psgd.FusedStep`, and this suite is the lock on that
 contract, in the same spirit as ``test_vectorized_equivalence.py``,
 but tighter: every comparison is bitwise (``np.array_equal``). No
 rounding slack is left to admit. ``MarginLoss``'s multi-model kernels
 stack the single-model matrix-vector products into one ``np.matmul``,
 which runs that same product once per row; the compiled row projector
-takes each row's norm as that row's own dot product; and schedules,
-noise streams and averaging were already per model. (The vectorized
+takes each row's norm as that row's own dot product; and schedules and
+averaging were already per model. Per-step noise is not fused: the
+white-box baselines train one model at a time. (The vectorized
 suite keeps its 1e-12: a per-example gradient loop and one batched
 contraction genuinely sum in different orders. Nothing here compares
 those two paths.)
@@ -39,8 +41,14 @@ from repro.optim.losses import (
     LogisticLoss,
     Loss,
 )
-from repro.optim.projection import L2BallProjection
-from repro.optim.psgd import PSGD, ModelSpec, MultiModelPSGD, PSGDConfig
+from repro.optim.projection import BoxProjection, IdentityProjection, L2BallProjection
+from repro.optim.psgd import (
+    PSGD,
+    FusedStep,
+    ModelSpec,
+    MultiModelPSGD,
+    PSGDConfig,
+)
 from repro.optim.schedules import (
     CappedInverseTSchedule,
     ConstantSchedule,
@@ -75,7 +83,7 @@ REGIMES = [
 ]
 
 
-def sequential_reference(specs, X, y, perm, passes, batch_size, noise_seeds=None):
+def sequential_reference(specs, X, y, perm, passes, batch_size):
     """K standalone vectorized PSGD runs over the same permutation."""
     results = []
     for k, spec in enumerate(specs):
@@ -86,16 +94,9 @@ def sequential_reference(specs, X, y, perm, passes, batch_size, noise_seeds=None
             projection=spec.projection,
             average=spec.average,
         )
-        engine = PSGD(spec.loss, config, gradient_noise=spec.gradient_noise)
+        engine = PSGD(spec.loss, config)
         labels = y if y.ndim == 1 else y[k]
-        results.append(
-            engine.run(
-                X,
-                labels,
-                permutation=perm,
-                random_state=None if noise_seeds is None else noise_seeds[k],
-            )
-        )
+        results.append(engine.run(X, labels, permutation=perm))
     return results
 
 
@@ -237,42 +238,148 @@ class TestHeterogeneousModels:
             np.testing.assert_array_equal(fused.models[k], reference.model)
 
 
-class TestNoisyModels:
-    """The white-box baselines fused: per-model noise streams must consume
-    exactly what each standalone run would have consumed."""
+class TestFusedStep:
+    """The one update both fused engines take, row by row: each row must be
+    its model's own single-model step, ``projection(w - rate(t) * g)``."""
+
+    @staticmethod
+    def own_step(loss, schedule, projection, w, X, y, t):
+        projection = projection if projection is not None else IdentityProjection()
+        return projection(w - schedule.rate(t) * loss.batch_gradient(w, X, y))
 
     @pytest.mark.parametrize("schedule", REGIMES)
-    def test_noisy_fused_equals_noisy_sequential(self, schedule):
-        X, y = make_binary_data(66, 5, seed=4)
-        perm = np.random.default_rng(21).permutation(66)
+    def test_rates_grown_on_demand_match_each_schedule(self, schedule):
+        """150 updates regrow the rate matrix twice; every step still uses
+        its own schedule's ``rate(t)``."""
+        X, y = make_binary_data(30, 4, seed=14)
+        losses = [
+            LogisticLoss(),
+            LogisticLoss(regularization=0.05),
+            HuberSVMLoss(smoothing=0.3),
+        ]
+        schedules = [schedule, ConstantSchedule(0.05), schedule]
+        step = FusedStep(losses, schedules)
+        W = np.zeros((3, 4))
+        references = [np.zeros(4) for _ in losses]
+        for t in range(1, 151):
+            start = (7 * t) % 24
+            Xb, yb = X[start:start + 6], y[start:start + 6]
+            W = step.step(W, step.gradient(W, Xb, yb), t)
+            for k, (loss, rule) in enumerate(zip(losses, schedules)):
+                references[k] = self.own_step(loss, rule, None, references[k], Xb, yb, t)
+        for k, reference in enumerate(references):
+            np.testing.assert_array_equal(W[k], reference)
 
-        def gaussian_noise(t, dimension, rng):
-            return rng.normal(0.0, 0.02, size=dimension)
+    def test_one_group_returns_the_kernels_result(self, monkeypatch):
+        """A single fusion group over every model is served by one kernel
+        call whose result is the gradient itself, not a copy."""
+        lams = (0.0, 0.01, 0.1)
+        step = FusedStep(
+            [LogisticLoss(regularization=lam) for lam in lams],
+            [ConstantSchedule(0.1)] * 3,
+        )
+        X, y = make_binary_data(12, 3, seed=15)
+        W = np.arange(9.0).reshape(3, 3) / 10.0
+        expected = LogisticLoss().batch_gradient_multi(
+            W, X, y, regularization=np.array(lams)
+        )
+        np.testing.assert_array_equal(step.gradient(W, X, y), expected)
 
-        def laplace_style_noise(t, dimension, rng):
-            from repro.utils.linalg import random_unit_vector
+        results = []
+        kernel = LogisticLoss.batch_gradient_multi
 
-            return rng.gamma(shape=dimension, scale=0.01) * random_unit_vector(
-                dimension, rng
+        def spy(self, *args, **kwargs):
+            results.append(kernel(self, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(LogisticLoss, "batch_gradient_multi", spy)
+        G = step.gradient(W, X, y)
+        assert len(results) == 1
+        assert G is results[0]
+
+    def test_restricted_rows_step_and_frozen_rows_hold(self):
+        X, y = make_binary_data(20, 4, seed=16)
+        losses = [
+            LogisticLoss(),
+            HuberSVMLoss(smoothing=0.2),
+            LogisticLoss(regularization=0.02),
+        ]
+        schedules = [
+            ConstantSchedule(0.1),
+            InverseSqrtTSchedule(0.2),
+            ConstantSchedule(0.3),
+        ]
+        step = FusedStep(losses, schedules)
+        W = np.random.default_rng(3).normal(size=(3, 4))
+        before = W.copy()
+        step.restrict(np.array([0, 2]))
+        G = step.gradient(W, X, y)
+        np.testing.assert_array_equal(G[1], np.zeros(4))
+        W = step.step(W, G, 5)
+        np.testing.assert_array_equal(W[1], before[1])
+        for k in (0, 2):
+            np.testing.assert_array_equal(
+                W[k], self.own_step(losses[k], schedules[k], None, before[k], X, y, 5)
             )
 
-        specs = [
-            ModelSpec(LogisticLoss(), schedule, gradient_noise=gaussian_noise),
-            ModelSpec(
-                LogisticLoss(regularization=0.05),
-                ConstantSchedule(0.1),
-                gradient_noise=laplace_style_noise,
+    @pytest.mark.parametrize(
+        "projections",
+        [
+            pytest.param(
+                [L2BallProjection(0.5), None, L2BallProjection(3.0)], id="l2-balls"
             ),
-            ModelSpec(HuberSVMLoss(smoothing=0.3), schedule),  # noiseless rider
-        ]
-        noise_seeds = [77, 88, 99]
-        fused = MultiModelPSGD(specs, passes=2, batch_size=6).run(
-            X, y, permutation=perm, noise_random_states=noise_seeds
-        )
-        references = sequential_reference(
-            specs, X, y, perm, 2, 6, noise_seeds=noise_seeds
-        )
-        assert_fused_equals_sequential(fused, references)
+            pytest.param(
+                [L2BallProjection(0.5), BoxProjection(-0.4, 0.4), None], id="row-loop"
+            ),
+        ],
+    )
+    def test_each_row_lands_in_its_own_set(self, projections):
+        X, y = make_binary_data(25, 4, seed=17)
+        losses = [LogisticLoss(), LogisticLoss(regularization=0.1), HuberSVMLoss(0.3)]
+        schedules = [ConstantSchedule(5.0)] * 3
+        step = FusedStep(losses, schedules, projections)
+        start = np.full(4, 2.0)
+        W = step.project(np.tile(start, (3, 1)))
+        for k, projection in enumerate(projections):
+            expected = projection(start.copy()) if projection is not None else start
+            np.testing.assert_array_equal(W[k], expected)
+        assert np.linalg.norm(W[0]) == pytest.approx(0.5)
+
+        before = W.copy()
+        W = step.step(W, step.gradient(W, X, y), 1)
+        for k, projection in enumerate(projections):
+            np.testing.assert_array_equal(
+                W[k],
+                self.own_step(losses[k], schedules[k], projection, before[k], X, y, 1),
+            )
+
+    @pytest.mark.parametrize("layout", ["shared", "per-model-labels", "stacked"])
+    def test_gradient_rows_read_their_own_data(self, layout):
+        X, y = make_binary_data(15, 3, seed=18)
+        X2, y2 = make_binary_data(15, 3, seed=19)
+        if layout == "shared":
+            X_in, Y_in = X, y
+            rows = [(X, y), (X, y)]
+        elif layout == "per-model-labels":
+            X_in, Y_in = X, np.stack([y, -y])
+            rows = [(X, y), (X, -y)]
+        else:
+            X_in, Y_in = np.stack([X, X2]), np.stack([y, y2])
+            rows = [(X, y), (X2, y2)]
+        losses = [LogisticLoss(regularization=0.01), HuberSVMLoss(smoothing=0.4)]
+        step = FusedStep(losses, [ConstantSchedule(0.1)] * 2)
+        W = np.array([[0.3, -0.2, 0.1], [-0.5, 0.4, 0.2]])
+        G = step.gradient(W, X_in, Y_in)
+        for k, (loss, (Xk, yk)) in enumerate(zip(losses, rows)):
+            np.testing.assert_array_equal(G[k], loss.batch_gradient(W[k], Xk, yk))
+
+    def test_rejects_mismatched_model_lists(self):
+        with pytest.raises(ValueError, match="at least one model"):
+            FusedStep([], [])
+        with pytest.raises(ValueError, match="schedules"):
+            FusedStep([LogisticLoss()], [])
+        with pytest.raises(ValueError, match="projections"):
+            FusedStep([LogisticLoss()], [ConstantSchedule(0.1)], [None, None])
 
 
 class TestBoltOnFleet:
@@ -317,6 +424,26 @@ class TestBoltOnFleet:
         for k, candidate in enumerate(candidates):
             reference = train_bolt_on(
                 X, y, candidate, 1.0, random_state=seeds[k], permutation=perm
+            )
+            np.testing.assert_array_equal(fleet[k].model, reference.model)
+
+    def test_stacked_fleet_with_one_shared_permutation(self):
+        """One (m,) order over a stacked fleet is every candidate's order,
+        not a list of rows to pick from."""
+        Xs = np.stack([make_binary_data(40, 4, seed=s)[0] for s in (12, 13)])
+        Ys = np.stack([make_binary_data(40, 4, seed=s)[1] for s in (12, 13)])
+        perm = np.random.default_rng(8).permutation(40)
+        candidates = [
+            BoltOnCandidate(LogisticLoss(regularization=0.05), passes=2, batch_size=8),
+            BoltOnCandidate(HuberSVMLoss(smoothing=0.5), passes=1, batch_size=8),
+        ]
+        seeds = [5, 6]
+        fleet = private_psgd_fleet(
+            Xs, Ys, candidates, 1.0, random_states=seeds, permutation=perm
+        )
+        for k, candidate in enumerate(candidates):
+            reference = train_bolt_on(
+                Xs[k], Ys[k], candidate, 1.0, random_state=seeds[k], permutation=perm
             )
             np.testing.assert_array_equal(fleet[k].model, reference.model)
 
@@ -390,40 +517,6 @@ class TestFusedRDBMS:
         # the sequential runs charge K of them.
         assert fused_pages == 137
         assert sequential_pages == 137 * len(losses)
-
-    def test_noisy_samplers_ride_fused_uda(self):
-        from repro.rdbms.bismarck import NoisySGDUDA
-
-        def make_sampler(seed):
-            rng = np.random.default_rng(seed)
-
-            def sampler(step, dimension):
-                return rng.normal(0.0, 0.01, size=dimension)
-
-            return sampler
-
-        info = self.make_table(m=90, d=5)
-        pool = BufferPool(100)
-        shuffle = ShuffleOnce(info, pool, random_state=7)
-        fused = MultiSGDUDA(
-            [LogisticLoss(), LogisticLoss(0.01)],
-            [ConstantSchedule(0.1), ConstantSchedule(0.1)],
-            batch_size=10,
-            noise_samplers=[make_sampler(21), make_sampler(22)],
-        )
-        fused_models = run_aggregate(shuffle, fused, chunk_size=32, dimension=5)
-        assert fused.noise_draws == 2 * 9
-
-        for k, (loss, seed) in enumerate(
-            [(LogisticLoss(), 21), (LogisticLoss(0.01), 22)]
-        ):
-            info_k = self.make_table(m=90, d=5)
-            shuffle_k = ShuffleOnce(info_k, BufferPool(100), random_state=7)
-            uda = NoisySGDUDA(
-                loss, ConstantSchedule(0.1), make_sampler(seed), batch_size=10
-            )
-            model = run_aggregate(shuffle_k, uda, chunk_size=32, dimension=5)
-            np.testing.assert_array_equal(fused_models[k], model)
 
     def test_session_multi_report_charges_scan_once(self):
         from repro.rdbms.bismarck import BismarckSession

@@ -1,4 +1,4 @@
-"""Digest a seeded synchronous service run: the "no bit moved" check.
+"""Digest seeded synchronous training runs: the "no bit moved" check.
 
 Usage (from a checkout's root)::
 
@@ -12,10 +12,19 @@ thrashing table whose batch size divides neither the chunk nor the
 table — plus a ``mixed_flight``: one elevator flight whose openers mix
 losses, lambdas, batch sizes, passes and radii (so some fold as stacked
 cohorts and some alone), boarded mid-flight by two more mixed groups at
-two cursor positions. It prints one line per shape: a ``release_sha``
-— a SHA-256 over every released weight vector and every job's
-``group_pages`` (and, for the flight, boarding offset and epochs
-ridden) — then the table's pool counters in plain text. Run it from two
+two cursor positions. Two more lines cover the in-memory fused engine
+(``MultiModelPSGD``, through ``private_psgd_fleet``): ``fleet_shared``
+trains one-vs-rest-shaped candidates over one table with per-candidate
+labels, mixing two loss families (two fusion groups), an L2-ball
+candidate and an averaging one; ``fleet_stacked`` trains per-candidate
+datasets with passes 1, 2 and 3, so the set of models still stepping
+shrinks between passes.
+
+It prints one line per shape: a ``release_sha`` — a SHA-256 over every
+released weight vector and every job's ``group_pages`` (and, for the
+flight, boarding offset and epochs ridden; for a fleet, every
+``unreleased_noiseless_model`` instead) — then, for the service
+shapes, the table's pool counters in plain text. Run it from two
 checkouts on the same host: equal ``release_sha`` values mean a change
 moved no released bit and no page count, even when it moves the pool
 counters by design (a change that should not move them must also leave
@@ -32,6 +41,7 @@ import tempfile
 
 import numpy as np
 
+from repro.core.bolton import BoltOnCandidate, private_psgd_fleet
 from repro.data.preprocessing import normalize_rows
 from repro.optim.losses import HuberSVMLoss, LeastSquaresLoss, LogisticLoss
 from repro.service import JobStatus, TrainingService
@@ -189,11 +199,68 @@ def digest_mixed_flight() -> str:
     return summary_line(name, sha, service.session.pool.stats_for(info.heap))
 
 
+def fleet_line(name: str, results) -> str:
+    """A fleet's line: one digest over every release and noiseless model."""
+    sha = hashlib.sha256()
+    for result in results:
+        sha.update(np.ascontiguousarray(result.model).tobytes())
+        sha.update(np.ascontiguousarray(result.unreleased_noiseless_model).tobytes())
+    return f"{name:<17} release_sha={sha.hexdigest()}"
+
+
+def digest_fleet_shared() -> str:
+    """One table, one label column per candidate (the one-vs-rest shape):
+    logistic and Huber candidates (two fusion groups), one of them held
+    in a small L2 ball and one averaging its iterates."""
+    m, d = 1200, 16
+    features, _ = make_table(m, d)
+    directions = np.random.default_rng(5).standard_normal((8, d))
+    labels = np.where(features @ directions.T >= 0.0, 1.0, -1.0).T
+    candidates = [
+        BoltOnCandidate(LogisticLoss(lam), passes=2, batch_size=40)
+        for lam in (0.0, 1e-3, 1e-2)
+    ] + [
+        BoltOnCandidate(HuberSVMLoss(0.1, lam), passes=2, batch_size=40)
+        for lam in (0.0, 1e-2)
+    ] + [
+        BoltOnCandidate(LogisticLoss(), passes=2, batch_size=40, eta=0.5, radius=0.3),
+        BoltOnCandidate(HuberSVMLoss(0.1), passes=2, batch_size=40, average="uniform"),
+        BoltOnCandidate(LogisticLoss(1e-4), passes=2, batch_size=40),
+    ]
+    results = private_psgd_fleet(
+        features, labels, candidates, 0.5,
+        random_states=list(range(101, 109)), scan_random_state=17,
+    )
+    return fleet_line("fleet_shared", results)
+
+
+def digest_fleet_stacked() -> str:
+    """Per-candidate datasets (the private-tuning partition shape) with
+    passes 1, 2 and 3: the models still stepping shrink between passes."""
+    m, d, k = 500, 12, 6
+    tables = [make_table(m, d, seed=20 + i) for i in range(k)]
+    features = np.stack([table[0] for table in tables])
+    labels = np.stack([table[1] for table in tables])
+    candidates = [
+        BoltOnCandidate(
+            LogisticLoss(lam) if i % 3 else HuberSVMLoss(0.1, lam),
+            passes=1 + i % 3, batch_size=25,
+        )
+        for i, lam in enumerate(np.logspace(-4, -1, k))
+    ]
+    results = private_psgd_fleet(
+        features, labels, candidates, 1.0, random_states=list(range(201, 201 + k))
+    )
+    return fleet_line("fleet_stacked", results)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         for name in SHAPES:
             print(digest(name, pathlib.Path(scratch)))
     print(digest_mixed_flight())
+    print(digest_fleet_shared())
+    print(digest_fleet_stacked())
     return 0
 
 
