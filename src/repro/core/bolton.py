@@ -448,6 +448,12 @@ def private_psgd_fleet(
       would have drawn them, so the fused results match sequential
       training bit for bit (the engines' equivalence contract).
 
+    ``permutation`` fixes the scan order instead of drawing it: one
+    ``(m,)`` order, shared by every candidate, for either layout, or —
+    stacked data only — a ``(K, m)`` matrix holding one order per
+    candidate. Shared ``(m, d)`` data has one scan, so it takes one order
+    and refuses a matrix.
+
     ``epsilon``/``delta`` may be scalars (every candidate gets the full
     budget — parallel composition over disjoint data, or a shared public
     set) or per-candidate sequences (the one-vs-rest budget split).

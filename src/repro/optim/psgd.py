@@ -7,7 +7,9 @@ every extension the analysis covers (Section 3.2.3):
 * k passes over the data, cycling through a random permutation;
 * mini-batching by partitioning the permuted data into chunks of size b;
 * projected updates onto a convex constraint set (equation (7));
-* model averaging (uniform, suffix, or custom coefficients — Lemma 10);
+* model averaging, uniform or over a suffix of the iterates (Lemma 10;
+  :func:`repro.optim.growth.averaged_divergence_bound` bounds arbitrary
+  averaging coefficients, which the engine does not run);
 * a fresh permutation per pass (optional);
 * convergence-tolerance early stopping (the "k is oblivious" strategy of
   Section 4.3 for the strongly convex case).
@@ -346,7 +348,6 @@ class _ModelAverager:
 
     def __init__(self, mode: Optional[str], total_updates: int):
         self.mode = mode
-        self.total = total_updates
         self._sum: Optional[np.ndarray] = None
         self._count = 0
         # "suffix": average the last ceil(log2(T)) iterates (>= 1).
@@ -371,18 +372,6 @@ class _ModelAverager:
         if self._sum is None or self._count == 0:
             raise RuntimeError("no iterates observed; cannot average")
         return self._sum / self._count
-
-    def coefficients(self) -> np.ndarray:
-        """The a_t sequence of Lemma 10 implied by this averaging mode."""
-        coeffs = np.zeros(self.total, dtype=np.float64)
-        if self.mode is None:
-            coeffs[-1] = 1.0
-        elif self.mode == "uniform":
-            coeffs[:] = 1.0 / self.total
-        else:
-            length = self.total - self._suffix_start
-            coeffs[self._suffix_start :] = 1.0 / length
-        return coeffs
 
 
 class FusedStep:
@@ -709,6 +698,12 @@ class MultiModelPSGD:
                 if sorted(row.tolist()) != expected:
                     raise ValueError("each permutation row must rearrange range(m)")
             return order
+        if not stacked and order.ndim == 2:
+            raise ValueError(
+                f"shared ({m}, d) data takes one ({m},) permutation, got a "
+                f"{order.shape} matrix; one order per model needs stacked "
+                "(K, m, d) data"
+            )
         if order.shape != (m,) or sorted(order.tolist()) != expected:
             raise ValueError("permutation must be a rearrangement of range(m)")
         if stacked:

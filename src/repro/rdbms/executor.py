@@ -38,18 +38,22 @@ use the same chunk size.
 Storage-agnostic by construction
 --------------------------------
 
-Scans never read a page directly: every page arrives via
-``BufferPool.get_pages``, and every heap speaks the same ``HeapFile``
-protocol with the same :func:`tuples_per_page` page grid. The one direct
-read is :class:`ShuffleOnce`'s one-off build of a shuffled copy
-(``HeapFile.clustered``), which moves no pool counter. That is what
-lets a :class:`~repro.rdbms.storage.SQLiteHeapFile` (real pages on real
-disk, WAL-mode reads) slot under these operators unchanged: the scan
-order, the chunk grid, the page-request counters, and therefore the
-released weights are all bitwise-identical to an in-memory heap holding
-the same tuples. Pages read from real storage may be backed by
-read-only buffers — operators copy rows into fresh blocks and never
-write through a page, so the distinction is invisible here.
+Scans never read a page directly: every page a chunk touches is pinned
+via ``BufferPool.get_pages``, and every heap speaks the same
+``HeapFile`` protocol with the same :func:`tuples_per_page` page grid.
+A chunk's rows come from those pinned pages, or — for a heap whose pages
+are windows on arrays it holds (``HeapFile.backing_arrays``) — from
+those arrays, once the pins are done; either way the bytes are the
+same. The one direct read is :class:`ShuffleOnce`'s one-off build of a
+shuffled copy (``HeapFile.clustered``), which moves no pool counter.
+That is what lets a :class:`~repro.rdbms.storage.SQLiteHeapFile` (real
+pages on real disk, WAL-mode reads) slot under these operators
+unchanged: the scan order, the chunk grid, the page-request counters,
+and therefore the released weights are all bitwise-identical to an
+in-memory heap holding the same tuples. Pages read from real storage may
+be backed by read-only buffers — operators copy rows into fresh blocks
+and never write through a page or into a heap's arrays, so the
+distinction is invisible here.
 """
 
 from __future__ import annotations
@@ -109,7 +113,11 @@ class ShuffleOnce:
 
     Either way each chunk is the same block of bytes from the same
     number of page requests, so releases and ``pages_requested`` never
-    depend on the choice; only the hit/miss/eviction counters do. The
+    depend on the choice; only the hit/miss/eviction counters do. How a
+    chunk's rows are copied depends only on the heap read (see
+    :func:`_gather_chunk`): one fancy index on an in-memory heap's
+    arrays, the table's or its copy's, or one slice per page run of any
+    other heap — for the SQLite copy, a few runs of a page each. The
     copy is built lazily inside the first scan, under the operator's
     lock: a page fault while reading the table for it propagates like a
     fault in any chunk, and the next scan tries again.
@@ -200,19 +208,13 @@ class ShuffleOnce:
         return cursor
 
 
-#: Average tuples per distinct page above which a chunk is "dense" enough
-#: for the grouped per-page row gather to beat scalar row copies (below
-#: it, per-group NumPy call overhead exceeds the copies it replaces).
-_DENSE_GATHER_THRESHOLD = 4
-
-
 def _gather_chunk(
     heap: HeapFile,
     pool: BufferPool,
     stats: OperatorStats,
     ids: np.ndarray,
 ) -> ChunkItem:
-    """Gather one run of ``heap``'s tuple ids into an ``(X, y)`` block.
+    """Gather one chunk of ``heap``'s tuple ids into an ``(X, y)`` block.
 
     The unit every scan delivers — :meth:`ShuffleOnce.scan_chunks` and
     :meth:`ScanCursor.next_chunk` alike — so a boarded ride and a rotated
@@ -228,15 +230,23 @@ def _gather_chunk(
     tests in ``tests/test_rdbms_engine.py`` and
     ``tests/test_multimodel_equivalence.py`` lock this in).
 
-    The speed comes from the row copies: ``divmod`` is vectorized for the
-    whole chunk, and when the chunk is *dense* — at least
-    ``_DENSE_GATHER_THRESHOLD`` tuples per distinct page on average (the
-    shuffled copy's contiguous chunks, or chunks spanning a small table)
-    — each page's rows land in the block via one fancy-indexed gather
-    instead of scalar copies. Sparse chunks (a random permutation over a
-    many-page table) keep the scalar copy per tuple, which measures
-    faster there than any grouped form: with ~1 tuple per page there is
-    nothing to batch.
+    Only the row copies depend on the heap, and they copy bytes, so the
+    block is the same whichever way it is built:
+
+    * a heap whose pages are windows on arrays it holds
+      (:meth:`~repro.rdbms.storage.HeapFile.backing_arrays`: an in-memory
+      table or its scan-order copy) gives the block as one fancy index
+      on those arrays, once the pins are done;
+    * any other heap (SQLite, virtual, the latency and fault wrappers)
+      copies from its pinned pages, one slice per *run*: a maximal
+      stretch of consecutive tuple ids on one page, found from the ids
+      themselves (a run breaks where the next id is not this one plus
+      one, or opens a page). A chunk of a scan-order copy is a few runs
+      of a page each; a permuted chunk over many pages is mostly runs of
+      one tuple, each a scalar row copy.
+
+    The block is always freshly allocated, C-contiguous float64 — never
+    a view into a heap.
 
     Pool misses materialize through a per-chunk memo
     (``BufferPool.get_pages``'s ``reader`` hook): within one chunk each
@@ -250,13 +260,10 @@ def _gather_chunk(
     bytes get recomputed, never what they are).
     """
     d = heap.dimension
-    per_page = tuples_per_page(d)
     read_page = heap.read_page
     ids = np.asarray(ids, dtype=np.int64)
     n = len(ids)
-    page_ids, rows = np.divmod(ids, per_page)
-    X_block = np.empty((n, d), dtype=np.float64)
-    y_block = np.empty(n, dtype=np.float64)
+    page_ids, rows = np.divmod(ids, tuples_per_page(d))
 
     materialized: dict = {}
 
@@ -267,31 +274,29 @@ def _gather_chunk(
             _memo[page_id] = page
         return page
 
-    # Stable sort groups equal pages while preserving visit order
-    # inside each group; group starts are the boundaries.
-    order = np.argsort(page_ids, kind="stable")
-    sorted_pages = page_ids[order]
-    boundaries = np.flatnonzero(
-        np.r_[True, sorted_pages[1:] != sorted_pages[:-1]]
-    )
-    boundaries = np.r_[boundaries, n]
-    distinct = len(boundaries) - 1
-
     # Every tuple pins its page, in visit order, through one pool call.
     pages = pool.get_pages(heap, page_ids.tolist(), reader=chunk_reader)
-    if n >= _DENSE_GATHER_THRESHOLD * distinct:
-        for group in range(distinct):
-            members = order[boundaries[group] : boundaries[group + 1]]
-            page = pages[members[0]]
-            page_rows = rows[members]
-            X_block[members] = page.features[page_rows]
-            y_block[members] = page.labels[page_rows]
-    else:
-        for j, (page, row) in enumerate(zip(pages, rows.tolist())):
-            X_block[j] = page.features[row]
-            y_block[j] = page.labels[row]
     stats.pages_requested += n
     stats.tuples_produced += n
+    arrays = heap.backing_arrays()
+    if arrays is not None:
+        features, labels = arrays
+        return features[ids], labels[ids]
+    X_block = np.empty((n, d), dtype=np.float64)
+    y_block = np.empty(n, dtype=np.float64)
+    breaks = np.flatnonzero((np.diff(ids) != 1) | (rows[1:] == 0)) + 1
+    bounds = [0, *breaks.tolist(), n]
+    row_list = rows.tolist()
+    for start, end in zip(bounds, bounds[1:]):
+        page = pages[start]
+        row = row_list[start]
+        if end - start == 1:
+            X_block[start] = page.features[row]
+            y_block[start] = page.labels[row]
+        else:
+            stop = row + end - start
+            X_block[start:end] = page.features[row:stop]
+            y_block[start:end] = page.labels[row:stop]
     return X_block, y_block
 
 

@@ -134,6 +134,19 @@ class HeapFile(abc.ABC):
         """
         return None
 
+    def backing_arrays(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """The ``(features, labels)`` arrays this heap's pages are windows
+        on — tuple ``i`` is row ``i`` of both — or ``None`` if its pages
+        are not views of arrays it holds.
+
+        A scan that has pinned a chunk's pages through a buffer pool may
+        copy the chunk's rows from these arrays in one step instead of
+        page by page; the pins are what the pool counts, so the counters
+        do not depend on where the rows are copied from. The default
+        holds none (SQLite and virtual heaps, the latency/fault wrappers).
+        """
+        return None
+
     @property
     def size_bytes(self) -> int:
         """On-disk footprint (pages x page size)."""
@@ -181,6 +194,9 @@ class MaterializedHeapFile(HeapFile):
 
     def clustered(self, order: np.ndarray) -> "MaterializedHeapFile":
         return MaterializedHeapFile(self._features[order], self._labels[order])
+
+    def backing_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._features, self._labels
 
 
 class VirtualHeapFile(HeapFile):

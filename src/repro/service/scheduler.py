@@ -1098,7 +1098,7 @@ class SharedScanScheduler:
             epochs_ridden=epochs_ridden,
         )
         self._epochs_ridden_total.inc(epochs_ridden)
-        _, noise_rng = job.spawn_streams()
+        noise_rng = job.noise_stream()
         mechanism = mechanism_for(job.privacy)
         noise = mechanism.sample(
             noiseless.shape[0], sensitivity.value, job.privacy, noise_rng

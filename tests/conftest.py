@@ -34,12 +34,19 @@ def pin_each_tuple(shuffle) -> tuple[np.ndarray, np.ndarray]:
     rows as ``(X, y)``; the chunked scan must deliver the same rows and
     leave the pool's counters where these pins leave them."""
     heap, ids = shuffle._scan_source()
+    return pin_tuples(heap, shuffle.pool, ids)
+
+
+def pin_tuples(heap, pool, ids) -> tuple[np.ndarray, np.ndarray]:
+    """The reference gather of ``heap``'s tuples ``ids``: pin each tuple's
+    page with its own ``get_page`` call, in visit order, and copy its
+    row. Returns the rows as ``(X, y)``."""
     per_page = tuples_per_page(heap.dimension)
     X = np.empty((len(ids), heap.dimension))
     y = np.empty(len(ids))
-    for position, tuple_id in enumerate(ids.tolist()):
+    for position, tuple_id in enumerate(np.asarray(ids).tolist()):
         page_id, row = divmod(tuple_id, per_page)
-        page = shuffle.pool.get_page(heap, page_id)
+        page = pool.get_page(heap, page_id)
         X[position] = page.features[row]
         y[position] = page.labels[row]
     return X, y

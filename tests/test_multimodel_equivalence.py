@@ -447,6 +447,21 @@ class TestBoltOnFleet:
             )
             np.testing.assert_array_equal(fleet[k].model, reference.model)
 
+    def test_shared_fleet_refuses_a_permutation_matrix_by_its_layout(self):
+        """Shared (m, d) data has one scan: a valid (K, m) matrix of orders
+        is refused for the data layout, not blamed as a bad arrangement."""
+        X, y = make_binary_data(40, 4, seed=12)
+        rng = np.random.default_rng(8)
+        matrix = np.stack([rng.permutation(40), rng.permutation(40)])
+        candidates = [
+            BoltOnCandidate(LogisticLoss(regularization=0.05), passes=1, batch_size=8),
+            BoltOnCandidate(LogisticLoss(regularization=0.1), passes=1, batch_size=8),
+        ]
+        with pytest.raises(ValueError, match=r"shared \(40, d\) data takes one \(40,\)"):
+            private_psgd_fleet(
+                X, y, candidates, 1.0, random_states=[5, 6], permutation=matrix
+            )
+
     def test_private_tuning_fused_equals_sequential(self):
         from repro.tuning.grid import ParameterGrid
         from repro.tuning.private import privately_tuned_sgd
@@ -558,7 +573,7 @@ class TestFusedRDBMS:
 
 
 class TestPageGroupedGather:
-    """The chunked shuffle replay groups row copies by page while leaving
+    """The chunked shuffle replay copies its rows in bulk while leaving
     counters AND buffer-pool state exactly where pinning each tuple's page
     in turn leaves them — in every regime, including an actively evicting
     pool."""

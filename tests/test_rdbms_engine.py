@@ -11,10 +11,17 @@ import pytest
 from repro.optim.losses import LogisticLoss
 from repro.optim.schedules import ConstantSchedule
 from repro.rdbms.catalog import Catalog
-from repro.rdbms.executor import ShuffleOnce, run_aggregate
-from repro.rdbms.storage import BufferPool
+from repro.rdbms.executor import OperatorStats, ShuffleOnce, _gather_chunk, run_aggregate
+from repro.rdbms.storage import (
+    BufferPool,
+    LatencyHeapFile,
+    MaterializedHeapFile,
+    SQLiteHeapFile,
+    VirtualHeapFile,
+    tuples_per_page,
+)
 from repro.rdbms.uda import SGDUDA
-from tests.conftest import pin_each_tuple
+from tests.conftest import pin_each_tuple, pin_tuples
 
 
 def make_table(catalog, name="t", m=120, d=6, seed=0):
@@ -316,6 +323,109 @@ class TestChunkedRunEqualsScalarOracle:
         assert report.noise_draws == (steps if noisy else 0)
 
 
+#: The gather tests' table: 48 tuples per page, 13 pages, a short tail.
+GATHER_M, GATHER_D = 600, 20
+
+
+def _virtual_page(page_id, count, dimension):
+    rng = np.random.default_rng(page_id)
+    return rng.normal(size=(count, dimension)), np.where(rng.random(count) > 0.5, 1.0, -1.0)
+
+
+@pytest.fixture(scope="module")
+def gather_sources(tmp_path_factory):
+    """Every heap kind with the tuple ids a scan reads from it: the
+    permutation for a table read in place, ``range(m)`` for a scan-order
+    copy (which stores the permutation)."""
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(GATHER_M, GATHER_D))
+    y = np.where(rng.random(GATHER_M) > 0.5, 1.0, -1.0)
+    perm = rng.permutation(GATHER_M)
+    contiguous = np.arange(GATHER_M)
+    memory = MaterializedHeapFile(X, y)
+    sqlite = SQLiteHeapFile.bulk_load(tmp_path_factory.mktemp("gather") / "t.sqlite", X, y)
+    sqlite_copy = sqlite.clustered(perm)
+    yield {
+        "memory": (memory, perm),
+        "memory_copy": (memory.clustered(perm), contiguous),
+        "sqlite": (sqlite, perm),
+        "sqlite_copy": (sqlite_copy, contiguous),
+        "latency": (LatencyHeapFile(memory, 0.0), perm),
+        "virtual": (VirtualHeapFile(GATHER_M, GATHER_D, _virtual_page), perm),
+    }
+    sqlite.close()
+    sqlite_copy.close()
+
+
+def pool_state(pool, heap):
+    """The heap's counters and its LRU shard, least recently used first
+    (white-box: the shard is private to the pool)."""
+    stats = pool.stats_for(heap)
+    return (
+        (stats.page_reads, stats.cache_hits, stats.cache_misses, stats.evictions),
+        list(pool._domain(heap).cache.keys()),
+    )
+
+
+class TestGatherIsExactOnEveryHeap:
+    """``_gather_chunk`` builds each block as pinning tuple by tuple
+    would: the same bytes, and the same pool counters and LRU state, on
+    every heap kind, in every pool regime, at any chunk size and offset."""
+
+    def assert_chunks_match_reference(self, heap, capacity, chunks):
+        pool, reference = BufferPool(capacity), BufferPool(capacity)
+        stats = OperatorStats()
+        arrays = heap.backing_arrays()
+        for ids in chunks:
+            X_block, y_block = _gather_chunk(heap, pool, stats, ids)
+            X_ref, y_ref = pin_tuples(heap, reference, ids)
+            assert np.array_equal(X_block, X_ref)
+            assert np.array_equal(y_block, y_ref)
+            assert pool_state(pool, heap) == pool_state(reference, heap)
+            for block in (X_block, y_block):
+                assert block.dtype == np.float64 and block.flags.c_contiguous
+                assert block.flags.writeable
+                if arrays is not None:
+                    assert not any(np.shares_memory(block, array) for array in arrays)
+        total = sum(len(ids) for ids in chunks)
+        assert stats.pages_requested == stats.tuples_produced == total
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 256])
+    @pytest.mark.parametrize("pool_regime", ["fits", "thrashes", "one"])
+    @pytest.mark.parametrize(
+        "kind", ["memory", "memory_copy", "sqlite", "sqlite_copy", "latency", "virtual"]
+    )
+    def test_every_chunk_equals_tuple_by_tuple_pins(
+        self, gather_sources, kind, pool_regime, chunk_size
+    ):
+        heap, ids = gather_sources[kind]
+        pages = heap.num_pages
+        capacity = {"fits": pages, "thrashes": pages // 3, "one": 1}[pool_regime]
+        starts = list(range(0, len(ids), chunk_size))
+        for pivot in (0, len(starts) // 2):  # offset 0, then a rotated epoch
+            order = starts[pivot:] + starts[:pivot]
+            chunks = [ids[start : start + chunk_size] for start in order]
+            self.assert_chunks_match_reference(heap, capacity, chunks)
+
+    @pytest.mark.parametrize("kind", ["memory", "sqlite", "latency", "virtual"])
+    def test_runs_come_from_the_ids_not_the_chunk_ends(self, gather_sources, kind):
+        """Chunks whose first and last ids are n - 1 apart but are not one
+        run: permuted within a page, across a page boundary, one run but
+        for a single swap, and a descending pair."""
+        heap, _ = gather_sources[kind]
+        per_page = tuples_per_page(GATHER_D)
+        chunks = [
+            np.array([10, 12, 11, 13, 15, 14, 16]),
+            per_page - 3 + np.array([0, 2, 1, 3, 4, 6, 5, 7]),
+            np.r_[np.arange(100, 150), 151, 150, np.arange(152, 170)],
+            np.array([5, 4]),
+        ]
+        for chunk in chunks:
+            assert abs(chunk[-1] - chunk[0]) == len(chunk) - 1
+        for capacity in (heap.num_pages, 1):
+            self.assert_chunks_match_reference(heap, capacity, chunks)
+
+
 class TestVirtualHeapChunkGather:
     """Chunked shuffled scans of virtual tables: each page synthesized at
     most once per chunk, with buffer-pool accounting path-invariant."""
@@ -343,8 +453,8 @@ class TestVirtualHeapChunkGather:
         ids = np.arange(m).reshape(-1, per_page).T.ravel()
         return ids
 
-    # chunk_size 50 takes the sparse (per-tuple copy) gather branch,
-    # 100 the dense (fancy-indexed) one; the memo must hold in both.
+    # The round-robin visit puts no two consecutive ids on one page, so
+    # every row is its own page run; the memo must hold at either size.
     @pytest.mark.parametrize("chunk_size", [50, 100])
     def test_synthesis_once_per_chunk_and_counters_invariant(self, chunk_size):
         from repro.rdbms.storage import tuples_per_page

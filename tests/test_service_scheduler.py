@@ -287,6 +287,23 @@ class TestServiceValidation:
         with pytest.raises(ValueError, match="epsilon"):
             TrainingJob(principal="a", table="t", candidate=candidate, epsilon=0.0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3, 123456789012])
+    def test_noise_stream_is_the_spawned_noise_stream(self, seed):
+        """The epilogue's ``noise_stream()`` draws what the second of the
+        job's two seed-spawned streams draws, so releases keep their noise."""
+        from repro.core.bolton import BoltOnCandidate
+        from repro.service import TrainingJob
+        from repro.utils.rng import spawn_generators
+
+        job = TrainingJob(principal="a", table="t", seed=seed,
+                          candidate=BoltOnCandidate(LogisticLoss(1e-3)), epsilon=0.1)
+        spawned = spawn_generators(seed, 2)
+        sgd_rng, noise_rng = job.spawn_streams()
+        expected = spawned[1].standard_normal(64)
+        assert np.array_equal(job.noise_stream().standard_normal(64), expected)
+        assert np.array_equal(noise_rng.standard_normal(64), expected)
+        assert np.array_equal(sgd_rng.standard_normal(64), spawned[0].standard_normal(64))
+
 
 class TestReviewRegressions:
     def test_averaging_candidates_refused_before_any_budget_moves(self):

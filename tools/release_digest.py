@@ -5,20 +5,27 @@ Usage (from a checkout's root)::
     PYTHONPATH=src python tools/release_digest.py
 
 Trains fixed regularization grids through ``TrainingService`` on the
-calling thread (``scheduler.run_pending``) at three shapes — the
-repository benchmark's ``grid_memory`` table (fits the pool), its
-``disk_scan`` table (a SQLite heap four times the pool), and a small
-thrashing table whose batch size divides neither the chunk nor the
-table — plus a ``mixed_flight``: one elevator flight whose openers mix
-losses, lambdas, batch sizes, passes and radii (so some fold as stacked
-cohorts and some alone), boarded mid-flight by two more mixed groups at
-two cursor positions. Two more lines cover the in-memory fused engine
-(``MultiModelPSGD``, through ``private_psgd_fleet``): ``fleet_shared``
-trains one-vs-rest-shaped candidates over one table with per-candidate
-labels, mixing two loss families (two fusion groups), an L2-ball
-candidate and an averaging one; ``fleet_stacked`` trains per-candidate
-datasets with passes 1, 2 and 3, so the set of models still stepping
-shrinks between passes.
+calling thread (``scheduler.run_pending``) at six shapes, which between
+them take every way a scan gathers its rows — the repository
+benchmark's ``grid_memory`` table (in memory, fits the pool: permuted
+chunks copied from the table's arrays), its ``disk_scan`` table (a
+SQLite heap four times the pool: page runs of the scan-order copy), a
+small thrashing SQLite table whose batch size divides neither the chunk
+nor the table, ``memory_thrash`` (an in-memory table with more pages
+than its pool: the arrays of its in-memory scan-order copy), and
+``wrapped_dense`` / ``wrapped_sparse`` (in-memory tables behind a
+``LatencyHeapFile`` at 0 s/page, read in place through a pool that fits
+them: page runs of permuted chunks, many tuples per page at 600x20 and
+about two at 2500x50) — plus a ``mixed_flight``: one elevator flight
+whose openers mix losses, lambdas, batch sizes, passes and radii (so
+some fold as stacked cohorts and some alone), boarded mid-flight by two
+more mixed groups at two cursor positions. Two more lines cover the
+in-memory fused engine (``MultiModelPSGD``, through
+``private_psgd_fleet``): ``fleet_shared`` trains one-vs-rest-shaped
+candidates over one table with per-candidate labels, mixing two loss
+families (two fusion groups), an L2-ball candidate and an averaging
+one; ``fleet_stacked`` trains per-candidate datasets with passes 1, 2
+and 3, so the set of models still stepping shrinks between passes.
 
 It prints one line per shape: a ``release_sha`` — a SHA-256 over every
 released weight vector and every job's ``group_pages`` (and, for the
@@ -44,13 +51,19 @@ import numpy as np
 from repro.core.bolton import BoltOnCandidate, private_psgd_fleet
 from repro.data.preprocessing import normalize_rows
 from repro.optim.losses import HuberSVMLoss, LeastSquaresLoss, LogisticLoss
+from repro.rdbms.storage import LatencyHeapFile, MaterializedHeapFile
 from repro.service import JobStatus, TrainingService
 
-#: name -> (m, d, jobs, passes, batch, pool pages or None for in-memory).
+#: name -> (m, d, jobs, passes, batch, pool pages or None for the
+#: service's default pool, storage): "memory" (the arrays), "sqlite" (a
+#: SQLite heap) or "wrapped" (the arrays behind a 0 s/page LatencyHeapFile).
 SHAPES = {
-    "grid_memory": (2500, 50, 32, 2, 50, None),
-    "disk_scan": (5000, 50, 16, 1, 50, 60),
-    "thrash_odd_batch": (700, 13, 6, 2, 37, 3),
+    "grid_memory": (2500, 50, 32, 2, 50, None, "memory"),
+    "disk_scan": (5000, 50, 16, 1, 50, 60, "sqlite"),
+    "thrash_odd_batch": (700, 13, 6, 2, 37, 3, "sqlite"),
+    "memory_thrash": (2500, 50, 16, 2, 50, 30, "memory"),
+    "wrapped_dense": (600, 20, 16, 2, 50, None, "wrapped"),
+    "wrapped_sparse": (2500, 50, 32, 2, 50, None, "wrapped"),
 }
 ROUNDS = 2
 
@@ -65,16 +78,21 @@ def make_table(m: int, d: int, seed: int = 7):
 
 
 def digest(name: str, workdir: pathlib.Path) -> str:
-    m, d, jobs, passes, batch, pool_pages = SHAPES[name]
+    m, d, jobs, passes, batch, pool_pages, storage = SHAPES[name]
     features, labels = make_table(m, d)
     if pool_pages is None:
         service = TrainingService()
-        info = service.register_table(name, features, labels)
     else:
         service = TrainingService(buffer_pool_pages=pool_pages)
+    if storage == "sqlite":
         info = service.register_table(
             name, features, labels, backend="sqlite", path=workdir / f"{name}.sqlite"
         )
+    elif storage == "wrapped":
+        heap = LatencyHeapFile(MaterializedHeapFile(features, labels), 0.0)
+        info = service.register_table(name, heap=heap)
+    else:
+        info = service.register_table(name, features, labels)
     seeds = np.random.default_rng(3)
     sha = hashlib.sha256()
     for round_index in range(ROUNDS):
@@ -96,7 +114,7 @@ def digest(name: str, workdir: pathlib.Path) -> str:
             sha.update(np.ascontiguousarray(record.model).tobytes())
             sha.update(str(record.group_pages).encode())
     line = summary_line(name, sha, service.session.pool.stats_for(info.heap))
-    if pool_pages is not None:
+    if storage == "sqlite":
         info.heap.close()
     return line
 
