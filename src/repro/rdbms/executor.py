@@ -243,7 +243,7 @@ def _gather_chunk(
       themselves (a run breaks where the next id is not this one plus
       one, or opens a page). A chunk of a scan-order copy is a few runs
       of a page each; a permuted chunk over many pages is mostly runs of
-      one tuple, each a scalar row copy.
+      one tuple, each a one-row slice.
 
     The block is always freshly allocated, C-contiguous float64 — never
     a view into a heap.
@@ -290,13 +290,9 @@ def _gather_chunk(
     for start, end in zip(bounds, bounds[1:]):
         page = pages[start]
         row = row_list[start]
-        if end - start == 1:
-            X_block[start] = page.features[row]
-            y_block[start] = page.labels[row]
-        else:
-            stop = row + end - start
-            X_block[start:end] = page.features[row:stop]
-            y_block[start:end] = page.labels[row:stop]
+        stop = row + end - start
+        X_block[start:end] = page.features[row:stop]
+        y_block[start:end] = page.labels[row:stop]
     return X_block, y_block
 
 

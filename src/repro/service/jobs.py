@@ -26,11 +26,9 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from repro.core.bolton import BoltOnCandidate
 from repro.core.mechanisms import PrivacyParameters
-from repro.utils.rng import spawn_generators
+from repro.utils.rng import spawn_generators, spawned_generator
 from repro.utils.validation import check_positive
 
 
@@ -101,16 +99,12 @@ class TrainingJob:
         belongs to the *table*, not the job — but stays reserved so the
         noise stream's identity survives future per-job randomness.
         """
-        return spawn_generators(self.seed, 1)[0], self.noise_stream()
+        return spawn_generators(self.seed, 2)
 
-    def noise_stream(self) -> np.random.Generator:
-        """The job's noise generator, ``spawn_streams()[1]``, built alone.
-
-        Child ``i`` of ``SeedSequence(seed)`` is ``SeedSequence(seed,
-        spawn_key=(i,))``, so the noise stream needs no SGD stream built
-        beside it — the bolt-on epilogue draws from this one only.
-        """
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(1,)))
+    def noise_stream(self):
+        """The job's noise generator, ``spawn_streams()[1]``, built alone:
+        the bolt-on epilogue draws from this one only."""
+        return spawned_generator(self.seed, 1)
 
     def cache_identity(self) -> tuple:
         """Everything *job-side* that the released weights depend on.

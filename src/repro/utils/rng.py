@@ -59,6 +59,17 @@ def spawn_generators(random_state: RandomState, count: int) -> list[np.random.Ge
     return [np.random.default_rng(s) for s in seq.spawn(count)]
 
 
+def spawned_generator(seed: int, index: int) -> np.random.Generator:
+    """Child ``index`` of ``spawn_generators(seed, count)`` (any ``count >
+    index``), built alone.
+
+    ``SeedSequence(seed).spawn(count)``'s child ``i`` is
+    ``SeedSequence(seed, spawn_key=(i,))``, so one stream can be built
+    without constructing the generators spawned before it.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
 def permutation_stream(
     size: int, passes: int, rng: np.random.Generator, fresh_each_pass: bool = False
 ) -> Iterator[np.ndarray]:

@@ -13,6 +13,7 @@ from repro.utils.rng import (
     fixed_permutations,
     permutation_stream,
     spawn_generators,
+    spawned_generator,
 )
 from repro.utils.validation import (
     check_binary_labels,
@@ -55,6 +56,13 @@ class TestRNG:
     def test_spawn_negative_count(self):
         with pytest.raises(ValueError):
             spawn_generators(0, -1)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_spawned_generator_is_that_spawned_child(self, seed):
+        children = spawn_generators(seed, 3)
+        for index, child in enumerate(children):
+            alone = spawned_generator(seed, index)
+            assert np.array_equal(alone.random(8), child.random(8))
 
     def test_permutation_stream_default_reuses(self):
         rng = np.random.default_rng(0)
