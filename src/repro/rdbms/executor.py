@@ -228,67 +228,60 @@ def _gather_chunk(
     recency state are those of pinning each tuple's page in turn, in
     every regime, resident or thrashing, whatever the chunk size (the
     tests in ``tests/test_rdbms_engine.py`` and
-    ``tests/test_multimodel_equivalence.py`` lock this in).
+    ``tests/test_multimodel_equivalence.py`` lock this in). The chunk
+    reaches the pool as *runs*: a page id and how many tuples in a row
+    ask for it. Within one chunk each distinct page is read from the
+    heap at most once, even when an actively evicting pool misses it
+    several times (for a :class:`~repro.rdbms.storage.VirtualHeapFile`,
+    each page is synthesized once per chunk instead of once per miss).
 
-    Only the row copies depend on the heap, and they copy bytes, so the
-    block is the same whichever way it is built:
+    Only the runs and the row copies depend on the heap, and the copies
+    copy bytes, so the block is the same whichever way it is built:
 
     * a heap whose pages are windows on arrays it holds
       (:meth:`~repro.rdbms.storage.HeapFile.backing_arrays`: an in-memory
-      table or its scan-order copy) gives the block as one fancy index
-      on those arrays, once the pins are done;
+      table or its scan-order copy) pins each tuple as a run of one, and
+      gives the block as one fancy index on those arrays once the pins
+      are done. Its page reads cost next to nothing, and on a permuted
+      chunk, mostly runs of one anyway, finding the runs would cost more
+      than it saves;
     * any other heap (SQLite, virtual, the latency and fault wrappers)
-      copies from its pinned pages, one slice per *run*: a maximal
-      stretch of consecutive tuple ids on one page, found from the ids
-      themselves (a run breaks where the next id is not this one plus
-      one, or opens a page). A chunk of a scan-order copy is a few runs
-      of a page each; a permuted chunk over many pages is mostly runs of
-      one tuple, each a one-row slice.
+      pins and copies by *slice run*: a maximal stretch of consecutive
+      tuple ids on one page, found from the ids themselves (a run breaks
+      where the next id is not this one plus one, or opens a page). Each
+      is one pool run and one slice copied from its pinned page. A chunk
+      of a scan-order copy is a few runs of a page each, and the pool
+      reads the stretch of them it misses with one ``read_pages`` call
+      (one SQLite query); a permuted chunk over many pages is mostly
+      runs of one tuple, each a one-row slice.
 
     The block is always freshly allocated, C-contiguous float64 — never
     a view into a heap.
-
-    Pool misses materialize through a per-chunk memo
-    (``BufferPool.get_pages``'s ``reader`` hook): within one chunk each
-    distinct page is read from the heap **at most once**, even when an
-    actively evicting pool misses the same page several times. For a
-    :class:`~repro.rdbms.storage.VirtualHeapFile` that means each page is
-    *synthesized* once per chunk instead of once per miss — the cost that
-    dominated the Figure 2 scale sweeps under shuffled access — while the
-    pool's counters and LRU state stay those of the page-by-page pins
-    (page content is deterministic per page id, so the memo changes which
-    bytes get recomputed, never what they are).
     """
     d = heap.dimension
-    read_page = heap.read_page
     ids = np.asarray(ids, dtype=np.int64)
     n = len(ids)
     page_ids, rows = np.divmod(ids, tuples_per_page(d))
-
-    materialized: dict = {}
-
-    def chunk_reader(page_id: int, _memo=materialized):
-        page = _memo.get(page_id)
-        if page is None:
-            page = read_page(page_id)
-            _memo[page_id] = page
-        return page
-
-    # Every tuple pins its page, in visit order, through one pool call.
-    pages = pool.get_pages(heap, page_ids.tolist(), reader=chunk_reader)
-    stats.pages_requested += n
-    stats.tuples_produced += n
     arrays = heap.backing_arrays()
     if arrays is not None:
+        pool.get_pages(heap, page_ids.tolist(), [1] * n)
+        stats.pages_requested += n
+        stats.tuples_produced += n
         features, labels = arrays
         return features[ids], labels[ids]
+    # Slice run k is positions edges[k]:edges[k + 1].
+    new_run = (ids[1:] != ids[:-1] + 1) | (rows[1:] == 0)
+    edges = np.flatnonzero(np.concatenate(([True], new_run, [True])))
+    pages = pool.get_pages(
+        heap, page_ids[edges[:-1]].tolist(), (edges[1:] - edges[:-1]).tolist()
+    )
+    stats.pages_requested += n
+    stats.tuples_produced += n
     X_block = np.empty((n, d), dtype=np.float64)
     y_block = np.empty(n, dtype=np.float64)
-    breaks = np.flatnonzero((np.diff(ids) != 1) | (rows[1:] == 0)) + 1
-    bounds = [0, *breaks.tolist(), n]
+    bounds = edges.tolist()
     row_list = rows.tolist()
-    for start, end in zip(bounds, bounds[1:]):
-        page = pages[start]
+    for start, end, page in zip(bounds, bounds[1:], pages):
         row = row_list[start]
         stop = row + end - start
         X_block[start:end] = page.features[row:stop]

@@ -49,6 +49,7 @@ import hashlib
 import itertools
 import os
 import pathlib
+import re
 import sqlite3
 import threading
 import time
@@ -121,6 +122,21 @@ class HeapFile(abc.ABC):
     @abc.abstractmethod
     def read_page(self, page_id: int) -> Page:
         """Materialize page ``page_id`` (0-based)."""
+
+    def read_pages(self, first: int, count: int) -> List[Page]:
+        """Pages ``first``, ``first + 1``, ...: page ``first`` and up to
+        ``count - 1`` (``count >= 1``) more, in page order — or page
+        ``first``'s fault.
+
+        A buffer pool asks for a stretch on a miss of page ``first`` when
+        the pages after it are the next ones it will miss, so a heap that
+        reads a range for less than page by page (SQLite: one query) may
+        return them all. It may stop early, and stops before a page it
+        cannot read: that page is then requested, and faults, at its own
+        miss. The default reads page ``first`` alone, so a heap that keeps
+        it reads, sleeps and faults page by page.
+        """
+        return [self.read_page(first)]
 
     def clustered(self, order: np.ndarray) -> Optional["HeapFile"]:
         """A copy of this heap stored in ``order`` — copy tuple ``i`` is
@@ -415,6 +431,37 @@ def _scan_copy_path(path: pathlib.Path) -> pathlib.Path:
     return path.with_name(f"{path.name}.scan-{os.getpid()}-{next(_SCAN_COPY_SERIAL)}")
 
 
+def _drop_orphan_copies(path: pathlib.Path) -> None:
+    """Delete the scan-order copies of the heap at ``path``, with their
+    ``-wal``/``-shm`` files, that a process no longer running left
+    behind: a copy's finalizer does not run on ``kill -9`` or
+    ``os._exit``. A copy of this process, or of any process that is
+    still running, is left alone."""
+    pattern = re.compile(re.escape(path.name) + r"\.scan-(\d+)-\d+(?:-wal|-shm)?")
+    try:
+        files = list(path.parent.iterdir())
+    except OSError:  # cleanup is best effort; writing the copy reports errors
+        return
+    for file in files:
+        match = pattern.fullmatch(file.name)
+        if match is not None and not _process_exists(int(match.group(1))):
+            with contextlib.suppress(OSError):
+                os.remove(file)
+
+
+def _process_exists(pid: int) -> bool:
+    """Whether process ``pid`` exists (signal 0 checks without sending).
+    Anything but "no such process" counts as existing: a process of
+    another user, or a number too large to be a pid."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (PermissionError, OverflowError):
+        pass
+    return True
+
+
 def _drop_database(path: pathlib.Path, readers: Iterable["_Reader"]) -> None:
     """Close ``readers``, then delete the database at ``path`` and its
     siblings, ignoring errors: a scan-order copy's finalizer, and the
@@ -478,6 +525,7 @@ class SQLiteHeapFile(HeapFile):
 
     Layout (one database file per heap)::
 
+        PRAGMA page_size=16384;       -- 2 x PAGE_SIZE_BYTES, set first
         PRAGMA journal_mode=WAL;      -- readers never block the writer
         PRAGMA synchronous=NORMAL;    -- fsync at checkpoint, not per txn
         PRAGMA foreign_keys=ON;
@@ -488,12 +536,21 @@ class SQLiteHeapFile(HeapFile):
             labels   BLOB NOT NULL    -- contiguous float64
         );
 
-    Page geometry is identical to every other heap
-    (:func:`tuples_per_page` rows per page, the tail page short), so the
-    buffer pool in front of it produces *exactly* the counters an
-    in-memory heap would — hit/miss/eviction accounting is
-    backend-invariant, which is what keeps the service's bitwise and
+    A heap page's row (at most :data:`PAGE_SIZE_BYTES` of blobs) fits one
+    SQLite page of twice that size, so reading it follows no overflow
+    chain. A database written with another page size (SQLite reads it
+    from the file header) reads the same. Page geometry is identical to
+    every other heap (:func:`tuples_per_page` rows per page, the tail
+    page short), so the buffer pool in front of it produces *exactly*
+    the counters an in-memory heap would — hit/miss/eviction accounting
+    is backend-invariant, which is what keeps the service's bitwise and
     page-attribution guarantees intact on real storage.
+
+    Every read goes through one seam, :meth:`_fetch_page_rows`: one
+    ``SELECT ... WHERE page_no BETWEEN ? AND ?`` over a stretch of
+    pages. A pool miss reads the stretch of pages it is about to miss
+    (:meth:`read_pages`); the content fingerprint and the scan-order
+    copy read the whole table in one query, a page at a time.
 
     Connection discipline: the single **writer** connection lives only
     inside :meth:`bulk_load`; every reader gets a **connection per
@@ -514,6 +571,9 @@ class SQLiteHeapFile(HeapFile):
     database, ``<heap>.scan-<pid>-<n>``, which the scan operator that
     asked for it reads instead of this heap.
     """
+
+    #: Pages per ``executemany`` batch in :meth:`bulk_load`.
+    _LOAD_BATCH_PAGES = 64
 
     def __init__(self, path: Union[str, "pathlib.Path"]):
         self.path = pathlib.Path(path)
@@ -547,8 +607,6 @@ class SQLiteHeapFile(HeapFile):
         path: Union[str, "pathlib.Path"],
         features: np.ndarray,
         labels: Optional[np.ndarray] = None,
-        *,
-        page_rows: int = 64,
     ) -> "SQLiteHeapFile":
         """Ingest a dataset into a fresh SQLite heap at ``path``.
 
@@ -557,8 +615,9 @@ class SQLiteHeapFile(HeapFile):
         which case ``labels`` is taken from it. An existing database at
         ``path`` is replaced (its ``-wal``/``-shm`` siblings removed
         first — stale WAL frames must never leak into the new heap).
-        The whole ingest is one transaction, committed page-batch by
-        page-batch via ``executemany`` (``page_rows`` pages per call),
+        The database gets SQLite pages of ``2 * PAGE_SIZE_BYTES``, so
+        each heap page's row fits one of them. The whole ingest is one
+        transaction, inserted a batch of pages per ``executemany`` call,
         then checkpointed so readers open a clean, compact database.
         """
         if labels is None:
@@ -581,6 +640,9 @@ class SQLiteHeapFile(HeapFile):
         per_page = tuples_per_page(d)
         connection = sqlite3.connect(path)
         try:
+            # Before anything writes the file, WAL mode included: the
+            # page size is fixed when the first page is written.
+            connection.execute(f"PRAGMA page_size={2 * PAGE_SIZE_BYTES}")
             connection.execute("PRAGMA journal_mode=WAL")
             connection.execute("PRAGMA synchronous=NORMAL")
             connection.execute("PRAGMA foreign_keys=ON")
@@ -602,9 +664,10 @@ class SQLiteHeapFile(HeapFile):
                     ],
                 )
                 num_pages = -(-m // per_page)
-                for first in range(0, num_pages, page_rows):
+                batch = cls._LOAD_BATCH_PAGES
+                for first in range(0, num_pages, batch):
                     rows = []
-                    for page_id in range(first, min(first + page_rows, num_pages)):
+                    for page_id in range(first, min(first + batch, num_pages)):
                         start = page_id * per_page
                         stop = min(start + per_page, m)
                         rows.append(
@@ -654,13 +717,18 @@ class SQLiteHeapFile(HeapFile):
             self._readers.add(reader)
         return reader.connection
 
-    def _fetch_page_row(self, page_id: int):
-        """One ``pages`` row as ``(features_blob, labels_blob)`` — the
-        seam the fault-mapping tests monkeypatch to simulate lock
-        contention and corruption without a second process."""
+    def _fetch_page_rows(self, first: int, last: int):
+        """The ``pages`` rows numbered ``first`` to ``last`` as
+        ``(page_no, features_blob, labels_blob)``, in page order, from one
+        query — the seam every read goes through, which the fault-mapping
+        tests monkeypatch to simulate lock contention and corruption
+        without a second process. Rows come one at a time as the result
+        is iterated."""
         return self._connection().execute(
-            "SELECT features, labels FROM pages WHERE page_no = ?", (page_id,)
-        ).fetchone()
+            "SELECT page_no, features, labels FROM pages "
+            "WHERE page_no BETWEEN ? AND ? ORDER BY page_no",
+            (first, last),
+        )
 
     @property
     def dimension(self) -> int:
@@ -674,32 +742,62 @@ class SQLiteHeapFile(HeapFile):
     def num_pages(self) -> int:
         return -(-self._num_tuples // self._per_page)
 
-    def read_page(self, page_id: int) -> Page:
-        if not 0 <= page_id < self.num_pages:
-            raise IndexError(f"page {page_id} out of range [0, {self.num_pages})")
+    def _pages(self, first: int, last: int) -> Iterator[Page]:
+        """Pages ``first`` to ``last`` from one :meth:`_fetch_page_rows`
+        query, decoded as they arrive. Raises, in page order, at the
+        first page whose row is missing or whose blobs have the wrong
+        size; a sqlite error is mapped into the fault taxonomy."""
+        page_id = first
         try:
-            row = self._fetch_page_row(page_id)
+            for page_no, features, labels in self._fetch_page_rows(first, last):
+                if page_no != page_id:
+                    break
+                yield self._decode(page_id, features, labels)
+                page_id += 1
         except sqlite3.Error as error:
             raise _map_sqlite_error(error, self.path) from error
-        if row is None:
+        if page_id <= last:
             raise PageFaultError(
                 f"sqlite heap {self.path}: page {page_id} is missing from the "
                 "pages table (truncated or tampered heap)"
             )
+
+    def _decode(self, page_id: int, features: bytes, labels: bytes) -> Page:
+        """Page ``page_id`` from its row's blobs, checked against the
+        page grid."""
         start = page_id * self._per_page
         count = min(self._per_page, self._num_tuples - start)
-        features = np.frombuffer(row[0], dtype=np.float64)
-        labels = np.frombuffer(row[1], dtype=np.float64)
-        if features.shape[0] != count * self._dimension or labels.shape[0] != count:
+        if len(features) != 8 * count * self._dimension or len(labels) != 8 * count:
             raise PageFaultError(
                 f"sqlite heap {self.path}: page {page_id} blob sizes disagree "
                 f"with the meta row counts (expected {count} tuples)"
             )
         return Page(
             page_id=page_id,
-            features=features.reshape(count, self._dimension),
-            labels=labels,
+            features=np.frombuffer(features, dtype=np.float64).reshape(
+                count, self._dimension
+            ),
+            labels=np.frombuffer(labels, dtype=np.float64),
         )
+
+    def read_page(self, page_id: int) -> Page:
+        return self.read_pages(page_id, 1)[0]
+
+    def read_pages(self, first: int, count: int) -> List[Page]:
+        """The longest run of readable pages from ``first``, up to
+        ``count`` of them, from one query; page ``first``'s own fault if
+        it cannot be read. A later page that is missing, mis-sized or
+        unreadable ends the run, and faults at its own miss."""
+        if not 0 <= first < self.num_pages:
+            raise IndexError(f"page {first} out of range [0, {self.num_pages})")
+        pages: List[Page] = []
+        try:
+            for page in self._pages(first, min(first + count, self.num_pages) - 1):
+                pages.append(page)
+        except PageFaultError:
+            if not pages:
+                raise
+        return pages
 
     def content_fingerprint(self) -> str:
         """The same page-wise SHA-256 content hash a
@@ -707,19 +805,15 @@ class SQLiteHeapFile(HeapFile):
         result cache treats "same data, different backend" as the same
         table — a release trained on the in-memory copy is served to a
         resubmission against the SQLite copy (and vice versa). Computed
-        once, off the buffer pool, memoized for the heap's lifetime
-        (heaps are immutable once registered)."""
+        once, off the buffer pool, from one query that holds a page at a
+        time, and memoized for the heap's lifetime (heaps are immutable
+        once registered)."""
         with self._fingerprint_lock:
             if self._fingerprint is None:
                 digest = hashlib.sha256()
-                for page_id in range(self.num_pages):
-                    page = self.read_page(page_id)
-                    digest.update(
-                        np.ascontiguousarray(page.features, dtype=np.float64).tobytes()
-                    )
-                    digest.update(
-                        np.ascontiguousarray(page.labels, dtype=np.float64).tobytes()
-                    )
+                for page in self._pages(0, self.num_pages - 1):
+                    digest.update(page.features.tobytes())
+                    digest.update(page.labels.tobytes())
                 self._fingerprint = digest.hexdigest()[:16]
             return self._fingerprint
 
@@ -727,23 +821,25 @@ class SQLiteHeapFile(HeapFile):
         """Bulk-load a sibling database holding this heap's tuples in
         ``order``, and open it.
 
-        Every page of this heap is read here, directly: a lock or a
-        damaged page raises the usual :class:`PageFaultError`, which the
-        caller handles as it would a fault in any chunk. The copy goes to
-        a fresh sibling, ``<heap>.scan-<pid>-<n>``: it belongs to the
-        caller alone, is never reopened, and is deleted with its
-        ``-wal``/``-shm`` files when the returned heap is dropped or the
-        process exits normally. If the copy cannot be written (an
+        Every page of this heap is read here, directly, in one query: a
+        lock or a damaged page raises the usual :class:`PageFaultError`,
+        which the caller handles as it would a fault in any chunk. The
+        copy goes to a fresh sibling, ``<heap>.scan-<pid>-<n>``: it
+        belongs to the caller alone, is never reopened, and is deleted
+        with its ``-wal``/``-shm`` files when the returned heap is
+        dropped or the process exits normally. A copy whose process is
+        gone (killed, or ended by ``os._exit``) is deleted here, before
+        the new copy is named. If the copy cannot be written (an
         ``OSError`` or sqlite error on the new file), this warns and
         returns ``None``, and the caller reads this heap in place.
         """
         features = np.empty((self._num_tuples, self._dimension), dtype=np.float64)
         labels = np.empty(self._num_tuples, dtype=np.float64)
-        for page_id in range(self.num_pages):
-            page = self.read_page(page_id)
-            start = page_id * self._per_page
+        for page in self._pages(0, self.num_pages - 1):
+            start = page.page_id * self._per_page
             features[start : start + page.tuple_count] = page.features
             labels[start : start + page.tuple_count] = page.labels
+        _drop_orphan_copies(self.path)
         path = _scan_copy_path(self.path)
         try:
             copy = SQLiteHeapFile.bulk_load(path, features[order], labels[order])
@@ -960,9 +1056,8 @@ class BufferPool:
         handler. Accounting is identical either way — the request, the
         hit/miss classification, the LRU update, and any eviction happen
         exactly as without it — only the *materialization* of a missed
-        page is delegated. Scan operators use this to memoize synthesized
-        pages (``VirtualHeapFile`` generators are deterministic, so a page
-        materialized moments ago in the same chunk is the same page).
+        page is delegated. A memoizing ``reader`` makes a ``get_page``
+        loop the reference :meth:`get_pages` is tested against.
         """
         domain = self._domain(heap)
         with domain.lock:
@@ -982,45 +1077,73 @@ class BufferPool:
             return page
 
     def get_pages(
-        self,
-        heap: HeapFile,
-        page_ids: Iterable[int],
-        reader: Optional[Callable[[int], Page]] = None,
+        self, heap: HeapFile, page_ids: List[int], counts: List[int]
     ) -> List[Page]:
-        """Pin a run of pages in visit order under one domain-lock hold.
+        """Pin a chunk's pages, given as runs, under one domain-lock hold:
+        page ``page_ids[i]`` requested ``counts[i]`` times in a row, run
+        after run. Returns the pages, one per run.
 
-        Exactly a :meth:`get_page` loop over ``page_ids``: one request
-        each, the same hit/miss classification, LRU updates, evictions
-        and ``reader`` delegation, in the same order — only the per-call
-        overhead (domain lookup, lock round trip, counter writes) is paid
-        once per run instead of once per page. If a read raises, the
-        counters and cache hold what the loop would have left at that
-        point: the faulted request counted as a read and a miss, nothing
-        cached for it. Returns the pages, one per requested id.
+        The counters, cache and LRU order end exactly as a
+        :meth:`get_page` loop over the chunk's page ids leaves them. A
+        run's first request is a hit or a miss, with its LRU touch and
+        any eviction; its ``count - 1`` repeats are hits that change
+        nothing more, since the page just pinned is resident and most
+        recently used. For the same reason a run need not be maximal:
+        two runs in a row may name one page.
+
+        A miss of page ``p`` reads, with one ``heap.read_pages`` call,
+        the stretch of runs from it whose pages are ``p``, ``p + 1``, ...
+        and are neither resident nor read already in this call: the pages
+        it is about to miss and read, in order. Every page read is kept
+        until the call returns, so a page evicted and missed again in the
+        same chunk is not read twice. A heap that reads one page per call
+        (the default ``read_pages``) reads each missed page at its first
+        miss, as the loop with a per-chunk memo would.
+
+        If a read raises, the counters and cache hold what the loop would
+        have left at that request: it is counted as a read and a miss,
+        and nothing is cached for it. A stretch never faults ahead of its
+        first page: a page that cannot be read ends the stretch before it
+        and faults at its own miss.
         """
         domain = self._domain(heap)
-        read = heap.read_page if reader is None else reader
         capacity = self.capacity
         pages: List[Page] = []
         keep = pages.append
         hits = misses = evictions = 0
+        fetched: dict = {}  # every page read in this call, by id
         with domain.lock:
             cache = domain.cache
             lookup = cache.get
             touch = cache.move_to_end
             try:
-                for page_id in page_ids:
+                for run, page_id in enumerate(page_ids):
                     page = lookup(page_id)
                     if page is not None:
-                        hits += 1
+                        hits += counts[run]
                         touch(page_id)
                     else:
                         misses += 1
-                        page = read(page_id)
+                        page = fetched.get(page_id)
+                        if page is None:
+                            end = run + 1
+                            while (
+                                end < len(page_ids)
+                                and page_ids[end] == page_id + end - run
+                                and page_ids[end] not in cache
+                                and page_ids[end] not in fetched
+                            ):
+                                end += 1
+                            for offset, got in enumerate(
+                                heap.read_pages(page_id, end - run)
+                            ):
+                                fetched[page_id + offset] = got
+                            page = fetched[page_id]
                         cache[page_id] = page
                         if len(cache) > capacity:
                             cache.popitem(last=False)
                             evictions += 1
+                        hits += counts[run] - 1
                     keep(page)
             finally:
                 stats = domain.stats

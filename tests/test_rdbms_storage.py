@@ -10,6 +10,7 @@ scan orders.
 
 from __future__ import annotations
 
+import sqlite3
 import sys
 import threading
 
@@ -25,6 +26,7 @@ from repro.rdbms.storage import (
     LatencyHeapFile,
     MaterializedHeapFile,
     PageFaultError,
+    SQLiteHeapFile,
     TransientPageFault,
     VirtualHeapFile,
     tuple_width_bytes,
@@ -518,74 +520,181 @@ def lru_order(pool, heap):
     return list(pool._domain(heap).cache.keys())
 
 
-def get_page_loop(pool, heap, page_ids, reader=None):
-    """The reference ``get_pages`` must equal: one ``get_page`` per id."""
+def page_runs(page_ids):
+    """A chunk's page ids as the runs ``get_pages`` takes: each page id
+    once per stretch of repeats, and how many times it repeats."""
+    ids, counts = [], []
+    for page_id in page_ids:
+        if ids and ids[-1] == page_id:
+            counts[-1] += 1
+        else:
+            ids.append(page_id)
+            counts.append(1)
+    return ids, counts
+
+
+def get_page_loop(pool, heap, page_ids, reads=None):
+    """The reference ``get_pages`` must equal: one ``get_page`` per id,
+    each miss read through a memo for the call, so a page evicted and
+    missed again is read once. ``reads`` records the ids read."""
+    memo = {}
+
+    def reader(page_id):
+        if page_id not in memo:
+            if reads is not None:
+                reads.append(page_id)
+            memo[page_id] = heap.read_page(page_id)
+        return memo[page_id]
+
     return [pool.get_page(heap, page_id, reader=reader) for page_id in page_ids]
 
 
-class TestGetPages:
-    """``BufferPool.get_pages`` is a ``get_page`` loop under one lock hold:
-    same pages, counters, LRU order, reader calls and fault behaviour."""
+def record_stretch_reads(heap, reads):
+    """Record, in order, the ids of the pages ``heap.read_pages`` returns
+    (an instance attribute, which the pool calls in its place)."""
+    real = heap.read_pages
 
-    PAGES = 12
+    def read_pages(first, count):
+        pages = real(first, count)
+        reads.extend(page.page_id for page in pages)
+        return pages
+
+    heap.read_pages = read_pages
+
+
+GET_PAGES_PAGES = 12
+
+
+@st.composite
+def chunk_page_ids(draw, pages=GET_PAGES_PAGES):
+    """A chunk's page ids: random ids with repeats, a permutation of the
+    pages, or a contiguous stretch of pages each asked for several times
+    in a row (a chunk of a scan-order copy)."""
+    kind = draw(st.sampled_from(["random", "permuted", "contiguous"]))
+    if kind == "random":
+        return draw(st.lists(st.integers(0, pages - 1), max_size=40))
+    if kind == "permuted":
+        return draw(st.permutations(range(pages)))
+    first = draw(st.integers(0, pages - 1))
+    last = draw(st.integers(first, pages - 1))
+    repeats = draw(st.integers(1, 5))
+    return [page for page in range(first, last + 1) for _ in range(repeats)]
+
+
+@pytest.fixture(scope="module")
+def get_pages_heaps(tmp_path_factory):
+    """Builders of twin heaps, one per kind, over one 12-page table: the
+    run pins and the reference loop each get a heap of their own."""
+    d = 50
+    m = tuples_per_page(d) * GET_PAGES_PAGES
+    rng = np.random.default_rng(4)
+    features, labels = rng.normal(size=(m, d)), rng.normal(size=m)
+    path = tmp_path_factory.mktemp("get_pages") / "heap.db"
+    SQLiteHeapFile.bulk_load(path, features, labels).close()
+
+    def generator(page_id, count, dimension):
+        page_rng = np.random.default_rng(page_id)
+        return page_rng.normal(size=(count, dimension)), page_rng.normal(size=count)
+
+    return {
+        "memory": lambda: MaterializedHeapFile(features, labels),
+        "virtual": lambda: VirtualHeapFile(m, d, generator),
+        "latency": lambda: LatencyHeapFile(MaterializedHeapFile(features, labels), 0.0),
+        "sqlite": lambda: SQLiteHeapFile(path),
+    }
+
+
+class TestGetPages:
+    """``BufferPool.get_pages`` pins page runs, reading each stretch of
+    missed pages in one call, and leaves what a memoized ``get_page``
+    loop over the chunk's page ids leaves: the same pages, counters, LRU
+    order, pages read and fault behaviour."""
+
+    PAGES = GET_PAGES_PAGES
 
     def make_heap(self, seed=4):
         rng = np.random.default_rng(seed)
         m = tuples_per_page(50) * self.PAGES
         return MaterializedHeapFile(rng.normal(size=(m, 50)), rng.normal(size=m))
 
-    def recording_reader(self, heap, calls):
-        def reader(page_id):
-            calls.append(page_id)
-            return heap.read_page(page_id)
-
-        return reader
-
-    @settings(max_examples=150, deadline=None)
+    @pytest.mark.parametrize("kind", ["memory", "virtual", "latency", "sqlite"])
+    @settings(max_examples=60, deadline=None)
     @given(
         warm=st.lists(st.integers(0, PAGES - 1), max_size=20),
-        runs=st.lists(
-            st.lists(st.integers(0, PAGES - 1), max_size=40), min_size=1, max_size=4
-        ),
+        chunks=st.lists(chunk_page_ids(), min_size=1, max_size=4),
         capacity=st.integers(1, PAGES + 2),
-        use_reader=st.booleans(),
+        unit_runs=st.booleans(),
     )
-    def test_equals_get_page_loop(self, warm, runs, capacity, use_reader):
+    def test_equals_get_page_loop(
+        self, get_pages_heaps, kind, warm, chunks, capacity, unit_runs
+    ):
         # capacity < PAGES is the evicting regime, >= PAGES fully resident.
-        heap = self.make_heap()
+        # Runs are maximal, or each request a run of one (as an in-memory
+        # heap's chunk is pinned).
+        heap, twin = get_pages_heaps[kind](), get_pages_heaps[kind]()
         batched, looped = BufferPool(capacity), BufferPool(capacity)
-        batched_reads, looped_reads = [], []
         get_page_loop(batched, heap, warm)
-        get_page_loop(looped, heap, warm)
-        for page_ids in runs:
-            got = batched.get_pages(
-                heap, page_ids,
-                reader=self.recording_reader(heap, batched_reads) if use_reader else None,
-            )
-            want = get_page_loop(
-                looped, heap, page_ids,
-                reader=self.recording_reader(heap, looped_reads) if use_reader else None,
-            )
-            assert [page.page_id for page in got] == list(page_ids)
-            for page, twin in zip(got, want):
-                assert page.page_id == twin.page_id
-                assert np.array_equal(page.features, twin.features)
-                assert np.array_equal(page.labels, twin.labels)
-            assert scan_counters(batched, heap) == scan_counters(looped, heap)
-            assert lru_order(batched, heap) == lru_order(looped, heap)
-        assert batched_reads == looped_reads
+        get_page_loop(looped, twin, warm)
+        for page_ids in chunks:
+            batched_reads, looped_reads = [], []
+            record_stretch_reads(heap, batched_reads)
+            if unit_runs:
+                ids, counts = list(page_ids), [1] * len(page_ids)
+            else:
+                ids, counts = page_runs(page_ids)
+            got = batched.get_pages(heap, ids, counts)
+            want = get_page_loop(looped, twin, page_ids, looped_reads)
+            del heap.read_pages
+            assert [page.page_id for page in got] == ids
+            firsts = np.cumsum([0, *counts[:-1]]).tolist()
+            for page, first in zip(got, firsts):
+                assert page.page_id == want[first].page_id
+                assert np.array_equal(page.features, want[first].features)
+                assert np.array_equal(page.labels, want[first].labels)
+            assert scan_counters(batched, heap) == scan_counters(looped, twin)
+            assert lru_order(batched, heap) == lru_order(looped, twin)
+            # The same pages read, in the same order, each at most once.
+            assert batched_reads == looped_reads
+            assert len(set(batched_reads)) == len(batched_reads)
+
+    def test_a_missed_stretch_is_one_read(self, get_pages_heaps):
+        heap = get_pages_heaps["sqlite"]()
+        pool = BufferPool(self.PAGES)
+        pool.get_page(heap, 5)
+        calls = []
+        real = heap.read_pages
+        heap.read_pages = lambda first, count: calls.append((first, count)) or real(
+            first, count
+        )
+        # Pages 3-4 and 6-8 miss as two stretches; 5 is resident; then 3
+        # again is a hit.
+        pool.get_pages(heap, [3, 4, 5, 6, 7, 8, 3], [2, 9, 1, 4, 4, 1, 3])
+        assert calls == [(3, 2), (6, 3)]
+        assert scan_counters(pool, heap) == (1 + 24, 19, 6, 0)
+
+    def test_a_stretch_never_reads_a_page_again(self, get_pages_heaps):
+        """With one page of room, page 5 is read, then evicted by page 2;
+        page 4's miss stops its stretch before page 5, which the call
+        already read, and the second miss of 5 is served from that read."""
+        heap = get_pages_heaps["sqlite"]()
+        reads = []
+        record_stretch_reads(heap, reads)
+        pool = BufferPool(1)
+        pool.get_pages(heap, [5, 2, 4, 5], [1, 1, 1, 1])
+        assert reads == [5, 2, 4]
+        assert scan_counters(pool, heap) == (4, 0, 4, 3)
 
     def test_returns_the_cached_page_objects(self):
         heap = self.make_heap()
         pool = BufferPool(self.PAGES)
-        first = pool.get_pages(heap, [3, 5, 3])
+        first = pool.get_pages(heap, [3, 5, 3], [1, 1, 1])
         assert first[0] is first[2]
-        assert pool.get_pages(heap, [5])[0] is first[1]
+        assert pool.get_pages(heap, [5], [1])[0] is first[1]
 
     def test_empty_run_touches_nothing(self):
         heap = self.make_heap()
         pool = BufferPool(4)
-        assert pool.get_pages(heap, []) == []
+        assert pool.get_pages(heap, [], []) == []
         assert scan_counters(pool, heap) == (0, 0, 0, 0)
 
     @settings(max_examples=60, deadline=None)
@@ -610,7 +719,7 @@ class TestGetPages:
         get_page_loop(looped, looped_heap, warm)
 
         with pytest.raises(TransientPageFault):
-            batched.get_pages(batched_heap, page_ids)
+            batched.get_pages(batched_heap, *page_runs(page_ids))
         with pytest.raises(TransientPageFault):
             get_page_loop(looped, looped_heap, page_ids)
         assert scan_counters(batched, batched_heap) == scan_counters(looped, looped_heap)
@@ -619,10 +728,68 @@ class TestGetPages:
         assert batched_heap.reads == looped_heap.reads
 
         # The retry (fault budget spent) reads clean, still in lockstep.
-        batched.get_pages(batched_heap, page_ids)
+        batched.get_pages(batched_heap, *page_runs(page_ids))
         get_page_loop(looped, looped_heap, page_ids)
         assert scan_counters(batched, batched_heap) == scan_counters(looped, looped_heap)
         assert lru_order(batched, batched_heap) == lru_order(looped, looped_heap)
+
+    @pytest.mark.parametrize("damaged", [0, 4, 7])
+    def test_a_damaged_sqlite_row_faults_at_its_own_request(self, tmp_path, damaged):
+        """A row mid-stretch with a truncated blob: the stretch before it
+        is read and pinned, and the fault comes at that page's own
+        request, with the counters and LRU order of the loop."""
+        inner = self.make_heap()
+        path = tmp_path / "heap.db"
+        features, labels = inner.backing_arrays()
+        SQLiteHeapFile.bulk_load(path, features, labels).close()
+        surgeon = sqlite3.connect(path)
+        with surgeon:
+            surgeon.execute(
+                "UPDATE pages SET labels = ? WHERE page_no = ?", (b"\x00" * 8, damaged)
+            )
+        surgeon.close()
+        heap, twin = SQLiteHeapFile(path), SQLiteHeapFile(path)
+        page_ids = [page for page in range(8) for _ in range(3)]
+        batched, looped = BufferPool(4), BufferPool(4)
+        with pytest.raises(PageFaultError, match=f"page {damaged} blob sizes disagree"):
+            batched.get_pages(heap, *page_runs(page_ids))
+        with pytest.raises(PageFaultError, match=f"page {damaged} blob sizes disagree"):
+            get_page_loop(looped, twin, page_ids)
+        assert scan_counters(batched, heap) == scan_counters(looped, twin)
+        assert scan_counters(batched, heap)[2] == damaged + 1
+        assert lru_order(batched, heap) == lru_order(looped, twin)
+        if damaged:  # a stretch read stops before the damaged row
+            assert len(heap.read_pages(0, 8)) == damaged
+        heap.close()
+        twin.close()
+
+    def test_a_locked_sqlite_database_faults_at_the_stretchs_first_miss(self, tmp_path):
+        inner = self.make_heap()
+        path = tmp_path / "heap.db"
+        features, labels = inner.backing_arrays()
+        SQLiteHeapFile.bulk_load(path, features, labels).close()
+        heap, twin = SQLiteHeapFile(path), SQLiteHeapFile(path)
+        page_ids = [2, 2, 3, 3, 4, 5, 5, 6]
+        batched, looped = BufferPool(self.PAGES), BufferPool(self.PAGES)
+        get_page_loop(batched, heap, [2])
+        get_page_loop(looped, twin, [2])
+        queries = []
+
+        def locked(first, last):
+            queries.append((first, last))
+            raise sqlite3.OperationalError("database is locked")
+
+        heap._fetch_page_rows = twin._fetch_page_rows = locked
+        with pytest.raises(TransientPageFault, match="locked"):
+            batched.get_pages(heap, *page_runs(page_ids))
+        assert queries == [(3, 6)]
+        with pytest.raises(TransientPageFault, match="locked"):
+            get_page_loop(looped, twin, page_ids)
+        # The warm-up miss, two hits on page 2, then page 3's miss faulted.
+        assert scan_counters(batched, heap) == scan_counters(looped, twin) == (4, 2, 2, 0)
+        assert lru_order(batched, heap) == lru_order(looped, twin) == [2]
+        heap.close()
+        twin.close()
 
     def _race(self, pool, jobs):
         """Run ``(heap, runs)`` jobs on one thread each, released together
@@ -634,7 +801,7 @@ class TestGetPages:
             try:
                 barrier.wait(timeout=30)
                 for page_ids in heap_runs:
-                    pool.get_pages(heap, page_ids)
+                    pool.get_pages(heap, *page_runs(page_ids))
             except Exception as error:  # pragma: no cover - fail loud
                 errors.append(error)
 

@@ -359,16 +359,16 @@ class TestScanOrderCopyFaults:
     ):
         reference = self.reference()
         service, heap = self.thrash_service(tmp_path)
-        real_fetch = heap._fetch_page_row
+        real_fetch = heap._fetch_page_rows
         faults = []
 
-        def contended(page_id):
+        def contended(first, last):
             if not faults:
-                faults.append(page_id)
+                faults.append(first)
                 raise sqlite3.OperationalError("database is locked")
-            return real_fetch(page_id)
+            return real_fetch(first, last)
 
-        heap._fetch_page_row = contended
+        heap._fetch_page_rows = contended
         record = submit_one(service)
         service.drain()
         assert record.status is JobStatus.COMPLETED, record.error
@@ -383,10 +383,10 @@ class TestScanOrderCopyFaults:
     ):
         service, heap = self.thrash_service(tmp_path)
 
-        def damaged(page_id):
+        def damaged(first, last):
             raise sqlite3.DatabaseError("database disk image is malformed")
 
-        heap._fetch_page_row = damaged
+        heap._fetch_page_rows = damaged
         before = [(s.spent, s.reserved) for s in service.budgets()]
         records = [submit_one(service, seed=330 + k) for k in range(3)]
         service.drain()
@@ -422,15 +422,15 @@ class TestScanOrderCopyFaults:
             copy = service.session.shared_scan("f").shuffled_copy
             if copy is None:  # no copy to fault: the asserts below fail
                 return
-            real_fetch = copy._fetch_page_row
+            real_fetch = copy._fetch_page_rows
 
-            def flaky(page_id):
+            def flaky(first, last):
                 if len(faults) < 2:
-                    faults.append(page_id)
+                    faults.append(first)
                     raise sqlite3.OperationalError("database is locked")
-                return real_fetch(page_id)
+                return real_fetch(first, last)
 
-            copy._fetch_page_row = flaky
+            copy._fetch_page_rows = flaky
 
         try:
             opener, rider = board_behind_opener(service, arm=arm)

@@ -28,6 +28,9 @@ import itertools
 import os
 import pathlib
 import sqlite3
+import subprocess
+import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -115,6 +118,38 @@ class TestRoundTrip:
             SQLiteHeapFile.bulk_load(heap_path, X, Y[:-1])
         with pytest.raises(ValueError, match="at least one tuple"):
             SQLiteHeapFile.bulk_load(heap_path, X[:0], Y[:0])
+
+    def test_a_heap_page_fits_one_sqlite_page(self, heap_path):
+        """SQLite pages twice the heap page: each row is stored without
+        an overflow chain, so the file holds at most one SQLite page per
+        heap page, plus the schema page and the two tables' roots."""
+        heap = SQLiteHeapFile.bulk_load(heap_path, CX, CY)
+        probe = sqlite3.connect(heap_path)
+        page_size = probe.execute("PRAGMA page_size").fetchone()[0]
+        page_count = probe.execute("PRAGMA page_count").fetchone()[0]
+        probe.close()
+        assert page_size == 2 * storage.PAGE_SIZE_BYTES
+        assert page_count <= heap.num_pages + 3
+        heap.close()
+
+    def test_a_heap_with_4k_sqlite_pages_reads_the_same(self, heap_path):
+        """A database written with SQLite's default 4 KiB pages (every
+        row on an overflow chain) reads the same pages."""
+        SQLiteHeapFile.bulk_load(heap_path, CX, CY).close()
+        surgeon = sqlite3.connect(heap_path)
+        surgeon.execute("PRAGMA journal_mode=DELETE")
+        surgeon.execute("PRAGMA page_size=4096")
+        surgeon.execute("VACUUM")
+        surgeon.execute("PRAGMA journal_mode=WAL")
+        assert surgeon.execute("PRAGMA page_size").fetchone()[0] == 4096
+        surgeon.close()
+        heap, twin = SQLiteHeapFile(heap_path), MaterializedHeapFile(CX, CY)
+        pages = heap.read_pages(0, heap.num_pages)
+        assert len(pages) == twin.num_pages
+        for page in pages:
+            assert np.array_equal(page.features, twin.read_page(page.page_id).features)
+            assert np.array_equal(page.labels, twin.read_page(page.page_id).labels)
+        heap.close()
 
     def test_wal_mode_and_read_only_discipline(self, heap_path, sqlite_heap):
         probe = sqlite3.connect(heap_path)
@@ -347,16 +382,16 @@ class TestFaultMapping:
         # clean (as it would in production, where the heap is healthy at
         # CREATE TABLE time); the contention arrives mid-training-scan.
         service = self._service_on(heap)
-        real_fetch = heap._fetch_page_row
+        real_fetch = heap._fetch_page_rows
         faults = []
 
-        def contended(page_id):
+        def contended(first, last):
             if not faults:
-                faults.append(page_id)
+                faults.append(first)
                 raise sqlite3.OperationalError("database is locked")
-            return real_fetch(page_id)
+            return real_fetch(first, last)
 
-        heap._fetch_page_row = contended
+        heap._fetch_page_rows = contended
         record = submit_one(service, "f")
         service.drain()
         assert record.status is JobStatus.COMPLETED, record.error
@@ -370,10 +405,10 @@ class TestFaultMapping:
         heap = SQLiteHeapFile.bulk_load(heap_path, X, Y)
         service = self._service_on(heap)
 
-        def always_locked(page_id):
+        def always_locked(first, last):
             raise sqlite3.OperationalError("database is locked")
 
-        heap._fetch_page_row = always_locked
+        heap._fetch_page_rows = always_locked
         service.scheduler.scan_retries = 2
         record = submit_one(service, "f")
         service.drain()
@@ -483,6 +518,25 @@ def fly_mixed(service: TrainingService) -> list:
         submit(LogisticLoss(lam), 2, 50)
     service.scheduler.run_pending()
     return records
+
+
+#: A child process that builds a scan-order copy of the heap at argv[1],
+#: prints its path and dies without running a finalizer.
+CRASHING_COPY = textwrap.dedent(
+    """
+    import os
+    import sys
+
+    import numpy as np
+
+    from repro.rdbms.storage import SQLiteHeapFile
+
+    heap = SQLiteHeapFile(sys.argv[1])
+    copy = heap.clustered(np.arange(heap.num_tuples))
+    print(copy.path, flush=True)
+    os._exit(9)
+    """
+)
 
 
 class TestScanOrderCopy:
@@ -598,3 +652,67 @@ class TestScanOrderCopy:
         assert service.session.shared_scan("t").shuffled_copy.path == stale
         for record, twin in zip(ours, theirs):
             assert np.array_equal(record.model, twin.model)
+
+    def test_a_chunk_of_the_copy_is_one_query(self, heap_path):
+        """Each chunk of the copy misses a stretch of consecutive pages
+        (its first page may still be resident from the chunk before),
+        and the pool reads the stretch with one query: one per chunk, in
+        every loop."""
+        session = BismarckSession(buffer_pool_pages=POOL)
+        session.register_table("t", SQLiteHeapFile.bulk_load(heap_path, CX, CY))
+        shuffle = session.shared_scan("t", random_state=0)
+        cursor = shuffle.cursor(CHUNK)
+        cursor.next_chunk()  # builds the copy
+        copy = shuffle.shuffled_copy
+        assert copy is not None
+        real_fetch = copy._fetch_page_rows
+        queries = []
+
+        def counted(first, last):
+            queries.append((first, last))
+            return real_fetch(first, last)
+
+        copy._fetch_page_rows = counted
+        chunks = -(-CM // CHUNK)
+        for _ in range(2 * chunks - 1):  # the rest of loop 1, then loop 2
+            cursor.next_chunk()
+        assert len(queries) == 2 * chunks - 1
+        assert queries[chunks - 1][0] == 0  # loop 2 starts cold
+        stats = session.pool.stats_for(session.catalog.get("t").heap)
+        assert stats.cache_misses == 2 * copy.num_pages
+
+    def test_a_killed_process_copy_is_deleted_by_the_next_build(self, heap_path):
+        """A process that built a copy and died without running its
+        finalizers (``os._exit``) left the copy behind; the next copy
+        built beside that heap deletes it, with its ``-wal``/``-shm``,
+        and leaves copies named with live pids (this process's and its
+        parent's) alone."""
+        SQLiteHeapFile.bulk_load(heap_path, CX, CY).close()
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), env.get("PYTHONPATH", "")]
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", CRASHING_COPY, str(heap_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 9, child.stderr
+        stale = pathlib.Path(child.stdout.strip())
+        assert stale.exists()
+        live = [
+            heap_path.with_name(f"{heap_path.name}.scan-{pid}-999")
+            for pid in (os.getpid(), os.getppid())
+        ]
+        for path in live:
+            path.write_bytes(b"")
+
+        heap = SQLiteHeapFile(heap_path)
+        copy = heap.clustered(np.arange(CM))
+        assert not any(file.exists() for file in storage._database_files(stale))
+        copies = sorted(
+            path for path in heap_path.parent.glob(heap_path.name + ".scan-*")
+            if not path.name.endswith(("-wal", "-shm"))
+        )
+        assert copies == sorted([*live, copy.path])
+        heap.close()

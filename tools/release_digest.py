@@ -5,18 +5,22 @@ Usage (from a checkout's root)::
     PYTHONPATH=src python tools/release_digest.py
 
 Trains fixed regularization grids through ``TrainingService`` on the
-calling thread (``scheduler.run_pending``) at six shapes, which between
-them take every way a scan gathers its rows — the repository
-benchmark's ``grid_memory`` table (in memory, fits the pool: permuted
-chunks copied from the table's arrays), its ``disk_scan`` table (a
-SQLite heap four times the pool: page runs of the scan-order copy), a
-small thrashing SQLite table whose batch size divides neither the chunk
-nor the table, ``memory_thrash`` (an in-memory table with more pages
-than its pool: the arrays of its in-memory scan-order copy), and
-``wrapped_dense`` / ``wrapped_sparse`` (in-memory tables behind a
-``LatencyHeapFile`` at 0 s/page, read in place through a pool that fits
-them: page runs of permuted chunks, many tuples per page at 600x20 and
-about two at 2500x50) — plus a ``mixed_flight``: one elevator flight
+calling thread (``scheduler.run_pending``) at seven shapes, which
+between them take every way a scan reads and gathers its rows — the
+repository benchmark's ``grid_memory`` table (in memory, fits the pool:
+permuted chunks copied from the table's arrays), its ``disk_scan``
+table (a SQLite heap four times the pool: page runs of the scan-order
+copy, each chunk's missed pages read as one stretch), a small
+thrashing SQLite table whose batch size divides neither the chunk nor
+the table, ``sqlite_in_place`` (a SQLite table that fits the default
+pool, read in place: permuted chunks, whose missed pages are stretches
+of one page; each round's first pass reads cold, its second warm),
+``memory_thrash`` (an in-memory table with more pages than its pool:
+the arrays of its in-memory scan-order copy), and ``wrapped_dense`` /
+``wrapped_sparse`` (in-memory tables behind a ``LatencyHeapFile`` at
+0 s/page, read in place through a pool that fits them: page runs of
+permuted chunks, many tuples per page at 600x20 and about two at
+2500x50) — plus a ``mixed_flight``: one elevator flight
 whose openers mix losses, lambdas, batch sizes, passes and radii (so
 some fold as stacked cohorts and some alone), boarded mid-flight by two
 more mixed groups at two cursor positions. Two more lines cover the
@@ -61,6 +65,7 @@ SHAPES = {
     "grid_memory": (2500, 50, 32, 2, 50, None, "memory"),
     "disk_scan": (5000, 50, 16, 1, 50, 60, "sqlite"),
     "thrash_odd_batch": (700, 13, 6, 2, 37, 3, "sqlite"),
+    "sqlite_in_place": (1200, 20, 8, 2, 25, None, "sqlite"),
     "memory_thrash": (2500, 50, 16, 2, 50, 30, "memory"),
     "wrapped_dense": (600, 20, 16, 2, 50, None, "wrapped"),
     "wrapped_sparse": (2500, 50, 32, 2, 50, None, "wrapped"),
