@@ -981,10 +981,10 @@ def bench_disk(smoke: bool) -> list:
 
 #: --gate --http fails above this per-submit p99 through the socket.
 #: Loopback + JSON + admission on a kept-alive connection is ~1-2 ms;
-#: 50 ms leaves room for noisy shared CI runners. It cannot catch a lost
-#: TCP_NODELAY on the server (every kept-alive response then waits ~44
-#: ms for a delayed ACK): tests/test_api_http.py pins that with a 20 ms
-#: median.
+#: 50 ms leaves room for noisy shared CI runners. It cannot catch a
+#: response held back by Nagle's algorithm (a send shorter than a
+#: segment waiting ~40 ms for a delayed ACK): tests/test_api_http.py
+#: pins that with a 20 ms median.
 HTTP_SUBMIT_P99_CEILING_S = 0.050
 
 #: --gate --http fails below this HTTP-over-in-process sustained

@@ -42,16 +42,24 @@ one handler thread per open connection. A connection idle for
 ``IDLE_TIMEOUT_SECONDS`` is closed. Every response leaves the
 connection at a request boundary: the declared body is read before any
 route answers, and a body whose framing cannot be trusted gets a 400
-with ``Connection: close``. :meth:`ServiceApiServer.close` owns the
+with ``Connection: close``. A request the stdlib parser refuses (a bad
+request line or version, an overlong line, too many headers, a method
+other than GET and POST) gets the fault envelope too, with
+``Connection: close``. Each response leaves in one socket write, and
+the response is on the wire before any worker the request woke (a
+submit that queued a job, a cancel that re-queued a twin) is woken:
+the woken worker's scan would otherwise hold the interpreter lock
+while the response waits. :meth:`ServiceApiServer.close` owns the
 connections: a request in progress gets its response, then every
 connection is shut down and its thread returns.
 
 **Telemetry.** Requests tick ``repro_http_requests_total{method,route,
-status}`` and observe ``repro_http_request_seconds{route}`` in the
-service's own metrics registry — route labels are the *patterns*
-(``/v1/jobs/{id}``), never raw paths, so cardinality stays bounded.
-Connections tick ``repro_http_connections_total`` when accepted and
-``repro_http_open_connections`` while open.
+status}`` and observe ``repro_http_request_seconds{route}`` (once the
+response is written) in the service's own metrics registry — route
+labels are the *patterns* (``/v1/jobs/{id}``), never raw paths, so
+cardinality stays bounded; a refused request counts with method and
+route ``(unparsed)``. Connections tick ``repro_http_connections_total``
+when accepted and ``repro_http_open_connections`` while open.
 """
 
 from __future__ import annotations
@@ -61,6 +69,7 @@ import re
 import socket
 import threading
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -281,9 +290,10 @@ class _ApiHandler(BaseHTTPRequestHandler):
     server_api: ServiceApiServer  # installed by ServiceApiServer
 
     protocol_version = "HTTP/1.1"
-    # Headers and body leave in two sends. With Nagle on, the second
-    # waits for the client's delayed ACK: ~40 ms on every kept-alive
-    # request.
+    # A response leaves in one send. Nagle stays off all the same: with
+    # it on, a send shorter than a segment can wait ~40 ms for the
+    # client's delayed ACK of what went before it (the stdlib's interim
+    # "100 Continue", or the full segments of a long response).
     disable_nagle_algorithm = True
     timeout = IDLE_TIMEOUT_SECONDS
 
@@ -309,13 +319,19 @@ class _ApiHandler(BaseHTTPRequestHandler):
             self.server_api._closed(self)
 
     def handle_one_request(self) -> None:
-        try:
-            super().handle_one_request()
-        except ConnectionError:
-            self.close_connection = True  # the client went away
-        finally:
-            if not self.server_api._end_request(self):
-                self.close_connection = True
+        # A worker this request wakes (a submit that queued a job, a
+        # cancel that re-queued a twin) is woken only once the response
+        # has been written: on a host with few cores the woken worker's
+        # scan holds the interpreter lock, and the response would wait
+        # behind it. The wake is sent however the request ends.
+        with self.server_api.service.loop.holding_wakes():
+            try:
+                super().handle_one_request()
+            except ConnectionError:
+                self.close_connection = True  # the client went away
+            finally:
+                if not self.server_api._end_request(self):
+                    self.close_connection = True
 
     def parse_request(self) -> bool:
         # A request line has arrived: the connection is busy until the
@@ -343,21 +359,62 @@ class _ApiHandler(BaseHTTPRequestHandler):
             status, body, content_type = self._fault(400, "invalid_request", error)
         except Exception as error:  # pragma: no cover - defensive
             status, body, content_type = self._fault(500, "internal", error)
+        self._respond(status, body, content_type)
         api = self.server_api
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            if self.close_connection or api._closing:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            self.close_connection = True  # client went away mid-response
         api._requests_total.inc(
             method=method, route=route, status=str(status)
         )
         api._request_seconds.observe(time.perf_counter() - started, route=route)
+
+    def send_error(self, code, message=None, explain=None):
+        """Refuse a request the stdlib parser rejected (a bad request
+        line or version, an overlong line, too many headers, a method
+        with no ``do_`` handler) with the fault envelope, and close.
+
+        The stdlib answers these with an HTML page; here they get the
+        JSON every other fault gets: ``invalid_request`` at the parser's
+        status, or 405 ``method_not_allowed`` for a method the API does
+        not serve. They are counted with both labels ``(unparsed)``: the
+        request line may be arbitrary text, so neither label may echo it.
+        """
+        self.close_connection = True
+        if code == HTTPStatus.NOT_IMPLEMENTED:
+            status, body, content_type = self._fault(
+                405, "method_not_allowed",
+                f"unsupported method {self.command!r}: this API serves GET and POST",
+            )
+        else:
+            reason = message or self.responses.get(code, ("",))[0]
+            status, body, content_type = self._fault(
+                code, "invalid_request", f"{reason}: {explain}" if explain else reason
+            )
+        self._respond(status, body, content_type)
+        self.server_api._requests_total.inc(
+            method="(unparsed)", route="(unparsed)", status=str(status)
+        )
+
+    def _respond(self, status: int, body: bytes, content_type: str) -> None:
+        """Send one response in one write. ``wfile`` is unbuffered (the
+        stdlib's ``wbufsize = 0``), so head and body leave in one
+        ``sendall``: the client never waits on a second send that
+        another thread could delay."""
+        if self.server_api._closing:
+            self.close_connection = True
+        head = [
+            f"{self.protocol_version} {status} "
+            f"{self.responses.get(status, ('',))[0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+        ]
+        if self.close_connection:
+            head.append("Connection: close")
+        head.append("\r\n")
+        try:
+            self.wfile.write("\r\n".join(head).encode("latin-1") + body)
+        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
+            self.close_connection = True  # client went away mid-response
 
     @staticmethod
     def _fault(status: int, code: str, message) -> Tuple[int, bytes, str]:

@@ -338,7 +338,9 @@ class TrainingService:
             job.job_id = job.job_id or f"job-{self._submissions:05d}"
             job.arrival = self._submissions
         record = self.scheduler.submit(job)
-        if self.loop.running:
+        # A cache hit or a rejection is terminal at admission: it queued
+        # nothing, so there is nothing for a worker to claim.
+        if self.loop.running and not record.done:
             self.loop.wake()
         return record
 

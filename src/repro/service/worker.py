@@ -37,9 +37,10 @@ interleaving tests lock worker dispatch to the synchronous reference at
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, Iterator, List, Optional
 
 from repro.obs import metrics as obs_metrics
 from repro.service.registry import JobRecord
@@ -120,6 +121,9 @@ class DispatchLoop:
         self._state = threading.Condition()
         self._stopping = False
         self._inflight = 0
+        # Per thread: is a holding_wakes block open, and was wake() called
+        # in it.
+        self._held = threading.local()
 
     def _log_dispatch_error(self, message: str) -> None:
         self.dispatch_errors.append(message)
@@ -168,7 +172,34 @@ class DispatchLoop:
         self._run_autosave()
 
     def wake(self) -> None:
-        """Nudge idle workers (the service calls this after each submit)."""
+        """Nudge idle workers (the service calls this when a submit or a
+        cancel queued a job, and at drain). Inside :meth:`holding_wakes`
+        on the calling thread, the nudge is sent when that block ends."""
+        if getattr(self._held, "holding", False):
+            self._held.pending = True
+        else:
+            self._wake_workers()
+
+    @contextlib.contextmanager
+    def holding_wakes(self) -> Iterator[None]:
+        """Hold this thread's :meth:`wake` calls until the block ends,
+        then send one nudge if any were made.
+
+        The HTTP handler holds them for one request, so its response is
+        written before a woken worker's scan can take the interpreter
+        lock. The nudge is sent even if the block raises: a job admitted
+        by a request that then failed still gets a worker at once.
+        """
+        held = self._held
+        held.holding, held.pending = True, False
+        try:
+            yield
+        finally:
+            held.holding = False
+            if held.pending:
+                self._wake_workers()
+
+    def _wake_workers(self) -> None:
         with self._state:
             self._state.notify_all()
 

@@ -18,7 +18,10 @@ Plus HTTP-only edges: bearer-token auth, principal pinning, the
 envelope version tag, the metrics endpoint, admin shutdown, concurrent
 submitters sharing one socket server, and the keep-alive transport:
 connection reuse, request framing, the stale-socket resend, a resent
-submit that must not reserve twice, and shutdown with idle connections.
+submit that must not reserve twice, and shutdown with idle connections;
+and the response write: one send per response, the fault envelope for
+requests the parser refuses, and no worker woken before the response
+is on the wire.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import pytest
 
 from repro.api import ServiceApiServer, ServiceClient, WIRE_FORMAT
 from repro.api import server as server_module
+from repro.api import wire
 from repro.api.wire import check_envelope
 from repro.optim.losses import LogisticLoss
 from repro.service import (
@@ -535,8 +539,9 @@ class TestKeepAlive:
         assert metric_value(server.service, "repro_http_connections_total") == before + 1
 
     def test_kept_alive_calls_are_not_held_back_by_nagle(self, server):
-        # Headers and body leave the server in two sends; with Nagle on,
-        # the second waits for the client's delayed ACK (~40 ms a call).
+        # A response leaves the server in one send, and Nagle stays off:
+        # with it on, a send shorter than a segment can wait for the
+        # client's delayed ACK (~40 ms a call) of what went before it.
         client = ServiceClient(server.url, token="alice-token")
         client.health()
         seconds = []
@@ -545,6 +550,18 @@ class TestKeepAlive:
             client.health()
             seconds.append(time.perf_counter() - started)
         assert statistics.median(seconds) < 0.020
+
+    def test_every_connection_has_nagle_off(self, server):
+        # On Linux a response sent in one send is not held back even with
+        # Nagle on, so the timing above cannot tell; ask the sockets.
+        with ServiceClient(server.url, token="alice-token") as client:
+            client.health()  # its connection stays open until the block ends
+            handlers = list(server._connections)
+            assert handlers
+            for handler in handlers:
+                assert handler.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
 
     def test_a_call_after_the_idle_timeout_resends_once(self, monkeypatch):
         monkeypatch.setattr(server_module._ApiHandler, "timeout", 0.2)
@@ -696,6 +713,177 @@ class TestRequestFraming:
         assert head.startswith(b"HTTP/1.1 400 ")
         assert b"\r\nConnection: close" in head
         assert json.loads(body)["error"]["code"] == "invalid_request"
+
+
+def is_whole_response(data: bytes) -> bool:
+    """Do ``data`` hold a response head and its whole declared body?"""
+    head, blank, body = data.partition(b"\r\n\r\n")
+    length = re.search(rb"\r\nContent-Length: (\d+)", head)
+    return bool(blank and length) and len(body) >= int(length.group(1))
+
+
+def read_response(sock: socket.socket) -> bytes:
+    """One whole response off a raw socket."""
+    data = b""
+    while not is_whole_response(data) and (chunk := sock.recv(65536)):
+        data += chunk
+    return data
+
+
+def raw_submit() -> bytes:
+    """Alice's ``SUBMIT`` as the bytes of a kept-alive request."""
+    body = json.dumps(
+        wire.SubmitRequest(principal="alice", table="t", **SUBMIT).to_payload()
+    ).encode("utf-8")
+    return (
+        "POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+        "Authorization: Bearer alice-token\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode("ascii") + body
+
+
+def handler_sends(monkeypatch) -> list:
+    """Record the bytes of every socket send a server handler thread
+    makes from now on, one entry per ``send`` or ``sendall`` call."""
+    sends = []
+    for name in ("send", "sendall"):
+
+        def recorded(sock, data, *args, _real=getattr(socket.socket, name)):
+            if "process_request_thread" in threading.current_thread().name:
+                sends.append(bytes(data))
+            return _real(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, name, recorded)
+    return sends
+
+
+#: name -> (raw request, status, fault code or None for a success). The
+#: last five are refused by the stdlib parser before any route runs.
+RAW_REQUESTS = {
+    "ok": (b"GET /v1/healthz HTTP/1.1\r\nHost: test\r\n\r\n", 200, None),
+    "routed_4xx": (
+        b"GET /v1/budgets HTTP/1.1\r\nHost: test\r\n\r\n", 401, "unauthorized"
+    ),
+    "bad_request_line": (b"NOT A REQUEST LINE\r\n\r\n", 400, "invalid_request"),
+    "http_9_9": (
+        b"GET /v1/healthz HTTP/9.9\r\nHost: test\r\n\r\n", 505, "invalid_request"
+    ),
+    # Exactly the 65537 bytes the parser reads before it refuses: nothing
+    # is left unread, so closing the connection resets nothing.
+    "request_line_over_64k": (
+        b"GET /" + b"a" * 65532, 414, "invalid_request"
+    ),
+    "120_headers": (
+        b"GET /v1/healthz HTTP/1.1\r\n"
+        + b"".join(b"X-Header-%d: y\r\n" % i for i in range(120))
+        + b"\r\n",
+        431,
+        "invalid_request",
+    ),
+    "put": (
+        b"PUT /v1/jobs HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n",
+        405,
+        "method_not_allowed",
+    ),
+}
+REFUSED = [name for name in RAW_REQUESTS if name not in ("ok", "routed_4xx")]
+
+
+class TestResponseWrite:
+    """Every response leaves in one send, and the worker a request wakes
+    is woken only after its response is on the wire."""
+
+    @pytest.mark.parametrize("name", sorted(RAW_REQUESTS))
+    def test_each_response_leaves_in_one_send(self, server, monkeypatch, name):
+        request, status, _ = RAW_REQUESTS[name]
+        sends = handler_sends(monkeypatch)
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(request)
+            response = read_response(sock)
+        assert response.startswith(f"HTTP/1.1 {status} ".encode("ascii"))
+        assert sends == [response]
+
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_a_refused_request_gets_the_fault_envelope(self, server, name):
+        request, status, code = RAW_REQUESTS[name]
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(request)
+            answer = b""
+            while chunk := sock.recv(65536):  # until the server closes
+                answer += chunk
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode("ascii"))
+        assert b"\r\nContent-Type: application/json" in head
+        assert b"\r\nConnection: close" in head
+        fault = json.loads(body)
+        assert fault["api"] == WIRE_FORMAT
+        assert fault["error"]["code"] == code
+        counted = server.service.metrics_registry.get("repro_http_requests_total")
+        assert counted.value(
+            method="(unparsed)", route="(unparsed)", status=str(status)
+        ) == 1
+
+    def test_a_queued_submit_is_answered_before_the_wake(self, server, monkeypatch):
+        loop = server.service.loop
+        wake_workers = loop._wake_workers
+        readable = []
+        woken = threading.Event()
+
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+
+            def peek_then_wake():
+                # What the client could read the moment the wake is sent
+                # (the handler thread is held here, so nothing more can
+                # be written while we look).
+                deadline = time.monotonic() + 1.0
+                seen = b""
+                while time.monotonic() < deadline and not is_whole_response(seen):
+                    try:
+                        seen = sock.recv(65536, socket.MSG_PEEK | socket.MSG_DONTWAIT)
+                    except BlockingIOError:
+                        time.sleep(0.005)
+                readable.append(seen)
+                woken.set()
+                wake_workers()
+
+            monkeypatch.setattr(loop, "_wake_workers", peek_then_wake)
+            sock.sendall(raw_submit())
+            assert woken.wait(10.0)
+            response = read_response(sock)
+        assert readable == [response]
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        job = json.loads(body)["job"]
+        assert job["status"] == "queued"
+        record = server.service.result(job["job"]["job_id"])
+        assert record.wait(30.0)
+        assert record.status is JobStatus.COMPLETED
+
+    def test_a_submit_that_fails_after_admission_still_wakes_a_worker(
+        self, monkeypatch
+    ):
+        # The poll is the only other wake-up, and it is stretched past the
+        # bound: the job completes in time only if the held wake is sent.
+        monkeypatch.setattr("repro.service.worker._IDLE_POLL_SECONDS", 5.0)
+
+        def unencodable(record):
+            raise RuntimeError("the answer could not be encoded")
+
+        service = make_service(workers=1).start()
+        try:
+            with ServiceApiServer(service, TOKENS) as api:
+                monkeypatch.setattr(JobRecord, "payload", unencodable)
+                client = ServiceClient(api.url, token="alice-token", retries=0)
+                started = time.monotonic()
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit("alice", "t", **SUBMIT)
+                assert excinfo.value.code == "internal"
+                (record,) = service.registry.jobs()
+                assert record.wait(2.0)
+                assert time.monotonic() - started < 2.0
+                assert record.status is JobStatus.COMPLETED
+        finally:
+            service.stop()
 
 
 class TestResentSubmit:

@@ -1132,6 +1132,62 @@ class TestWorkerWakeLatency:
             stall.set()
             service.stop()
 
+    def test_only_an_admission_that_queued_a_job_wakes_the_loop(self, monkeypatch):
+        service = make_service(workers=1, cap=1.0).start()
+        wakes = record_calls(monkeypatch, service.loop, "wake")
+        job = dict(loss=LogisticLoss(1e-3), epsilon=EPS, passes=1,
+                   batch_size=25, seed=1)
+        try:
+            fresh = service.submit("alice", "t", **job)
+            assert len(wakes) == 1
+            assert fresh.wait(timeout=30.0)
+            cached = service.submit("alice", "t", **job)
+            over_budget = service.submit("alice", "t", LogisticLoss(1e-3),
+                                         epsilon=2.0, seed=2)
+            assert cached.dispatch == "cached"
+            assert over_budget.status is JobStatus.REJECTED
+            assert len(wakes) == 1
+        finally:
+            service.stop()
+
+    def test_a_held_wake_is_sent_when_the_block_ends_even_by_raising(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr("repro.service.worker._IDLE_POLL_SECONDS", 5.0)
+        service = make_service(workers=1).start()
+        sent = record_calls(monkeypatch, service.loop, "_wake_workers")
+        try:
+            first = service.submit("alice", "t", LogisticLoss(1e-3),
+                                   epsilon=EPS, passes=1, batch_size=25, seed=1)
+            assert len(sent) == 1  # outside a hold, a submit wakes at once
+            assert first.wait(timeout=30.0)
+            started = time.monotonic()
+            with pytest.raises(RuntimeError, match="after admission"):
+                with service.loop.holding_wakes():
+                    held = service.submit("bob", "t", LogisticLoss(1e-3),
+                                          epsilon=EPS, passes=1, batch_size=25,
+                                          seed=2)
+                    assert len(sent) == 1
+                    raise RuntimeError("the request failed after admission")
+            assert len(sent) == 2
+            assert held.wait(timeout=2.0)
+            assert time.monotonic() - started < 2.0
+        finally:
+            service.stop()
+
+
+def record_calls(monkeypatch, owner, name: str) -> list:
+    """Forward ``owner.name`` calls, recording each call's arguments."""
+    calls = []
+    real = getattr(owner, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
 
 class TestQueueInsertOrder:
     def test_queue_is_kept_sorted_on_insert(self):
