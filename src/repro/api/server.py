@@ -377,6 +377,9 @@ class _ApiHandler(BaseHTTPRequestHandler):
         not serve. They are counted with both labels ``(unparsed)``: the
         request line may be arbitrary text, so neither label may echo it.
         """
+        # The parser passes HTTPStatus members, whose str() is the name
+        # ("HTTPStatus.BAD_REQUEST"), not the number, before Python 3.11.
+        code = int(code)
         self.close_connection = True
         if code == HTTPStatus.NOT_IMPLEMENTED:
             status, body, content_type = self._fault(
@@ -397,7 +400,15 @@ class _ApiHandler(BaseHTTPRequestHandler):
         """Send one response in one write. ``wfile`` is unbuffered (the
         stdlib's ``wbufsize = 0``), so head and body leave in one
         ``sendall``: the client never waits on a second send that
-        another thread could delay."""
+        another thread could delay.
+
+        The head is built here because the stdlib's ``end_headers``
+        writes it on its own, and ``send_response`` writes none at all
+        for a request refused before its version was parsed. A buffered
+        ``wfile`` would join head and body as well, but it would hold
+        the interim ``100 Continue`` back until the final answer, and
+        re-raise a hung-up client's broken pipe when the connection
+        closes."""
         if self.server_api._closing:
             self.close_connection = True
         head = [

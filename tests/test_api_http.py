@@ -19,15 +19,18 @@ envelope version tag, the metrics endpoint, admin shutdown, concurrent
 submitters sharing one socket server, and the keep-alive transport:
 connection reuse, request framing, the stale-socket resend, a resent
 submit that must not reserve twice, and shutdown with idle connections;
-and the response write: one send per response, the fault envelope for
-requests the parser refuses, and no worker woken before the response
-is on the wire.
+and the response write: one send per response, the interim
+``100 Continue`` sent at once, the fault envelope for requests the
+parser refuses, and no worker woken before the response is on the
+wire.
 """
 
 from __future__ import annotations
 
+import enum
 import gc
 import http.client
+import http.server
 import json
 import pathlib
 import re
@@ -37,6 +40,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from http import HTTPStatus
 
 import numpy as np
 import pytest
@@ -788,6 +792,15 @@ RAW_REQUESTS = {
 }
 REFUSED = [name for name in RAW_REQUESTS if name not in ("ok", "routed_4xx")]
 
+#: The parser refuses with HTTPStatus members, and before Python 3.11
+#: their str() is the name ("HTTPStatus.BAD_REQUEST"), not the number.
+#: This stand-in for the parser's HTTPStatus shows that on every version.
+NAMED_STATUS = enum.Enum(
+    "HTTPStatus",
+    {label: int(member) for label, member in HTTPStatus.__members__.items()},
+    type=int,
+)
+
 
 class TestResponseWrite:
     """Every response leaves in one send, and the worker a request wakes
@@ -803,8 +816,15 @@ class TestResponseWrite:
         assert response.startswith(f"HTTP/1.1 {status} ".encode("ascii"))
         assert sends == [response]
 
+    @pytest.mark.parametrize(
+        "status_enum", [HTTPStatus, NAMED_STATUS], ids=["stdlib", "named"]
+    )
     @pytest.mark.parametrize("name", REFUSED)
-    def test_a_refused_request_gets_the_fault_envelope(self, server, name):
+    def test_a_refused_request_gets_the_fault_envelope(
+        self, server, monkeypatch, name, status_enum
+    ):
+        assert str(NAMED_STATUS.BAD_REQUEST) != "400"
+        monkeypatch.setattr(http.server, "HTTPStatus", status_enum)
         request, status, code = RAW_REQUESTS[name]
         with socket.create_connection((server.host, server.port), timeout=5) as sock:
             sock.sendall(request)
@@ -822,6 +842,18 @@ class TestResponseWrite:
         assert counted.value(
             method="(unparsed)", route="(unparsed)", status=str(status)
         ) == 1
+
+    def test_an_expect_100_request_hears_continue_before_it_sends_the_body(
+        self, server
+    ):
+        # The interim answer leaves at once, not with the final one: the
+        # client holds its body back until it reads it.
+        head, _, body = raw_submit().partition(b"\r\n\r\n")
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(head + b"\r\nExpect: 100-continue\r\n\r\n")
+            assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            assert read_response(sock).startswith(b"HTTP/1.1 200 ")
 
     def test_a_queued_submit_is_answered_before_the_wake(self, server, monkeypatch):
         loop = server.service.loop
