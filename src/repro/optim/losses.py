@@ -409,23 +409,34 @@ class MarginLoss(Loss):
         ``(n, d)`` batch and a per-model ``(K, n, d)`` stack alike — so
         row ``k`` is bitwise :meth:`batch_gradient` of model ``k`` at
         lambda ``regularization[k]``.
+
+        Each elementwise step writes into an array this call allocated,
+        keeping the single-model operands and their order: ``phi'(Z) *
+        Y`` lands in the margin matrix, whose ``(K, n)`` layout is what
+        the second product reads, and ``/ n`` and ``+ lam W`` land in that
+        product's fresh result, which is returned. The derivative's own
+        result is only read, so a ``margin_derivative`` may return its
+        argument or an array it keeps.
         """
-        W, X, Y, Z = self._multi_margin_terms(W, X, y)
+        W, X, y, Z = self._multi_margin_terms(W, X, y)
         lam = self._lambda_vector(W.shape[0], regularization)
-        coef = self.margin_derivative(Z) * Y
-        sums = np.matmul(np.swapaxes(X, -1, -2), coef[:, :, None])[:, :, 0]
-        return sums / Z.shape[1] + lam[:, None] * W
+        coef = np.multiply(self.margin_derivative(Z), y, out=Z)
+        sums = np.matmul(X.swapaxes(-1, -2), coef[:, :, None])[:, :, 0]
+        sums /= Z.shape[1]
+        sums += lam[:, None] * W
+        return sums
 
     def _multi_margin_terms(
         self, W: np.ndarray, X: np.ndarray, y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Shared shape handling: returns ``(W, X, Y, Z)``.
+        """Shared shape handling: returns ``(W, X, y, Z)``.
 
         ``Z`` is the ``(K, n)`` signed-margin matrix ``y_i <w_k, x_i>``,
         computed as the single-model ``X @ w_k`` per row (``W`` is made
         C-contiguous so each row is the unit-stride vector that call
-        sees); ``X`` may be one shared ``(n, d)`` batch or a ``(K, n, d)``
-        per-model stack.
+        sees), then multiplied by the labels in place; ``X`` may be one
+        shared ``(n, d)`` batch or a ``(K, n, d)`` per-model stack, and
+        ``y`` shared ``(n,)`` or per-model ``(K, n)`` labels.
         """
         W = np.ascontiguousarray(W, dtype=np.float64)
         if W.ndim != 2:
@@ -438,15 +449,11 @@ class MarginLoss(Loss):
             )
         Z = np.matmul(X, W[:, :, None])[:, :, 0]
         y = np.asarray(y, dtype=np.float64)
-        if y.ndim == 1:
-            Y = np.broadcast_to(y, Z.shape)
-        elif y.shape == Z.shape:
-            Y = y
-        else:
+        if y.shape != Z.shape[1:] and y.shape != Z.shape:
             raise ValueError(
                 f"y must be (n,) or (K, n) matching Z {Z.shape}, got {y.shape}"
             )
-        return W, X, Y, Y * Z
+        return W, X, y, np.multiply(y, Z, out=Z)
 
     def _lambda_vector(self, K: int, regularization: np.ndarray | None) -> np.ndarray:
         if regularization is None:
@@ -508,11 +515,15 @@ class LogisticLoss(MarginLoss):
         # phi'(z) = -1 / (1 + e^{z}), computed stably from one exp:
         # e = e^{-|z|} <= 1, so z >= 0 gives -e / (1 + e) and z < 0 gives
         # -1 / (1 + e) — the two branches of the textbook stable form,
-        # bit for bit, without masked copies.
+        # bit for bit, without masked copies. Negating where(z >= 0, e, 1)
+        # in place is exactly where(z >= 0, -e, -1), and 1 + e lands in
+        # e's own buffer (e + 1 is 1 + e, bit for bit).
         z = np.asarray(z, dtype=np.float64)
         e = np.exp(-np.abs(z))
-        out = np.where(z >= 0, -e, -1.0)
-        out /= 1.0 + e
+        out = np.where(z >= 0, e, 1.0)
+        np.negative(out, out=out)
+        e += 1.0
+        out /= e
         return out
 
     def margin_lipschitz(self) -> float:

@@ -135,7 +135,9 @@ def rows_projector(
     1-D dot per row), a ball row is left alone exactly when
     ``norm <= radius`` and is otherwise rescaled by ``radius / norm``,
     and identity rows are never touched. The projector mutates its
-    argument in place and returns it.
+    argument in place and returns it. A NaN norm counts as outside
+    (``~(norms <= radii)``), so a NaN ball row is rescaled as its own
+    projection would rescale it.
     """
     projections = list(projections)
     if all(isinstance(p, IdentityProjection) for p in projections):
@@ -143,11 +145,16 @@ def rows_projector(
     if all(isinstance(p, (IdentityProjection, L2BallProjection)) for p in projections):
         balls = np.array([isinstance(p, L2BallProjection) for p in projections])
         radii = np.array([p.radius for p in projections], dtype=np.float64)
+        every_ball = bool(balls.all())
 
         def project_l2(W: np.ndarray) -> np.ndarray:
             rows = np.ascontiguousarray(W)
-            norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
-            outside = balls & ~(norms <= radii)
+            norms = np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+            np.sqrt(norms, out=norms)
+            outside = np.less_equal(norms, radii)
+            np.logical_not(outside, out=outside)
+            if not every_ball:
+                outside &= balls
             if outside.any():
                 W[outside] *= (radii[outside] / norms[outside])[:, None]
             return W

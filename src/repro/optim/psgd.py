@@ -390,12 +390,20 @@ class FusedStep:
       group of its own, served by its loss's row-loop fallback);
     * the step ``W - rate_k(t) * G`` is elementwise, and the rate matrix
       holds each schedule's exact ``rates`` vector — ``rates(n)[t - 1] ==
-      rate(t)`` for every ``n``, so growing it on demand moves no entry;
+      rate(t)`` for every ``n``, so its length (set once by
+      :meth:`reserve_rates`, or grown on demand) moves no entry;
     * the row projector takes each row's own norm, and its row-loop path
       calls the model's own projection.
 
     Every operation treats rows independently, so stepping all active rows
     at once equals stepping each group, or each model, in turn.
+
+    The step consumes its gradient: when every model is active, ``rate *
+    G``, ``W - rate * G`` and the projection are written into ``G``, which
+    is returned as the new weights. A caller passes a gradient nothing
+    else holds — :meth:`gradient`'s result (a fresh kernel result, as the
+    loss kernels' NumPy arithmetic returns) or a mean it just divided —
+    and keeps no reference to the weights it replaces.
     """
 
     def __init__(
@@ -418,15 +426,24 @@ class FusedStep:
         self.projections = [
             p if p is not None else IdentityProjection() for p in projections
         ]
-        self._rates = np.empty((K, 0), dtype=np.float64)
+        #: (T, K, 1): entry [t - 1] is the rate column of update t.
+        self._rates = np.empty((0, K, 1), dtype=np.float64)
         self.restrict(np.arange(K))
+
+    def reserve_rates(self, updates: int) -> None:
+        """Build the rate matrix for updates ``1..updates`` in one go: a
+        caller that knows its run's length saves :meth:`step` the
+        on-demand regrowths."""
+        self._rates = np.stack(
+            [schedule.rates(updates) for schedule in self.schedules], axis=1
+        )[:, :, None]
 
     def restrict(self, rows: np.ndarray) -> None:
         """Step only the models at ``rows`` from now on; the others freeze.
 
         Plans the fusion groups and the row projector over those models.
         When one group holds every model its rows are a full slice, so the
-        kernel reads ``W`` and the data as views, and its result is the
+        kernel reads ``W`` and the data as given, and its result is the
         gradient with no copy.
         """
         rows = np.asarray(rows, dtype=np.int64)
@@ -455,33 +472,40 @@ class FusedStep:
         of frozen models are zero.
         """
         groups = self._groups
-        # A full-slice group is the only group: its result is the gradient.
-        G = None if isinstance(groups[0][1], slice) else np.zeros_like(W)
+        if isinstance(groups[0][1], slice):
+            # A full-slice group is the only group: its result is the
+            # gradient, computed on the arrays as given.
+            rep, _, lams = groups[0]
+            return rep.batch_gradient_multi(W, X, Y, regularization=lams)
+        G = np.zeros_like(W)
         for rep, rows, lams in groups:
-            Gg = rep.batch_gradient_multi(
+            G[rows] = rep.batch_gradient_multi(
                 W[rows],
                 X[rows] if X.ndim == 3 else X,
                 Y[rows] if Y.ndim == 2 else Y,
                 regularization=lams,
             )
-            if G is None:
-                return Gg
-            G[rows] = Gg
         return G
 
     def step(self, W: np.ndarray, G: np.ndarray, t: int) -> np.ndarray:
         """Update ``t``: ``W - rate_k(t) * G`` on every active row, each then
-        projected onto its model's set. Returns the stepped matrix; with
-        frozen rows, the active ones are written into ``W`` itself."""
-        if t > self._rates.shape[1]:
-            total = max(t, 64, 2 * self._rates.shape[1])
-            self._rates = np.stack([schedule.rates(total) for schedule in self.schedules])
+        projected onto its model's set. With every model active the new
+        weights are written into ``G`` and ``G`` is returned; with frozen
+        rows, the active ones are written into ``W``, which is returned."""
+        rates = self._rates
+        if t > rates.shape[0]:
+            self.reserve_rates(max(t, 64, 2 * rates.shape[0]))
+            rates = self._rates
         rows = self._rows
-        stepped = W[rows] - self._rates[rows, t - 1][:, None] * G[rows]
+        if isinstance(rows, slice):
+            np.multiply(rates[t - 1], G, out=G)
+            np.subtract(W, G, out=G)
+            if self._projector is not None:
+                self._projector(G)
+            return G
+        stepped = W[rows] - rates[t - 1, rows] * G[rows]
         if self._projector is not None:
             stepped = self._projector(stepped)
-        if isinstance(rows, slice):
-            return stepped
         W[rows] = stepped
         return W
 
@@ -604,6 +628,7 @@ class MultiModelPSGD:
         )
         W = step.project(np.zeros((K, d), dtype=np.float64))
         slices = minibatch_slices(m, self.batch_size)
+        step.reserve_rates(self.passes * len(slices))
         passes_per_model = np.array(
             [spec.passes if spec.passes is not None else self.passes for spec in self.specs],
             dtype=np.int64,
@@ -636,9 +661,8 @@ class MultiModelPSGD:
                 t += 1
                 # [..., sl, :] cuts the batch from a shared (m, d) block
                 # and a (K, m, d) stack alike; [..., sl] from either label
-                # layout.
-                G = step.gradient(W, Xp[..., sl, :], Yp[..., sl])
-                W = step.step(W, G, t)
+                # layout. The step consumes the gradient and returns it as W.
+                W = step.step(W, step.gradient(W, Xp[..., sl, :], Yp[..., sl]), t)
                 for k in observing:
                     averagers[k].observe(t, W[k])
             passes_completed += 1

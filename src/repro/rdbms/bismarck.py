@@ -195,13 +195,20 @@ class BismarckSession:
         for _ in self.pool.scan(table.heap):
             pass
 
-    def shared_scan(self, table_name: str, random_state: RandomState = None) -> ShuffleOnce:
+    def shared_scan(
+        self,
+        table_name: str,
+        random_state: RandomState | Callable[[], RandomState] = None,
+    ) -> ShuffleOnce:
         """Get-or-create the table's *persistent* shuffle operator.
 
         Bismarck materializes a shuffled copy of each table once and
         replays it for every epoch; this extends that discipline across
         *runs*: the first caller fixes the table's permutation (drawn from
-        ``random_state``) and every later training run on the table —
+        ``random_state``, which is read only when the operator is created;
+        a zero-argument callable returning it is called only then, so a
+        seed that is costly to build is built once per operator) and every
+        later training run on the table —
         fused or standalone, in any order — replays exactly the same tuple
         order. That permutation-stability is what lets the training
         service promise bitwise-identical per-job models regardless of how
@@ -232,6 +239,8 @@ class BismarckSession:
             scan = self._shared_scans.get(table_name)
             table = self.catalog.get(table_name)
             if scan is None or scan.table is not table:
+                if callable(random_state):
+                    random_state = random_state()
                 scan = ShuffleOnce(table, self.pool, random_state=as_generator(random_state))
                 self._shared_scans[table_name] = scan
             return scan

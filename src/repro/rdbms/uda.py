@@ -217,6 +217,14 @@ class MultiSGDUDA(UDA):
     that board together as one of these (:class:`ElevatorMultiSGDUDA`).
     Per-step noise is not fused: the white-box baselines step one model
     at a time through :class:`repro.rdbms.bismarck.NoisySGDUDA`.
+
+    The fold writes into arrays it owns: a segment's mean gradient is
+    scaled by its tuple count in place and added into the state's
+    accumulator, and a completed mini-batch's mean (the accumulator
+    divided into one fresh array) is consumed by the step, which returns
+    it as the new model. No array is recycled across steps, so a model a
+    caller took from the state earlier (a terminated epoch's, a landed
+    rider's) is never written again.
     """
 
     def __init__(
@@ -273,7 +281,8 @@ class MultiSGDUDA(UDA):
         :meth:`FusedStep.gradient <repro.optim.psgd.FusedStep.gradient>`.
         """
         # Runs once per cohort per chunk in a scan flight: lookups are
-        # hoisted, the arithmetic is SGDUDA's per-segment sequence per row.
+        # hoisted, the arithmetic is SGDUDA's per-segment sequence per row,
+        # written into the fresh mean and the accumulator.
         batch_size = self.batch_size
         gradient = self._step.gradient
         n = features.shape[0]
@@ -282,7 +291,8 @@ class MultiSGDUDA(UDA):
             stop = min(start + batch_size - state.examples_in_batch, n)
             take = stop - start
             mean = gradient(state.model, features[start:stop], labels[start:stop])
-            state.accumulated_gradient += mean * take
+            mean *= take
+            state.accumulated_gradient += mean
             state.examples_in_batch += take
             start = stop
             if state.examples_in_batch >= batch_size:
@@ -295,6 +305,7 @@ class MultiSGDUDA(UDA):
         return state.model
 
     def _apply_batch(self, state: SGDState) -> None:
+        # The step consumes the fresh mean and returns it as the model.
         state.model = self._step.step(
             state.model,
             state.accumulated_gradient / state.examples_in_batch,
@@ -365,6 +376,11 @@ class _Ride:
         self.stacked = isinstance(uda, MultiSGDUDA)
         self.num_tuples = num_tuples
         self.passes = riders[0].passes
+        # ceil(m / b) updates per epoch, exactly run_sgd's advance.
+        self.updates_per_epoch = -(-num_tuples // uda.batch_size)
+        if self.stacked:
+            # The cohort's rates for the whole ride, built once.
+            uda._step.reserve_rates(self.passes * self.updates_per_epoch)
         self.epochs_completed = 0
         self.tuples_into_epoch = 0
         self.global_step_offset = 0
@@ -389,8 +405,7 @@ class _Ride:
         model = self.uda.terminate(self.state)
         self.epochs_completed += 1
         self.tuples_into_epoch = 0
-        # ceil(m / b) updates per epoch, exactly run_sgd's advance.
-        self.global_step_offset += -(-self.num_tuples // self.uda.batch_size)
+        self.global_step_offset += self.updates_per_epoch
         for rider in self.riders:
             rider.epochs_completed = self.epochs_completed
         if not self.done:

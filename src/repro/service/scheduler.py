@@ -98,6 +98,7 @@ import threading
 import time
 import zlib
 from contextlib import contextmanager
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -1150,10 +1151,16 @@ class SharedScanScheduler:
         self._settle_twins(record, None)
 
     def _shared_scan(self, table_name: str):
-        """The table's service-wide permutation (seeded by table, not job)."""
+        """The table's service-wide permutation (seeded by table, not job).
+
+        The session builds the seed only when it creates the table's
+        operator: once per registered table, not once per flight.
+        """
         return self.session.shared_scan(
-            table_name,
-            random_state=np.random.SeedSequence(
-                [self.scan_seed, zlib.crc32(table_name.encode("utf-8"))]
-            ),
+            table_name, random_state=partial(self._table_seed, table_name)
+        )
+
+    def _table_seed(self, table_name: str) -> np.random.SeedSequence:
+        return np.random.SeedSequence(
+            [self.scan_seed, zlib.crc32(table_name.encode("utf-8"))]
         )

@@ -27,6 +27,16 @@ def make_binary_data(m: int, d: int, seed: int = 0) -> tuple[np.ndarray, np.ndar
     return X, y
 
 
+def assert_bytes_equal(actual, expected) -> None:
+    """Assert two float64 arrays are equal byte for byte: dtype, shape and
+    every bit. Unlike ``np.array_equal``, this tells -0.0 from +0.0 and
+    one NaN from another, as a digest of the released bytes does."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype == np.float64, (actual.dtype, expected.dtype)
+    assert actual.shape == expected.shape, (actual.shape, expected.shape)
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
 def pin_each_tuple(shuffle) -> tuple[np.ndarray, np.ndarray]:
     """The page-by-page reference scan of a ``ShuffleOnce``: read every
     permutation position from the operator's scan source, pinning the

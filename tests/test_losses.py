@@ -16,6 +16,9 @@ from repro.optim.losses import (
     Loss,
     MarginLoss,
 )
+from repro.optim.schedules import ConstantSchedule
+from repro.rdbms.uda import SGDUDA, ElevatorRider, _cohort_key
+from tests.conftest import assert_bytes_equal
 
 
 def masked_two_branch_derivative(z):
@@ -445,9 +448,86 @@ class TestMultiModelRowsAreSingleModelCalls:
         for k in range(K):
             solo = loss.with_regularization(float(lams[k]))
             X_k, y_k = (X, y) if shared else (X[k], y[k])
-            assert np.array_equal(
-                gradients[k], solo.batch_gradient(W[k], X_k, y_k)
-            ), f"gradient row {k} differs"
-            assert np.array_equal(
-                values[k], solo.batch_value(W[k], X_k, y_k)
-            ), f"value row {k} differs"
+            assert_bytes_equal(gradients[k], solo.batch_gradient(W[k], X_k, y_k))
+            assert_bytes_equal(values[k], solo.batch_value(W[k], X_k, y_k))
+
+
+class ArgumentDerivativeLoss(MarginLoss):
+    """``phi(z) = z^2 / 2``, whose ``margin_derivative`` returns its
+    (float64) argument itself."""
+
+    def margin_loss(self, z):
+        z = np.asarray(z, dtype=np.float64)
+        return 0.5 * z * z
+
+    def margin_derivative(self, z):
+        return np.asarray(z, dtype=np.float64)
+
+    def margin_lipschitz(self):
+        return float("inf")
+
+    def margin_smoothness(self):
+        return 1.0
+
+
+class TestMultiKernelAliasing:
+    """The multi-model kernel writes only into arrays it allocated. A
+    loss that overrides ``margin_derivative`` alone keeps both kernels,
+    so its riders still stack in a cohort — whatever array its
+    derivative returns, every row must stay its single-model call and
+    nothing the loss keeps may change."""
+
+    @staticmethod
+    def inputs(seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((40, 6))[3:33]
+        y = np.where(rng.random(30) < 0.5, -1.0, 1.0)
+        W = rng.standard_normal((5, 6))
+        lams = np.array([0.0, 1e-4, 1e-2, 0.5, 0.0])
+        return W, X, y, lams
+
+    @staticmethod
+    def stacks(loss) -> bool:
+        rider = ElevatorRider(
+            SGDUDA(loss, ConstantSchedule(0.1), 10), passes=1, boarding_offset=0
+        )
+        return _cohort_key(rider) is not None
+
+    def test_a_derivative_returning_a_kept_buffer(self):
+        kept = {}
+
+        class CachedDerivativeLoss(LogisticLoss):
+            def margin_derivative(self, z):
+                value = super().margin_derivative(z)
+                buffer = kept.setdefault(value.shape, np.empty_like(value))
+                np.copyto(buffer, value)
+                kept["last"] = (buffer, value)
+                return buffer
+
+        loss = CachedDerivativeLoss()
+        assert self.stacks(loss)
+        W, X, y, lams = self.inputs(seed=41)
+        gradients = loss.batch_gradient_multi(W, X, y, regularization=lams)
+        buffer, value = kept["last"]
+        assert buffer.shape == (5, 30)
+        assert_bytes_equal(buffer, value)  # the kept array is untouched
+        for k in range(5):
+            solo = loss.with_regularization(float(lams[k]))
+            assert_bytes_equal(gradients[k], solo.batch_gradient(W[k], X, y))
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_a_derivative_returning_its_argument(self, shared):
+        loss = ArgumentDerivativeLoss()
+        assert self.stacks(loss)
+        W, X, y, lams = self.inputs(seed=42)
+        if not shared:
+            X = np.stack([X * (k + 1) for k in range(5)])
+            y = np.stack([y * (-1) ** k for k in range(5)])
+        held = (W.copy(), X.copy(), y.copy())
+        gradients = loss.batch_gradient_multi(W, X, y, regularization=lams)
+        for original, now in zip(held, (W, X, y)):
+            assert_bytes_equal(now, original)  # the caller's arrays too
+        for k in range(5):
+            solo = loss.with_regularization(float(lams[k]))
+            X_k, y_k = (X, y) if shared else (X[k], y[k])
+            assert_bytes_equal(gradients[k], solo.batch_gradient(W[k], X_k, y_k))

@@ -8,13 +8,15 @@ mini-batch boundaries, same per-model step sizes / regularization /
 projection. Both engines update through one
 :class:`repro.optim.psgd.FusedStep`, and this suite is the lock on that
 contract, in the same spirit as ``test_vectorized_equivalence.py``,
-but tighter: every comparison is bitwise (``np.array_equal``). No
-rounding slack is left to admit. ``MarginLoss``'s multi-model kernels
-stack the single-model matrix-vector products into one ``np.matmul``,
-which runs that same product once per row; the compiled row projector
-takes each row's norm as that row's own dot product; and schedules and
-averaging were already per model. Per-step noise is not fused: the
-white-box baselines train one model at a time. (The vectorized
+but tighter: every comparison is byte for byte (``assert_bytes_equal``:
+dtype, shape and every bit, so -0.0 is not +0.0). No rounding slack is
+left to admit, and no reordered in-place operation slips through.
+``MarginLoss``'s multi-model kernels stack the single-model
+matrix-vector products into one ``np.matmul``, which runs that same
+product once per row; the compiled row projector takes each row's norm
+as that row's own dot product; and schedules and averaging were
+already per model. Per-step noise is not fused: the white-box
+baselines train one model at a time. (The vectorized
 suite keeps its 1e-12: a per-example gradient loop and one batched
 contraction genuinely sum in different orders. Nothing here compares
 those two paths.)
@@ -60,7 +62,7 @@ from repro.rdbms.catalog import Catalog
 from repro.rdbms.executor import ShuffleOnce, run_aggregate
 from repro.rdbms.storage import BufferPool
 from repro.rdbms.uda import MultiSGDUDA, SGDUDA
-from tests.conftest import make_binary_data, pin_each_tuple
+from tests.conftest import assert_bytes_equal, make_binary_data, pin_each_tuple
 
 #: Every loss family (regularized and not) — as in the vectorized suite.
 LOSSES = [
@@ -102,8 +104,8 @@ def sequential_reference(specs, X, y, perm, passes, batch_size):
 
 def assert_fused_equals_sequential(fused, references):
     for k, reference in enumerate(references):
-        np.testing.assert_array_equal(fused.models[k], reference.model)
-        np.testing.assert_array_equal(fused.final_iterates[k], reference.final_iterate)
+        assert_bytes_equal(fused.models[k], reference.model)
+        assert_bytes_equal(fused.final_iterates[k], reference.final_iterate)
         assert int(fused.updates_per_model[k]) == reference.updates
 
 
@@ -235,7 +237,7 @@ class TestHeterogeneousModels:
             reference = PSGD(spec.loss, config).run(
                 Xs[k], Ys[k], permutation=perms[k]
             )
-            np.testing.assert_array_equal(fused.models[k], reference.model)
+            assert_bytes_equal(fused.models[k], reference.model)
 
 
 class TestFusedStep:
@@ -268,7 +270,7 @@ class TestFusedStep:
             for k, (loss, rule) in enumerate(zip(losses, schedules)):
                 references[k] = self.own_step(loss, rule, None, references[k], Xb, yb, t)
         for k, reference in enumerate(references):
-            np.testing.assert_array_equal(W[k], reference)
+            assert_bytes_equal(W[k], reference)
 
     def test_one_group_returns_the_kernels_result(self, monkeypatch):
         """A single fusion group over every model is served by one kernel
@@ -283,7 +285,7 @@ class TestFusedStep:
         expected = LogisticLoss().batch_gradient_multi(
             W, X, y, regularization=np.array(lams)
         )
-        np.testing.assert_array_equal(step.gradient(W, X, y), expected)
+        assert_bytes_equal(step.gradient(W, X, y), expected)
 
         results = []
         kernel = LogisticLoss.batch_gradient_multi
@@ -314,11 +316,11 @@ class TestFusedStep:
         before = W.copy()
         step.restrict(np.array([0, 2]))
         G = step.gradient(W, X, y)
-        np.testing.assert_array_equal(G[1], np.zeros(4))
+        assert_bytes_equal(G[1], np.zeros(4))
         W = step.step(W, G, 5)
-        np.testing.assert_array_equal(W[1], before[1])
+        assert_bytes_equal(W[1], before[1])
         for k in (0, 2):
-            np.testing.assert_array_equal(
+            assert_bytes_equal(
                 W[k], self.own_step(losses[k], schedules[k], None, before[k], X, y, 5)
             )
 
@@ -342,13 +344,13 @@ class TestFusedStep:
         W = step.project(np.tile(start, (3, 1)))
         for k, projection in enumerate(projections):
             expected = projection(start.copy()) if projection is not None else start
-            np.testing.assert_array_equal(W[k], expected)
+            assert_bytes_equal(W[k], expected)
         assert np.linalg.norm(W[0]) == pytest.approx(0.5)
 
         before = W.copy()
         W = step.step(W, step.gradient(W, X, y), 1)
         for k, projection in enumerate(projections):
-            np.testing.assert_array_equal(
+            assert_bytes_equal(
                 W[k],
                 self.own_step(losses[k], schedules[k], projection, before[k], X, y, 1),
             )
@@ -371,7 +373,7 @@ class TestFusedStep:
         W = np.array([[0.3, -0.2, 0.1], [-0.5, 0.4, 0.2]])
         G = step.gradient(W, X_in, Y_in)
         for k, (loss, (Xk, yk)) in enumerate(zip(losses, rows)):
-            np.testing.assert_array_equal(G[k], loss.batch_gradient(W[k], Xk, yk))
+            assert_bytes_equal(G[k], loss.batch_gradient(W[k], Xk, yk))
 
     def test_rejects_mismatched_model_lists(self):
         with pytest.raises(ValueError, match="at least one model"):
@@ -401,8 +403,8 @@ class TestBoltOnFleet:
             reference = train_bolt_on(
                 Xs[k], Ys[k], candidate, 2.0, random_state=seeds[k]
             )
-            np.testing.assert_array_equal(fleet[k].model, reference.model)
-            np.testing.assert_array_equal(
+            assert_bytes_equal(fleet[k].model, reference.model)
+            assert_bytes_equal(
                 fleet[k].unreleased_noiseless_model,
                 reference.unreleased_noiseless_model,
             )
@@ -425,7 +427,7 @@ class TestBoltOnFleet:
             reference = train_bolt_on(
                 X, y, candidate, 1.0, random_state=seeds[k], permutation=perm
             )
-            np.testing.assert_array_equal(fleet[k].model, reference.model)
+            assert_bytes_equal(fleet[k].model, reference.model)
 
     def test_stacked_fleet_with_one_shared_permutation(self):
         """One (m,) order over a stacked fleet is every candidate's order,
@@ -445,7 +447,7 @@ class TestBoltOnFleet:
             reference = train_bolt_on(
                 Xs[k], Ys[k], candidate, 1.0, random_state=seeds[k], permutation=perm
             )
-            np.testing.assert_array_equal(fleet[k].model, reference.model)
+            assert_bytes_equal(fleet[k].model, reference.model)
 
     def test_shared_fleet_refuses_a_permutation_matrix_by_its_layout(self):
         """Shared (m, d) data has one scan: a valid (K, m) matrix of orders
@@ -477,7 +479,7 @@ class TestBoltOnFleet:
             X, y, lambda theta: factory(theta), grid, epsilon=2.0, random_state=9
         )
         assert fused.chosen_index == sequential.chosen_index
-        np.testing.assert_array_equal(
+        assert_bytes_equal(
             np.asarray(fused.model_result.model),
             np.asarray(sequential.model_result.model),
         )
@@ -526,7 +528,7 @@ class TestFusedRDBMS:
                          projection=projections[k])
             model = run_aggregate(shuffle_k, uda, chunk_size=chunk_size, dimension=6)
             sequential_pages += shuffle_k.stats.pages_requested
-            np.testing.assert_array_equal(fused_models[k], model)
+            assert_bytes_equal(fused_models[k], model)
 
         # The scan-sharing claim, exactly: fused charges ONE scan's pages,
         # the sequential runs charge K of them.
@@ -569,7 +571,7 @@ class TestFusedRDBMS:
             3 * solo.total_runtime.gradient_seconds
         )
         # And the fused models equal the solo run model for the first spec.
-        np.testing.assert_array_equal(fused.models[0], solo.model)
+        assert_bytes_equal(fused.models[0], solo.model)
 
 
 class TestPageGroupedGather:

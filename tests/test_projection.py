@@ -151,6 +151,16 @@ class TestRowsProjector:
         np.testing.assert_array_equal(got[2], W[2])  # identity stays identity
         np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
+    def test_nan_row_goes_nan_when_every_row_is_a_ball(self):
+        # With no identity row the projector skips its ball mask; a NaN
+        # row must still count as outside and be rescaled.
+        W = np.array([[np.nan, 1.0], [3.0, 4.0], [0.1, np.nan]])
+        projections = [L2BallProjection(1.0), L2BallProjection(1.0), L2BallProjection(5.0)]
+        with np.errstate(invalid="ignore"):
+            got, expected = self.project_both(W, projections)
+        assert np.isnan(got[0]).all() and np.isnan(got[2]).all()
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
     def test_all_identity_compiles_to_nothing(self):
         assert rows_projector([IdentityProjection()] * 3) is None
 

@@ -1,7 +1,8 @@
 """Elevator scans: jobs board the running shared scan mid-flight.
 
 The acceptance contract: a boarded job's released weights are
-bitwise-equal (``np.array_equal``, atol=0) to the same job run solo with
+byte-for-byte equal (``assert_bytes_equal``: every bit, so -0.0 is not
++0.0) to the same job run solo with
 ``run_sgd(..., start_offset=<its boarding offset>)`` — boarding changes
 *where on the permutation* a job's epochs start, never a single float of
 what they compute from there. Around that contract this suite pins:
@@ -39,7 +40,7 @@ from repro.rdbms.bismarck import BismarckSession, NoisySGDUDA
 from repro.rdbms.uda import SGDUDA, ElevatorMultiSGDUDA
 from repro.service import JobStatus, TrainingService
 from tests import conftest
-from tests.conftest import GatedLoss, make_binary_data
+from tests.conftest import GatedLoss, assert_bytes_equal, make_binary_data
 
 # Component-level shape: small enough that hypothesis examples are cheap,
 # with a ragged last chunk (60 = 16 + 16 + 16 + 12) so grid arithmetic
@@ -123,7 +124,7 @@ class TestBoardingEquivalence:
         while not rider.done:
             elevator.fold_chunk(*cursor.next_chunk())
 
-        assert np.array_equal(report.model, rider.model)  # atol=0
+        assert_bytes_equal(report.model, rider.model)
         assert rider.epochs_completed == passes
         # A full rotation delivers exactly M tuples, so the ride exits
         # back at its boarding chunk.
@@ -259,7 +260,7 @@ class TestCohorts:
                 shuffle=fresh_scan(solo),
                 start_offset=rider.boarding_offset,
             )
-            assert np.array_equal(report.model, rider.model)  # atol=0
+            assert_bytes_equal(report.model, rider.model)
 
 
 def make_elevator_service(workers: int = 1, cap: float = 10.0, **kwargs):
@@ -311,8 +312,8 @@ class TestServiceBoarding:
         assert opener.epochs_ridden == 2
         assert rider.epochs_ridden == 1
         # The acceptance contract, at the service boundary.
-        assert np.array_equal(rider.model, solo_release(rider, XS, YS))
-        assert np.array_equal(opener.model, solo_release(opener, XS, YS))
+        assert_bytes_equal(rider.model, solo_release(rider, XS, YS))
+        assert_bytes_equal(opener.model, solo_release(opener, XS, YS))
         # One flight: a single scan, pages bounded by the cursor stream
         # (2 opener loops + the boarder's ride into loop 3), not the sum
         # of two solo scans at their windows' boundaries.
@@ -347,7 +348,7 @@ class TestServiceBoarding:
         service.drain()
         assert again.status is JobStatus.COMPLETED
         assert again.boarding_offset == 0  # opened its own flight
-        assert np.array_equal(again.model, solo_release(again, XS, YS))
+        assert_bytes_equal(again.model, solo_release(again, XS, YS))
 
         # That offset-0 release IS cache-eligible: third submission hits.
         third = service.submit(
@@ -355,7 +356,7 @@ class TestServiceBoarding:
             batch_size=10, seed=2,
         )
         assert third.dispatch == "cached"
-        assert np.array_equal(third.model, again.model)
+        assert_bytes_equal(third.model, again.model)
 
     def test_a_twin_of_an_offset_rider_trains_on_its_own(self):
         service = make_elevator_service(workers=1)
@@ -379,7 +380,7 @@ class TestServiceBoarding:
         # names: the twin was admitted on its own, trained and paid.
         assert twin.dispatch == "scan"
         assert twin.cache_source == ""
-        assert np.array_equal(twin.model, solo_release(twin, XS, YS))
+        assert_bytes_equal(twin.model, solo_release(twin, XS, YS))
         spent = {s.principal: s.spent[0] for s in service.budgets()}
         assert spent == {"alice": pytest.approx(2 * EPS), "bob": pytest.approx(EPS)}
 
@@ -411,7 +412,7 @@ class TestServiceBoarding:
             assert record.epochs_ridden == passes
             # Each rider's own ride spans exactly its solo page cost.
             assert record.group_pages == passes * MS
-            assert np.array_equal(record.model, solo_release(record, XS, YS))
+            assert_bytes_equal(record.model, solo_release(record, XS, YS))
 
 
 class TestElevatorLedgerRace:
@@ -491,7 +492,7 @@ class TestElevatorLedgerRace:
                 record.error
             )
             if record.status is JobStatus.COMPLETED:
-                assert np.array_equal(
+                assert_bytes_equal(
                     record.model,
                     solo_release(
                         record, XS if record.job.table == "t" else X2,

@@ -150,6 +150,44 @@ class TestSharedScanAccounting:
         # In fact the scan is shared exactly: same page requests as one job.
         assert group_pages == single_pages == 2 * M
 
+    def test_the_scan_seed_is_built_once_per_table_operator(self, monkeypatch):
+        """The table's permutation seed is built when the session creates
+        the table's shuffle operator: a second flight builds none, and a
+        dropped and re-registered table gets a new operator with the
+        same permutation."""
+        service = make_service()
+        scheduler = service.scheduler
+        built = []
+        table_seed = scheduler._table_seed
+
+        def counting_table_seed(table_name):
+            built.append(table_name)
+            return table_seed(table_name)
+
+        monkeypatch.setattr(scheduler, "_table_seed", counting_table_seed)
+
+        def fly(seed):
+            record = service.submit("alice", "t", LogisticLoss(1e-3), epsilon=EPS,
+                                    passes=1, batch_size=25, seed=seed)
+            service.drain()
+            assert record.status is JobStatus.COMPLETED, record.error
+            return service.session.shared_scan("t")
+
+        operator = fly(1)
+        assert built == ["t"]
+        permutation = operator.permutation.copy()
+        assert fly(2) is operator
+        assert scheduler.table_scans["t"] == 2
+        assert built == ["t"]  # the second flight built no seed
+
+        X, y = make_binary_data(M, D, seed=21)
+        service.session.catalog.drop_table("t")
+        service.register_table("t", X, y)
+        recreated = fly(3)
+        assert recreated is not operator
+        assert built == ["t", "t"]
+        assert np.array_equal(recreated.permutation, permutation)
+
     def test_sequential_dispatch_pays_k_scans(self):
         service = make_service(window=1)
         for j in range(4):
