@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import LogisticLoss
+from repro import BoltOnCandidate, LogisticLoss
 from repro.data import covertype_like
-from repro.optim import CappedInverseTSchedule
 from repro.rdbms import BismarckSession, integration_report
 
 
@@ -30,19 +29,18 @@ def main() -> None:
     session = BismarckSession(buffer_pool_pages=1 << 18)
     session.load_table("covertype", train.features, train.labels)
 
-    lam = 1e-3
-    loss = LogisticLoss(regularization=lam)
-    radius = 1.0 / lam
+    loss = LogisticLoss(regularization=1e-3)
     epsilon, delta = 0.2, 1.0 / train.size**2
     epochs, batch = 5, 10
 
-    properties = loss.properties(radius=radius)
-    schedule = CappedInverseTSchedule(properties.smoothness,
-                                      properties.strong_convexity)
+    # Algorithm 2's step size and hypothesis ball (R = 1/lambda), which
+    # the noiseless run and the white-box baselines share with ours.
+    schedule, projection, _ = BoltOnCandidate(loss).resolve(train.size)
+    radius = projection.radius
 
     print(f"{'algorithm':<12} {'sim. seconds':>12} {'noise draws':>12} {'accuracy':>9}")
     noiseless = session.run_noiseless(
-        "covertype", loss, schedule, epochs, batch, random_state=0,
+        "covertype", loss, schedule, epochs, batch, projection, random_state=0,
     )
     print(f"{'noiseless':<12} {noiseless.simulated_seconds:>12.4f} "
           f"{noiseless.noise_draws:>12} "
@@ -50,7 +48,7 @@ def main() -> None:
 
     ours = session.run_bolton_private(
         "covertype", loss, epsilon, delta=delta, epochs=epochs,
-        batch_size=batch, radius=radius, random_state=0,
+        batch_size=batch, random_state=0,
     )
     print(f"{'ours':<12} {ours.simulated_seconds:>12.4f} {ours.noise_draws:>12} "
           f"{accuracy(ours.model, test.features, test.labels):>9.4f}")

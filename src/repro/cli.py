@@ -308,7 +308,7 @@ def _submit_remote(args: argparse.Namespace) -> int:
     """``repro submit --url``: the same verb, spoken through the client."""
     from repro.api import ServiceClient
     from repro.optim.losses import LogisticLoss as _Logistic
-    from repro.service import JobStatus, ServiceError
+    from repro.service import ServiceError
 
     if args.table is None:
         print("submit --url needs --table (the server-side table name)",
@@ -338,9 +338,21 @@ def _submit_remote(args: argparse.Namespace) -> int:
         code = getattr(error, "code", "error")
         print(f"error: {code}: {error}", file=sys.stderr)
         return 2
-    print(f"job             : {record.job_id} ({args.principal} on {args.table})")
+    return _print_submitted(
+        record, args.principal, args.table, statements[0] if statements else None
+    )
+
+
+def _print_submitted(record, principal, table, statement, accuracy=None) -> int:
+    """``repro submit``'s report on one job, local or remote; returns the
+    exit status (0 when the job completed). ``accuracy``, when given, is
+    the released model's test accuracy."""
+    from repro.service import JobStatus
+
+    completed = record.status is JobStatus.COMPLETED
+    print(f"job             : {record.job_id} ({principal} on {table})")
     print(f"status          : {record.status}")
-    if record.status is JobStatus.COMPLETED:
+    if completed:
         print(f"dispatch        : {record.dispatch} (group of {record.group_size})")
         print(f"pages charged   : {record.group_pages}")
         print(f"sensitivity     : {record.sensitivity:.6g}")
@@ -348,16 +360,17 @@ def _submit_remote(args: argparse.Namespace) -> int:
         if record.receipt is not None:
             print(f"receipt         : #{record.receipt.sequence} for "
                   f"{record.receipt.parameters}")
+        if accuracy is not None:
+            print(f"test accuracy   : {accuracy:.4f}")
     elif record.error:
         print(f"reason          : {record.error}")
-    if statements:
-        statement = statements[0]
+    if statement is not None:
         print(
             f"budget          : cap {statement.cap}, spent "
             f"({statement.spent[0]:g}, {statement.spent[1]:g}), "
             f"available eps {statement.available_epsilon:g}"
         )
-    return 0 if record.status is JobStatus.COMPLETED else 1
+    return 0 if completed else 1
 
 
 def _submit(args: argparse.Namespace) -> int:
@@ -393,28 +406,15 @@ def _submit(args: argparse.Namespace) -> int:
     )
     service.drain()
 
-    print(f"job             : {record.job_id} ({args.principal} on {table_name})")
-    print(f"status          : {record.status}")
+    accuracy = None
     if record.status is JobStatus.COMPLETED:
         loss = record.job.candidate.loss
         accuracy = float(
             (loss.predict(record.model, test_ds.features) == test_ds.labels).mean()
         )
-        print(f"dispatch        : {record.dispatch} (group of {record.group_size})")
-        print(f"pages charged   : {record.group_pages}")
-        print(f"sensitivity     : {record.sensitivity:.6g}")
-        print(f"noise norm      : {record.noise_norm:.6g}")
-        print(f"receipt         : #{record.receipt.sequence} for {record.receipt.parameters}")
-        print(f"test accuracy   : {accuracy:.4f}")
-    elif record.error:
-        print(f"reason          : {record.error}")
-    statement = service.budgets()[0]
-    print(
-        f"budget          : cap {statement.cap}, spent "
-        f"({statement.spent[0]:g}, {statement.spent[1]:g}), "
-        f"available eps {statement.available_epsilon:g}"
+    return _print_submitted(
+        record, args.principal, table_name, service.budgets()[0], accuracy
     )
-    return 0 if record.status is JobStatus.COMPLETED else 1
 
 
 def _serve_tokens(token_file, tenants):

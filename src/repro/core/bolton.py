@@ -14,6 +14,14 @@ vector (:mod:`repro.core.mechanisms`), and release ``w + kappa``.
 * :func:`private_psgd` — the generic entry point covering the additional
   step-size regimes of Corollaries 2–3.
 
+Each algorithm's parameter rule (its step size, its radius and its
+refusals) is written once in this module, and so is the release: one
+body runs the sensitivity bound, the PSGD run and the noise draw for all
+three trainers and :func:`train_bolt_on`, and the fused fleet finishes
+each candidate with the same epilogue. :meth:`BoltOnCandidate.resolve`
+picks a rule for every other trainer (the service, the in-RDBMS
+controller, the estimators and the evaluation harness).
+
 All three return a :class:`PrivateTrainingResult` whose ``model`` is the
 differentially private release. The noiseless model is retained on the
 result under a deliberately loud name (``unreleased_noiseless_model``)
@@ -23,6 +31,7 @@ it would void the guarantee, and the docstring says so.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -90,18 +99,6 @@ class PrivateTrainingResult:
         return float(np.mean(self.loss.predict(self.unreleased_noiseless_model, X) == y))
 
 
-def _prepare(
-    X: np.ndarray,
-    y: np.ndarray,
-    require_unit_ball: bool,
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    X, y = check_matrix_labels(X, y)
-    if require_unit_ball:
-        check_unit_ball(X)
-    m, d = X.shape
-    return X, y, m, d
-
-
 def _finish(
     loss: Loss,
     psgd_result: PSGDResult,
@@ -123,6 +120,107 @@ def _finish(
         psgd=psgd_result,
         loss=loss,
     )
+
+
+#: What a parameter rule resolves for a dataset of m rows.
+_Resolved = tuple[StepSizeSchedule, Projection, LossProperties]
+
+
+def _constrained(
+    loss: Loss, projection: Optional[Projection]
+) -> tuple[Projection, LossProperties]:
+    """``projection`` (default unconstrained) and the loss's constants over it."""
+    proj = projection if projection is not None else IdentityProjection()
+    return proj, loss.properties(radius=proj.radius if math.isfinite(proj.radius) else None)
+
+
+def _convex_rule(
+    loss: Loss, m: int, eta: Optional[float], projection: Optional[Projection]
+) -> _Resolved:
+    """Algorithm 1's parameters: the constant step ``eta`` (default
+    ``1/sqrt(m)``, Table 4) under ``projection`` (default unconstrained).
+    A strongly convex loss is refused: Algorithm 2 applies to it."""
+    proj, properties = _constrained(loss, projection)
+    if properties.is_strongly_convex:
+        raise ValueError(
+            "private_convex_psgd is Algorithm 1 (convex case); the supplied "
+            "loss is strongly convex — use private_strongly_convex_psgd "
+            "(Algorithm 2), whose sensitivity is smaller"
+        )
+    step = eta if eta is not None else 1.0 / np.sqrt(m)
+    return ConstantSchedule(step), proj, properties
+
+
+def _strongly_convex_rule(loss: Loss, radius: Optional[float]) -> _Resolved:
+    """Algorithm 2's parameters: the L2 ball of ``radius`` (default
+    ``R = 1/lambda``, the paper's practice) and the step
+    ``min(1/beta, 1/(gamma t))``. A loss with ``gamma = 0`` is refused:
+    Algorithm 1 applies to it."""
+    if radius is None:
+        if loss.regularization <= 0.0:
+            raise ValueError(
+                "a strongly convex loss requires regularization > 0; supply a "
+                "regularized loss or an explicit radius"
+            )
+        radius = 1.0 / loss.regularization
+    projection = L2BallProjection(radius)
+    properties = loss.properties(radius=radius)
+    if not properties.is_strongly_convex:
+        raise ValueError(
+            "private_strongly_convex_psgd is Algorithm 2 (strongly convex "
+            "case); the supplied loss has gamma = 0 — use private_convex_psgd"
+        )
+    schedule = CappedInverseTSchedule(
+        beta=properties.smoothness, gamma=properties.strong_convexity
+    )
+    return schedule, projection, properties
+
+
+def _private_run(
+    X: np.ndarray,
+    y: np.ndarray,
+    loss: Loss,
+    epsilon: float,
+    rule: Callable[[int], _Resolved],
+    *,
+    delta: float,
+    passes: int,
+    batch_size: int,
+    average: Optional[str],
+    random_state: RandomState,
+    permutation: Optional[Sequence[int]],
+    mechanism: Optional[NoiseMechanism] = None,
+    fresh_permutation_each_pass: bool = False,
+    convergence_tolerance: Optional[float] = None,
+) -> PrivateTrainingResult:
+    """The bolt-on release every sequential trainer shares.
+
+    ``rule(m)`` fixes the run's schedule, projection and loss constants;
+    then one sensitivity bound, black-box PSGD on the first of two
+    streams spawned from ``random_state`` and one draw from the second.
+    """
+    X, y = check_matrix_labels(X, y)
+    check_unit_ball(X)
+    m = X.shape[0]
+    check_positive(epsilon, "epsilon")
+    check_positive_int(passes, "passes")
+    privacy = PrivacyParameters(epsilon, delta)
+    schedule, projection, properties = rule(m)
+    sensitivity = sensitivity_for_schedule(properties, schedule, m, passes, batch_size)
+    perm_rng, noise_rng = spawn_generators(random_state, 2)
+    config = PSGDConfig(
+        schedule=schedule,
+        passes=passes,
+        batch_size=batch_size,
+        projection=projection,
+        average=average,
+        fresh_permutation_each_pass=fresh_permutation_each_pass,
+        convergence_tolerance=convergence_tolerance,
+    )
+    result = PSGD(loss, config).run(
+        X, y, random_state=perm_rng, permutation=permutation
+    )
+    return _finish(loss, result, sensitivity, privacy, mechanism, noise_rng)
 
 
 def private_convex_psgd(
@@ -155,40 +253,12 @@ def private_convex_psgd(
     analysis "extends verbatim" to this variant (Section 3.2.3), so the
     sensitivity is unchanged.
     """
-    X, y, m, d = _prepare(X, y, require_unit_ball=True)
-    check_positive(epsilon, "epsilon")
-    check_positive_int(passes, "passes")
-    privacy = PrivacyParameters(epsilon, delta)
-    proj = projection if projection is not None else IdentityProjection()
-
-    properties = loss.properties(
-        radius=proj.radius if np.isfinite(proj.radius) else None
-    )
-    if properties.is_strongly_convex:
-        raise ValueError(
-            "private_convex_psgd is Algorithm 1 (convex case); the supplied "
-            "loss is strongly convex — use private_strongly_convex_psgd "
-            "(Algorithm 2), whose sensitivity is smaller"
-        )
-    step = eta if eta is not None else 1.0 / np.sqrt(m)
-    schedule = ConstantSchedule(step)
-
-    sensitivity = sensitivity_for_schedule(
-        properties, schedule, m, passes, batch_size
-    )
-    perm_rng, noise_rng = spawn_generators(random_state, 2)
-    config = PSGDConfig(
-        schedule=schedule,
-        passes=passes,
-        batch_size=batch_size,
-        projection=proj,
-        average=average,
+    return _private_run(
+        X, y, loss, epsilon, lambda m: _convex_rule(loss, m, eta, projection),
+        delta=delta, passes=passes, batch_size=batch_size, average=average,
         fresh_permutation_each_pass=fresh_permutation_each_pass,
+        mechanism=mechanism, random_state=random_state, permutation=permutation,
     )
-    result = PSGD(loss, config).run(
-        X, y, random_state=perm_rng, permutation=permutation
-    )
-    return _finish(loss, result, sensitivity, privacy, mechanism, noise_rng)
 
 
 def private_strongly_convex_psgd(
@@ -222,47 +292,13 @@ def private_strongly_convex_psgd(
     Section 4.3: because the noise does not depend on k, PSGD may stop as
     soon as the training loss plateaus, with ``passes`` acting as the cap K.
     """
-    X, y, m, d = _prepare(X, y, require_unit_ball=True)
-    check_positive(epsilon, "epsilon")
-    check_positive_int(passes, "passes")
-    privacy = PrivacyParameters(epsilon, delta)
-
-    if radius is None:
-        if loss.regularization <= 0.0:
-            raise ValueError(
-                "a strongly convex loss requires regularization > 0; supply a "
-                "regularized loss or an explicit radius"
-            )
-        radius = 1.0 / loss.regularization
-    check_positive(radius, "radius")
-    proj = L2BallProjection(radius)
-
-    properties = loss.properties(radius=radius)
-    if not properties.is_strongly_convex:
-        raise ValueError(
-            "private_strongly_convex_psgd is Algorithm 2 (strongly convex "
-            "case); the supplied loss has gamma = 0 — use private_convex_psgd"
-        )
-    schedule = CappedInverseTSchedule(
-        beta=properties.smoothness, gamma=properties.strong_convexity
-    )
-    sensitivity = sensitivity_for_schedule(
-        properties, schedule, m, passes, batch_size
-    )
-    perm_rng, noise_rng = spawn_generators(random_state, 2)
-    config = PSGDConfig(
-        schedule=schedule,
-        passes=passes,
-        batch_size=batch_size,
-        projection=proj,
-        average=average,
+    return _private_run(
+        X, y, loss, epsilon, lambda m: _strongly_convex_rule(loss, radius),
+        delta=delta, passes=passes, batch_size=batch_size, average=average,
         fresh_permutation_each_pass=fresh_permutation_each_pass,
-        convergence_tolerance=convergence_tolerance,
+        convergence_tolerance=convergence_tolerance, mechanism=mechanism,
+        random_state=random_state, permutation=permutation,
     )
-    result = PSGD(loss, config).run(
-        X, y, random_state=perm_rng, permutation=permutation
-    )
-    return _finish(loss, result, sensitivity, privacy, mechanism, noise_rng)
 
 
 def private_psgd(
@@ -288,28 +324,11 @@ def private_psgd(
     resolved by :func:`repro.core.sensitivity.sensitivity_for_schedule`,
     which refuses schedules without a known bound.
     """
-    X, y, m, d = _prepare(X, y, require_unit_ball=True)
-    check_positive(epsilon, "epsilon")
-    check_positive_int(passes, "passes")
-    privacy = PrivacyParameters(epsilon, delta)
-    proj = projection if projection is not None else IdentityProjection()
-
-    properties = loss.properties(
-        radius=proj.radius if np.isfinite(proj.radius) else None
+    return _private_run(
+        X, y, loss, epsilon, lambda m: (schedule, *_constrained(loss, projection)),
+        delta=delta, passes=passes, batch_size=batch_size, average=average,
+        mechanism=mechanism, random_state=random_state, permutation=permutation,
     )
-    sensitivity = sensitivity_for_schedule(properties, schedule, m, passes, batch_size)
-    perm_rng, noise_rng = spawn_generators(random_state, 2)
-    config = PSGDConfig(
-        schedule=schedule,
-        passes=passes,
-        batch_size=batch_size,
-        projection=proj,
-        average=average,
-    )
-    result = PSGD(loss, config).run(
-        X, y, random_state=perm_rng, permutation=permutation
-    )
-    return _finish(loss, result, sensitivity, privacy, mechanism, noise_rng)
 
 
 def noiseless_psgd(
@@ -346,12 +365,12 @@ class BoltOnCandidate:
     The opaque-callable trainer contract (`trainer(X, y, epsilon=...,
     ...)`) cannot be fused — the engine must see *inside* a candidate to
     share its data scan with the others. This dataclass is that view: the
-    per-candidate knobs of Algorithms 1/2, with the same defaulting rules
-    (strongly convex losses get the capped 1/(gamma t) schedule and
-    ``R = 1/lambda``; convex losses get the constant ``eta = 1/sqrt(m)``
-    step). It is accepted directly by :func:`train_bolt_on` (sequential
-    reference), :func:`private_psgd_fleet` (fused), and the fused paths of
-    the tuning and one-vs-rest consumers.
+    per-candidate knobs of Algorithms 1/2, resolved by the algorithms' own
+    rules (a regularized loss gets Algorithm 2's capped 1/(gamma t)
+    schedule and ``R = 1/lambda``; an unregularized one Algorithm 1's
+    constant ``eta = 1/sqrt(m)`` step). It is accepted directly by
+    :func:`train_bolt_on` (sequential reference), :func:`private_psgd_fleet`
+    (fused), and the fused paths of the tuning and one-vs-rest consumers.
     """
 
     loss: Loss
@@ -362,28 +381,12 @@ class BoltOnCandidate:
     average: Optional[str] = None
 
     def resolve(self, m: int) -> tuple[StepSizeSchedule, Projection, LossProperties]:
-        """Algorithm 1/2 parameter resolution for a dataset of m rows."""
-        if self.radius is not None:
-            radius: Optional[float] = self.radius
-        elif self.loss.regularization > 0.0:
-            # Algorithm 2's convention: R = 1/lambda.
-            radius = 1.0 / self.loss.regularization
-        else:
-            radius = None
-        if radius is not None:
-            projection: Projection = L2BallProjection(radius)
-            properties = self.loss.properties(radius=radius)
-        else:
-            projection = IdentityProjection()
-            properties = self.loss.properties()
-        if properties.is_strongly_convex:
-            schedule: StepSizeSchedule = CappedInverseTSchedule(
-                properties.smoothness, properties.strong_convexity
-            )
-        else:
-            step = self.eta if self.eta is not None else 1.0 / np.sqrt(m)
-            schedule = ConstantSchedule(step)
-        return schedule, projection, properties
+        """Algorithm 1/2 parameter resolution for a dataset of m rows:
+        Algorithm 2's for a regularized loss, Algorithm 1's otherwise."""
+        if self.loss.regularization > 0.0:
+            return _strongly_convex_rule(self.loss, self.radius)
+        projection = L2BallProjection(self.radius) if self.radius is not None else None
+        return _convex_rule(self.loss, m, self.eta, projection)
 
 
 def train_bolt_on(
@@ -398,25 +401,14 @@ def train_bolt_on(
 ) -> PrivateTrainingResult:
     """Train one :class:`BoltOnCandidate` sequentially (the reference path).
 
-    Dispatches to Algorithm 2 when the candidate's loss is regularized
-    (strongly convex) and Algorithm 1 otherwise — the same resolution the
-    fused fleet applies, so a candidate means the same thing on both
-    paths.
+    Algorithm 2 when the candidate's loss is regularized (strongly
+    convex) and Algorithm 1 otherwise, resolved by
+    :meth:`BoltOnCandidate.resolve` — the resolution the fused fleet and
+    the service apply, so a candidate means the same thing on every path.
     """
-    if candidate.loss.regularization > 0.0:
-        return private_strongly_convex_psgd(
-            X, y, candidate.loss, epsilon, delta=delta,
-            passes=candidate.passes, batch_size=candidate.batch_size,
-            radius=candidate.radius, average=candidate.average,
-            random_state=random_state, permutation=permutation,
-        )
-    projection = (
-        L2BallProjection(candidate.radius) if candidate.radius is not None else None
-    )
-    return private_convex_psgd(
-        X, y, candidate.loss, epsilon, delta=delta,
-        passes=candidate.passes, eta=candidate.eta,
-        batch_size=candidate.batch_size, projection=projection,
+    return _private_run(
+        X, y, candidate.loss, epsilon, candidate.resolve, delta=delta,
+        passes=candidate.passes, batch_size=candidate.batch_size,
         average=candidate.average, random_state=random_state,
         permutation=permutation,
     )
@@ -497,7 +489,6 @@ def private_psgd_fleet(
             X, y = check_matrix_labels(X, y)
         check_unit_ball(X)
     m = X.shape[1] if stacked else X.shape[0]
-    d = X.shape[-1]
 
     epsilons = list(epsilon) if np.ndim(epsilon) else [float(epsilon)] * K
     deltas = list(delta) if np.ndim(delta) else [float(delta)] * K
@@ -563,24 +554,15 @@ def private_psgd_fleet(
             group_perm = master.permutation(m) if permutation is None else permutation
         fused = engine.run(group_X, group_y, permutation=group_perm)
         for position, k in enumerate(indices):
-            noiseless = fused.models[position]
-            privacy = privacies[k]
-            mechanism = mechanism_for(privacy)
-            noise = mechanism.sample(d, sensitivities[k].value, privacy, noise_rngs[k])
             psgd_view = PSGDResult(
-                model=noiseless,
+                model=fused.models[position],
                 final_iterate=fused.final_iterates[position],
                 updates=int(fused.updates_per_model[position]),
                 passes_completed=candidates[k].passes,
             )
-            results[k] = PrivateTrainingResult(
-                model=noiseless + noise,
-                privacy=privacy,
-                sensitivity=sensitivities[k],
-                noise_norm=float(np.linalg.norm(noise)),
-                unreleased_noiseless_model=noiseless,
-                psgd=psgd_view,
-                loss=candidates[k].loss,
+            results[k] = _finish(
+                candidates[k].loss, psgd_view, sensitivities[k], privacies[k],
+                None, noise_rngs[k],
             )
     assert all(result is not None for result in results)
     return results

@@ -19,16 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.bolton import (
-    PrivateTrainingResult,
-    private_convex_psgd,
-    private_strongly_convex_psgd,
-)
+from repro.core.bolton import BoltOnCandidate, PrivateTrainingResult, train_bolt_on
 from repro.core.mechanisms import PrivacyParameters
 from repro.optim.losses import HuberSVMLoss, LogisticLoss, Loss
 from repro.utils.rng import RandomState
 from repro.utils.validation import (
-    check_matrix_labels,
     check_non_negative,
     check_positive,
     check_positive_int,
@@ -110,19 +105,13 @@ class BoltOnPrivateClassifier:
         self, X: np.ndarray, y: np.ndarray, random_state: RandomState = None
     ) -> "BoltOnPrivateClassifier":
         """Train and privatize; refitting re-spends the privacy budget."""
-        X, y = check_matrix_labels(X, y)
-        if self.regularization > 0.0:
-            self.result_ = private_strongly_convex_psgd(
-                X, y, self.loss, self.epsilon,
-                delta=self.delta, passes=self.passes, batch_size=self.batch_size,
-                average=self.average, random_state=random_state,
-            )
-        else:
-            self.result_ = private_convex_psgd(
-                X, y, self.loss, self.epsilon,
-                delta=self.delta, passes=self.passes, batch_size=self.batch_size,
-                eta=self.eta, average=self.average, random_state=random_state,
-            )
+        candidate = BoltOnCandidate(
+            self.loss, passes=self.passes, batch_size=self.batch_size,
+            eta=self.eta, average=self.average,
+        )
+        self.result_ = train_bolt_on(
+            X, y, candidate, self.epsilon, delta=self.delta, random_state=random_state
+        )
         return self
 
     @property

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.bolton import BoltOnCandidate
 from repro.data.dataset import Dataset, TrainTestPair
 from repro.data.projection import project_dataset
 from repro.data.registry import get_spec
@@ -22,6 +23,7 @@ from repro.evaluation.harness import (
     private_tuning_sweep,
 )
 from repro.evaluation.scenarios import Scenario, TrainSettings
+from repro.optim.losses import LogisticLoss
 from repro.rdbms.bismarck import BismarckSession, integration_report
 from repro.rdbms.cost_model import CostModel
 from repro.rdbms.synthesizer import analytic_counters, dataset_size_gb
@@ -209,71 +211,10 @@ def figure5_runtime_vs_epochs(
     random_state: RandomState = 0,
 ) -> dict:
     """Row 1 of Figure 5: strongly convex (ε,δ)-DP runtime vs epochs."""
-    from repro.optim.losses import LogisticLoss
-
-    loss = LogisticLoss(regularization=regularization)
-    radius = 1.0 / regularization
-    delta = 1.0 / dataset.size**2
-    series: Dict[str, List[float]] = {
-        "noiseless": [],
-        "ours": [],
-        "scs13": [],
-        "bst14": [],
-    }
-    for epochs in epoch_grid:
-        session = BismarckSession(buffer_pool_pages=1 << 20)
-        session.load_table("t", dataset.features, dataset.labels)
-        session.warm_cache("t")
-        from repro.optim.schedules import CappedInverseTSchedule
-
-        properties = loss.properties(radius=radius)
-        schedule = CappedInverseTSchedule(
-            properties.smoothness, properties.strong_convexity
-        )
-        series["noiseless"].append(
-            session.run_noiseless(
-                "t", loss, schedule, epochs, batch_size, random_state=random_state
-            ).simulated_seconds
-        )
-        series["ours"].append(
-            session.run_bolton_private(
-                "t",
-                loss,
-                epsilon,
-                delta=delta,
-                epochs=epochs,
-                batch_size=batch_size,
-                radius=radius,
-                random_state=random_state,
-            ).simulated_seconds
-        )
-        series["scs13"].append(
-            session.run_scs13(
-                "t",
-                loss,
-                epsilon,
-                delta=delta,
-                epochs=epochs,
-                batch_size=batch_size,
-                radius=radius,
-                random_state=random_state,
-            ).simulated_seconds
-        )
-        series["bst14"].append(
-            session.run_bst14(
-                "t",
-                loss,
-                epsilon,
-                delta,
-                epochs=epochs,
-                batch_size=batch_size,
-                radius=radius,
-                random_state=random_state,
-            ).simulated_seconds
-        )
+    runs = [(epochs, batch_size) for epochs in epoch_grid]
     return {
         "x": list(epoch_grid),
-        "series": series,
+        "series": _figure5_series(dataset, runs, epsilon, regularization, random_state),
         "meta": {"batch_size": batch_size, "dataset": dataset.name},
     }
 
@@ -287,73 +228,57 @@ def figure5_runtime_vs_batch(
     random_state: RandomState = 0,
 ) -> dict:
     """Row 2 of Figure 5: runtime vs mini-batch size for one epoch."""
-    from repro.optim.losses import LogisticLoss
-    from repro.optim.schedules import CappedInverseTSchedule
+    runs = [(epochs, min(batch, dataset.size)) for batch in batch_grid]
+    return {
+        "x": list(batch_grid),
+        "series": _figure5_series(dataset, runs, epsilon, regularization, random_state),
+        "meta": {"epochs": epochs, "dataset": dataset.name},
+    }
 
+
+def _figure5_series(
+    dataset: Dataset,
+    runs: Sequence[tuple],
+    epsilon: float,
+    regularization: float,
+    random_state: RandomState,
+) -> Dict[str, List[float]]:
+    """Figure 5's four simulated-runtime series, one point per
+    ``(epochs, batch size)`` run, each on a fresh warm session.
+
+    The strongly convex loss takes Algorithm 2's schedule and L2 ball
+    from the bolt-on rule; the noiseless run and the white-box baselines
+    train in that same ball.
+    """
     loss = LogisticLoss(regularization=regularization)
-    radius = 1.0 / regularization
+    schedule, projection, _ = BoltOnCandidate(loss).resolve(dataset.size)
     delta = 1.0 / dataset.size**2
-    properties = loss.properties(radius=radius)
     series: Dict[str, List[float]] = {
         "noiseless": [],
         "ours": [],
         "scs13": [],
         "bst14": [],
     }
-    for batch in batch_grid:
-        batch = min(batch, dataset.size)
+    for epochs, batch_size in runs:
         session = BismarckSession(buffer_pool_pages=1 << 20)
         session.load_table("t", dataset.features, dataset.labels)
         session.warm_cache("t")
-        schedule = CappedInverseTSchedule(
-            properties.smoothness, properties.strong_convexity
-        )
-        series["noiseless"].append(
-            session.run_noiseless(
-                "t", loss, schedule, epochs, batch, random_state=random_state
-            ).simulated_seconds
-        )
-        series["ours"].append(
-            session.run_bolton_private(
-                "t",
-                loss,
-                epsilon,
-                delta=delta,
-                epochs=epochs,
-                batch_size=batch,
-                radius=radius,
-                random_state=random_state,
-            ).simulated_seconds
-        )
-        series["scs13"].append(
-            session.run_scs13(
-                "t",
-                loss,
-                epsilon,
-                delta=delta,
-                epochs=epochs,
-                batch_size=batch,
-                radius=radius,
-                random_state=random_state,
-            ).simulated_seconds
-        )
-        series["bst14"].append(
-            session.run_bst14(
-                "t",
-                loss,
-                epsilon,
-                delta,
-                epochs=epochs,
-                batch_size=batch,
-                radius=radius,
-                random_state=random_state,
-            ).simulated_seconds
-        )
-    return {
-        "x": list(batch_grid),
-        "series": series,
-        "meta": {"epochs": epochs, "dataset": dataset.name},
-    }
+        run = dict(epochs=epochs, batch_size=batch_size, random_state=random_state)
+        reports = {
+            "noiseless": session.run_noiseless(
+                "t", loss, schedule, projection=projection, **run
+            ),
+            "ours": session.run_bolton_private("t", loss, epsilon, delta=delta, **run),
+            "scs13": session.run_scs13(
+                "t", loss, epsilon, delta=delta, radius=projection.radius, **run
+            ),
+            "bst14": session.run_bst14(
+                "t", loss, epsilon, delta, radius=projection.radius, **run
+            ),
+        }
+        for name, report in reports.items():
+            series[name].append(report.simulated_seconds)
+    return series
 
 
 # ---------------------------------------------------------------------------

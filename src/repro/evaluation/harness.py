@@ -167,64 +167,22 @@ def private_tuning_sweep(
     to tune against). Multiclass datasets are handled by tuning the binary
     sub-problem parameters jointly through the OVR wrapper.
     """
-    if algorithms is None:
-        algorithms = algorithms_for(scenario)
-    if grid is None:
-        grid = paper_grid(include_regularization=scenario.is_strongly_convex)
-    base = settings if settings is not None else TrainSettings(scenario, epsilon=1.0)
 
-    result = SweepResult(
-        dataset=train_ds.name,
-        scenario=scenario,
-        epsilons=[float(e) for e in epsilons],
-        tuning_mode="private",
+    def tune(algorithm, current, grid, rng):
+        return privately_tuned_sgd(
+            train_ds.features,
+            train_ds.labels,
+            _trainer_factory(algorithm, current, train_ds.num_classes),
+            grid,
+            current.epsilon,
+            delta=current.resolve_delta(train_ds.size),
+            random_state=rng,
+        )
+
+    return _tuned_sweep(
+        "private", tune, train_ds, test_ds, scenario, epsilons,
+        algorithms, grid, settings, random_state,
     )
-    rngs = spawn_generators(random_state, len(algorithms) * len(result.epsilons))
-    rng_iter = iter(rngs)
-
-    for algorithm in algorithms:
-        accuracies: List[float] = []
-        for eps in result.epsilons:
-            rng = next(rng_iter)
-            current = replace(base, scenario=scenario, epsilon=eps)
-            if algorithm == "noiseless":
-                trained = _train_once(algorithm, train_ds, current, rng)
-                accuracies.append(
-                    float(np.mean(trained.predict(test_ds.features) == test_ds.labels))
-                )
-                continue
-
-            def trainer_factory(theta: dict, _alg=algorithm, _settings=current):
-                def trainer(X, y, epsilon, delta, random_state):
-                    tuned = replace(
-                        _settings,
-                        epsilon=epsilon,
-                        delta=delta if delta > 0 else None,
-                        passes=theta.get("passes", _settings.passes),
-                        regularization=theta.get(
-                            "regularization", _settings.regularization
-                        ),
-                    )
-                    sub = Dataset(name="tuning", features=X, labels=y,
-                                  num_classes=max(2, train_ds.num_classes))
-                    return _train_once(_alg, sub, tuned, random_state)
-
-                return trainer
-
-            outcome = privately_tuned_sgd(
-                train_ds.features,
-                train_ds.labels,
-                trainer_factory,
-                grid,
-                eps,
-                delta=current.resolve_delta(train_ds.size),
-                random_state=rng,
-            )
-            accuracies.append(
-                float(np.mean(outcome.predict(test_ds.features) == test_ds.labels))
-            )
-        result.series[algorithm] = accuracies
-    return result
 
 
 def public_tuning_sweep(
@@ -241,18 +199,61 @@ def public_tuning_sweep(
 ) -> SweepResult:
     """Tuning using public data: pick parameters on ``public_ds``, then
     train privately on ``train_ds`` with them."""
+    public_train, public_val = public_ds.split(test_fraction=0.3, random_state=7)
+
+    def tune(algorithm, current, grid, rng):
+        tuned = tune_on_public_data(
+            public_train.features,
+            public_train.labels,
+            public_val.features,
+            public_val.labels,
+            _trainer_factory(algorithm, current, train_ds.num_classes),
+            grid,
+            current.epsilon,
+            delta=current.resolve_delta(train_ds.size),
+            random_state=rng,
+        )
+        final_settings = replace(
+            current,
+            passes=tuned.best_parameters.get("passes", current.passes),
+            regularization=tuned.best_parameters.get(
+                "regularization", current.regularization
+            ),
+        )
+        return _train_once(algorithm, train_ds, final_settings, rng)
+
+    return _tuned_sweep(
+        "public", tune, train_ds, test_ds, scenario, epsilons,
+        algorithms, grid, settings, random_state,
+    )
+
+
+def _tuned_sweep(
+    mode: str,
+    tune,
+    train_ds: Dataset,
+    test_ds: Dataset,
+    scenario: Scenario,
+    epsilons: Sequence[float],
+    algorithms: Optional[Sequence[str]],
+    grid: Optional[ParameterGrid],
+    settings: Optional[TrainSettings],
+    random_state: RandomState,
+) -> SweepResult:
+    """The tuning sweeps' shared loop: at each ε, the noiseless baseline
+    trains at fixed parameters and every private algorithm's model comes
+    from ``tune(algorithm, settings at ε, grid, rng)``."""
     if algorithms is None:
         algorithms = algorithms_for(scenario)
     if grid is None:
         grid = paper_grid(include_regularization=scenario.is_strongly_convex)
     base = settings if settings is not None else TrainSettings(scenario, epsilon=1.0)
-    public_train, public_val = public_ds.split(test_fraction=0.3, random_state=7)
 
     result = SweepResult(
         dataset=train_ds.name,
         scenario=scenario,
         epsilons=[float(e) for e in epsilons],
-        tuning_mode="public",
+        tuning_mode=mode,
     )
     rngs = spawn_generators(random_state, len(algorithms) * len(result.epsilons))
     rng_iter = iter(rngs)
@@ -264,49 +265,33 @@ def public_tuning_sweep(
             current = replace(base, scenario=scenario, epsilon=eps)
             if algorithm == "noiseless":
                 trained = _train_once(algorithm, train_ds, current, rng)
-                accuracies.append(
-                    float(np.mean(trained.predict(test_ds.features) == test_ds.labels))
-                )
-                continue
-
-            def trainer_factory(theta: dict, _alg=algorithm, _settings=current):
-                def trainer(X, y, epsilon, delta, random_state):
-                    tuned = replace(
-                        _settings,
-                        epsilon=epsilon,
-                        delta=delta if delta > 0 else None,
-                        passes=theta.get("passes", _settings.passes),
-                        regularization=theta.get(
-                            "regularization", _settings.regularization
-                        ),
-                    )
-                    sub = Dataset(name="tuning", features=X, labels=y,
-                                  num_classes=max(2, train_ds.num_classes))
-                    return _train_once(_alg, sub, tuned, random_state)
-
-                return trainer
-
-            tuned = tune_on_public_data(
-                public_train.features,
-                public_train.labels,
-                public_val.features,
-                public_val.labels,
-                trainer_factory,
-                grid,
-                eps,
-                delta=current.resolve_delta(train_ds.size),
-                random_state=rng,
-            )
-            final_settings = replace(
-                current,
-                passes=tuned.best_parameters.get("passes", current.passes),
-                regularization=tuned.best_parameters.get(
-                    "regularization", current.regularization
-                ),
-            )
-            trained = _train_once(algorithm, train_ds, final_settings, rng)
+            else:
+                trained = tune(algorithm, current, grid, rng)
             accuracies.append(
                 float(np.mean(trained.predict(test_ds.features) == test_ds.labels))
             )
         result.series[algorithm] = accuracies
     return result
+
+
+def _trainer_factory(algorithm: str, settings: TrainSettings, num_classes: int):
+    """The tuners' ``trainer_factory``: a grid point's ``passes`` and
+    ``regularization`` override ``settings``, and each tuning subset
+    trains as a dataset of ``num_classes`` classes."""
+
+    def factory(theta: dict):
+        def trainer(X, y, epsilon, delta, random_state):
+            tuned = replace(
+                settings,
+                epsilon=epsilon,
+                delta=delta if delta > 0 else None,
+                passes=theta.get("passes", settings.passes),
+                regularization=theta.get("regularization", settings.regularization),
+            )
+            sub = Dataset(name="tuning", features=X, labels=y,
+                          num_classes=max(2, num_classes))
+            return _train_once(algorithm, sub, tuned, random_state)
+
+        return trainer
+
+    return factory

@@ -24,11 +24,7 @@ import numpy as np
 
 from repro.baselines.bst14 import bst14_train
 from repro.baselines.scs13 import scs13_train
-from repro.core.bolton import (
-    noiseless_psgd,
-    private_convex_psgd,
-    private_strongly_convex_psgd,
-)
+from repro.core.bolton import BoltOnCandidate, noiseless_psgd, train_bolt_on
 from repro.optim.losses import HuberSVMLoss, LogisticLoss, Loss
 from repro.optim.projection import L2BallProjection
 from repro.optim.schedules import ConstantSchedule, InverseTSchedule
@@ -127,9 +123,13 @@ def train(
     """Train one algorithm under one scenario; returns an object exposing
     ``model`` and ``predict``.
 
-    Step sizes follow Table 4: noiseless and ours use ``1/sqrt(m)``
-    (convex) or the (capped) ``1/(gamma t)`` (strongly convex); SCS13 uses
-    ``1/sqrt(t)``; BST14 uses its own Algorithm 4/5 schedules internally.
+    Step sizes follow Table 4: noiseless uses ``1/sqrt(m)`` (convex) or
+    ``1/(gamma t)`` (strongly convex); ours trains the scenario's loss
+    through :func:`~repro.core.bolton.train_bolt_on`, whose rule gives
+    the regularized (strongly convex) loss Algorithm 2's capped
+    ``1/(gamma t)`` in the ball ``R = 1/lambda`` and the plain one
+    Algorithm 1's ``1/sqrt(m)``; SCS13 uses ``1/sqrt(t)``; BST14 uses its
+    own Algorithm 4/5 schedules internally.
     """
     algorithm = algorithm.lower()
     check_positive(settings.epsilon, "epsilon")
@@ -145,27 +145,11 @@ def train(
     if algorithm == "noiseless":
         return _train_noiseless(X, y, loss, settings, random_state)
     if algorithm == "ours":
-        if settings.scenario.is_strongly_convex:
-            return private_strongly_convex_psgd(
-                X,
-                y,
-                loss,
-                settings.epsilon,
-                delta=delta,
-                passes=settings.passes,
-                batch_size=settings.batch_size,
-                radius=settings.radius,
-                random_state=random_state,
-            )
-        return private_convex_psgd(
-            X,
-            y,
-            loss,
-            settings.epsilon,
-            delta=delta,
-            passes=settings.passes,
-            batch_size=settings.batch_size,
-            random_state=random_state,
+        candidate = BoltOnCandidate(
+            loss, passes=settings.passes, batch_size=settings.batch_size
+        )
+        return train_bolt_on(
+            X, y, candidate, settings.epsilon, delta=delta, random_state=random_state
         )
     if algorithm == "scs13":
         return scs13_train(

@@ -25,6 +25,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from repro.core.bolton import BoltOnCandidate
 from repro.core.mechanisms import (
     PrivacyParameters,
     mechanism_for,
@@ -32,12 +33,7 @@ from repro.core.mechanisms import (
 from repro.core.sensitivity import sensitivity_for_schedule
 from repro.optim.losses import Loss
 from repro.optim.projection import IdentityProjection, L2BallProjection, Projection
-from repro.optim.schedules import (
-    CappedInverseTSchedule,
-    ConstantSchedule,
-    InverseSqrtTSchedule,
-    StepSizeSchedule,
-)
+from repro.optim.schedules import InverseSqrtTSchedule, StepSizeSchedule
 from repro.rdbms.catalog import Catalog, TableInfo
 from repro.rdbms.cost_model import CostModel, RuntimeBreakdown, WorkCounters
 from repro.rdbms.executor import DEFAULT_CHUNK_SIZE, ShuffleOnce, run_aggregate
@@ -473,32 +469,26 @@ class BismarckSession:
         Everything below the noise-adding block is the *unchanged* engine;
         the privacy addition really is the last few lines — the same "about
         10 lines of Python in the front-end controller" the paper reports.
+
+        A regularized loss trains by Algorithm 2 in the L2 ball of
+        ``radius`` (default ``R = 1/lambda``), an unregularized one by
+        Algorithm 1 at the constant step ``eta`` (default ``1/sqrt(m)``).
         """
         table = self.catalog.get(table_name)
         m = table.num_tuples
         sgd_rng, noise_rng = spawn_generators(random_state, 2)
         privacy = PrivacyParameters(epsilon, delta)
 
-        if radius is not None:
-            projection: Projection = L2BallProjection(radius)
-            properties = loss.properties(radius=radius)
-        else:
-            projection = IdentityProjection()
-            properties = loss.properties()
-
-        if properties.is_strongly_convex:
-            schedule: StepSizeSchedule = CappedInverseTSchedule(
-                properties.smoothness, properties.strong_convexity
+        schedule, projection, properties = BoltOnCandidate(
+            loss, eta=eta, radius=radius
+        ).resolve(m)
+        if convergence_tolerance is not None and not properties.is_strongly_convex:
+            raise ValueError(
+                "data-dependent early stopping is only private when the "
+                "sensitivity does not depend on the pass count — i.e. the "
+                "strongly convex case (Section 4.3); in the convex case "
+                "fix the number of epochs instead"
             )
-        else:
-            schedule = ConstantSchedule(eta if eta is not None else 1.0 / np.sqrt(m))
-            if convergence_tolerance is not None:
-                raise ValueError(
-                    "data-dependent early stopping is only private when the "
-                    "sensitivity does not depend on the pass count — i.e. the "
-                    "strongly convex case (Section 4.3); in the convex case "
-                    "fix the number of epochs instead"
-                )
 
         uda = SGDUDA(loss, schedule, batch_size, projection)
         report = self.run_sgd(

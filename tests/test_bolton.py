@@ -6,15 +6,30 @@ import numpy as np
 import pytest
 
 from repro.core.bolton import (
+    BoltOnCandidate,
     noiseless_psgd,
     private_convex_psgd,
     private_psgd,
     private_strongly_convex_psgd,
+    train_bolt_on,
 )
 from repro.core.mechanisms import SphericalLaplaceMechanism
-from repro.optim.losses import HuberSVMLoss, LogisticLoss
-from repro.optim.schedules import ConstantSchedule, DecreasingSchedule
-from tests.conftest import make_binary_data
+from repro.optim.losses import (
+    HingeLoss,
+    HuberSVMLoss,
+    LeastSquaresLoss,
+    LogisticLoss,
+    LossProperties,
+)
+from repro.optim.projection import IdentityProjection, L2BallProjection
+from repro.optim.schedules import (
+    CappedInverseTSchedule,
+    ConstantSchedule,
+    DecreasingSchedule,
+)
+from repro.rdbms.bismarck import BismarckSession
+from repro.service import JobStatus, TrainingService
+from tests.conftest import assert_bytes_equal, make_binary_data
 
 
 class TestPrivateConvexPSGD:
@@ -261,3 +276,146 @@ class TestUtilityShape:
             ]
             accs.append(np.mean(runs))
         assert accs[1] > accs[0]
+
+
+# -- the Algorithm 1/2 rule, pinned to the paper's formulas --------------------
+
+#: m for the rule table: Algorithm 1's default step is 1/sqrt(400) = 0.05.
+RULE_M = 400
+RULE_LAMBDA = 0.01  # Algorithm 2's default radius is 1/lambda = 100
+
+#: name -> (loss at lambda, L_phi over ||w|| <= R (None: unconstrained),
+#: beta_phi): the margin constants of Section 2 and Appendix B by hand.
+BUILT_IN_LOSSES = {
+    "logistic": (LogisticLoss, lambda R: 1.0, 1.0),
+    "huber": (lambda lam: HuberSVMLoss(0.1, lam), lambda R: 1.0, 1.0 / (2 * 0.1)),
+    "least_squares": (
+        LeastSquaresLoss, lambda R: np.inf if R is None else R + 1.0, 1.0
+    ),
+    "hinge": (HingeLoss, lambda R: 1.0, np.inf),
+}
+
+
+class _GammaWithoutLambda(LogisticLoss):
+    """A custom loss whose constants report gamma > 0 at lambda = 0."""
+
+    def properties(self, radius=None):
+        return LossProperties(lipschitz=1.0, smoothness=1.0, strong_convexity=0.5)
+
+
+class _LambdaWithoutGamma(LogisticLoss):
+    """A custom loss whose constants report gamma = 0 at lambda > 0."""
+
+    def properties(self, radius=None):
+        return LossProperties(
+            lipschitz=1.0 + self.regularization * radius,
+            smoothness=1.0 + self.regularization,
+            strong_convexity=0.0,
+        )
+
+
+class TestBoltOnRule:
+    """``BoltOnCandidate.resolve`` against Algorithms 1 and 2 as written
+    in the paper: every built-in loss, lambda zero or not, a radius and a
+    step given or not."""
+
+    @pytest.mark.parametrize("name", sorted(BUILT_IN_LOSSES))
+    @pytest.mark.parametrize("lam", [0.0, RULE_LAMBDA])
+    @pytest.mark.parametrize("radius", [None, 2.0])
+    @pytest.mark.parametrize("eta", [None, 0.3])
+    def test_resolve_is_algorithm_1_or_2(self, name, lam, radius, eta):
+        make_loss, l_phi, beta_phi = BUILT_IN_LOSSES[name]
+        candidate = BoltOnCandidate(make_loss(lam), eta=eta, radius=radius)
+        if lam > 0.0:
+            # Algorithm 2: the ball R (default 1/lambda), beta = beta_phi +
+            # lambda, gamma = lambda, eta_t = min(1/beta, 1/(gamma t)).
+            R = radius if radius is not None else 100.0
+            beta, gamma = beta_phi + lam, lam
+            lipschitz = l_phi(R) + lam * R
+            if beta == np.inf:  # the hinge: no smoothness, no schedule
+                with pytest.raises(ValueError, match="beta must be a positive finite"):
+                    candidate.resolve(RULE_M)
+                return
+            schedule, projection, properties = candidate.resolve(RULE_M)
+            assert type(schedule) is CappedInverseTSchedule
+            assert (schedule.beta, schedule.gamma) == (beta, gamma)
+        else:
+            # Algorithm 1: unconstrained unless a radius is given, gamma = 0,
+            # the constant step eta (default 1/sqrt(m)).
+            R = radius
+            beta, gamma = beta_phi, 0.0
+            lipschitz = l_phi(R)
+            schedule, projection, properties = candidate.resolve(RULE_M)
+            assert type(schedule) is ConstantSchedule
+            assert schedule.eta == (eta if eta is not None else 0.05)
+        if R is None:
+            assert type(projection) is IdentityProjection
+        else:
+            assert type(projection) is L2BallProjection
+            assert projection.radius == R
+        assert properties == LossProperties(lipschitz, beta, gamma)
+
+    @pytest.mark.parametrize(
+        "loss, radius, match",
+        [
+            (LogisticLoss(), 5.0, "the supplied loss has gamma = 0"),
+            (LogisticLoss(RULE_LAMBDA), 0.0, "radius must be a positive finite"),
+            (LogisticLoss(RULE_LAMBDA), -1.0, "radius must be a positive finite"),
+        ],
+    )
+    def test_algorithm_2_refusals(self, loss, radius, match):
+        X, y = make_binary_data(120, 5, seed=3)
+        with pytest.raises(ValueError, match=match):
+            private_strongly_convex_psgd(X, y, loss, 1.0, radius=radius)
+        if loss.regularization > 0.0:
+            with pytest.raises(ValueError, match=match):
+                BoltOnCandidate(loss, radius=radius).resolve(120)
+
+    @pytest.mark.parametrize(
+        "loss, match",
+        [
+            (_GammaWithoutLambda(), r"Algorithm 1 \(convex case\)"),
+            (_LambdaWithoutGamma(RULE_LAMBDA), "the supplied loss has gamma = 0"),
+        ],
+    )
+    def test_custom_loss_whose_constants_contradict_lambda(self, loss, match):
+        """No built-in loss reports gamma > 0 at lambda = 0 or gamma = 0 at
+        lambda > 0. For a custom one that does, every trainer refuses as
+        the named algorithm its lambda selects does, and a service job
+        fails before any page is read, with its budget refunded."""
+        X, y = make_binary_data(120, 5, seed=3)
+        named = private_strongly_convex_psgd if loss.regularization else private_convex_psgd
+        with pytest.raises(ValueError, match=match):
+            named(X, y, loss, 1.0)
+        with pytest.raises(ValueError, match=match):
+            BoltOnCandidate(loss).resolve(120)
+        with pytest.raises(ValueError, match=match):
+            train_bolt_on(X, y, BoltOnCandidate(loss), 1.0, random_state=0)
+        session = BismarckSession()
+        session.load_table("t", X, y)
+        with pytest.raises(ValueError, match=match):
+            session.run_bolton_private("t", loss, 1.0, random_state=0)
+
+        service = TrainingService(scan_seed=5)
+        service.register_table("t", X, y)
+        service.open_budget("alice", "t", 1.0)
+        record = service.submit("alice", "t", loss, epsilon=0.2, seed=3)
+        service.scheduler.run_pending()
+        assert record.status is JobStatus.FAILED
+        assert "ValueError" in record.error
+        assert record.group_pages == 0
+        statement = service.budgets()[0]
+        assert statement.spent == (0, 0)
+        assert statement.reserved == (0.0, 0.0)
+
+    @pytest.mark.parametrize("loss", [LogisticLoss(0.05), HuberSVMLoss(0.1, 1e-3)])
+    def test_run_bolton_private_defaults_to_radius_one_over_lambda(self, loss):
+        X, y = make_binary_data(300, 8, seed=0)
+        session = BismarckSession()
+        session.load_table("t", X, y)
+        run = dict(epochs=2, batch_size=10, random_state=0)
+        default = session.run_bolton_private("t", loss, 1.0, **run)
+        explicit = session.run_bolton_private(
+            "t", loss, 1.0, radius=1.0 / loss.regularization, **run
+        )
+        assert_bytes_equal(default.model, explicit.model)

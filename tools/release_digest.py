@@ -29,12 +29,17 @@ in-memory fused engine (``MultiModelPSGD``, through
 candidates over one table with per-candidate labels, mixing two loss
 families (two fusion groups), an L2-ball candidate and an averaging
 one; ``fleet_stacked`` trains per-candidate datasets with passes 1, 2
-and 3, so the set of models still stepping shrinks between passes.
+and 3, so the set of models still stepping shrinks between passes. A
+``trainers`` line covers the sequential trainers: Algorithms 1 and 2
+with their defaults and options, ``private_psgd``, ``train_bolt_on``,
+``BoltOnPrivateClassifier``, ``scenarios.train("ours")``,
+``BismarckSession.run_bolton_private`` and both Figure 5 runtime series.
 
 It prints one line per shape: a ``release_sha`` — a SHA-256 over every
 released weight vector and every job's ``group_pages`` (and, for the
 flight, boarding offset and epochs ridden; for a fleet, every
-``unreleased_noiseless_model`` instead) — then, for the service
+``unreleased_noiseless_model`` instead; for the trainers, every noiseless
+model and sensitivity, and the Figure 5 series) — then, for the service
 shapes, the table's pool counters in plain text. Run it from two
 checkouts on the same host: equal ``release_sha`` values mean a change
 moved no released bit and no page count, even when it moves the pool
@@ -52,9 +57,23 @@ import tempfile
 
 import numpy as np
 
-from repro.core.bolton import BoltOnCandidate, private_psgd_fleet
+from repro.core.bolton import (
+    BoltOnCandidate,
+    private_convex_psgd,
+    private_psgd,
+    private_psgd_fleet,
+    private_strongly_convex_psgd,
+    train_bolt_on,
+)
+from repro.core.estimators import BoltOnPrivateClassifier
+from repro.data.dataset import Dataset
 from repro.data.preprocessing import normalize_rows
+from repro.evaluation import scenarios
+from repro.evaluation.figures import figure5_runtime_vs_batch, figure5_runtime_vs_epochs
 from repro.optim.losses import HuberSVMLoss, LeastSquaresLoss, LogisticLoss
+from repro.optim.projection import L2BallProjection
+from repro.optim.schedules import DecreasingSchedule, SquareRootSchedule
+from repro.rdbms.bismarck import BismarckSession
 from repro.rdbms.storage import LatencyHeapFile, MaterializedHeapFile
 from repro.service import JobStatus, TrainingService
 
@@ -277,6 +296,87 @@ def digest_fleet_stacked() -> str:
     return fleet_line("fleet_stacked", results)
 
 
+def digest_trainers() -> str:
+    """Every sequential private trainer on one small table: each run's
+    release, noiseless model and sensitivity (the in-RDBMS runs keep only
+    their release; the Figure 5 helpers return simulated runtimes)."""
+    m, d = 300, 8
+    X, y = make_table(m, d, seed=31)
+    sha = hashlib.sha256()
+
+    def add(result) -> None:
+        sha.update(np.ascontiguousarray(result.model).tobytes())
+        sha.update(np.ascontiguousarray(result.unreleased_noiseless_model).tobytes())
+        sha.update(repr(result.sensitivity.value).encode())
+
+    shape = dict(passes=2, batch_size=10)
+    # Algorithm 1: default eta; a given eta in an L2 ball; uniform
+    # averaging; a fresh permutation each pass.
+    add(private_convex_psgd(X, y, LogisticLoss(), 0.5, random_state=1, **shape))
+    add(private_convex_psgd(
+        X, y, HuberSVMLoss(0.1), 0.5, eta=0.3, projection=L2BallProjection(0.8),
+        random_state=2, **shape,
+    ))
+    add(private_convex_psgd(
+        X, y, LogisticLoss(), 0.5, delta=1e-5, average="uniform", random_state=3,
+        **shape,
+    ))
+    add(private_convex_psgd(
+        X, y, HuberSVMLoss(0.1), 0.5, passes=3, fresh_permutation_each_pass=True,
+        random_state=4,
+    ))
+    # Algorithm 2: default R; a given R; a convergence tolerance.
+    add(private_strongly_convex_psgd(X, y, LogisticLoss(1e-2), 0.5, random_state=5, **shape))
+    add(private_strongly_convex_psgd(
+        X, y, HuberSVMLoss(0.1, 1e-3), 0.5, delta=1e-5, radius=2.0, random_state=6,
+        **shape,
+    ))
+    add(private_strongly_convex_psgd(
+        X, y, LogisticLoss(0.05), 0.5, passes=20, batch_size=10,
+        convergence_tolerance=1e-3, random_state=7,
+    ))
+    # The generic trainer: Corollary 2's and Corollary 3's schedules.
+    for seed, schedule in ((8, DecreasingSchedule(1.0, m)), (9, SquareRootSchedule(1.0, m))):
+        add(private_psgd(X, y, LogisticLoss(), 0.5, schedule, random_state=seed, **shape))
+    # The fleet tests' sequential reference on their four candidates.
+    candidates = [
+        BoltOnCandidate(LogisticLoss(0.05), passes=2, batch_size=10),
+        BoltOnCandidate(LogisticLoss(0.1), passes=3, batch_size=10),
+        BoltOnCandidate(LogisticLoss(), passes=2, batch_size=10),
+        BoltOnCandidate(HuberSVMLoss(0.5), passes=1, batch_size=10, eta=0.2, radius=1.5),
+    ]
+    for seed, candidate in zip((11, 22, 33, 44), candidates):
+        add(train_bolt_on(X, y, candidate, 2.0, random_state=seed))
+    # The estimator at lambda = 0 (Algorithm 1) and lambda > 0 (Algorithm 2).
+    for seed, classifier in (
+        (12, BoltOnPrivateClassifier(0.5, loss="logistic", passes=2, batch_size=10)),
+        (13, BoltOnPrivateClassifier(
+            0.5, delta=1e-5, loss="huber", regularization=1e-3, passes=2, batch_size=10
+        )),
+    ):
+        add(classifier.fit(X, y, random_state=seed).result_)
+    # The evaluation harness's "ours" in the four scenarios of Section 4.3.
+    for seed, scenario in enumerate(scenarios.Scenario, start=14):
+        settings = scenarios.TrainSettings(scenario, epsilon=0.5, **shape)
+        add(scenarios.train("ours", X, y, settings, random_state=seed))
+    # In the RDBMS: convex, and strongly convex with a radius.
+    session = BismarckSession()
+    session.load_table("t", X, y)
+    for seed, loss, radius in ((18, LogisticLoss(), None), (19, LogisticLoss(1e-2), 20.0)):
+        report = session.run_bolton_private(
+            "t", loss, 0.5, epochs=2, batch_size=10, radius=radius, random_state=seed
+        )
+        sha.update(np.ascontiguousarray(report.model).tobytes())
+    # Figure 5's two rows at a tiny shape.
+    dataset = Dataset(name="digest", features=X, labels=y)
+    for figure in (
+        figure5_runtime_vs_epochs(dataset, epoch_grid=(1, 2), batch_size=10),
+        figure5_runtime_vs_batch(dataset, batch_grid=(1, 50)),
+    ):
+        sha.update(repr(sorted(figure["series"].items())).encode())
+    return f"{'trainers':<17} release_sha={sha.hexdigest()}"
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         for name in SHAPES:
@@ -284,6 +384,7 @@ def main() -> int:
     print(digest_mixed_flight())
     print(digest_fleet_shared())
     print(digest_fleet_stacked())
+    print(digest_trainers())
     return 0
 
 
