@@ -41,10 +41,11 @@ Six subcommands::
 
     python -m repro trace JOB {--state-dir DIR | --url ... --token T} [--json]
         Print one job's lifecycle trace — the monotonic-clock spans
-        (admit, queued, claim, scan, epilogue, commit) its record
-        carries — from a prior serve run's state directory or over the
-        HTTP API. ``--json`` emits the raw span payload instead of the
-        pretty table.
+        (admit, queued, claim, scan, epilogue, commit) — from a prior
+        serve run's state directory (the durable trace its record
+        carries) or over the HTTP API (the live trace, which ends in
+        ``wal_sync`` once the job's window was synced). ``--json``
+        emits the raw span payload instead of the pretty table.
 
 ``serve --http PORT`` additionally starts the ``repro-api/v2`` HTTP
 front-end (``repro.api``) and drives the demo workload through
@@ -651,9 +652,10 @@ def _serve(args: argparse.Namespace) -> int:
     if resumed:
         print(f"resumed         : {resumed} records from {args.state_dir} "
               f"(cache hits serve them free)")
-    print(f"submit latency  : max {max(submit_seconds) * 1e3:.2f} ms, "
-          f"mean {np.mean(submit_seconds) * 1e3:.2f} ms "
-          f"(never blocks on a scan)")
+    if submit_seconds:  # ``--jobs 0`` (a long-lived ``--hold``) submits none
+        print(f"submit latency  : max {max(submit_seconds) * 1e3:.2f} ms, "
+              f"mean {np.mean(submit_seconds) * 1e3:.2f} ms "
+              f"(never blocks on a scan)")
     print(f"drain           : {drain_seconds * 1e3:.1f} ms until quiescent")
     # The snapshot happens before the summary so its WAL counters (and
     # the metrics dump, if one is being exported) include it.
@@ -678,7 +680,9 @@ def _record_source(args: argparse.Namespace):
     :class:`JobRecord` (restored from the state directory, or decoded
     from the server's reply), ``where`` names the source for error
     messages. On a usage/load error, ``fetch`` is None and ``code`` is
-    the exit status to return.
+    the exit status to return. A record fetched over HTTP carries the
+    trace route's live trace (``wal_sync`` included), not the durable
+    one its job body holds.
     """
     from repro.service import TrainingService, WalCorruption
 
@@ -689,7 +693,13 @@ def _record_source(args: argparse.Namespace):
         from repro.api import ServiceClient
 
         client = ServiceClient(args.url, token=args.token)
-        return client.result, args.url, 0
+
+        def fetch(job_id: str):
+            record = client.result(job_id)
+            record.trace = client.trace(job_id)
+            return record
+
+        return fetch, args.url, 0
     service = TrainingService()
     try:
         service.load_state(args.state_dir)

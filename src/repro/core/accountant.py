@@ -14,7 +14,7 @@ partition, so parallel composition applies there instead).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 from repro.core.mechanisms import PrivacyParameters
 from repro.utils.validation import check_positive_int
@@ -143,20 +143,6 @@ class PrivacyAccountant:
                     )
                     break
             self._refold()
-
-    def replay(self, spends: Iterable[PrivacySpend]) -> None:
-        """Re-record a committed spend history, in order, with full checks.
-
-        Snapshot restore uses this: a restarted training service rebuilds
-        each account's accountant from the budget *cap* plus the receipts
-        of committed jobs, and replaying them through the same
-        :meth:`spend` validation proves the loaded history obeys the cap
-        — a tampered or impossible snapshot raises
-        :class:`PrivacyBudgetExceeded` instead of silently granting a
-        tenant more (or less) budget than they really have.
-        """
-        for spend in spends:
-            self.spend(spend.parameters, label=spend.label)
 
     def total(self) -> tuple[float, float]:
         """Total (epsilon, delta) spent so far under basic composition."""

@@ -99,6 +99,22 @@ class PrivateTrainingResult:
         return float(np.mean(self.loss.predict(self.unreleased_noiseless_model, X) == y))
 
 
+def output_perturbation(
+    noiseless: np.ndarray,
+    sensitivity: SensitivityBound,
+    privacy: PrivacyParameters,
+    noise_rng: np.random.Generator,
+    mechanism: Optional[NoiseMechanism] = None,
+) -> tuple[np.ndarray, float]:
+    """The release ``noiseless + kappa`` and ``||kappa||``: one draw
+    ``kappa`` of ``mechanism`` (default: the one ``privacy`` calls for)
+    at ``sensitivity``, from ``noise_rng``. Every bolt-on release — each
+    trainer here, the fused fleet and the training service — is this."""
+    mech = mechanism if mechanism is not None else mechanism_for(privacy)
+    noise = mech.sample(noiseless.shape[0], sensitivity.value, privacy, noise_rng)
+    return noiseless + noise, float(np.linalg.norm(noise))
+
+
 def _finish(
     loss: Loss,
     psgd_result: PSGDResult,
@@ -108,14 +124,15 @@ def _finish(
     noise_rng: np.random.Generator,
 ) -> PrivateTrainingResult:
     """The output-perturbation step shared by every algorithm variant."""
-    mech = mechanism if mechanism is not None else mechanism_for(privacy)
     noiseless = psgd_result.model
-    noise = mech.sample(noiseless.shape[0], sensitivity.value, privacy, noise_rng)
+    model, noise_norm = output_perturbation(
+        noiseless, sensitivity, privacy, noise_rng, mechanism
+    )
     return PrivateTrainingResult(
-        model=noiseless + noise,
+        model=model,
         privacy=privacy,
         sensitivity=sensitivity,
-        noise_norm=float(np.linalg.norm(noise)),
+        noise_norm=noise_norm,
         unreleased_noiseless_model=noiseless,
         psgd=psgd_result,
         loss=loss,

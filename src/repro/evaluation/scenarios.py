@@ -100,6 +100,14 @@ class TrainSettings:
     #: (BST14's step size depends on R even when unregularized).
     convex_radius: float = 10.0
 
+    def __post_init__(self) -> None:
+        if self.scenario.is_strongly_convex and not self.regularization > 0.0:
+            raise ValueError(
+                f"scenario {self.scenario.name} is strongly convex, which needs "
+                f"regularization > 0 (its loss is lambda-strongly convex and its "
+                f"radius is R = 1/lambda); got regularization={self.regularization}"
+            )
+
     def resolve_delta(self, m: int) -> float:
         if self.delta is not None:
             return self.delta

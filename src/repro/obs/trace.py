@@ -15,7 +15,7 @@ recording where a training job spent its time inside the service:
 ``commit``  ledger commit + receipt/record publication
 ``wal_sync`` trailing span: waiting for the window's durability sync
             (appended live after the record is journalled, so it is the
-            one span absent from the durable payload)
+            one span ``payload(durable=True)`` leaves out)
 ========== =====================================================================
 
 Gaplessness is by construction, not by discipline: :meth:`JobTrace.enter`
@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-__all__ = ["Span", "JobTrace", "SPAN_ORDER"]
+__all__ = ["Span", "JobTrace", "SPAN_ORDER", "LIVE_ONLY_SPAN"]
 
 #: Canonical span taxonomy in lifecycle order (documentation + test aid;
 #: a trace may legitimately omit the tail — e.g. a rejected job stops at
@@ -46,6 +46,10 @@ __all__ = ["Span", "JobTrace", "SPAN_ORDER"]
 SPAN_ORDER = (
     "admit", "queued", "claim", "scan", "epilogue", "commit", "wal_sync",
 )
+
+#: The trailing span the dispatch loop appends after a window's log
+#: sync: part of the live trace, never of a record's durable payload.
+LIVE_ONLY_SPAN = "wal_sync"
 
 _clock = time.perf_counter
 
@@ -182,11 +186,20 @@ class JobTrace:
 
     # -- serialization -----------------------------------------------------------
 
-    def payload(self) -> dict:
+    def payload(self, durable: bool = False) -> dict:
         """JSON-native dump of the closed spans (an open span, if any, is
-        deliberately not serialized — it has no end yet)."""
+        deliberately not serialized — it has no end yet). ``durable``
+        leaves out the live-only ``wal_sync`` span: what a job record's
+        payload carries, so its JSON does not depend on when it was
+        written."""
         with self._lock:
-            return {"spans": [span.payload() for span in self._spans]}
+            return {
+                "spans": [
+                    span.payload()
+                    for span in self._spans
+                    if not (durable and span.name == LIVE_ONLY_SPAN)
+                ]
+            }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "JobTrace":

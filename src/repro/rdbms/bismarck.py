@@ -140,14 +140,10 @@ class BismarckSession:
     entry points the paper's experiments call.
     """
 
-    def __init__(
-        self,
-        buffer_pool_pages: int = 65536,
-        cost_model: Optional[CostModel] = None,
-    ):
+    def __init__(self, buffer_pool_pages: int = 65536):
         self.catalog = Catalog()
         self.pool = BufferPool(buffer_pool_pages)
-        self.cost_model = cost_model if cost_model is not None else CostModel()
+        self.cost_model = CostModel()
         # Per-table ShuffleOnce operators kept alive across training runs
         # (see shared_scan): the session-reuse hook the training service
         # relies on so every job on a table replays ONE permutation.

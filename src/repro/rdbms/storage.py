@@ -88,6 +88,19 @@ def tuples_per_page(dimension: int) -> int:
     return capacity
 
 
+def pages_digest(pages: Iterable["Page"]) -> str:
+    """The content fingerprint of a heap read as ``pages``, in page
+    order: the first 16 hex digits of one SHA-256 over each page's
+    float64 feature bytes, then its label bytes. Every heap that has a
+    fingerprint takes it from here, so "same data, different backend"
+    digests the same."""
+    digest = hashlib.sha256()
+    for page in pages:
+        digest.update(page.features.tobytes())
+        digest.update(page.labels.tobytes())
+    return digest.hexdigest()[:16]
+
+
 @dataclass
 class Page:
     """One page of examples: a features block and a labels block."""
@@ -163,6 +176,14 @@ class HeapFile(abc.ABC):
         """
         return None
 
+    def content_fingerprint(self) -> Optional[str]:
+        """A hash of this heap's content (:func:`pages_digest`), read off
+        the heap and never through a buffer pool, or ``None`` if it has
+        no cheap, stable one (the default: a virtual heap would have to
+        synthesize its whole table). The result cache never caches the
+        jobs of a table without one."""
+        return None
+
     @property
     def size_bytes(self) -> int:
         """On-disk footprint (pages x page size)."""
@@ -213,6 +234,11 @@ class MaterializedHeapFile(HeapFile):
 
     def backing_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self._features, self._labels
+
+    def content_fingerprint(self) -> str:
+        """Hashed afresh on every call: the arrays may be edited in place,
+        and the scheduler's memo is what callers invalidate."""
+        return pages_digest(self.read_page(page_id) for page_id in range(self.num_pages))
 
 
 class VirtualHeapFile(HeapFile):
@@ -800,21 +826,16 @@ class SQLiteHeapFile(HeapFile):
         return pages
 
     def content_fingerprint(self) -> str:
-        """The same page-wise SHA-256 content hash a
-        :class:`MaterializedHeapFile` gets from the scheduler, so the
-        result cache treats "same data, different backend" as the same
-        table — a release trained on the in-memory copy is served to a
-        resubmission against the SQLite copy (and vice versa). Computed
-        once, off the buffer pool, from one query that holds a page at a
-        time, and memoized for the heap's lifetime (heaps are immutable
-        once registered)."""
+        """The same :func:`pages_digest` a :class:`MaterializedHeapFile`
+        of these tuples has, so the result cache treats "same data,
+        different backend" as the same table — a release trained on the
+        in-memory copy is served to a resubmission against the SQLite
+        copy (and vice versa). Computed once, from one query that holds
+        a page at a time, and memoized for the heap's lifetime (heaps
+        are immutable once registered)."""
         with self._fingerprint_lock:
             if self._fingerprint is None:
-                digest = hashlib.sha256()
-                for page in self._pages(0, self.num_pages - 1):
-                    digest.update(page.features.tobytes())
-                    digest.update(page.labels.tobytes())
-                self._fingerprint = digest.hexdigest()[:16]
+                self._fingerprint = pages_digest(self._pages(0, self.num_pages - 1))
             return self._fingerprint
 
     def clustered(self, order: np.ndarray) -> Optional["SQLiteHeapFile"]:

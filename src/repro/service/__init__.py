@@ -36,7 +36,6 @@ from repro.service.errors import (
 from repro.service.jobs import JobQueue, JobStatus, TrainingJob
 from repro.service.ledger import (
     AccountStatement,
-    BudgetDenied,
     BudgetReceipt,
     BudgetReservation,
     PrivacyBudgetLedger,
@@ -64,7 +63,6 @@ __all__ = [
     "SharedScanScheduler",
     "DispatchLoop",
     "PrivacyBudgetLedger",
-    "BudgetDenied",
     "BudgetReceipt",
     "BudgetReservation",
     "AccountStatement",

@@ -9,16 +9,11 @@ re-raises the *same* classes from a decoded error envelope — so
 ``except UnknownJob`` (or matching on ``error.code``) behaves
 identically whether the service is a Python object or a socket away.
 
-Compatibility is structural: each taxonomy class also subclasses the
-bare exception the verb used to raise (``UnknownJob`` **is a**
-``KeyError``, ``InvalidCandidate`` **is a** ``ValueError``,
-``BudgetRejected`` **is a** :class:`BudgetDenied`), so pre-taxonomy
-callers — ``except KeyError`` around ``result()``, ``except
-BudgetDenied`` in the scheduler — keep working unchanged.
-
-:class:`BudgetDenied` lives here (re-exported by
-:mod:`repro.service.ledger`, its historical home) so the ledger can
-raise the taxonomy's :class:`BudgetRejected` without an import cycle.
+Each taxonomy class also subclasses the bare exception its fault is an
+instance of (``UnknownJob`` **is a** ``KeyError``, ``InvalidCandidate``
+**is a** ``ValueError``, ``BudgetRejected`` **is a**
+:class:`~repro.core.accountant.PrivacyBudgetExceeded`), so ``except
+KeyError`` around ``result()`` catches what it always did.
 """
 
 from __future__ import annotations
@@ -72,16 +67,13 @@ class NotCancellable(ServiceError, ValueError):
     http_status = 409
 
 
-class BudgetDenied(PrivacyBudgetExceeded):
-    """An admission-time denial: the reservation would overflow the cap
-    (or the account does not exist — no budget means no spend)."""
-
-
-class BudgetRejected(ServiceError, BudgetDenied):
-    """The taxonomy face of :class:`BudgetDenied` — what
-    :meth:`~repro.service.ledger.PrivacyBudgetLedger.reserve` raises.
-    The scheduler converts it into a REJECTED record at admission, so it
-    only escapes as an *error* when a caller reserves directly."""
+class BudgetRejected(ServiceError, PrivacyBudgetExceeded):
+    """An admission-time denial, raised by
+    :meth:`~repro.service.ledger.PrivacyBudgetLedger.reserve`: the
+    reservation would overflow the cap (or the account does not exist —
+    no budget means no spend). The scheduler converts it into a REJECTED
+    record at admission, so it only escapes as an *error* when a caller
+    reserves directly."""
 
     code = "budget_rejected"
     http_status = 403

@@ -1,24 +1,25 @@
 """The privacy-budget ledger: per-(principal, table) ε/δ accounts.
 
-:class:`~repro.core.accountant.PrivacyAccountant` answers "how much has
-this computation spent against one budget"; a multi-tenant service needs
-more: many accounts (one per principal × dataset), and a *two-phase*
-spend so that money and data move atomically:
+A multi-tenant service needs many budgets (one per principal × dataset)
+and a *two-phase* spend, so that money and data move atomically:
 
 * :meth:`PrivacyBudgetLedger.reserve` — at admission, set the job's
-  (ε, δ) aside. Denied reservations raise :class:`BudgetDenied` **before
-  the job ever touches data** — the scheduler turns that into a
-  rejection with zero pages charged.
+  (ε, δ) aside. Denied reservations raise :class:`BudgetRejected`
+  **before the job ever touches data** — the scheduler turns that into
+  a rejection with zero pages charged.
 * :meth:`PrivacyBudgetLedger.commit` — after the model is trained and
-  noised, convert the reservation into a recorded spend on the wrapped
-  accountant and hand back a :class:`BudgetReceipt`.
+  noised, fold the reservation into the account's spent totals and hand
+  back a :class:`BudgetReceipt`.
 * :meth:`PrivacyBudgetLedger.refund` — if training fails, return the
   reservation untouched: failed jobs don't burn budget.
 
+An account is its cap and running totals — committed and reserved
+(ε, δ) — under basic composition: the receipts in the registry are the
+spend history, so the ledger keeps no second copy of it.
+
 Invariant (the property tests hammer every interleaving): for each
-account, ``spent + reserved <= cap`` at all times, under the same
-tolerance rule the accountant itself applies
-(:func:`repro.core.accountant.would_overflow`), and every mutation
+account, ``spent + reserved <= cap`` at all times, under the tolerance
+rule of :func:`repro.core.accountant.would_overflow`, and every mutation
 happens under one lock so concurrent submitters cannot double-spend.
 """
 
@@ -28,20 +29,12 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.accountant import (
-    PrivacyAccountant,
-    PrivacyBudgetExceeded,
-    would_overflow,
-)
+from repro.core.accountant import PrivacyBudgetExceeded, would_overflow
 from repro.core.mechanisms import PrivacyParameters
-
-# BudgetDenied's historical home is this module; it now lives in the
-# unified error taxonomy (errors.py) so denials can carry a wire code.
-from repro.service.errors import BudgetDenied, BudgetRejected
+from repro.service.errors import BudgetRejected
 
 __all__ = [
     "AccountStatement",
-    "BudgetDenied",
     "BudgetReceipt",
     "BudgetReservation",
     "PrivacyBudgetLedger",
@@ -74,9 +67,13 @@ class BudgetReservation:
 
 @dataclass
 class _Account:
-    """One (principal, table) budget account."""
+    """One (principal, table) budget account: its cap and running totals."""
 
-    accountant: PrivacyAccountant
+    cap: PrivacyParameters
+    #: Committed (ε, δ), each folded left to right from the integer ``0``
+    #: in commit order — so an account that never spent states ``0``.
+    spent_epsilon: float = 0
+    spent_delta: float = 0
     reserved_epsilon: float = 0.0
     reserved_delta: float = 0.0
     commits: int = 0
@@ -161,9 +158,7 @@ class PrivacyBudgetLedger:
                     "once granted (open a differently-named dataset view "
                     "to extend a tenant's allowance)"
                 )
-            self._accounts[key] = _Account(
-                accountant=PrivacyAccountant(PrivacyParameters(epsilon, delta))
-            )
+            self._accounts[key] = _Account(PrivacyParameters(epsilon, delta))
             observer = self.on_grant
         if observer is not None:
             observer(principal, table, float(epsilon), float(delta))
@@ -178,8 +173,8 @@ class PrivacyBudgetLedger:
             return AccountStatement(
                 principal=principal,
                 table=table,
-                cap=account.accountant.budget,
-                spent=account.accountant.total(),
+                cap=account.cap,
+                spent=(account.spent_epsilon, account.spent_delta),
                 reserved=(account.reserved_epsilon, account.reserved_delta),
             )
 
@@ -205,8 +200,8 @@ class PrivacyBudgetLedger:
                 {
                     "principal": principal,
                     "table": table,
-                    "epsilon": account.accountant.budget.epsilon,
-                    "delta": account.accountant.budget.delta,
+                    "epsilon": account.cap.epsilon,
+                    "delta": account.cap.delta,
                 }
                 for (principal, table), account in sorted(self._accounts.items())
             ]
@@ -225,29 +220,26 @@ class PrivacyBudgetLedger:
                 key = (entry["principal"], entry["table"])
                 cap = PrivacyParameters(entry["epsilon"], entry["delta"])
                 existing = self._accounts.get(key)
-                if existing is not None and existing.accountant.budget != cap:
+                if existing is not None and existing.cap != cap:
                     raise ValueError(
                         f"snapshot grants {key} a cap of {cap}, but the "
                         f"account is already open with "
-                        f"{existing.accountant.budget}; budgets are immutable"
+                        f"{existing.cap}; budgets are immutable"
                     )
             for entry in caps:
                 key = (entry["principal"], entry["table"])
                 if key not in self._accounts:
                     self._accounts[key] = _Account(
-                        accountant=PrivacyAccountant(
-                            PrivacyParameters(entry["epsilon"], entry["delta"])
-                        )
+                        PrivacyParameters(entry["epsilon"], entry["delta"])
                     )
 
     def reconcile(self, receipts: List[BudgetReceipt]) -> int:
-        """Replay committed receipts into the accounts (snapshot restore).
+        """Fold committed receipts into the accounts (snapshot restore).
 
-        Receipts replay per account in their commit-sequence order
-        through :meth:`PrivacyAccountant.replay`, so every restored spend
-        passes the same cap validation the original commit did — a
-        snapshot whose receipts overflow a cap raises instead of loading.
-        Returns the number of receipts applied.
+        Receipts fold into each account's spent totals in (principal,
+        table, commit-sequence) order, after the cap validation below —
+        a snapshot whose receipts overflow a cap raises instead of
+        loading. Returns the number of receipts applied.
 
         Idempotence keys on receipt *identity* (the job id), never on the
         sequence counter: a warm ledger's live commits may collide with a
@@ -262,8 +254,6 @@ class PrivacyBudgetLedger:
         every replay prefix) — and only then is anything applied. A bad
         snapshot raises with the ledger unchanged, never half-restored.
         """
-        from repro.core.accountant import PrivacySpend
-
         with self._lock:
             ordered = sorted(
                 receipts, key=lambda r: (r.principal, r.table, r.sequence)
@@ -284,31 +274,20 @@ class PrivacyBudgetLedger:
                     delta + receipt.parameters.delta,
                 )
             for key, (eps, delta) in added.items():
-                accountant = self._accounts[key].accountant
-                spent_eps, spent_delta = accountant.total()
-                if would_overflow(
-                    accountant.budget, spent_eps + eps, spent_delta + delta
-                ):
+                account = self._accounts[key]
+                spent_eps, spent_delta = account.spent_epsilon, account.spent_delta
+                if would_overflow(account.cap, spent_eps + eps, spent_delta + delta):
                     raise PrivacyBudgetExceeded(
                         f"snapshot receipts for account {key} total "
                         f"({eps:g}, {delta:g}) on top of spent "
                         f"({spent_eps:g}, {spent_delta:g}), overflowing the "
-                        f"cap {accountant.budget}; refusing to restore"
+                        f"cap {account.cap}; refusing to restore"
                     )
             applied = 0
             for receipt in fresh:
                 account = self._require(receipt.principal, receipt.table)
-                account.accountant.replay(
-                    [
-                        PrivacySpend(
-                            label=(
-                                f"job:{receipt.job_id} "
-                                f"principal:{receipt.principal} (reconciled)"
-                            ),
-                            parameters=receipt.parameters,
-                        )
-                    ]
-                )
+                account.spent_epsilon += receipt.parameters.epsilon
+                account.spent_delta += receipt.parameters.delta
                 account.reconciled.add(receipt.job_id)
                 account.commits = max(account.commits, receipt.sequence)
                 applied += 1
@@ -326,9 +305,8 @@ class PrivacyBudgetLedger:
         """Atomically hold ``parameters`` against the account or deny.
 
         Denial — unknown account, or ``spent + reserved + request``
-        overflowing the cap — raises :class:`BudgetRejected` (a
-        :class:`BudgetDenied`, so pre-taxonomy handlers still catch it)
-        and changes nothing.
+        overflowing the cap — raises :class:`BudgetRejected` and changes
+        nothing.
         """
         with self._lock:
             key = (principal, table)
@@ -339,9 +317,9 @@ class PrivacyBudgetLedger:
                     f"no budget account for principal {principal!r} on "
                     f"table {table!r}; open one before submitting jobs"
                 )
-            spent_eps, spent_delta = account.accountant.total()
+            spent_eps, spent_delta = account.spent_epsilon, account.spent_delta
             if would_overflow(
-                account.accountant.budget,
+                account.cap,
                 spent_eps + account.reserved_epsilon + parameters.epsilon,
                 spent_delta + account.reserved_delta + parameters.delta,
             ):
@@ -349,7 +327,7 @@ class PrivacyBudgetLedger:
                 raise BudgetRejected(
                     f"reserving {parameters} for job {job_id!r} would "
                     f"overflow {principal!r}'s budget on {table!r}: cap "
-                    f"{account.accountant.budget}, spent ({spent_eps:g}, "
+                    f"{account.cap}, spent ({spent_eps:g}, "
                     f"{spent_delta:g}), already reserved "
                     f"({account.reserved_epsilon:g}, {account.reserved_delta:g})"
                 )
@@ -368,12 +346,19 @@ class PrivacyBudgetLedger:
         """Convert a reservation into a recorded spend (a receipt)."""
         with self._lock:
             account = self._consume(reservation, "committed")
-            # The hold comes off before the spend goes on, so the
-            # accountant's own cap check sees exactly spent + this job.
-            account.accountant.spend(
-                reservation.parameters,
-                label=f"job:{reservation.job_id} principal:{reservation.principal}",
-            )
+            # The hold comes off before the spend goes on, so the cap
+            # check sees exactly spent + this job (the reservation made
+            # room for it; this guards the ledger's invariant anyway).
+            parameters = reservation.parameters
+            epsilon = account.spent_epsilon + parameters.epsilon
+            delta = account.spent_delta + parameters.delta
+            if would_overflow(account.cap, epsilon, delta):
+                raise PrivacyBudgetExceeded(
+                    f"committing {parameters} for job {reservation.job_id!r} "
+                    f"would exceed the cap {account.cap}; already spent "
+                    f"({account.spent_epsilon:g}, {account.spent_delta:g})"
+                )
+            account.spent_epsilon, account.spent_delta = epsilon, delta
             account.commits += 1
             self.commit_count += 1
             return BudgetReceipt(

@@ -185,6 +185,12 @@ class JobRecord:
         it is queued, else ``running`` — with no model, receipt,
         sensitivity or noise norm, whatever has landed. Safe to call
         while a worker releases the record.
+
+        The trace is the durable one: the spans up to the terminal
+        transition, never the live ``wal_sync`` span the dispatch loop
+        appends after the window's log sync. So a job's HTTP body, its
+        ``record`` event and its snapshot entry are one JSON, whenever
+        each is written.
         """
         done = self.done
         job = self.job
@@ -244,7 +250,7 @@ class JobRecord:
             "weights_evicted": self.weights_evicted,
             # Closed spans only (an open span has no end yet); floats emit
             # their shortest repr, so the trace round-trips bitwise.
-            "trace": self.trace.payload(),
+            "trace": self.trace.payload(durable=True),
         }
 
     @classmethod
@@ -417,13 +423,9 @@ class ModelRegistry:
         #: Running count of weight evictions (sampled into the metrics
         #: registry by the service's collector).
         self.weights_evicted_total = 0
+        #: Every record by job id, in submission order (a dict keeps
+        #: insertion order, and no record is ever removed).
         self._records: Dict[str, JobRecord] = {}
-        self._order: List[str] = []
-        # Snapshot memo: a record's JSON payload is immutable once the
-        # record is terminal, so the per-window autosave only serializes
-        # records that finished since the last snapshot instead of
-        # re-walking every weight vector in the store's history.
-        self._payload_memo: Dict[str, dict] = {}
         self._lock = threading.RLock()
         #: Event sink for the write-ahead log (the service wires it to
         #: the WAL's append). When set, admission of a QUEUED record
@@ -449,7 +451,6 @@ class ModelRegistry:
             if job_id in self._records:
                 raise ValueError(f"job {job_id!r} is already registered")
             self._records[job_id] = record
-            self._order.append(job_id)
             # Wire the terminal-event hook regardless of whether a sink
             # is attached yet (the hook re-checks). Records loaded from a
             # snapshot/WAL were marked done before this add, so neither
@@ -475,8 +476,7 @@ class ModelRegistry:
     def _note_terminal(self, record: JobRecord) -> None:
         """Retention bookkeeping for a newly-terminal record: records
         holding weights queue up oldest-finished-first, and past the cap
-        the oldest loses its model (metadata kept, memo patched so the
-        next snapshot doesn't resurrect the weights)."""
+        the oldest loses its model (metadata kept)."""
         if self.max_terminal_records is None or record.model is None:
             return
         with self._lock:
@@ -487,10 +487,6 @@ class ModelRegistry:
                 evicted.model = None
                 evicted.weights_evicted = True
                 self.weights_evicted_total += 1
-                memo = self._payload_memo.get(evicted_id)
-                if memo is not None:
-                    memo["model"] = None
-                    memo["weights_evicted"] = True
 
     def get(self, job_id: str) -> JobRecord:
         with self._lock:
@@ -528,7 +524,7 @@ class ModelRegistry:
     ) -> List[JobRecord]:
         """Records in submission order, filtered by any of the three axes."""
         with self._lock:
-            records = [self._records[job_id] for job_id in self._order]
+            records = list(self._records.values())
         return [
             record
             for record in records
@@ -562,28 +558,16 @@ class ModelRegistry:
         """Write the whole store to ``path`` as JSON (:func:`write_durably`).
 
         Safe to call from the dispatch loop's autosave hook while workers
-        are releasing jobs: records are serialized under the registry
-        lock, and a record that is not done yet is snapshotted in flight
-        (:func:`restore_record` will load it FAILED/interrupted).
+        are releasing jobs: records are encoded under the registry lock
+        (so retention cannot drop weights mid-encode), and a record that
+        is not done yet is snapshotted in flight (:func:`restore_record`
+        will load it FAILED/interrupted). Each entry is the record's
+        :meth:`JobRecord.payload`, encoded afresh: the same JSON its
+        ``record`` event and its HTTP body carry.
         """
         path = pathlib.Path(path)
         with self._lock:
-            entries = []
-            for job_id in self._order:
-                entry = self._payload_memo.get(job_id)
-                if entry is None:
-                    record = self._records[job_id]
-                    # Capture doneness BEFORE building: a record can flip
-                    # terminal mid-serialization (workers write fields
-                    # without this lock), and memoizing a payload built
-                    # during that window would freeze the in-flight view
-                    # forever. done is set only after every field landed,
-                    # so frozen-before-build means the payload is final.
-                    frozen = record.done and record.status in _TERMINAL
-                    entry = record.payload()
-                    if frozen:
-                        self._payload_memo[job_id] = entry
-                entries.append(entry)
+            entries = [record.payload() for record in self._records.values()]
             payload = {"format": SNAPSHOT_FORMAT, "records": entries}
         write_durably(
             path, (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode("utf-8")

@@ -93,7 +93,6 @@ to a closed flight's) are primed into the result cache.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 import zlib
@@ -103,21 +102,17 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.mechanisms import mechanism_for
+from repro.core.bolton import output_perturbation
 from repro.core.sensitivity import SensitivityBound, sensitivity_for_schedule
 from repro.obs import metrics as obs_metrics
 from repro.rdbms.bismarck import BismarckSession
 from repro.rdbms.catalog import TableInfo
 from repro.rdbms.executor import DEFAULT_CHUNK_SIZE, ScanCursor
-from repro.rdbms.storage import BufferPoolStats, MaterializedHeapFile, TransientPageFault
+from repro.rdbms.storage import BufferPoolStats, TransientPageFault
 from repro.rdbms.uda import ElevatorMultiSGDUDA, ElevatorRider, SGDUDA
-from repro.service.errors import InvalidCandidate, UnknownTable
+from repro.service.errors import BudgetRejected, InvalidCandidate, UnknownTable
 from repro.service.jobs import JobQueue, JobStatus, TrainingJob
-from repro.service.ledger import (
-    BudgetDenied,
-    BudgetReservation,
-    PrivacyBudgetLedger,
-)
+from repro.service.ledger import BudgetReservation, PrivacyBudgetLedger
 from repro.service.registry import (
     CachedResult,
     JobRecord,
@@ -128,38 +123,15 @@ from repro.utils.validation import check_positive_int
 
 
 def table_fingerprint(table: TableInfo) -> Optional[str]:
-    """A content hash of a table — the "same data" half of a cache key.
-
-    Pages are read straight off the heap file, *not* through the buffer
-    pool, so fingerprinting never perturbs the page-request counters the
-    accounting tests pin (and never evicts a tenant's working set).
-    Computed once per table and memoized by the scheduler — tables in
-    this engine are immutable once registered.
-
-    Only heaps with a cheap, stable identity are fingerprinted: a heap
-    exposing ``content_fingerprint()`` — a parametric synthesizer, or a
-    :class:`~repro.rdbms.storage.SQLiteHeapFile` whose fingerprint is
-    the same page-wise SHA-256 computed here, making cache keys
-    backend-invariant ("same data, different storage" hits the same
-    cached release) — is taken at its word, and a
-    :class:`MaterializedHeapFile` is hashed page by page. Anything else
-    — notably a :class:`VirtualHeapFile` wrapping an opaque generator,
-    where hashing would mean synthesizing the entire (possibly
-    hundreds-of-GB) table — returns ``None``: jobs on such tables train
-    normally but are never cached.
-    """
-    heap = table.heap
-    custom = getattr(heap, "content_fingerprint", None)
-    if callable(custom):
-        return str(custom())
-    if not isinstance(heap, MaterializedHeapFile):
-        return None
-    digest = hashlib.sha256()
-    for page_id in range(heap.num_pages):
-        page = heap.read_page(page_id)
-        digest.update(np.ascontiguousarray(page.features, dtype=np.float64).tobytes())
-        digest.update(np.ascontiguousarray(page.labels, dtype=np.float64).tobytes())
-    return digest.hexdigest()[:16]
+    """A content hash of a table — the "same data" half of a cache key —
+    as its heap states it (:meth:`HeapFile.content_fingerprint
+    <repro.rdbms.storage.HeapFile.content_fingerprint>`), or ``None``
+    for a heap without one: jobs on such tables train normally but are
+    never cached. Read off the heap, never through the buffer pool, so
+    fingerprinting moves no page-request counter the accounting tests
+    pin. Memoized per table by the scheduler (:meth:`SharedScanScheduler.
+    fingerprint_table`)."""
+    return table.heap.content_fingerprint()
 
 
 class _Flight:
@@ -247,10 +219,8 @@ class SharedScanScheduler:
         backoff) before the flight fails. Safe under the determinism
         contract: the pool never caches a faulted page and no rider has
         folded the chunk yet, so the re-read delivers the identical
-        block (see :meth:`_next_chunk`).
-    retry_backoff_seconds:
-        Base sleep between retry attempts (attempt ``n`` waits
-        ``n * retry_backoff_seconds``).
+        block (see :meth:`_next_chunk`). Attempt ``n`` first sleeps
+        ``n * retry_backoff_seconds`` (an attribute: 0.05 s).
     """
 
     def __init__(
@@ -266,7 +236,6 @@ class SharedScanScheduler:
         elevator: bool = False,
         cache_size: Optional[int] = None,
         scan_retries: int = 2,
-        retry_backoff_seconds: float = 0.05,
         metrics: Optional[obs_metrics.MetricsRegistry] = None,
     ) -> None:
         self.session = session
@@ -328,12 +297,8 @@ class SharedScanScheduler:
         self.elevator = bool(elevator)
         if scan_retries < 0:
             raise ValueError(f"scan_retries must be >= 0, got {scan_retries}")
-        if retry_backoff_seconds < 0:
-            raise ValueError(
-                f"retry_backoff_seconds must be >= 0, got {retry_backoff_seconds}"
-            )
         self.scan_retries = int(scan_retries)
-        self.retry_backoff_seconds = float(retry_backoff_seconds)
+        self.retry_backoff_seconds = 0.05
         #: Chunk re-reads taken after transient faults (telemetry).
         self.scan_retries_used = 0
         self.queue = JobQueue()
@@ -453,7 +418,7 @@ class SharedScanScheduler:
             reservation = self.ledger.reserve(
                 job.principal, job.table, job.privacy, job_id=job.job_id
             )
-        except BudgetDenied as denial:
+        except BudgetRejected as denial:
             record.error = str(denial)
             record.finished_at = self._clock
             record.trace.close()
@@ -1099,10 +1064,8 @@ class SharedScanScheduler:
             epochs_ridden=epochs_ridden,
         )
         self._epochs_ridden_total.inc(epochs_ridden)
-        noise_rng = job.noise_stream()
-        mechanism = mechanism_for(job.privacy)
-        noise = mechanism.sample(
-            noiseless.shape[0], sensitivity.value, job.privacy, noise_rng
+        model, noise_norm = output_perturbation(
+            noiseless, sensitivity, job.privacy, job.noise_stream()
         )
         record.trace.enter("commit")
         reservation = self._take_reservation(job.job_id)
@@ -1114,10 +1077,10 @@ class SharedScanScheduler:
         # Result fields land before the status flips to COMPLETED, so a
         # concurrent autosave snapshot can never capture a completed
         # record with a half-written release.
-        record.model = noiseless + noise
+        record.model = model
         record.receipt = receipt
         record.sensitivity = float(sensitivity.value)
-        record.noise_norm = float(np.linalg.norm(noise))
+        record.noise_norm = noise_norm
         record.dispatch = "scan"
         record.group_size = group_size
         record.group_pages = group_pages

@@ -83,7 +83,6 @@ from repro.obs.trace import JobTrace
 from repro.optim.losses import Loss
 from repro.rdbms.bismarck import BismarckSession
 from repro.rdbms.catalog import TableInfo
-from repro.rdbms.cost_model import CostModel
 from repro.rdbms.executor import DEFAULT_CHUNK_SIZE
 from repro.rdbms.storage import SQLiteHeapFile
 from repro.service.jobs import JobStatus, TrainingJob
@@ -122,17 +121,11 @@ class TrainingService:
         state_dir: Optional[Union[str, pathlib.Path]] = None,
         wal_compact_records: int = 256,
         scan_retries: int = 2,
-        cost_model: Optional[CostModel] = None,
-        session: Optional[BismarckSession] = None,
         metrics: Optional[obs_metrics.MetricsRegistry] = None,
         metrics_file: Optional[Union[str, pathlib.Path]] = None,
         max_terminal_records: Optional[int] = None,
     ) -> None:
-        self.session = (
-            session
-            if session is not None
-            else BismarckSession(buffer_pool_pages, cost_model)
-        )
+        self.session = BismarckSession(buffer_pool_pages)
         #: The service's telemetry registry. Always on by default (the
         #: instrumentation budget is <=5% of drain wall-clock, gated in
         #: CI); pass ``obs.disabled()`` for the zero-cost twin.

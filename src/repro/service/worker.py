@@ -43,6 +43,7 @@ from collections import deque
 from typing import Callable, Deque, Iterator, List, Optional
 
 from repro.obs import metrics as obs_metrics
+from repro.obs.trace import LIVE_ONLY_SPAN
 from repro.service.registry import JobRecord
 from repro.service.scheduler import SharedScanScheduler
 from repro.utils.validation import check_positive_int
@@ -327,10 +328,9 @@ class DispatchLoop:
                 # The window's records are terminal (traces closed at
                 # release); the time between then and the autosave's
                 # sync is how long their durability took — a trailing,
-                # live-only span (the journal event already carried the
-                # admit→commit trace).
+                # live-only span that no record payload carries.
                 for record in finished:
-                    record.trace.append("wal_sync")
+                    record.trace.append(LIVE_ONLY_SPAN)
 
     def _crash_point(self, name: str) -> None:
         """Fire the fault-injection hook (no-op without one)."""

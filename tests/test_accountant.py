@@ -137,7 +137,6 @@ _operations = st.lists(
         st.tuples(
             st.just("parallel"), _epsilons, _deltas, st.sampled_from(["a", "b"])
         ),
-        st.tuples(st.just("replay"), st.lists(st.tuples(_epsilons, _deltas), max_size=4)),
     ),
     max_size=40,
 )
@@ -150,8 +149,8 @@ class TestRunningTotals:
         operations=_operations,
     )
     def test_running_totals_equal_the_list_sums_bitwise(self, cap, operations):
-        """After every spend / spend_parallel / replay — refused ones
-        included — ``total()`` is bit-for-bit the left fold of the spend
+        """After every spend / spend_parallel — refused ones included —
+        ``total()`` is bit-for-bit the left fold of the spend
         list, which is what ``sum`` over it returns on CPython < 3.12
         (3.12 made float ``sum`` compensated)."""
         acct = PrivacyAccountant(budget=PrivacyParameters(cap, 0.5))
@@ -159,15 +158,10 @@ class TestRunningTotals:
             try:
                 if operation[0] == "spend":
                     acct.spend(PrivacyParameters(operation[1], operation[2]))
-                elif operation[0] == "parallel":
+                else:
                     acct.spend_parallel(
                         PrivacyParameters(operation[1], operation[2]),
                         group=operation[3],
-                    )
-                else:
-                    acct.replay(
-                        PrivacySpend(label="replayed", parameters=PrivacyParameters(e, d))
-                        for e, d in operation[1]
                     )
             except PrivacyBudgetExceeded:
                 pass

@@ -585,16 +585,24 @@ class TestKeepAlive:
 
     def test_close_closes_the_connections_of_every_thread(self, server):
         done = threading.Event()
+        called = threading.Semaphore(0)
+        before = metric_value(server.service, "repro_http_connections_total")
         with ServiceClient(server.url, token="alice-token") as client:
 
             def call_then_wait():
                 client.health()
+                called.release()
                 done.wait(10.0)
 
             threads = [threading.Thread(target=call_then_wait) for _ in range(3)]
             for thread in threads:
                 thread.start()
-            assert eventually(lambda: open_connections(server.service) == 3)
+            # Close idle connections only: a connection is counted open
+            # once accepted, before its call returns, and a call that
+            # close() interrupts is resent on a connection of its own.
+            for _ in threads:
+                assert called.acquire(timeout=10.0)
+            assert open_connections(server.service) == 3
             client.close()
             assert eventually(lambda: open_connections(server.service) == 0)
             done.set()
@@ -603,6 +611,9 @@ class TestKeepAlive:
                 assert not thread.is_alive()
             client.health()  # still usable: reconnects
             assert open_connections(server.service) == 1
+            # One connection per thread, plus the reconnect: none resent.
+            total = metric_value(server.service, "repro_http_connections_total")
+            assert total == before + 4
         assert eventually(lambda: open_connections(server.service) == 0)
 
     def test_a_finished_threads_connection_closes_with_it(self, server):

@@ -129,6 +129,15 @@ class TestServiceCommands:
         # 2 workers over 2 tables with work: the fleet fits, no warning.
         assert "warning" not in captured.err
 
+    def test_serve_with_no_jobs_exits_0(self, capsys):
+        # The long-lived form (``--jobs 0 --http PORT --hold``) submits
+        # nothing from the demo: the summary has no submit latency to show.
+        code = main(["serve", "--jobs", "0", "--rows", "200", "--dim", "5"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "workload        : 0 jobs" in out
+        assert "submit latency" not in out
+
     def test_serve_warns_when_workers_exceed_tables_with_work(self, capsys):
         code = main([
             "serve", "--jobs", "4", "--tenants", "2", "--rows", "150",
@@ -212,6 +221,37 @@ class TestTraceCommand:
         assert [s["name"] for s in payload["trace"]["spans"]][:2] == [
             "admit", "queued",
         ]
+
+    def test_trace_over_http_reads_the_live_trace(self, capsys, tmp_path):
+        import json
+
+        from repro.api import ServiceApiServer
+        from repro.optim.losses import LogisticLoss
+        from repro.service import TrainingService
+        from tests.conftest import make_binary_data
+
+        X, Y = make_binary_data(150, 5, seed=3)
+        service = TrainingService(scan_seed=1, state_dir=tmp_path / "state")
+        service.register_table("t", X, Y)
+        service.open_budget("alice", "t", 1.0)
+        record = service.submit("alice", "t", LogisticLoss(1e-3), epsilon=0.1,
+                                passes=1, batch_size=10, seed=1)
+        service.drain()  # the dispatch loop appends wal_sync after the sync
+        try:
+            with ServiceApiServer(service, {"alice-token": "alice"}) as server:
+                code = main([
+                    "trace", record.job_id, "--url", server.url,
+                    "--token", "alice-token", "--json",
+                ])
+        finally:
+            service.stop()
+        out = capsys.readouterr().out
+        assert code == 0
+        spans = json.loads(out)["trace"]["spans"]
+        # The job body carries the durable trace, which stops at commit;
+        # the trace route adds the live span.
+        assert [span["name"] for span in spans][-2:] == ["commit", "wal_sync"]
+        assert spans == record.trace.payload()["spans"]
 
     def test_trace_unknown_job_exits_2(self, capsys, tmp_path):
         assert self.run_serve(tmp_path) == 0

@@ -111,6 +111,18 @@ class TestScenarios:
         cv = TrainSettings(Scenario.CONVEX_PURE, epsilon=1.0)
         assert cv.radius == 10.0  # the convex default for BST14
 
+    @pytest.mark.parametrize(
+        "scenario", [Scenario.STRONGLY_CONVEX_PURE, Scenario.STRONGLY_CONVEX_APPROX]
+    )
+    def test_strongly_convex_settings_refuse_zero_regularization(self, scenario):
+        # Every algorithm trains from these settings, so the contradiction
+        # is refused where they are made, before any of them runs.
+        with pytest.raises(ValueError, match="strongly convex, which needs regularization > 0"):
+            TrainSettings(scenario, epsilon=1.0, regularization=0.0)
+        # A convex scenario ignores lambda (its loss is unregularized).
+        convex = TrainSettings(Scenario.CONVEX_PURE, epsilon=1.0, regularization=0.0)
+        assert convex.radius == 10.0
+
     def test_settings_delta_resolution(self):
         approx = TrainSettings(Scenario.CONVEX_APPROX, epsilon=1.0)
         assert approx.resolve_delta(100) == pytest.approx(1e-4)

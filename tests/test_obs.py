@@ -375,6 +375,31 @@ class TestLifecycleTraces:
                 assert (before.start, before.end) == (after.start, after.end)
                 assert before.attrs == after.attrs
 
+    def test_a_trace_is_durable_whichever_snapshot_first_holds_it(self, tmp_path):
+        """A compaction snapshots every record, including the jobs of
+        earlier windows, whose live traces by then end in wal_sync; the
+        restored trace is still the admit->commit prefix, as it is for
+        the jobs of the compacting window itself."""
+        state = tmp_path / "state"
+        service = make_service(state_dir=state, wal_compact_records=10)
+        records = []
+        for window in range(6):
+            records += [submit_one(service, seed=650 + 2 * window + i) for i in range(2)]
+            service.drain()
+        assert service.durability["compactions"] >= 1
+        service.save_state()
+
+        resumed = TrainingService(scan_seed=7, state_dir=state)
+        assert resumed.load_state() == len(records)
+        for record in records:
+            live = record.trace.spans()
+            assert live[-1].name == "wal_sync"
+            reloaded = resumed.trace(record.job_id).spans()
+            assert [s.name for s in reloaded] == [s.name for s in live[:-1]]
+            assert [(s.start, s.end, s.attrs) for s in reloaded] == [
+                (s.start, s.end, s.attrs) for s in live[:-1]
+            ]
+
 
 # -- telemetry consistency -------------------------------------------------------
 

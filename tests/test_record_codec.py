@@ -136,11 +136,11 @@ class TestOneBody:
                 "alice", "t", LogisticLoss(1e-3), epsilon=EPS, passes=2,
                 batch_size=25, seed=7,
             ).job_id
-            # Dispatched in this thread, not by the dispatch loop: the loop
-            # appends a live-only ``wal_sync`` span to each trace after the
-            # window's sync, which the journal event (written at release)
-            # never carries.
-            service.scheduler.run_pending()
+            # Dispatched by the dispatch loop, which appends the live-only
+            # ``wal_sync`` span to the trace after the window's sync: the
+            # body is written after that, the journal event before it.
+            service.drain()
+            assert service.trace(job_id).names()[-1] == "wal_sync"
             body = get_job_body(server.url, job_id)
         service.wal.sync()
         (event,) = [
@@ -151,6 +151,7 @@ class TestOneBody:
         path = service.registry.snapshot(tmp_path / "export.json")
         (entry,) = [e for e in snapshot_payloads(path) if e["job"]["job_id"] == job_id]
         assert body["status"] == "completed" and body["model"] is not None
+        assert body["trace"]["spans"][-1]["name"] == "commit"
         assert body == event["record"] == entry
 
 

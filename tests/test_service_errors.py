@@ -3,8 +3,8 @@
 The taxonomy contract: every fault a service verb raises is a
 :class:`ServiceError` subclass with a stable machine-readable ``code``
 (what the HTTP front-end serializes), while still inheriting the bare
-exception type (``KeyError``/``ValueError``/``BudgetDenied``) that
-pre-taxonomy callers catch — nobody's ``except KeyError`` breaks.
+exception type (``KeyError``/``ValueError``/``PrivacyBudgetExceeded``)
+its fault is an instance of — nobody's ``except KeyError`` breaks.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.service import (
     UnknownJob,
     UnknownTable,
 )
-from repro.service.errors import ERROR_CODES, BudgetDenied, error_for_code
+from repro.service.errors import ERROR_CODES, error_for_code
 from repro.service.jobs import TrainingJob
 from tests.conftest import make_binary_data
 
@@ -55,7 +55,6 @@ class TestTaxonomyShape:
         assert issubclass(UnknownTable, KeyError)
         assert issubclass(InvalidCandidate, ValueError)
         assert issubclass(NotCancellable, ValueError)
-        assert issubclass(BudgetRejected, BudgetDenied)
         assert issubclass(BudgetRejected, PrivacyBudgetExceeded)
 
     def test_str_is_not_keyerror_quoted(self):
@@ -110,11 +109,11 @@ class TestVerbsRaiseTheTaxonomy:
             service.submit_job(job)
         assert excinfo.value.code == "invalid_candidate"
 
-    def test_budget_rejected_is_catchable_as_budget_denied(self):
+    def test_budget_rejected_is_catchable_as_privacy_budget_exceeded(self):
         service = make_service(cap=10.0)
         from repro.core.accountant import PrivacyParameters
 
-        with pytest.raises(BudgetDenied) as excinfo:
+        with pytest.raises(PrivacyBudgetExceeded) as excinfo:
             service.ledger.reserve(
                 "mallory", "t", PrivacyParameters(0.05, 0.0), job_id="job-x"
             )
@@ -122,7 +121,7 @@ class TestVerbsRaiseTheTaxonomy:
         assert excinfo.value.code == "budget_rejected"
 
     def test_over_budget_submit_still_returns_a_rejected_record(self):
-        # The scheduler swallows BudgetDenied into a REJECTED record —
+        # The scheduler swallows BudgetRejected into a REJECTED record —
         # the taxonomy must not have changed that admission contract.
         service = make_service(cap=0.01)
         record = service.submit("alice", "t", LogisticLoss(1e-2), epsilon=0.05)

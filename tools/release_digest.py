@@ -34,13 +34,17 @@ and 3, so the set of models still stepping shrinks between passes. A
 with their defaults and options, ``private_psgd``, ``train_bolt_on``,
 ``BoltOnPrivateClassifier``, ``scenarios.train("ours")``,
 ``BismarckSession.run_bolton_private`` and both Figure 5 runtime series.
+A ``durable`` line covers what a service with a state directory writes:
+its snapshot, its log events and its budget statements, before and
+after a restart.
 
 It prints one line per shape: a ``release_sha`` — a SHA-256 over every
 released weight vector and every job's ``group_pages`` (and, for the
 flight, boarding offset and epochs ridden; for a fleet, every
 ``unreleased_noiseless_model`` instead; for the trainers, every noiseless
-model and sensitivity, and the Figure 5 series) — then, for the service
-shapes, the table's pool counters in plain text. Run it from two
+model and sensitivity, and the Figure 5 series; for the durable state,
+its bytes with every trace dropped) — then, for the service shapes, the
+table's pool counters in plain text. Run it from two
 checkouts on the same host: equal ``release_sha`` values mean a change
 moved no released bit and no page count, even when it moves the pool
 counters by design (a change that should not move them must also leave
@@ -51,6 +55,7 @@ because BLAS summation differs across CPUs.
 from __future__ import annotations
 
 import hashlib
+import json
 import pathlib
 import sys
 import tempfile
@@ -75,7 +80,7 @@ from repro.optim.projection import L2BallProjection
 from repro.optim.schedules import DecreasingSchedule, SquareRootSchedule
 from repro.rdbms.bismarck import BismarckSession
 from repro.rdbms.storage import LatencyHeapFile, MaterializedHeapFile
-from repro.service import JobStatus, TrainingService
+from repro.service import JobStatus, TrainingService, WriteAheadLog
 
 #: name -> (m, d, jobs, passes, batch, pool pages or None for the
 #: service's default pool, storage): "memory" (the arrays), "sqlite" (a
@@ -377,10 +382,82 @@ def digest_trainers() -> str:
     return f"{'trainers':<17} release_sha={sha.hexdigest()}"
 
 
+def untraced(record: dict) -> dict:
+    """A record payload without its trace (spans hold clock readings)."""
+    return {key: value for key, value in record.items() if key != "trace"}
+
+
+def hash_state(sha, directory: pathlib.Path, service: TrainingService) -> int:
+    """Fold a state directory and a service's budgets into ``sha``:
+    ``registry.json`` and the log's events, each record untraced, then
+    ``accounts.json`` as written and every budget statement. Returns
+    the number of log events."""
+    snapshot = json.loads((directory / "registry.json").read_text())
+    snapshot["records"] = [untraced(record) for record in snapshot["records"]]
+    sha.update(json.dumps(snapshot, indent=1, sort_keys=True).encode())
+    events = WriteAheadLog.replay(directory / "receipts.wal")  # [] without a log
+    for event in events:
+        if "record" in event:
+            event["record"] = untraced(event["record"])
+    sha.update(json.dumps(events, sort_keys=True).encode())
+    sha.update((directory / "accounts.json").read_bytes())
+    statements = [statement.payload() for statement in service.budgets()]
+    sha.update(json.dumps(statements, sort_keys=True).encode())  # 0 is not 0.0
+    return len(events)
+
+
+def digest_durable(workdir: pathlib.Path) -> str:
+    """A seeded service with a state directory, trained on the calling
+    thread over two accounts (one with delta > 0) beside an unspent one:
+    a twin, a cache hit, an over-budget rejection and a cancel; then
+    ``save_state()``, more jobs and a log sync. Its state, then the state
+    a fresh service writes after ``load_state()`` of it."""
+    features, labels = make_table(400, 10)
+    state = workdir / "durable"
+    service = TrainingService(scan_seed=3, state_dir=state)
+    service.register_table("t", features, labels)
+    service.open_budget("alice", "t", 1.0)
+    service.open_budget("bob", "t", 0.5, delta=1e-5)
+    service.open_budget("carol", "t", 0.5)
+
+    def submit(principal: str, seed: int, epsilon: float = 0.1, delta: float = 0.0):
+        return service.submit(
+            principal, "t", LogisticLoss(1e-3), epsilon=epsilon, delta=delta,
+            passes=2, batch_size=20, seed=seed,
+        )
+
+    submit("alice", 1)
+    submit("alice", 1)  # a twin: attaches to the queued job, charged once
+    submit("bob", 2, delta=1e-6)
+    cancelled = submit("alice", 3)
+    if not service.cancel(cancelled.job_id):
+        raise RuntimeError("the cancel came too late")
+    service.scheduler.run_pending()
+    submit("alice", 1)  # a cache hit
+    submit("bob", 4, epsilon=5.0)  # over budget: rejected at admission
+    service.save_state()
+    submit("alice", 5, epsilon=0.2)
+    submit("bob", 6, delta=1e-6)
+    service.scheduler.run_pending()
+    service.wal.sync()
+    statuses = sorted(record.status.value for record in service.registry.jobs())
+    if statuses != ["cancelled"] + ["completed"] * 6 + ["rejected"]:
+        raise RuntimeError(f"unexpected statuses {statuses}")
+
+    sha = hashlib.sha256()
+    events = hash_state(sha, state, service)
+    resumed = TrainingService(scan_seed=3)
+    records = resumed.load_state(state)
+    resumed.save_state(workdir / "resumed")
+    hash_state(sha, workdir / "resumed", resumed)
+    return f"{'durable':<17} release_sha={sha.hexdigest()} records={records} events={events}"
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         for name in SHAPES:
             print(digest(name, pathlib.Path(scratch)))
+        print(digest_durable(pathlib.Path(scratch)))
     print(digest_mixed_flight())
     print(digest_fleet_shared())
     print(digest_fleet_stacked())
