@@ -4,6 +4,9 @@
   extended to multiple passes as in the paper.
 * :func:`bst14_train` — Bassily, Smith & Thakurta (2014) in the paper's
   constant-epoch extension (Algorithms 4 and 5), (ε,δ)-DP only.
+
+Each module owns its algorithm's parameter rule (``scs13_rule``,
+``bst14_rule``), which the in-RDBMS trainers build on too.
 """
 
 from repro.baselines.bst14 import (

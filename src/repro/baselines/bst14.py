@@ -28,6 +28,9 @@ mini-batch of size b — we use the general form and reproduce the paper's
 BST14 supports (ε,δ)-DP only (it relies on advanced composition); asking
 for δ = 0 raises.
 
+This module owns BST14's parameter rule (:func:`bst14_rule`), which
+:func:`bst14_train` and ``BismarckSession.run_bst14`` both build on.
+
 The ``naive_noise_for_m_passes`` flag reproduces the ablation discussed in
 Section 4.1: keep the *original* paper's noise (calibrated for m passes,
 i.e. ``T_noise = m^2``) while running only km iterations — the
@@ -41,12 +44,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines.common import BaselineResult, EpochNoiseBuffer
+from repro.baselines.common import BaselineResult, WhiteBoxRule, run_rule
 from repro.core.mechanisms import PrivacyParameters
 from repro.optim.losses import Loss
 from repro.optim.projection import L2BallProjection
-from repro.optim.psgd import PSGD, PSGDConfig
-from repro.optim.schedules import BST14Schedule, InverseTSchedule
+from repro.optim.schedules import BST14Schedule, InverseTSchedule, StepSizeSchedule
 from repro.utils.rng import RandomState, spawn_generators
 from repro.utils.validation import (
     check_matrix_labels,
@@ -134,6 +136,70 @@ def bst14_noise_sigma(
     return math.sqrt(sigma_squared), steps
 
 
+def bst14_rule(
+    loss: Loss,
+    epsilon: float,
+    delta: float,
+    m: int,
+    d: int,
+    *,
+    passes: int = 1,
+    batch_size: int = 1,
+    radius: float = 1.0,
+    strongly_convex: Optional[bool] = None,
+    iota_override: Optional[float] = None,
+    naive_noise_for_m_passes: bool = False,
+) -> WhiteBoxRule:
+    """BST14's parameters for ``passes`` passes over m rows of dimension d,
+    as the module docstring gives them: Algorithm 5 when
+    ``strongly_convex`` (by default, when the loss is), Algorithm 4
+    otherwise. Refused: ``delta = 0``, and Algorithm 5 for a loss that is
+    not strongly convex."""
+    check_positive(epsilon, "epsilon")
+    check_positive_int(passes, "passes")
+    check_positive_int(batch_size, "batch_size")
+    check_positive(radius, "radius")
+    if delta <= 0.0:
+        raise ValueError(
+            "BST14 provides (eps, delta)-DP only (advanced composition "
+            "requires delta > 0); use SCS13 or the bolt-on algorithms for "
+            "pure eps-DP"
+        )
+    privacy = PrivacyParameters(epsilon, delta)
+    properties = loss.properties(radius=radius)
+    if strongly_convex is None:
+        strongly_convex = properties.is_strongly_convex
+    if strongly_convex and not properties.is_strongly_convex:
+        raise ValueError("Algorithm 5 requires a strongly convex loss")
+    lipschitz = properties.lipschitz
+
+    # Original BST14 runs m^2 iterations; calibrating for that many while
+    # executing km is the "naive stop" ablation of Section 4.1.
+    noise_steps = m * m if naive_noise_for_m_passes else None
+    sigma, _ = bst14_noise_sigma(epsilon, delta, m, passes, batch_size, noise_steps)
+    iota = iota_override
+    if iota is None:
+        iota = per_iteration_sensitivity(lipschitz, batch_size)
+    # Line 11: z ~ N(0, sigma^2 * iota * I_d) — iota scales the variance.
+    effective_sigma = sigma * math.sqrt(iota)
+
+    if strongly_convex:
+        schedule: StepSizeSchedule = InverseTSchedule(properties.strong_convexity)
+    else:
+        # Line 12, literally: G = sqrt(d sigma^2 + b^2 L^2) with the raw
+        # sigma. This pessimistic bound is what throttles BST14's step
+        # size in the paper's convex experiments.
+        gradient_bound = math.sqrt(d * sigma**2 + batch_size**2 * lipschitz**2)
+        schedule = BST14Schedule(radius=radius, gradient_bound=gradient_bound)
+    return WhiteBoxRule(
+        privacy=privacy,
+        schedule=schedule,
+        projection=L2BallProjection(radius),
+        noise_scale=effective_sigma,
+        draw=lambda count, dim, rng: rng.normal(0.0, effective_sigma, size=(count, dim)),
+    )
+
+
 def bst14_train(
     X: np.ndarray,
     y: np.ndarray,
@@ -154,91 +220,24 @@ def bst14_train(
     ``strongly_convex`` picks Algorithm 5 (``1/(gamma t)`` steps); ``None``
     auto-detects from the loss properties. ``radius`` is the constraint-set
     radius R (BST14 is inherently constrained; its convex step size depends
-    on R).
+    on R). Batches are sampled from the first of two streams spawned from
+    ``random_state``, the noise from the second.
     """
     X, y = check_matrix_labels(X, y)
     check_unit_ball(X)
-    check_positive(epsilon, "epsilon")
-    check_positive_int(passes, "passes")
-    check_positive_int(batch_size, "batch_size")
-    check_positive(radius, "radius")
-    if delta <= 0.0:
-        raise ValueError(
-            "BST14 provides (eps, delta)-DP only (advanced composition "
-            "requires delta > 0); use SCS13 or the bolt-on algorithms for "
-            "pure eps-DP"
-        )
-    privacy = PrivacyParameters(epsilon, delta)
     m, d = X.shape
-
-    properties = loss.properties(radius=radius)
-    if strongly_convex is None:
-        strongly_convex = properties.is_strongly_convex
-    if strongly_convex and not properties.is_strongly_convex:
-        raise ValueError("Algorithm 5 requires a strongly convex loss")
-    lipschitz = properties.lipschitz
-
-    noise_steps = None
-    if naive_noise_for_m_passes:
-        # Original BST14 runs m^2 iterations; calibrating for that many
-        # while executing km is the "naive stop" ablation of Section 4.1.
-        noise_steps = m * m
-    sigma, steps = bst14_noise_sigma(
-        epsilon, delta, m, passes, batch_size, noise_steps
+    rule = bst14_rule(
+        loss, epsilon, delta, m, d, passes=passes, batch_size=batch_size,
+        radius=radius, strongly_convex=strongly_convex, iota_override=iota_override,
+        naive_noise_for_m_passes=naive_noise_for_m_passes,
     )
-    iota = (
-        iota_override
-        if iota_override is not None
-        else per_iteration_sensitivity(lipschitz, batch_size)
-    )
-    # Line 11: z ~ N(0, sigma^2 * iota * I_d) — iota scales the variance.
-    effective_sigma = sigma * math.sqrt(iota)
-
-    if strongly_convex:
-        schedule = InverseTSchedule(properties.strong_convexity)
-    else:
-        # Line 12, literally: G = sqrt(d sigma^2 + b^2 L^2) with the raw
-        # sigma. This pessimistic bound is what throttles BST14's step
-        # size in the paper's convex experiments.
-        gradient_bound = math.sqrt(d * sigma**2 + batch_size**2 * lipschitz**2)
-        schedule = BST14Schedule(radius=radius, gradient_bound=gradient_bound)
-
     sgd_rng, noise_rng = spawn_generators(random_state, 2)
-
-    # Noise draws come from the dedicated ``noise_rng`` stream (spawned
-    # above), not the engine's generator: the engine stream interleaves the
-    # per-update index sampling, and only an independent noise stream lets
-    # an epoch's Gaussian draws be blocked into one ``(n, d)`` RNG call
-    # (stream-identical to per-step draws from that same stream — the
-    # sample_batch contract). Each update still pays one logical draw.
-    buffer = EpochNoiseBuffer(
-        lambda n, block_rng: block_rng.normal(0.0, effective_sigma, size=(n, d)),
-        steps_per_epoch=-(-m // batch_size),
-    )
-
-    def gradient_noise(t: int, dimension: int, rng: np.random.Generator) -> np.ndarray:
-        return buffer.next(noise_rng)
 
     def example_sampler(t: int, size: int, rng: np.random.Generator) -> np.ndarray:
         # BST14 samples uniformly with replacement (line 10 of Algorithm 4).
         return rng.integers(0, size, size=batch_size)
 
-    config = PSGDConfig(
-        schedule=schedule,
-        passes=passes,
-        batch_size=batch_size,
-        projection=L2BallProjection(radius),
-    )
-    engine = PSGD(
-        loss, config, gradient_noise=gradient_noise, example_sampler=example_sampler
-    )
-    result = engine.run(X, y, random_state=sgd_rng)
-    return BaselineResult(
-        model=result.model,
-        privacy=privacy,
-        algorithm="BST14",
-        psgd=result,
-        loss=loss,
-        per_step_noise_scale=effective_sigma,
-        noise_draws=buffer.rows_served,
+    return run_rule(
+        X, y, loss, rule, "BST14", passes=passes, batch_size=batch_size,
+        random_state=sgd_rng, noise_rng=noise_rng, example_sampler=example_sampler,
     )

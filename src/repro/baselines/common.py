@@ -1,4 +1,5 @@
-"""Shared result type and noise plumbing for the white-box baselines."""
+"""What the white-box baselines share: the rule a run is built from, its
+in-memory run, the per-epoch noise buffer and the result type."""
 
 from __future__ import annotations
 
@@ -9,8 +10,37 @@ import numpy as np
 
 from repro.core.mechanisms import PrivacyParameters
 from repro.optim.losses import Loss
-from repro.optim.psgd import PSGDResult
+from repro.optim.projection import Projection
+from repro.optim.psgd import PSGD, ExampleSampler, PSGDConfig, PSGDResult
+from repro.optim.schedules import StepSizeSchedule
+from repro.utils.rng import RandomState
 from repro.utils.validation import check_matrix_labels, check_positive_int
+
+
+@dataclass(frozen=True)
+class WhiteBoxRule:
+    """What a white-box algorithm's rule fixes for one run: the guarantee,
+    the step schedule, the projection and the per-update noise. Every
+    SCS13 and BST14 trainer, in memory and in the engine, is built from
+    :func:`~repro.baselines.scs13.scs13_rule` or
+    :func:`~repro.baselines.bst14.bst14_rule` and serves its noise from
+    :meth:`noise`."""
+
+    privacy: PrivacyParameters
+    schedule: StepSizeSchedule
+    projection: Projection
+    #: Per-update noise standard deviation (Gaussian) or scale (Laplace).
+    noise_scale: float
+    #: ``draw(count, d, rng) -> (count, d)``: ``count`` per-update noise
+    #: vectors, drawn from ``rng`` exactly as ``count`` one-row draws are.
+    draw: Callable[[int, int, np.random.Generator], np.ndarray]
+
+    def noise(self, m: int, d: int, batch_size: int) -> "EpochNoiseBuffer":
+        """The run's per-update noise rows over m rows of dimension d,
+        drawn an epoch (``ceil(m/b)`` updates) at a time."""
+        return EpochNoiseBuffer(
+            lambda count, rng: self.draw(count, d, rng), steps_per_epoch=-(-m // batch_size)
+        )
 
 
 class EpochNoiseBuffer:
@@ -22,13 +52,8 @@ class EpochNoiseBuffer:
     a block sampler and hands out rows on demand. Every block sampler
     used with it honours the :meth:`NoiseMechanism.sample_batch` contract:
     the blocked draw consumes *its* generator identically to per-step
-    draws from that same generator. For SCS13 — whose noise stream was
-    already the only per-update consumer of its generator — buffering
-    therefore releases exactly the same model as the historical per-step
-    code for any seed (regression-tested); BST14's noise instead moved
-    onto a dedicated spawned stream (its old stream interleaved index
-    sampling, which no blocked draw can replay), so its seeded outputs
-    changed once, deliberately, when the buffer landed.
+    draws from that same generator, so buffering changes no released
+    model (regression-tested).
 
     ``draw_block(count, rng) -> (count, d) array``; ``next(rng)`` returns
     the next row, refilling at epoch boundaries.
@@ -87,3 +112,37 @@ class BaselineResult:
     def accuracy(self, X: np.ndarray, y: np.ndarray) -> float:
         X, y = check_matrix_labels(X, y)
         return float(np.mean(self.predict(X) == y))
+
+
+def run_rule(
+    X: np.ndarray,
+    y: np.ndarray,
+    loss: Loss,
+    rule: WhiteBoxRule,
+    algorithm: str,
+    *,
+    passes: int,
+    batch_size: int,
+    random_state: RandomState,
+    noise_rng: Optional[np.random.Generator] = None,
+    example_sampler: Optional[ExampleSampler] = None,
+) -> BaselineResult:
+    """PSGD under ``rule``, one row of its noise added to every update;
+    the rows are drawn an epoch at a time from ``noise_rng`` (default:
+    PSGD's own generator)."""
+    m, d = X.shape
+    buffer = rule.noise(m, d, batch_size)
+
+    def gradient_noise(t: int, dimension: int, rng: np.random.Generator) -> np.ndarray:
+        return buffer.next(rng if noise_rng is None else noise_rng)
+
+    config = PSGDConfig(
+        schedule=rule.schedule, passes=passes, batch_size=batch_size, projection=rule.projection
+    )
+    result = PSGD(
+        loss, config, gradient_noise=gradient_noise, example_sampler=example_sampler
+    ).run(X, y, random_state=random_state)
+    return BaselineResult(
+        model=result.model, privacy=rule.privacy, algorithm=algorithm, psgd=result, loss=loss,
+        per_step_noise_scale=rule.noise_scale, noise_draws=buffer.rows_served,
+    )

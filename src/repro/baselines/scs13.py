@@ -16,10 +16,9 @@ paper's experimental setup (Section 4.1):
 * pure ε-DP uses per-update spherical Laplace noise, (ε,δ)-DP uses
   per-update Gaussian noise.
 
-Implementation note: this is precisely the "deep code change" the paper's
-integration study talks about — expressed here as the ``gradient_noise``
-hook of :class:`repro.optim.PSGD`, and in the RDBMS substrate as a modified
-UDA ``transition`` function (:mod:`repro.rdbms.bismarck`).
+This module owns SCS13's parameter rule (:func:`scs13_rule`), which
+:func:`scs13_train` and ``BismarckSession.run_scs13`` — the modified UDA
+``transition`` function of the paper's integration study — build on.
 """
 
 from __future__ import annotations
@@ -29,16 +28,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines.common import BaselineResult, EpochNoiseBuffer
-from repro.core.mechanisms import (
-    GaussianMechanism,
-    NoiseMechanism,
-    PrivacyParameters,
-    SphericalLaplaceMechanism,
-)
+from repro.baselines.common import BaselineResult, WhiteBoxRule, run_rule
+from repro.core.mechanisms import PrivacyParameters, mechanism_for
 from repro.optim.losses import Loss
-from repro.optim.projection import IdentityProjection, L2BallProjection, Projection
-from repro.optim.psgd import PSGD, PSGDConfig
+from repro.optim.projection import IdentityProjection, L2BallProjection
 from repro.optim.schedules import InverseSqrtTSchedule
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import (
@@ -77,6 +70,44 @@ def scs13_gaussian_sigma(
     return c * sensitivity / epsilon_per_pass
 
 
+def scs13_rule(
+    loss: Loss,
+    epsilon: float,
+    delta: float = 0.0,
+    *,
+    passes: int = 1,
+    batch_size: int = 1,
+    radius: Optional[float] = None,
+) -> WhiteBoxRule:
+    """SCS13's parameters, as the module docstring gives them, in the L2
+    ball of ``radius`` when one is given and unconstrained otherwise. A
+    loss whose Lipschitz constant is unbounded there is refused."""
+    check_positive_int(passes, "passes")
+    check_positive_int(batch_size, "batch_size")
+    privacy = PrivacyParameters(epsilon, delta)
+    per_pass = privacy.split(passes)
+    projection = L2BallProjection(radius) if radius is not None else IdentityProjection()
+    lipschitz = loss.properties(radius=radius).lipschitz
+    if not np.isfinite(lipschitz):
+        raise ValueError("SCS13 requires a finite Lipschitz constant")
+
+    sensitivity = 2.0 * lipschitz / batch_size
+    mechanism = mechanism_for(privacy)
+    if privacy.is_pure:
+        scale = scs13_noise_scale(lipschitz, per_pass.epsilon, batch_size)
+    else:
+        scale = scs13_gaussian_sigma(lipschitz, per_pass.epsilon, per_pass.delta, batch_size)
+    return WhiteBoxRule(
+        privacy=privacy,
+        schedule=InverseSqrtTSchedule(),
+        projection=projection,
+        noise_scale=scale,
+        draw=lambda count, d, rng: mechanism.sample_batch(
+            count, d, sensitivity, per_pass, rng
+        ),
+    )
+
+
 def scs13_train(
     X: np.ndarray,
     y: np.ndarray,
@@ -87,10 +118,9 @@ def scs13_train(
     passes: int = 1,
     batch_size: int = 1,
     radius: Optional[float] = None,
-    eta0: float = 1.0,
     random_state: RandomState = None,
 ) -> BaselineResult:
-    """Train with SCS13's per-update noise.
+    """Train with SCS13's per-update noise, drawn from PSGD's own generator.
 
     Parameters
     ----------
@@ -100,72 +130,13 @@ def scs13_train(
     radius:
         Optional L2-ball constraint; the paper's strongly convex runs use
         ``R = 1/lambda``.
-    eta0:
-        Numerator of the ``eta0/sqrt(t)`` schedule.
     """
     X, y = check_matrix_labels(X, y)
     check_unit_ball(X)
-    check_positive(epsilon, "epsilon")
-    check_positive_int(passes, "passes")
-    check_positive_int(batch_size, "batch_size")
-    privacy = PrivacyParameters(epsilon, delta)
-
-    projection: Projection
-    if radius is not None:
-        projection = L2BallProjection(radius)
-        properties = loss.properties(radius=radius)
-    else:
-        projection = IdentityProjection()
-        properties = loss.properties()
-    lipschitz = properties.lipschitz
-    if not np.isfinite(lipschitz):
-        raise ValueError("SCS13 requires a finite Lipschitz constant")
-
-    epsilon_per_pass = epsilon / passes
-    m, d = X.shape
-
-    # Per-update noise == one mechanism draw at sensitivity 2L/b and the
-    # per-pass budget. Routing it through the mechanism's ``sample_batch``
-    # blocks a whole epoch's draws into vectorized RNG calls while
-    # consuming the generator identically to the historical per-step code
-    # (the sample_batch contract) — every update's only stream consumption
-    # here is its noise draw, so a seeded run releases the same model.
-    sensitivity = 2.0 * lipschitz / batch_size
-    if privacy.is_pure:
-        mechanism: NoiseMechanism = SphericalLaplaceMechanism()
-        noise_privacy = PrivacyParameters(epsilon_per_pass)
-        per_step_scale = scs13_noise_scale(lipschitz, epsilon_per_pass, batch_size)
-    else:
-        mechanism = GaussianMechanism()
-        noise_privacy = PrivacyParameters(epsilon_per_pass, delta / passes)
-        per_step_scale = scs13_gaussian_sigma(
-            lipschitz, epsilon_per_pass, delta / passes, batch_size
-        )
-
-    buffer = EpochNoiseBuffer(
-        lambda n, block_rng: mechanism.sample_batch(
-            n, d, sensitivity, noise_privacy, block_rng
-        ),
-        steps_per_epoch=-(-m // batch_size),
+    rule = scs13_rule(
+        loss, epsilon, delta, passes=passes, batch_size=batch_size, radius=radius
     )
-
-    def gradient_noise(t: int, dimension: int, rng: np.random.Generator) -> np.ndarray:
-        return buffer.next(rng)
-
-    config = PSGDConfig(
-        schedule=InverseSqrtTSchedule(eta0),
-        passes=passes,
-        batch_size=batch_size,
-        projection=projection,
-    )
-    engine = PSGD(loss, config, gradient_noise=gradient_noise)
-    result = engine.run(X, y, random_state=as_generator(random_state))
-    return BaselineResult(
-        model=result.model,
-        privacy=privacy,
-        algorithm="SCS13",
-        psgd=result,
-        loss=loss,
-        per_step_noise_scale=per_step_scale,
-        noise_draws=buffer.rows_served,
+    return run_rule(
+        X, y, loss, rule, "SCS13", passes=passes, batch_size=batch_size,
+        random_state=as_generator(random_state),
     )

@@ -26,8 +26,8 @@ Six subcommands::
         requests against one job's solo cost, cache hits for
         resubmitted jobs, per-status job counts, and every tenant's
         budget statement. Warns when ``--workers`` exceeds the tables
-        with queued work (same-table scans serialize, so the extra
-        workers cannot overlap I/O). With
+        that can get work (all of them under ``--hold``; same-table
+        scans serialize, so the extra workers cannot overlap I/O). With
         ``--state-dir`` the registry + budgets autosave there and a
         restarted serve resumes from the snapshot; ``--metrics-file``
         additionally exports the telemetry registry (Prometheus text,
@@ -476,11 +476,14 @@ def _serve(args: argparse.Namespace) -> int:
     table_names = [f"shared_{t}" for t in range(args.tables)]
     # Jobs rotate tenants first, then tables — how many tables actually
     # receive queued work bounds the scan overlap the workers can reach.
-    tables_used = min(args.tables, max(1, -(-args.jobs // len(tenants))))
+    # Under --hold, HTTP tenants may submit to any table.
+    tables_used = args.tables
+    if not args.hold:
+        tables_used = min(args.tables, max(1, -(-args.jobs // len(tenants))))
     if args.workers > tables_used:
         print(
             f"warning: --workers {args.workers} exceeds the {tables_used} "
-            f"table(s) with queued work; scans of the same table serialize "
+            f"table(s) that can get work; scans of the same table serialize "
             f"(per-table engine domains), so at most {tables_used} scan(s) "
             f"overlap and the extra workers only overlap epilogues — "
             f"spread jobs over more --tables to use the full fleet",

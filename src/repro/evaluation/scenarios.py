@@ -172,11 +172,6 @@ def train(
             random_state=random_state,
         )
     if algorithm == "bst14":
-        if not settings.scenario.supports_bst14:
-            raise ValueError(
-                f"BST14 supports (eps,delta)-DP only; scenario "
-                f"{settings.scenario.name} has delta = 0"
-            )
         return bst14_train(
             X,
             y,

@@ -13,18 +13,23 @@ Figure 1 of the paper shows the architecture this module reproduces:
   ("about 10 LOC in Python");
 * **(C)** SCS13 and BST14 need noise inside the UDA's *transition*
   function — :class:`NoisySGDUDA` is that modification, and
-  :func:`integration_report` quantifies the contrast.
+  :func:`integration_report` quantifies the contrast. Both take their
+  parameters from the rules of :mod:`repro.baselines`, as in memory.
 """
 
 from __future__ import annotations
 
+import ast
 import inspect
+import textwrap
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
 
+from repro.baselines.bst14 import bst14_rule
+from repro.baselines.scs13 import scs13_rule
 from repro.core.bolton import BoltOnCandidate
 from repro.core.mechanisms import (
     PrivacyParameters,
@@ -32,15 +37,15 @@ from repro.core.mechanisms import (
 )
 from repro.core.sensitivity import sensitivity_for_schedule
 from repro.optim.losses import Loss
-from repro.optim.projection import IdentityProjection, L2BallProjection, Projection
-from repro.optim.schedules import InverseSqrtTSchedule, StepSizeSchedule
+from repro.optim.projection import Projection
+from repro.optim.schedules import StepSizeSchedule
 from repro.rdbms.catalog import Catalog, TableInfo
 from repro.rdbms.cost_model import CostModel, RuntimeBreakdown, WorkCounters
 from repro.rdbms.executor import DEFAULT_CHUNK_SIZE, ShuffleOnce, run_aggregate
 from repro.rdbms.storage import BufferPool
 from repro.rdbms.uda import MultiSGDUDA, SGDState, SGDUDA
 from repro.utils.rng import RandomState, as_generator, spawn_generators
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive_int
 
 
 @dataclass
@@ -522,42 +527,18 @@ class BismarckSession:
         epochs: int = 1,
         batch_size: int = 1,
         radius: Optional[float] = None,
-        eta0: float = 1.0,
         random_state: RandomState = None,
     ) -> TrainingReport:
         """SCS13 inside the engine (Figure 1 (C)) — per-batch noise."""
-        from repro.baselines.scs13 import scs13_gaussian_sigma, scs13_noise_scale
-        from repro.utils.linalg import random_unit_vector
-
-        check_positive(epsilon, "epsilon")
-        check_positive_int(epochs, "epochs")
-        if radius is not None:
-            projection: Projection = L2BallProjection(radius)
-            properties = loss.properties(radius=radius)
-        else:
-            projection = IdentityProjection()
-            properties = loss.properties()
-        lipschitz = properties.lipschitz
-        epsilon_per_pass = epsilon / epochs
+        table = self.catalog.get(table_name)
+        rule = scs13_rule(
+            loss, epsilon, delta, passes=epochs, batch_size=batch_size, radius=radius
+        )
+        noise = rule.noise(table.num_tuples, table.dimension, batch_size)
         sgd_rng, noise_rng = spawn_generators(random_state, 2)
-
-        if delta == 0.0:
-            scale = scs13_noise_scale(lipschitz, epsilon_per_pass, batch_size)
-
-            def noise_sampler(step: int, dimension: int) -> np.ndarray:
-                direction = random_unit_vector(dimension, noise_rng)
-                return noise_rng.gamma(shape=dimension, scale=scale) * direction
-
-        else:
-            sigma = scs13_gaussian_sigma(
-                lipschitz, epsilon_per_pass, delta / epochs, batch_size
-            )
-
-            def noise_sampler(step: int, dimension: int) -> np.ndarray:
-                return noise_rng.normal(0.0, sigma, size=dimension)
-
         uda = NoisySGDUDA(
-            loss, InverseSqrtTSchedule(eta0), noise_sampler, batch_size, projection
+            loss, rule.schedule, lambda step, d: noise.next(noise_rng), batch_size,
+            rule.projection,
         )
         return self.run_sgd(
             table_name, uda, epochs, random_state=sgd_rng, algorithm_label="scs13",
@@ -576,30 +557,16 @@ class BismarckSession:
         random_state: RandomState = None,
     ) -> TrainingReport:
         """BST14 (constant-epoch extension) inside the engine."""
-        from repro.baselines.bst14 import bst14_noise_sigma, per_iteration_sensitivity
-        from repro.optim.schedules import BST14Schedule, InverseTSchedule
-
         table = self.catalog.get(table_name)
-        m, d = table.num_tuples, table.dimension
-        properties = loss.properties(radius=radius)
-        sigma, _ = bst14_noise_sigma(epsilon, delta, m, epochs, batch_size)
-        iota = per_iteration_sensitivity(properties.lipschitz, batch_size)
-        effective_sigma = sigma * float(np.sqrt(iota))
+        rule = bst14_rule(
+            loss, epsilon, delta, table.num_tuples, table.dimension,
+            passes=epochs, batch_size=batch_size, radius=radius,
+        )
+        noise = rule.noise(table.num_tuples, table.dimension, batch_size)
         sgd_rng, noise_rng = spawn_generators(random_state, 2)
-
-        if properties.is_strongly_convex:
-            schedule: StepSizeSchedule = InverseTSchedule(properties.strong_convexity)
-        else:
-            gradient_bound = float(
-                np.sqrt(d * sigma**2 + batch_size**2 * properties.lipschitz**2)
-            )
-            schedule = BST14Schedule(radius=radius, gradient_bound=gradient_bound)
-
-        def noise_sampler(step: int, dimension: int) -> np.ndarray:
-            return noise_rng.normal(0.0, effective_sigma, size=dimension)
-
         uda = NoisySGDUDA(
-            loss, schedule, noise_sampler, batch_size, L2BallProjection(radius)
+            loss, rule.schedule, lambda step, d: noise.next(noise_rng), batch_size,
+            rule.projection,
         )
         return self.run_sgd(
             table_name, uda, epochs, random_state=sgd_rng, algorithm_label="bst14",
@@ -620,40 +587,48 @@ class BismarckSession:
         return total / count
 
 
+def _source_lines(obj) -> List[str]:
+    """``obj``'s source lines, stripped, without blank lines and docstrings."""
+    source = textwrap.dedent(inspect.getsource(obj))
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            continue
+        if ast.get_docstring(node) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return [
+        line.strip()
+        for number, line in enumerate(source.splitlines(), start=1)
+        if number not in docstrings and line.strip()
+    ]
+
+
 def integration_report() -> dict:
     """Quantify the Section 4.2 integration-effort comparison on our code.
 
-    Counts the source lines of the bolt-on addition inside
+    Counts the code lines of the bolt-on addition inside
     :meth:`BismarckSession.run_bolton_private` (the block between the
     marker comments) versus the white-box :class:`NoisySGDUDA` subclass
-    plus the per-algorithm samplers — the stand-ins for "about 10 LOC of
-    Python" versus "dozens of LOC in C inside the transition function".
+    plus :meth:`~BismarckSession.run_scs13` and
+    :meth:`~BismarckSession.run_bst14` — the stand-ins for "about 10 LOC
+    of Python" versus "dozens of LOC in C inside the transition
+    function". Comments, blank lines, docstrings and the rules (in
+    :mod:`repro.baselines` and :mod:`repro.core.bolton`) do not count.
     """
-    bolton_source = inspect.getsource(BismarckSession.run_bolton_private)
     in_block = False
     bolton_lines = 0
-    for line in bolton_source.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("# ---- the bolt-on addition"):
+    for line in _source_lines(BismarckSession.run_bolton_private):
+        if line.startswith("# ---- the bolt-on addition"):
             in_block = True
-            continue
-        if stripped.startswith("# ----------------"):
+        elif line.startswith("# ----------------"):
             in_block = False
-            continue
-        if in_block and stripped and not stripped.startswith("#"):
+        elif in_block and not line.startswith("#"):
             bolton_lines += 1
-
-    whitebox_lines = 0
-    for source in (
-        inspect.getsource(NoisySGDUDA),
-        inspect.getsource(BismarckSession.run_scs13),
-        inspect.getsource(BismarckSession.run_bst14),
-    ):
-        for line in source.splitlines():
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#") and not stripped.startswith('"""'):
-                whitebox_lines += 1
-
+    whitebox_lines = sum(
+        not line.startswith("#")
+        for obj in (NoisySGDUDA, BismarckSession.run_scs13, BismarckSession.run_bst14)
+        for line in _source_lines(obj)
+    )
     return {
         "bolton_integration_loc": bolton_lines,
         "whitebox_integration_loc": whitebox_lines,

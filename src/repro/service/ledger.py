@@ -26,7 +26,7 @@ happens under one lock so concurrent submitters cannot double-spend.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.accountant import PrivacyBudgetExceeded, would_overflow
@@ -78,9 +78,6 @@ class _Account:
     reserved_delta: float = 0.0
     commits: int = 0
     open_reservations: int = 0
-    #: Job ids whose receipts were replayed into this account by
-    #: :meth:`PrivacyBudgetLedger.reconcile` (restore idempotence).
-    reconciled: set = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -241,12 +238,13 @@ class PrivacyBudgetLedger:
         a snapshot whose receipts overflow a cap raises instead of
         loading. Returns the number of receipts applied.
 
-        Idempotence keys on receipt *identity* (the job id), never on the
-        sequence counter: a warm ledger's live commits may collide with a
-        prior process's sequence numbers, and dropping a colliding
-        receipt would under-count the release history. The counter is
-        instead bumped past every replayed sequence so post-restore
-        commits stay unique.
+        A receipt listed twice applies once, keyed on its *identity* (the
+        job id), never on the sequence counter: a warm ledger's live
+        commits may collide with a prior process's sequence numbers, and
+        dropping a colliding receipt would under-count the release
+        history. The counter is bumped past every replayed sequence
+        instead. A second call charges its receipts again; the one caller,
+        ``TrainingService.load_state``, first refuses a snapshot of live jobs.
 
         All-or-nothing: every receipt is validated first — its account
         must exist, and each account's new total must fit its cap (the
@@ -258,14 +256,11 @@ class PrivacyBudgetLedger:
             ordered = sorted(
                 receipts, key=lambda r: (r.principal, r.table, r.sequence)
             )
-            fresh, seen = [], set()
+            unique: Dict[Tuple[str, str, str], BudgetReceipt] = {}
             for receipt in ordered:
-                identity = (receipt.principal, receipt.table, receipt.job_id)
-                account = self._require(receipt.principal, receipt.table)
-                if receipt.job_id in account.reconciled or identity in seen:
-                    continue
-                seen.add(identity)
-                fresh.append(receipt)
+                self._require(receipt.principal, receipt.table)
+                unique.setdefault((receipt.principal, receipt.table, receipt.job_id), receipt)
+            fresh = list(unique.values())
             added: Dict[Tuple[str, str], Tuple[float, float]] = {}
             for receipt in fresh:
                 eps, delta = added.get((receipt.principal, receipt.table), (0.0, 0.0))
@@ -283,15 +278,12 @@ class PrivacyBudgetLedger:
                         f"({spent_eps:g}, {spent_delta:g}), overflowing the "
                         f"cap {account.cap}; refusing to restore"
                     )
-            applied = 0
             for receipt in fresh:
                 account = self._require(receipt.principal, receipt.table)
                 account.spent_epsilon += receipt.parameters.epsilon
                 account.spent_delta += receipt.parameters.delta
-                account.reconciled.add(receipt.job_id)
                 account.commits = max(account.commits, receipt.sequence)
-                applied += 1
-            return applied
+            return len(fresh)
 
     # -- the two-phase spend ----------------------------------------------------
 

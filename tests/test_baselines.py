@@ -9,6 +9,7 @@ import pytest
 
 from repro.baselines.bst14 import (
     bst14_noise_sigma,
+    bst14_rule,
     bst14_train,
     per_iteration_sensitivity,
     solve_composition_epsilon,
@@ -16,9 +17,14 @@ from repro.baselines.bst14 import (
 from repro.baselines.scs13 import (
     scs13_gaussian_sigma,
     scs13_noise_scale,
+    scs13_rule,
     scs13_train,
 )
-from repro.optim.losses import LogisticLoss
+from repro.core.mechanisms import PrivacyParameters
+from repro.optim.losses import HuberSVMLoss, LeastSquaresLoss, LogisticLoss
+from repro.optim.projection import IdentityProjection, L2BallProjection
+from repro.optim.schedules import BST14Schedule, InverseSqrtTSchedule, InverseTSchedule
+from repro.rdbms.bismarck import BismarckSession
 from tests.conftest import make_binary_data
 
 
@@ -285,3 +291,145 @@ class TestEpochNoiseBatching:
                         passes=2, batch_size=20, random_state=31)
         np.testing.assert_array_equal(a.model, b.model)
         assert a.noise_draws == b.noise_draws == 60  # 2 passes * ceil(600/20)
+
+
+# -- the SCS13 and BST14 rules, pinned to the paper's formulas ----------------
+
+#: name -> loss at lambda; both have L_phi = 1 (Section 2, Appendix B).
+RULE_LOSSES = {
+    "logistic": LogisticLoss,
+    "huber": lambda lam: HuberSVMLoss(0.1, lam),
+}
+RULE_EPSILON = 0.7
+RULE_M, RULE_D, RULE_R = 200, 5, 2.0
+
+
+def drawn(rule, seed=5, count=3):
+    """Three rows of ``rule``'s per-update noise, and a fresh generator
+    on the same seed for the hand-written draw."""
+    return rule.draw(count, RULE_D, np.random.default_rng(seed)), np.random.default_rng(seed)
+
+
+class TestWhiteBoxRules:
+    """``scs13_rule`` and ``bst14_rule`` against SCS13 and Algorithms 4
+    and 5 as written in the paper: logistic and Huber losses, lambda zero
+    or not, delta zero or not, one pass or four, batches of 1 or 10."""
+
+    @pytest.mark.parametrize("name", sorted(RULE_LOSSES))
+    @pytest.mark.parametrize("lam", [0.0, 0.01])
+    @pytest.mark.parametrize("radius", [None, RULE_R])
+    @pytest.mark.parametrize("delta", [0.0, 1e-6])
+    @pytest.mark.parametrize("passes", [1, 4])
+    @pytest.mark.parametrize("batch", [1, 10])
+    def test_scs13_rule(self, name, lam, radius, delta, passes, batch):
+        loss = RULE_LOSSES[name](lam)
+        run = dict(passes=passes, batch_size=batch, radius=radius)
+        if lam > 0.0 and radius is None:
+            with pytest.raises(ValueError, match="hypothesis-space radius is required"):
+                scs13_rule(loss, RULE_EPSILON, delta, **run)
+            return
+        rule = scs13_rule(loss, RULE_EPSILON, delta, **run)
+        # The 1/sqrt(t) step, in the ball of R exactly when R is given.
+        assert type(rule.schedule) is InverseSqrtTSchedule
+        for t in range(1, 6):
+            assert rule.schedule.rate(t) == 1.0 / math.sqrt(t)
+        if radius is None:
+            assert type(rule.projection) is IdentityProjection
+        else:
+            assert type(rule.projection) is L2BallProjection
+            assert rule.projection.radius == radius
+        assert rule.privacy == PrivacyParameters(RULE_EPSILON, delta)
+        # Sensitivity 2L/b at the per-pass budget (eps/k, delta/k).
+        lipschitz = 1.0 + (lam * radius if lam > 0.0 else 0.0)
+        sensitivity = 2.0 * lipschitz / batch
+        eps_pass, delta_pass = RULE_EPSILON / passes, delta / passes
+        rows, rng = drawn(rule)
+        if delta == 0.0:
+            # Spherical Laplace: a uniform direction times Gamma(d, Delta/eps).
+            scale = sensitivity / eps_pass
+            expected = []
+            for _ in range(3):
+                direction = rng.standard_normal(RULE_D)
+                direction /= np.linalg.norm(direction)
+                expected.append(rng.gamma(RULE_D, scale) * direction)
+        else:
+            # Gaussian: sigma = Delta sqrt(2 ln(1.25/delta)) / eps per coordinate.
+            scale = sensitivity * math.sqrt(2.0 * math.log(1.25 / delta_pass)) / eps_pass
+            expected = rng.normal(0.0, scale, size=(3, RULE_D))
+        assert rule.noise_scale == pytest.approx(scale, rel=1e-12)
+        np.testing.assert_allclose(rows, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(RULE_LOSSES))
+    @pytest.mark.parametrize("lam", [0.0, 0.01])
+    @pytest.mark.parametrize("delta", [0.0, 1e-6])
+    @pytest.mark.parametrize("passes", [1, 4])
+    @pytest.mark.parametrize("batch", [1, 10])
+    def test_bst14_rule(self, name, lam, delta, passes, batch):
+        loss = RULE_LOSSES[name](lam)
+        run = dict(passes=passes, batch_size=batch, radius=RULE_R)
+        if delta == 0.0:
+            with pytest.raises(ValueError, match=r"\(eps, delta\)-DP only"):
+                bst14_rule(loss, RULE_EPSILON, delta, RULE_M, RULE_D, **run)
+            return
+        rule = bst14_rule(loss, RULE_EPSILON, delta, RULE_M, RULE_D, **run)
+        # Algorithm 4, line 5: T = ceil(k m / b) steps at delta1 = delta/T;
+        # eps1 solves the composition equation, eps2 = min(1, m eps1 / 2)
+        # and sigma^2 = 2 ln(1.25/delta1) / eps2^2.
+        steps = math.ceil(passes * RULE_M / batch)
+        delta1 = delta / steps
+        eps1 = solve_composition_epsilon(RULE_EPSILON, steps, delta1)
+        assert steps * eps1 * math.expm1(eps1) + math.sqrt(
+            2 * steps * math.log(1 / delta1)
+        ) * eps1 == pytest.approx(RULE_EPSILON, rel=1e-9)
+        eps2 = min(1.0, RULE_M * eps1 / 2.0)
+        sigma = math.sqrt(2.0 * math.log(1.25 / delta1)) / eps2
+        # Line 11: z ~ N(0, sigma^2 iota I_d) with iota = 2L/b.
+        lipschitz = 1.0 + lam * RULE_R
+        iota = 2.0 * lipschitz / batch
+        assert rule.noise_scale == pytest.approx(sigma * math.sqrt(iota), rel=1e-12)
+        rows, rng = drawn(rule)
+        np.testing.assert_allclose(
+            rows, rng.normal(0.0, sigma * math.sqrt(iota), size=(3, RULE_D)), rtol=1e-12
+        )
+        if lam == 0.0:
+            # Algorithm 4: 2R / (G sqrt(t)), G = sqrt(d sigma^2 + b^2 L^2).
+            assert type(rule.schedule) is BST14Schedule
+            bound = math.sqrt(RULE_D * sigma**2 + batch**2 * lipschitz**2)
+            expected = [2.0 * RULE_R / (bound * math.sqrt(t)) for t in range(1, 6)]
+        else:
+            # Algorithm 5: 1 / (gamma t), gamma = lambda.
+            assert type(rule.schedule) is InverseTSchedule
+            expected = [1.0 / (lam * t) for t in range(1, 6)]
+        np.testing.assert_allclose(rule.schedule.rates(5), expected, rtol=1e-12)
+        assert type(rule.projection) is L2BallProjection
+        assert rule.projection.radius == RULE_R
+        assert rule.privacy == PrivacyParameters(RULE_EPSILON, delta)
+
+
+class TestWhiteBoxRefusals:
+    """Each baseline refuses what its rule refuses, with the same words,
+    in memory and inside the engine."""
+
+    @staticmethod
+    def session_and_data():
+        X, y = make_binary_data(120, 5, seed=3)
+        session = BismarckSession()
+        session.load_table("t", X, y)
+        return session, X, y
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-6])
+    def test_scs13_refuses_an_unbounded_lipschitz_constant(self, delta):
+        session, X, y = self.session_and_data()
+        match = "SCS13 requires a finite Lipschitz constant"
+        with pytest.raises(ValueError, match=match):
+            scs13_train(X, y, LeastSquaresLoss(), 1.0, delta=delta, random_state=0)
+        with pytest.raises(ValueError, match=match):
+            session.run_scs13("t", LeastSquaresLoss(), 1.0, delta=delta, random_state=0)
+
+    def test_bst14_refuses_pure_dp(self):
+        session, X, y = self.session_and_data()
+        match = r"BST14 provides \(eps, delta\)-DP only"
+        with pytest.raises(ValueError, match=match):
+            bst14_train(X, y, LogisticLoss(), 1.0, 0.0, random_state=0)
+        with pytest.raises(ValueError, match=match):
+            session.run_bst14("t", LogisticLoss(), 1.0, 0.0, random_state=0)

@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import threading
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -147,6 +154,37 @@ class TestServiceCommands:
         assert code == 0  # warned, not failed — and not silently serialized
         assert "warning: --workers 4 exceeds the 1 table(s)" in captured.err
         assert "scan overlap    : peak 1 of 1 possible" in captured.out
+
+    def test_serve_hold_counts_every_table(self):
+        """Under ``--hold`` HTTP tenants may submit to any table, so a
+        ``--jobs 0`` server with a worker per table warns of nothing and
+        can overlap a scan on each."""
+        root = pathlib.Path(__file__).resolve().parents[1]
+        child = subprocess.Popen(
+            [
+                sys.executable, "-u", "-m", "repro", "serve", "--jobs", "0",
+                "--tables", "2", "--workers", "2", "--http", "0", "--hold",
+                "--rows", "150", "--dim", "5",
+            ],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        watchdog = threading.Timer(120.0, child.kill)
+        watchdog.start()
+        try:
+            for line in child.stdout:
+                if line.startswith("holding"):
+                    child.send_signal(signal.SIGTERM)
+                    break
+            out, err = child.communicate(timeout=120.0)
+        finally:
+            watchdog.cancel()
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+        assert child.returncode == 0, err
+        assert "warning" not in err
+        assert "of 2 possible (2 workers, 2 tables with work)" in out
 
 
 class TestServeTelemetry:

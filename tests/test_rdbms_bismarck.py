@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import inspect
+import io
+import textwrap
+import tokenize
+
 import numpy as np
 import pytest
 
 from repro.optim.losses import LogisticLoss
 from repro.optim.schedules import ConstantSchedule
-from repro.rdbms.bismarck import BismarckSession, integration_report
+from repro.rdbms.bismarck import BismarckSession, NoisySGDUDA, integration_report
 from repro.rdbms.cost_model import CostModel, RuntimeBreakdown, WorkCounters
 from repro.rdbms.synthesizer import (
     analytic_counters,
@@ -153,6 +158,29 @@ class TestWhiteBoxTraining:
         assert ratio(500) < 1.3
 
 
+def code_line_count(obj) -> int:
+    """The lines of ``obj``'s source that carry a token other than a
+    comment, a docstring or layout — counted from the token stream."""
+    source = textwrap.dedent(inspect.getsource(obj))
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    layout = {
+        tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+        tokenize.DEDENT, tokenize.ENDMARKER,
+    }
+    lines = set()
+    for index, token in enumerate(tokens):
+        if token.type in layout:
+            continue
+        docstring = (
+            token.type == tokenize.STRING
+            and tokens[index - 1].type == tokenize.INDENT
+            and tokens[index + 1].type == tokenize.NEWLINE
+        )
+        if not docstring:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines)
+
+
 class TestIntegrationReport:
     def test_bolton_is_small(self):
         report = integration_report()
@@ -161,6 +189,13 @@ class TestIntegrationReport:
         assert report["whitebox_integration_loc"] > report["bolton_integration_loc"]
         assert not report["bolton_touches_engine_internals"]
         assert report["whitebox_touches_engine_internals"]
+
+    def test_whitebox_count_is_code_lines_only(self):
+        """The white-box count is the code of ``NoisySGDUDA``,
+        ``run_scs13`` and ``run_bst14``: no docstring line counts."""
+        sources = (NoisySGDUDA, BismarckSession.run_scs13, BismarckSession.run_bst14)
+        expected = sum(code_line_count(obj) for obj in sources)
+        assert integration_report()["whitebox_integration_loc"] == expected
 
 
 class TestCostModel:

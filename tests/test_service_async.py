@@ -762,8 +762,7 @@ class TestDurableRegistry:
 
     def test_reconcile_keys_on_receipt_identity_not_sequence(self):
         """A warm ledger's live commit may share a sequence number with a
-        prior process's receipt; both spends must count (and replaying
-        the same receipt twice must not)."""
+        prior process's receipt; both spends must count."""
         from repro.core.mechanisms import PrivacyParameters
         from repro.service import PrivacyBudgetLedger
         from repro.service.ledger import BudgetReceipt
@@ -778,8 +777,6 @@ class TestDurableRegistry:
             parameters=PrivacyParameters(0.3), sequence=1,  # colliding seq
         )
         assert ledger.reconcile([prior]) == 1
-        assert ledger.statement("alice", "t").spent[0] == pytest.approx(0.5)
-        assert ledger.reconcile([prior]) == 0  # identity-idempotent
         assert ledger.statement("alice", "t").spent[0] == pytest.approx(0.5)
         # The counter moved past both histories: the next commit's
         # sequence collides with neither.
@@ -808,6 +805,43 @@ class TestDurableRegistry:
         statement = [s for s in service.budgets() if s.principal == "alice"][0]
         assert statement.reserved == (0.0, 0.0)  # all holds refunded
         assert statement.spent == (0, 0)
+
+    def test_reconcile_applies_a_receipt_listed_twice_once(self):
+        """An event logged both before and after a compaction reaches
+        one restore twice; it is charged once."""
+        from repro.core.mechanisms import PrivacyParameters
+        from repro.service import PrivacyBudgetLedger
+        from repro.service.ledger import BudgetReceipt
+
+        ledger = PrivacyBudgetLedger()
+        ledger.open_account("alice", "t", 1.0)
+        receipt = BudgetReceipt(
+            principal="alice", table="t", job_id="old-1",
+            parameters=PrivacyParameters(0.3), sequence=4,
+        )
+        assert ledger.reconcile([receipt, receipt]) == 1
+        assert ledger.statement("alice", "t").spent == (0.3, 0.0)
+        assert ledger.commit(
+            ledger.reserve("alice", "t", PrivacyParameters(0.1), job_id="live-1")
+        ).sequence == 5
+
+    def test_a_second_load_of_the_same_state_is_refused_whole(self, tmp_path):
+        """Loading a state directory whose jobs the registry already
+        holds raises before the ledger replays anything: the registry
+        and every budget statement are as the first load left them."""
+        service = make_service(workers=1, cap=0.5, state_dir=tmp_path)
+        submit_all(service, mixed_jobs(4))
+        service.drain()
+        service.stop()
+
+        restarted = make_service(workers=1, cap=0.5, state_dir=tmp_path)
+        assert restarted.load_state() == 4
+        records, statements = len(restarted.registry), restarted.budgets()
+        assert any(statement.spent != (0, 0) for statement in statements)
+        with pytest.raises(ValueError, match="already live"):
+            restarted.load_state()
+        assert len(restarted.registry) == records
+        assert restarted.budgets() == statements
 
     def test_reconcile_overflow_rejects_whole_snapshot(self):
         """A snapshot whose receipts overflow a cap must raise with the

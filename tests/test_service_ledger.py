@@ -149,7 +149,7 @@ class TestAdmissionCost:
             for name, value in vars(account).items()
             if isinstance(value, (list, set, dict, tuple))
         }
-        assert sized == {"reconciled": 0}  # only a restore fills it
+        assert sized == {}
         receipt = ledger.commit(ledger.reserve("alice", "t", charge, job_id="next"))
         statement = ledger.statement("alice", "t")
 

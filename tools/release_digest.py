@@ -34,17 +34,22 @@ and 3, so the set of models still stepping shrinks between passes. A
 with their defaults and options, ``private_psgd``, ``train_bolt_on``,
 ``BoltOnPrivateClassifier``, ``scenarios.train("ours")``,
 ``BismarckSession.run_bolton_private`` and both Figure 5 runtime series.
-A ``durable`` line covers what a service with a state directory writes:
-its snapshot, its log events and its budget statements, before and
-after a restart.
+A ``whitebox`` line covers the SCS13 and BST14 trainers on the same
+table: ``scs13_train`` and ``bst14_train`` with their options,
+``scenarios.train`` of both in every scenario that has them, and
+``run_scs13``/``run_bst14`` in the engine. A ``durable`` line covers
+what a service with a state directory writes: its snapshot, its log
+events and its budget statements, before and after a restart.
 
 It prints one line per shape: a ``release_sha`` — a SHA-256 over every
 released weight vector and every job's ``group_pages`` (and, for the
 flight, boarding offset and epochs ridden; for a fleet, every
 ``unreleased_noiseless_model`` instead; for the trainers, every noiseless
-model and sensitivity, and the Figure 5 series; for the durable state,
-its bytes with every trace dropped) — then, for the service shapes, the
-table's pool counters in plain text. Run it from two
+model and sensitivity, and the Figure 5 series; for the white-box
+trainers, every model, per-update noise scale, noise draw count and, in
+the engine, simulated seconds; for the durable state, its bytes with
+every trace dropped) — then, for the service shapes, the table's pool
+counters in plain text. Run it from two
 checkouts on the same host: equal ``release_sha`` values mean a change
 moved no released bit and no page count, even when it moves the pool
 counters by design (a change that should not move them must also leave
@@ -55,6 +60,7 @@ because BLAS summation differs across CPUs.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import pathlib
 import sys
@@ -62,6 +68,7 @@ import tempfile
 
 import numpy as np
 
+from repro.baselines import bst14_train, scs13_train
 from repro.core.bolton import (
     BoltOnCandidate,
     private_convex_psgd,
@@ -382,6 +389,69 @@ def digest_trainers() -> str:
     return f"{'trainers':<17} release_sha={sha.hexdigest()}"
 
 
+def digest_whitebox() -> str:
+    """Every white-box trainer on the ``trainers`` table: each in-memory
+    run's model, per-update noise scale and draw count, and each
+    in-RDBMS run's model, draw count and simulated seconds."""
+    m, d = 300, 8
+    X, y = make_table(m, d, seed=31)
+    sha = hashlib.sha256()
+
+    def add(result) -> None:
+        sha.update(np.ascontiguousarray(result.model).tobytes())
+        sha.update(repr((result.per_step_noise_scale, result.noise_draws)).encode())
+
+    # SCS13: pure and (eps, delta); unconstrained and in a ball; 1 and 3 passes.
+    runs = itertools.product(
+        (0.0, 1e-5), ((LogisticLoss(), None), (HuberSVMLoss(0.1, 1e-2), 5.0)), (1, 3)
+    )
+    for seed, (delta, (loss, radius), passes) in enumerate(runs, start=41):
+        add(scs13_train(
+            X, y, loss, 0.5, delta=delta, passes=passes, batch_size=10, radius=radius,
+            random_state=seed,
+        ))
+    # BST14: Algorithm 4, Algorithm 5, the naive m-pass noise, a given iota.
+    shape = dict(passes=2, batch_size=10, radius=2.0)
+    add(bst14_train(X, y, LogisticLoss(), 0.5, 1e-5, random_state=51, **shape))
+    add(bst14_train(X, y, HuberSVMLoss(0.1, 1e-2), 0.5, 1e-5, random_state=52, **shape))
+    add(bst14_train(
+        X, y, LogisticLoss(), 0.5, 1e-5, naive_noise_for_m_passes=True,
+        random_state=53, **shape,
+    ))
+    add(bst14_train(
+        X, y, LogisticLoss(1e-2), 0.5, 1e-5, iota_override=1.0, strongly_convex=True,
+        random_state=54, **shape,
+    ))
+    # The evaluation harness's baselines in every scenario that has them.
+    for seed, scenario in enumerate(scenarios.Scenario, start=60):
+        settings = scenarios.TrainSettings(
+            scenario, epsilon=0.5, passes=2, batch_size=10, regularization=1e-2
+        )
+        add(scenarios.train("scs13", X, y, settings, random_state=seed))
+        if scenario.supports_bst14:
+            add(scenarios.train("bst14", X, y, settings, random_state=seed))
+    # In the RDBMS: as Figure 5 calls them (in the ball R = 1/lambda at
+    # delta = 1/m^2), and without a radius.
+    session = BismarckSession()
+    session.load_table("t", X, y)
+    fig5 = dict(epochs=2, batch_size=10, radius=100.0)
+    reports = [
+        session.run_scs13("t", LogisticLoss(1e-2), 0.5, delta=1 / m**2, random_state=70,
+                          **fig5),
+        session.run_bst14("t", LogisticLoss(1e-2), 0.5, 1 / m**2, random_state=71, **fig5),
+        session.run_scs13("t", LogisticLoss(), 0.5, epochs=2, batch_size=10, random_state=72),
+        session.run_scs13(
+            "t", HuberSVMLoss(0.1), 0.5, delta=1e-5, epochs=3, batch_size=1, random_state=73
+        ),
+        session.run_bst14("t", LogisticLoss(), 0.5, 1e-5, epochs=2, batch_size=10,
+                          random_state=74),
+    ]
+    for report in reports:
+        sha.update(np.ascontiguousarray(report.model).tobytes())
+        sha.update(repr((report.noise_draws, report.simulated_seconds)).encode())
+    return f"{'whitebox':<17} release_sha={sha.hexdigest()}"
+
+
 def untraced(record: dict) -> dict:
     """A record payload without its trace (spans hold clock readings)."""
     return {key: value for key, value in record.items() if key != "trace"}
@@ -462,6 +532,7 @@ def main() -> int:
     print(digest_fleet_shared())
     print(digest_fleet_stacked())
     print(digest_trainers())
+    print(digest_whitebox())
     return 0
 
 
